@@ -8,6 +8,7 @@ import (
 	"os"
 	"runtime"
 	"sort"
+	"strings"
 	"testing"
 
 	"ipdelta/internal/chunk"
@@ -44,6 +45,15 @@ type baselineStage struct {
 	TotalNanos int64   `json:"total_nanos"`
 }
 
+// baselineHistogram summarizes one registry histogram that is not a stage
+// timer (its name does not end in _nanos), in the histogram's own unit.
+type baselineHistogram struct {
+	Name  string  `json:"name"`
+	Count int64   `json:"count"`
+	Mean  float64 `json:"mean"`
+	Sum   int64   `json:"sum"`
+}
+
 // baselineDoc is the emitted document.
 type baselineDoc struct {
 	Environment struct {
@@ -63,6 +73,8 @@ type baselineDoc struct {
 	Metrics map[string]int64 `json:"metrics,omitempty"`
 	// Stages carries per-stage timing aggregates from the same run.
 	Stages []baselineStage `json:"stages,omitempty"`
+	// Histograms carries the run's other histograms (sizes, counts).
+	Histograms []baselineHistogram `json:"histograms,omitempty"`
 }
 
 // scalingWorkers returns the worker counts for the diff scaling curve:
@@ -148,21 +160,27 @@ func (doc *baselineDoc) measure(name string, bytes int64, fn func(b *testing.B))
 	doc.Results = append(doc.Results, res)
 }
 
-// addRegistry folds the registry's counters and stage histograms into the
-// document.
+// addRegistry folds the registry's counters and histograms into the
+// document: stage timers (named *_nanos) into Stages, the rest into
+// Histograms with unit-neutral fields.
 func (doc *baselineDoc) addRegistry(reg *obs.Registry) {
 	snap := reg.Snapshot()
 	if len(snap.Counters) > 0 {
 		doc.Metrics = snap.Counters
 	}
 	for name, h := range snap.Histograms {
-		st := baselineStage{Name: name, Count: h.Count, TotalNanos: h.Sum}
+		var mean float64
 		if h.Count > 0 {
-			st.MeanNanos = float64(h.Sum) / float64(h.Count)
+			mean = float64(h.Sum) / float64(h.Count)
 		}
-		doc.Stages = append(doc.Stages, st)
+		if base, _, _ := strings.Cut(name, "{"); strings.HasSuffix(base, "_nanos") {
+			doc.Stages = append(doc.Stages, baselineStage{Name: name, Count: h.Count, MeanNanos: mean, TotalNanos: h.Sum})
+		} else {
+			doc.Histograms = append(doc.Histograms, baselineHistogram{Name: name, Count: h.Count, Mean: mean, Sum: h.Sum})
+		}
 	}
 	sort.Slice(doc.Stages, func(i, j int) bool { return doc.Stages[i].Name < doc.Stages[j].Name })
+	sort.Slice(doc.Histograms, func(i, j int) bool { return doc.Histograms[i].Name < doc.Histograms[j].Name })
 }
 
 // runBaseline measures the pipeline and writes the JSON document to

@@ -5,7 +5,10 @@ import (
 	"errors"
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
+
+	"ipdelta/internal/obs"
 )
 
 func TestRunQuickExperiments(t *testing.T) {
@@ -65,6 +68,7 @@ func TestRunBenchBaseline(t *testing.T) {
 	if err := json.Unmarshal(raw, &doc); err != nil {
 		t.Fatalf("baseline output is not valid JSON: %v", err)
 	}
+	checkStageUnits(t, &doc)
 	want := map[string]bool{
 		"convert/one-shot": false, "convert/reuse": false, "crwi/build": false,
 		"diff/one-shot": false, "diff/reuse": false, "batch/4": false,
@@ -121,4 +125,41 @@ func TestRunRecipeGate(t *testing.T) {
 	if !errors.As(err, &g) {
 		t.Fatalf("want errRecipeGate, got %v", err)
 	}
+}
+
+// checkStageUnits fails the test if a stage entry, whose fields are in
+// nanoseconds, carries a histogram not named *_nanos.
+func checkStageUnits(t *testing.T, doc *baselineDoc) {
+	t.Helper()
+	for _, st := range doc.Stages {
+		if base, _, _ := strings.Cut(st.Name, "{"); !strings.HasSuffix(base, "_nanos") {
+			t.Errorf("stage %q is not a _nanos timer but is reported in mean_nanos", st.Name)
+		}
+	}
+}
+
+func TestBaselineStagesAreNanos(t *testing.T) {
+	reg := obs.NewRegistry()
+	reg.Stage("x_stage_nanos").Start().End()
+	reg.Stage(`x_policy_nanos{policy="lm"}`).Start().End()
+	sizes := reg.Histogram("x_size_bytes", obs.SizeBuckets)
+	sizes.Observe(100)
+	sizes.Observe(300)
+	doc := &baselineDoc{}
+	doc.addRegistry(reg)
+	checkStageUnits(t, doc)
+	if len(doc.Stages) != 2 {
+		t.Errorf("stages = %+v, want the two _nanos timers", doc.Stages)
+	}
+	want := baselineHistogram{Name: "x_size_bytes", Count: 2, Mean: 200, Sum: 400}
+	if len(doc.Histograms) != 1 || doc.Histograms[0] != want {
+		t.Errorf("histograms = %+v, want [%+v]", doc.Histograms, want)
+	}
+
+	// The committed baseline follows the same split.
+	committed, err := loadBaseline(filepath.Join("..", "..", "BENCH_convert.json"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	checkStageUnits(t, committed)
 }

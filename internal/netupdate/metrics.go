@@ -17,6 +17,9 @@ type serverMetrics struct {
 	budgetRejects   *obs.Counter
 	bytesServed     *obs.Counter
 	v1Sessions      *obs.Counter // connections served through the v1 shim
+	cacheHits       *obs.Counter // delta lookups served from the cache
+	cacheMisses     *obs.Counter // delta lookups that started a build
+	buildWaits      *obs.Counter // delta lookups that joined an in-flight build
 	cachedDeltas    *obs.Gauge
 	muxConns        *obs.Gauge // live v2 multiplexed connections
 	muxStreams      *obs.Gauge // live v2 update streams across all conns
@@ -24,6 +27,7 @@ type serverMetrics struct {
 	sessionStage  obs.Stage // whole-session wall time
 	msgReadStage  obs.Stage // one framed protocol read
 	msgWriteStage obs.Stage // one framed protocol write (incl. flush)
+	buildStage    obs.Stage // one delta build: diff, convert and encode
 }
 
 func resolveServerMetrics(r *obs.Registry) *serverMetrics {
@@ -37,12 +41,16 @@ func resolveServerMetrics(r *obs.Registry) *serverMetrics {
 		budgetRejects:   r.Counter("ipdelta_server_budget_rejects_total"),
 		bytesServed:     r.Counter("ipdelta_server_bytes_served_total"),
 		v1Sessions:      r.Counter("ipdelta_server_v1_sessions_total"),
+		cacheHits:       r.Counter("ipdelta_server_delta_cache_hits_total"),
+		cacheMisses:     r.Counter("ipdelta_server_delta_cache_misses_total"),
+		buildWaits:      r.Counter("ipdelta_server_build_waits_total"),
 		cachedDeltas:    r.Gauge("ipdelta_server_cached_deltas"),
 		muxConns:        r.Gauge("ipdelta_server_mux_conns"),
 		muxStreams:      r.Gauge("ipdelta_server_mux_streams"),
 		sessionStage:    r.Stage("ipdelta_server_session_nanos"),
 		msgReadStage:    r.Stage("ipdelta_server_msg_read_nanos"),
 		msgWriteStage:   r.Stage("ipdelta_server_msg_write_nanos"),
+		buildStage:      r.Stage("ipdelta_server_build_nanos"),
 	}
 }
 

@@ -418,9 +418,7 @@ func TestServerPrewarm(t *testing.T) {
 		t.Fatal(err)
 	}
 	// Every non-head release is cached.
-	s.mu.Lock()
-	cached := len(s.cache)
-	s.mu.Unlock()
+	cached := cachedDeltas(s, false)
 	if cached != len(history)-1 {
 		t.Fatalf("prewarmed %d of %d releases", cached, len(history)-1)
 	}
@@ -441,10 +439,21 @@ func TestServerPrewarm(t *testing.T) {
 	if err := s2.Prewarm(0); err != nil {
 		t.Fatal(err)
 	}
-	s2.mu.Lock()
-	cached = len(s2.scratchCache)
-	s2.mu.Unlock()
+	cached = cachedDeltas(s2, true)
 	if cached != len(history)-1 {
 		t.Fatalf("scratch prewarm cached %d", cached)
 	}
+}
+
+// cachedDeltas counts the server's cached deltas of one variant.
+func cachedDeltas(s *Server, scratch bool) int {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	n := 0
+	for key := range s.cache {
+		if key.scratch == scratch {
+			n++
+		}
+	}
+	return n
 }

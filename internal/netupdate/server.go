@@ -9,7 +9,9 @@ import (
 	"io"
 	"log/slog"
 	"net"
+	"runtime"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"ipdelta/internal/codec"
@@ -42,13 +44,13 @@ type Server struct {
 	met    *serverMetrics
 	log    *slog.Logger
 
-	mu           sync.Mutex
-	cache        map[uint32][]byte // encoded delta per source version CRC
-	scratchCache map[uint32][]byte // encoded scratch-format delta per CRC
-	failures     map[string]int    // consecutive failed sessions per client
+	mu       sync.Mutex
+	cache    map[deltaKey]deltaEntry // built deltas
+	inflight map[deltaKey]*flight    // builds in progress
+	failures map[string]int          // consecutive failed sessions per client
 
-	// ServedBytes counts delta payload bytes sent, for transfer accounting.
-	served int64
+	// served counts delta payload bytes sent, for transfer accounting.
+	served atomic.Int64
 }
 
 // NewServer creates a server for the given release history (oldest first).
@@ -75,8 +77,8 @@ func NewServer(history [][]byte, opts ...Option) (*Server, error) {
 		obsReg:        cfg.Observer,
 		log:           cfg.Logger,
 		muxSet:        cfg.muxSettings(),
-		cache:         make(map[uint32][]byte),
-		scratchCache:  make(map[uint32][]byte),
+		cache:         make(map[deltaKey]deltaEntry),
+		inflight:      make(map[deltaKey]*flight),
 		failures:      make(map[string]int),
 	}
 	if s.obsReg != nil {
@@ -97,11 +99,7 @@ func NewServer(history [][]byte, opts ...Option) (*Server, error) {
 func (s *Server) Current() []byte { return s.history[len(s.history)-1] }
 
 // ServedBytes returns the total delta payload bytes sent so far.
-func (s *Server) ServedBytes() int64 {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.served
-}
+func (s *Server) ServedBytes() int64 { return s.served.Load() }
 
 // findVersion returns the history index matching the CRC and length.
 func (s *Server) findVersion(crc uint32, length int64) (int, bool) {
@@ -113,125 +111,165 @@ func (s *Server) findVersion(crc uint32, length int64) (int, bool) {
 	return 0, false
 }
 
+// deltaKey identifies one cached delta: the source release's CRC and
+// whether it is the scratch-format variant.
+type deltaKey struct {
+	crc     uint32
+	scratch bool
+}
+
+// deltaEntry is one built delta: its encoded bytes and the device
+// footprint applying it needs, max(RefLen, VersionLen) + ScratchLen.
+type deltaEntry struct {
+	enc       []byte
+	footprint int64
+}
+
+// flight is one in-progress build; entry and err are set before done
+// closes.
+type flight struct {
+	done  chan struct{}
+	entry deltaEntry
+	err   error
+}
+
 // deltaFor returns (building and caching if needed) the encoded in-place
 // delta from history[idx] to the current version. With scratch enabled,
 // the scratch-format variant is built too and preferred for devices whose
 // capacity accommodates it.
 func (s *Server) deltaFor(idx int, deviceCapacity int64) ([]byte, error) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
 	crc := s.crcs[idx]
-	build := func(opts []inplace.Option, format codec.Format) ([]byte, error) {
-		ref := s.history[idx]
-		d, err := s.algo.Diff(ref, s.Current())
-		if err != nil {
-			return nil, fmt.Errorf("netupdate diff: %w", err)
-		}
-		ip, _, err := inplace.Convert(d, ref, opts...)
-		if err != nil {
-			return nil, fmt.Errorf("netupdate convert: %w", err)
-		}
-		var buf bytes.Buffer
-		if _, err := codec.Encode(&buf, ip, format); err != nil {
-			return nil, fmt.Errorf("netupdate encode: %w", err)
-		}
-		return buf.Bytes(), nil
-	}
 	if s.scratchBudget > 0 {
-		enc, ok := s.scratchCache[crc]
-		if !ok {
-			var err error
-			enc, err = build([]inplace.Option{
-				inplace.WithPolicy(s.policy),
-				inplace.WithScratchBudget(s.scratchBudget),
-			}, codec.FormatScratch)
-			if err != nil {
-				return nil, err
-			}
-			s.scratchCache[crc] = enc
-			s.noteCacheSize()
-		}
-		// Peek the scratch requirement from the encoded header.
-		dec, err := codec.NewDecoder(bytes.NewReader(enc))
+		e, err := s.entry(idx, deltaKey{crc: crc, scratch: true})
 		if err != nil {
 			return nil, err
 		}
-		imageArea := dec.Header().VersionLen
-		if dec.Header().RefLen > imageArea {
-			imageArea = dec.Header().RefLen
-		}
-		if imageArea+dec.Header().ScratchLen <= deviceCapacity {
-			return enc, nil
+		if e.footprint <= deviceCapacity {
+			return e.enc, nil
 		}
 		// Fall through to the plain delta for tight devices.
 	}
-	if enc, ok := s.cache[crc]; ok {
-		return enc, nil
-	}
-	enc, err := build([]inplace.Option{inplace.WithPolicy(s.policy)}, s.format)
-	if err != nil {
-		return nil, err
-	}
-	s.cache[crc] = enc
-	s.noteCacheSize()
-	return enc, nil
+	e, err := s.entry(idx, deltaKey{crc: crc})
+	return e.enc, err
 }
 
-// noteCacheSize refreshes the cached-deltas gauge; callers hold s.mu.
-func (s *Server) noteCacheSize() {
-	if s.met != nil {
-		s.met.cachedDeltas.Set(int64(len(s.cache) + len(s.scratchCache)))
+// entry returns the delta for key, building it from history[idx] on a
+// miss. Concurrent callers for the same cold key share one build; s.mu is
+// never held across it, so callers for other keys proceed. A failed build
+// is not cached: its waiters get the error and the next call rebuilds.
+func (s *Server) entry(idx int, key deltaKey) (deltaEntry, error) {
+	s.mu.Lock()
+	if e, ok := s.lookup(key); ok {
+		s.mu.Unlock()
+		return e, nil
 	}
-}
-
-// Prewarm builds every per-release delta ahead of time with a bounded
-// worker pool, so the first device of each release is not stalled behind a
-// diff+convert. It returns the first error encountered, after attempting
-// every release.
-func (s *Server) Prewarm(workers int) error {
-	current := s.Current()
-	jobs := make([]inplace.Job, 0, len(s.history)-1)
-	idxs := make([]int, 0, len(s.history)-1)
-	for k := 0; k < len(s.history)-1; k++ {
-		d, err := s.algo.Diff(s.history[k], current)
-		if err != nil {
-			return fmt.Errorf("netupdate prewarm diff: %w", err)
+	if f, ok := s.inflight[key]; ok {
+		s.mu.Unlock()
+		if s.met != nil {
+			s.met.buildWaits.Inc()
 		}
-		jobs = append(jobs, inplace.Job{Delta: d, Ref: s.history[k]})
-		idxs = append(idxs, k)
+		<-f.done
+		return f.entry, f.err
+	}
+	f := &flight{done: make(chan struct{})}
+	s.inflight[key] = f
+	s.mu.Unlock()
+	if s.met != nil {
+		s.met.cacheMisses.Inc()
+	}
+
+	f.entry, f.err = s.build(idx, key.scratch)
+
+	s.mu.Lock()
+	delete(s.inflight, key)
+	if f.err == nil {
+		s.cache[key] = f.entry
+		if s.met != nil {
+			s.met.cachedDeltas.Set(int64(len(s.cache)))
+		}
+	}
+	s.mu.Unlock()
+	close(f.done)
+	return f.entry, f.err
+}
+
+// lookup returns the cached delta for key, counting a hit; callers hold
+// s.mu.
+//
+//ipvet:allocfree
+func (s *Server) lookup(key deltaKey) (deltaEntry, bool) {
+	e, ok := s.cache[key]
+	if ok && s.met != nil {
+		s.met.cacheHits.Inc()
+	}
+	return e, ok
+}
+
+// build runs diff → in-place convert → encode for history[idx] against
+// the current version, in the scratch format when scratch is set.
+func (s *Server) build(idx int, scratch bool) (deltaEntry, error) {
+	if s.met != nil {
+		defer s.met.buildStage.Start().End()
 	}
 	opts := []inplace.Option{inplace.WithPolicy(s.policy)}
 	format := s.format
-	if s.scratchBudget > 0 {
+	if scratch {
 		opts = append(opts, inplace.WithScratchBudget(s.scratchBudget))
 		format = codec.FormatScratch
 	}
-	var firstErr error
-	for k, r := range inplace.ConvertBatch(jobs, workers, opts...) {
-		if r.Err != nil {
-			if firstErr == nil {
-				firstErr = r.Err
-			}
-			continue
-		}
-		var buf bytes.Buffer
-		if _, err := codec.Encode(&buf, r.Delta, format); err != nil {
-			if firstErr == nil {
-				firstErr = err
-			}
-			continue
-		}
-		crc := s.crcs[idxs[k]]
-		s.mu.Lock()
-		if s.scratchBudget > 0 {
-			s.scratchCache[crc] = buf.Bytes()
-		} else {
-			s.cache[crc] = buf.Bytes()
-		}
-		s.noteCacheSize()
-		s.mu.Unlock()
+	ref := s.history[idx]
+	d, err := s.algo.Diff(ref, s.Current())
+	if err != nil {
+		return deltaEntry{}, fmt.Errorf("netupdate diff: %w", err)
 	}
-	return firstErr
+	ip, _, err := inplace.Convert(d, ref, opts...)
+	if err != nil {
+		return deltaEntry{}, fmt.Errorf("netupdate convert: %w", err)
+	}
+	var buf bytes.Buffer
+	if _, err := codec.Encode(&buf, ip, format); err != nil {
+		return deltaEntry{}, fmt.Errorf("netupdate encode: %w", err)
+	}
+	return deltaEntry{
+		enc:       buf.Bytes(),
+		footprint: max(ip.RefLen, ip.VersionLen) + ip.ScratchRequired(),
+	}, nil
+}
+
+// Prewarm builds every per-release delta ahead of time on a bounded
+// fan-out of workers goroutines (GOMAXPROCS when workers <= 0), through
+// the same cache path sessions use, so the first device of each release
+// is not stalled behind a build. With a scratch budget it fills the
+// scratch variant. It returns the first error, after attempting every
+// release.
+func (s *Server) Prewarm(workers int) error {
+	n := len(s.history) - 1
+	if workers <= 0 {
+		workers = runtime.GOMAXPROCS(0)
+	}
+	idxs := make(chan int, n) // sized to the number of sends
+	for k := range n {
+		idxs <- k
+	}
+	close(idxs)
+	errs := make([]error, n)
+	var wg sync.WaitGroup
+	for range min(workers, n) {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for k := range idxs {
+				_, errs[k] = s.entry(k, deltaKey{crc: s.crcs[k], scratch: s.scratchBudget > 0})
+			}
+		}()
+	}
+	wg.Wait()
+	for _, err := range errs {
+		if err != nil {
+			return err
+		}
+	}
+	return nil
 }
 
 // Serve accepts connections until the listener is closed, handling each in
@@ -293,9 +331,7 @@ func (s *Server) note(key string, err error) {
 
 // addServed accumulates payload transfer accounting.
 func (s *Server) addServed(n int64) {
-	s.mu.Lock()
-	s.served += n
-	s.mu.Unlock()
+	s.served.Add(n)
 	if s.met != nil {
 		s.met.bytesServed.Add(n)
 	}
