@@ -7,8 +7,7 @@
 // Run it from the module root (the loader resolves import paths against
 // the enclosing go.mod). The suite covers offset arithmetic (offsetsafe),
 // buffer aliasing (aliascheck), lock discipline (locksafe), dropped
-// codec/store errors (errpropagate), calls to the deprecated pre-options
-// convert shims (deprecatedapi), the zero-allocation contract of
+// codec/store errors (errpropagate), the zero-allocation contract of
 // //ipvet:allocfree functions (allocfree), cross-package lock-order
 // cycles (lockorder), and mixed atomic/plain field access (atomicmix).
 //

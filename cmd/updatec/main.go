@@ -3,20 +3,18 @@
 // part, the in-place delta is streamed and applied with a bounded working
 // buffer, and the updated image is written back.
 //
-// By default the client speaks protocol v2 — one framed, multiplexed
-// connection with each session attempt on a fresh stream — falling back
-// to the deprecated v1 single-stream protocol when the server does not
-// answer the v2 preface. -protocol pins one or the other.
+// The client speaks protocol v2: one framed, multiplexed connection,
+// with each session attempt on a fresh stream.
 //
 // The client is resilient: transient failures are retried with capped
 // exponential backoff (resuming the interrupted update), and persistent
 // delta failures degrade to a full-image transfer. For chaos testing, the
-// -fault-* flags wrap each attempt's connection in a seeded network fault
+// -fault-* flags wrap each attempt's stream in a seeded network fault
 // injector.
 //
 // Usage:
 //
-//	updatec -server 127.0.0.1:7070 -image device.img [-protocol auto|v2|v1]
+//	updatec -server 127.0.0.1:7070 -image device.img
 //	        [-capacity N] [-rate BPS] [-timeout D] [-retries N]
 //	        [-fallback-after N] [-metrics] [-v]
 //	        [-fault-seed N] [-fault-rate P] [-fault-corrupt P] [-fault-drop-after N]
@@ -46,7 +44,6 @@ func main() {
 func run(args []string) error {
 	fs := flag.NewFlagSet("updatec", flag.ContinueOnError)
 	server := fs.String("server", "127.0.0.1:7070", "update server address")
-	protocol := fs.String("protocol", "auto", "wire protocol: v2 (multiplexed), v1 (deprecated single-stream), auto (v2 with v1 fallback)")
 	imagePath := fs.String("image", "", "installed image file (updated in place on success)")
 	capacity := fs.Int64("capacity", 0, "flash capacity in bytes (default: 2x image size)")
 	rate := fs.Int64("rate", 0, "simulated link rate in bits/second (0 = unthrottled)")
@@ -61,11 +58,6 @@ func run(args []string) error {
 	}
 	if *imagePath == "" {
 		return errors.New("updatec: -image is required")
-	}
-	switch *protocol {
-	case "auto", "v1", "v2":
-	default:
-		return fmt.Errorf("updatec: unknown -protocol %q (want auto, v2, or v1)", *protocol)
 	}
 	f, err := os.OpenFile(*imagePath, os.O_RDWR, 0)
 	if err != nil {
@@ -99,11 +91,11 @@ func run(args []string) error {
 	}
 	opts := append(nf.Options(), netupdate.WithObserver(reg), netupdate.WithLogger(logger))
 
-	dial, cleanup, err := dialer(*server, *protocol, *rate, &nf, opts)
+	dial, cc, err := dialer(*server, *rate, &nf, opts)
 	if err != nil {
 		return err
 	}
-	defer cleanup()
+	defer cc.Close()
 
 	client := netupdate.NewClient(opts...)
 	rep, err := client.Run(context.Background(), dial, dev)
@@ -135,63 +127,35 @@ func run(args []string) error {
 	return nil
 }
 
-// dialer builds the per-attempt DialFunc for the chosen protocol. Under
-// v2 one multiplexed connection is dialed up front and each attempt
-// opens a fresh stream on it; under v1 each attempt dials its own TCP
-// connection. Faults (if configured) wrap whatever the attempt sees,
-// with a per-attempt seed so retries get fresh but reproducible weather.
-func dialer(server, protocol string, rate int64, nf *netupdate.Flags, opts []netupdate.Option) (netupdate.DialFunc, func(), error) {
-	link := func(ctx context.Context) (net.Conn, error) {
-		var d net.Dialer
-		conn, err := d.DialContext(ctx, "tcp", server)
-		if err != nil {
-			return nil, err
-		}
-		c := net.Conn(conn)
-		if rate > 0 {
-			c = netupdate.NewThrottledConn(c, rate)
-		}
-		return c, nil
+// dialer dials one multiplexed connection to server and returns the
+// per-attempt DialFunc, which opens a fresh stream on it. Faults (if
+// configured) wrap each stream, with a per-attempt seed so retries get
+// fresh but reproducible weather.
+func dialer(server string, rate int64, nf *netupdate.Flags, opts []netupdate.Option) (netupdate.DialFunc, *netupdate.ClientConn, error) {
+	conn, err := net.Dial("tcp", server)
+	if err != nil {
+		return nil, nil, err
+	}
+	c := net.Conn(conn)
+	if rate > 0 {
+		c = netupdate.NewThrottledConn(c, rate)
+	}
+	cc, err := netupdate.NewClientConn(c, opts...)
+	if err != nil {
+		conn.Close()
+		return nil, nil, err
 	}
 	attempts := uint64(0)
-	fault := func(c net.Conn) net.Conn {
-		if !nf.FaultsEnabled() {
-			return c
-		}
-		attempts++
-		return netupdate.NewFlakyConn(c, nf.FaultProfile(attempts))
-	}
-
-	if protocol != "v1" {
-		conn, err := link(context.Background())
-		if err != nil {
-			return nil, nil, err
-		}
-		cc, err := netupdate.NewClientConn(conn, opts...)
-		switch {
-		case err == nil:
-			dial := func(ctx context.Context) (net.Conn, error) {
-				st, err := cc.OpenStream(ctx)
-				if err != nil {
-					return nil, err
-				}
-				return fault(st), nil
-			}
-			return dial, func() { cc.Close() }, nil
-		case protocol == "v2" || !errors.Is(err, netupdate.ErrVersionMismatch):
-			conn.Close()
-			return nil, nil, err
-		default:
-			// auto: the server does not speak v2 — fall back to v1.
-			conn.Close()
-		}
-	}
 	dial := func(ctx context.Context) (net.Conn, error) {
-		c, err := link(ctx)
+		st, err := cc.OpenStream(ctx)
 		if err != nil {
 			return nil, err
 		}
-		return fault(c), nil
+		if !nf.FaultsEnabled() {
+			return st, nil
+		}
+		attempts++
+		return netupdate.NewFlakyConn(st, nf.FaultProfile(attempts)), nil
 	}
-	return dial, func() {}, nil
+	return dial, cc, nil
 }

@@ -8,6 +8,7 @@ package ipdelta_test
 
 import (
 	"bytes"
+	"context"
 	"errors"
 	"net"
 	"sync"
@@ -135,14 +136,14 @@ func TestGrandIntegration(t *testing.T) {
 		t.Fatal(err)
 	}
 	dev2 := device.New(flash2, int64(len(releases[1])), device.DefaultWorkBufSize)
-	conn, err := net.Dial("tcp", l.Addr().String())
+	cc, err := netupdate.Dial(context.Background(), l.Addr().String())
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := netupdate.UpdateDevice(conn, dev2); err != nil {
+	if _, err := cc.Update(context.Background(), dev2); err != nil {
 		t.Fatal(err)
 	}
-	conn.Close()
+	cc.Close()
 	if !bytes.Equal(dev2.Image(), head) {
 		t.Fatal("TCP-updated device not on head")
 	}

@@ -3,6 +3,7 @@ package diff
 import (
 	"bytes"
 	"math/rand"
+	"runtime/debug"
 	"testing"
 
 	"ipdelta/internal/chunk"
@@ -148,6 +149,9 @@ func TestRecipeDiffEquivalentToFullDiff(t *testing.T) {
 // cap the differ still reconstructs exactly (it just compresses less),
 // and its state buffers never exceed the cap plus one chunk.
 func TestRecipeDiffBoundedWindow(t *testing.T) {
+	// The pooled state is inspected below; garbage collections between
+	// the diff's Put and that Get would empty the sync.Pool.
+	defer debug.SetGCPercent(debug.SetGCPercent(-1))
 	rng := rand.New(rand.NewSource(4))
 	old := make([]byte, 2<<20)
 	rng.Read(old)

@@ -61,8 +61,7 @@ func RunTransfer(pairs []corpus.Pair, rates []int64) (*TransferResult, error) {
 			defer server.Close()
 			_ = srv.HandleConn(server)
 		}()
-		r, err := netupdate.Run(context.Background(), client, dev)
-		client.Close()
+		r, err := update(client, dev)
 		wg.Wait()
 		if err != nil {
 			return nil, fmt.Errorf("transfer %s: %w", p.Name, err)
@@ -78,6 +77,18 @@ func RunTransfer(pairs []corpus.Pair, rates []int64) (*TransferResult, error) {
 	}
 	res.MeanSpeedup = speedup.Mean()
 	return res, nil
+}
+
+// update runs one session for dev on a v2 connection over conn, closing
+// the connection afterwards.
+func update(conn net.Conn, dev *device.Device) (netupdate.Result, error) {
+	cc, err := netupdate.NewClientConn(conn)
+	if err != nil {
+		conn.Close()
+		return netupdate.Result{}, err
+	}
+	defer cc.Close()
+	return cc.Update(context.Background(), dev)
 }
 
 // Render prints per-pair traffic and the transmission times at each rate.

@@ -42,13 +42,7 @@ type ChaosConfig struct {
 	Devices []ChaosDeviceSpec
 	// Seed feeds every fault injector and backoff jitter in the run.
 	Seed uint64
-	// MuxSessions runs every device's sessions over protocol v2: one
-	// framed multiplexed connection per device, each attempt on a fresh
-	// stream, with the fault injector wrapping the stream instead of the
-	// connection. False keeps the v1 leg: a fresh single-stream pipe per
-	// attempt.
-	MuxSessions bool
-	// DropRate is the per-operation probability that a connection dies.
+	// DropRate is the per-operation probability that a session stream dies.
 	DropRate float64
 	// CorruptRate is the per-read probability of a flipped byte.
 	CorruptRate float64
@@ -91,6 +85,9 @@ type ChaosDeviceReport struct {
 	FellBack  bool
 	Converged bool
 	Err       string
+	// BytesOnWire counts the bytes that crossed the device's streams,
+	// both directions, summed over its attempts.
+	BytesOnWire int64
 }
 
 // ChaosOutcome aggregates a chaos rollout.
@@ -125,8 +122,12 @@ func deviceSeed(seed uint64, di int) uint64 {
 // RunChaos drives a whole-fleet rollout through combined storage
 // (device.FaultyStore) and network (netupdate.FlakyConn) fault injection,
 // retrying each device with the session runner until it converges or
-// exhausts its budget. Sessions run over synchronous in-memory pipes, so
-// each device's fault sequence is a pure function of the seed.
+// exhausts its budget. Each device holds one protocol-v2 connection to
+// the shared server over a synchronous in-memory pipe, and each attempt
+// runs on a fresh stream with the fault injector wrapping the stream, so
+// each device's fault sequence is a pure function of the seed. Bytes on
+// the wire are counted at the devices' fault injectors: how much of a
+// server write lands before a fault resets its stream depends on timing.
 func RunChaos(ctx context.Context, cfg ChaosConfig) (*ChaosOutcome, error) {
 	if len(cfg.Releases) == 0 {
 		return nil, fmt.Errorf("fleet: no releases")
@@ -181,9 +182,9 @@ func RunChaos(ctx context.Context, cfg ChaosConfig) (*ChaosOutcome, error) {
 		return nil, firstErr
 	}
 	out.Makespan = time.Since(start)
-	out.BytesOnWire = srv.ServedBytes()
 	log := obs.OrNop(cfg.Logger)
 	for _, rep := range out.PerDevice {
+		out.BytesOnWire += rep.BytesOnWire
 		out.TotalAttempts += rep.Attempts
 		if rep.FellBack {
 			out.Fallbacks++
@@ -244,52 +245,36 @@ func runChaosDevice(ctx context.Context, cfg ChaosConfig, srv *netupdate.Server,
 	}
 	dev := device.New(store, int64(len(img)), workBuf)
 
-	// Each attempt gets its own synchronous conduit to the shared server,
-	// faulted with a per-attempt seed so retries see fresh (but
-	// reproducible) network weather. On the v1 leg that conduit is a
-	// whole pipe; on the mux leg it is a fresh stream on the device's one
-	// multiplexed connection, so a fault kills the stream and the
-	// connection shrugs it off.
-	dials := 0
-	profile := func() netupdate.FaultProfile {
-		dials++
-		return netupdate.FaultProfile{
-			Seed:        seed + uint64(dials),
+	// Each attempt opens a fresh stream on the device's one connection to
+	// the shared server, faulted with a per-attempt seed so retries see
+	// fresh (but reproducible) network weather; a fault kills the stream
+	// and the connection shrugs it off.
+	client, server := net.Pipe()
+	go func() {
+		defer server.Close()
+		_ = srv.HandleConn(server) // returns when the connection ends
+	}()
+	cc, err := netupdate.NewClientConn(client)
+	if err != nil {
+		client.Close()
+		return rep, err
+	}
+	defer cc.Close()
+	var streams []*netupdate.FlakyConn
+	dial := func(ctx context.Context) (net.Conn, error) {
+		st, err := cc.OpenStream(ctx)
+		if err != nil {
+			return nil, err
+		}
+		fc := netupdate.NewFlakyConn(st, netupdate.FaultProfile{
+			Seed:        seed + uint64(len(streams)+1),
 			OpFaultRate: cfg.DropRate,
 			CorruptRate: cfg.CorruptRate,
 			SpikeRate:   cfg.SpikeRate,
 			Spike:       cfg.Spike,
-		}
-	}
-	var dial netupdate.DialFunc
-	if cfg.MuxSessions {
-		client, server := net.Pipe()
-		go func() {
-			defer server.Close()
-			_ = srv.HandleConn(server) // returns when the mux connection ends
-		}()
-		cc, err := netupdate.NewClientConn(client)
-		if err != nil {
-			client.Close()
-			return rep, err
-		}
-		defer cc.Close()
-		dial = func(ctx context.Context) (net.Conn, error) {
-			st, err := cc.OpenStream(ctx)
-			if err != nil {
-				return nil, err
-			}
-			return netupdate.NewFlakyConn(st, profile()), nil
-		}
-	} else {
-		dial = func(ctx context.Context) (net.Conn, error) {
-			client, server := net.Pipe()
-			go func() {
-				defer server.Close()
-				_ = srv.HandleConn(server) // per-session errors end that session only
-			}()
-			return netupdate.NewFlakyConn(client, profile()), nil
-		}
+		})
+		streams = append(streams, fc)
+		return fc, nil
 	}
 	runner := netupdate.NewClient(
 		netupdate.WithMaxAttempts(cfg.MaxAttempts),
@@ -303,6 +288,9 @@ func runChaosDevice(ctx context.Context, cfg ChaosConfig, srv *netupdate.Server,
 	res, err := runner.Run(ctx, dial, dev)
 	rep.Attempts = res.Attempts
 	rep.FellBack = res.FellBack
+	for _, fc := range streams {
+		rep.BytesOnWire += fc.Transferred()
+	}
 	if err != nil {
 		rep.Err = err.Error()
 		return rep, nil

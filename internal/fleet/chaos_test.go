@@ -55,6 +55,9 @@ func chaosConfig(t *testing.T, seed uint64) ChaosConfig {
 	}
 }
 
+// TestChaosFleetConverges runs the faulted rollout: one multiplexed
+// connection per device, each attempt on a fresh stream, faults killing
+// streams instead of connections.
 func TestChaosFleetConverges(t *testing.T) {
 	cfg := chaosConfig(t, 42)
 	out, err := RunChaos(context.Background(), cfg)
@@ -80,27 +83,36 @@ func TestChaosFleetConverges(t *testing.T) {
 		t.Fatalf("faults never bit: %d attempts for %d devices", out.TotalAttempts, out.Devices)
 	}
 	if out.BytesOnWire == 0 {
-		t.Fatal("no bytes served")
+		t.Fatal("no bytes on the wire")
 	}
 }
 
-// TestChaosFleetConvergesOverMux runs the same faulted rollout over
-// protocol v2: one multiplexed connection per device, each attempt on a
-// fresh stream, faults killing streams instead of connections.
+// TestChaosFleetConvergesOverMux checks the per-stream side of the same
+// faulted rollout: every device converges over its one multiplexed
+// connection although faults reset its streams, each device's traffic is
+// counted on its own streams, and the fleet total is their sum.
 func TestChaosFleetConvergesOverMux(t *testing.T) {
 	cfg := chaosConfig(t, 42)
-	cfg.MuxSessions = true
 	out, err := RunChaos(context.Background(), cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	t.Log(out.String())
 	if out.Converged != out.Devices {
 		t.Fatalf("only %d/%d devices converged over mux (replay with seed %d)",
 			out.Converged, out.Devices, out.Seed)
 	}
 	if out.TotalAttempts <= out.Devices {
 		t.Fatalf("faults never bit: %d attempts for %d devices", out.TotalAttempts, out.Devices)
+	}
+	var sum int64
+	for _, rep := range out.PerDevice {
+		if rep.Attempts > 0 && rep.BytesOnWire == 0 {
+			t.Fatalf("device %d: %d attempts but no bytes counted on its streams", rep.Device, rep.Attempts)
+		}
+		sum += rep.BytesOnWire
+	}
+	if sum != out.BytesOnWire {
+		t.Fatalf("fleet bytes on wire %d, per-device sum %d", out.BytesOnWire, sum)
 	}
 }
 
@@ -117,7 +129,7 @@ func TestChaosDeterministicReplay(t *testing.T) {
 		t.Fatalf("replay diverged:\n  first:  %+v\n  second: %+v", first.PerDevice, second.PerDevice)
 	}
 	if first.BytesOnWire != second.BytesOnWire {
-		t.Fatalf("served bytes diverged: %d vs %d", first.BytesOnWire, second.BytesOnWire)
+		t.Fatalf("bytes on wire diverged: %d vs %d", first.BytesOnWire, second.BytesOnWire)
 	}
 }
 

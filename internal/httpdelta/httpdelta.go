@@ -90,14 +90,6 @@ func WithAlgorithm(a diff.Algorithm) ResourceOption {
 	return func(r *Resource) { r.algo = a }
 }
 
-// WithParallelDiff computes deltas with the parallel sharded differencer
-// using the given worker count (<= 0 means GOMAXPROCS). Worth enabling on
-// multi-core origins where Update's diff of each live version dominates
-// publish latency; shorthand for WithAlgorithm(diff.NewParallel(workers)).
-func WithParallelDiff(workers int) ResourceOption {
-	return func(r *Resource) { r.algo = diff.NewParallel(workers) }
-}
-
 // WithMaxVersions bounds how many old versions stay delta-servable
 // (default 8, minimum 1).
 func WithMaxVersions(n int) ResourceOption {

@@ -8,6 +8,7 @@ import (
 	"testing"
 
 	"ipdelta/internal/corpus"
+	"ipdelta/internal/diff"
 )
 
 func newPage(seed int64) []byte {
@@ -69,7 +70,7 @@ func TestDeltaEncodedFetches(t *testing.T) {
 
 func TestParallelDiffOption(t *testing.T) {
 	v1 := newPage(7)
-	res := NewResource(v1, WithParallelDiff(4))
+	res := NewResource(v1, WithAlgorithm(diff.NewParallel(4)))
 	srv := httptest.NewServer(res)
 	defer srv.Close()
 

@@ -13,7 +13,6 @@ import (
 	"ipdelta/internal/lint/analysis"
 	"ipdelta/internal/lint/atomicmix"
 	"ipdelta/internal/lint/checker"
-	"ipdelta/internal/lint/deprecatedapi"
 	"ipdelta/internal/lint/errpropagate"
 	"ipdelta/internal/lint/loader"
 	"ipdelta/internal/lint/lockorder"
@@ -29,7 +28,6 @@ func All() []*analysis.Analyzer {
 		aliascheck.Analyzer,
 		locksafe.Analyzer,
 		errpropagate.Analyzer,
-		deprecatedapi.Analyzer,
 		allocfree.Analyzer,
 		lockorder.Analyzer,
 		atomicmix.Analyzer,

@@ -44,7 +44,7 @@ func TestAnalyzerMetadata(t *testing.T) {
 		}
 		seen[a.Name] = true
 	}
-	if len(seen) != 8 {
-		t.Errorf("expected the eight ipvet analyzers, got %d", len(seen))
+	if len(seen) != 7 {
+		t.Errorf("expected the seven ipvet analyzers, got %d", len(seen))
 	}
 }

@@ -6,7 +6,6 @@ import (
 	"fmt"
 	"io"
 	"net"
-	"time"
 
 	"ipdelta/internal/device"
 )
@@ -25,40 +24,8 @@ type Result struct {
 	FullImage bool
 }
 
-// SessionOptions tunes one update session.
-//
-// Deprecated: pass the shared Config options (WithMessageTimeout,
-// WithRequestFull) to Run instead.
-type SessionOptions struct {
-	// MessageTimeout arms a fresh read/write deadline before every I/O
-	// operation on the connection, so a stalled peer fails the session
-	// quickly while slow-but-flowing transfers proceed. Zero disables
-	// deadlines.
-	MessageTimeout time.Duration
-	// RequestFull asks the server for the complete current image instead
-	// of a delta. Any pending delta update is abandoned.
-	RequestFull bool
-}
-
-// UpdateDevice runs one update session for dev over conn.
-//
-// Deprecated: use Run, which takes a context and the shared Config
-// options.
-func UpdateDevice(conn net.Conn, dev *device.Device) (Result, error) {
-	return Run(context.Background(), conn, dev)
-}
-
-// RunSession is one update session with a context and the retired
-// SessionOptions struct.
-//
-// Deprecated: use Run with WithMessageTimeout / WithRequestFull.
-func RunSession(ctx context.Context, conn net.Conn, dev *device.Device, opts SessionOptions) (Result, error) {
-	return Run(ctx, conn, dev,
-		WithMessageTimeout(opts.MessageTimeout), WithRequestFull(opts.RequestFull))
-}
-
-// Run executes one update session for dev over conn — a raw v1
-// connection or one v2 Stream; the wire conversation is identical. On
+// Run executes one update session for dev over conn — normally one v2
+// Stream (ClientConn.Update and the retry Client open one per session). On
 // success the device's flash holds the server's current version. If the
 // device had an interrupted update pending, the session asks for the
 // same delta again and resumes it; if the connection or power fails

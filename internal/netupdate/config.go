@@ -81,12 +81,6 @@ type Config struct {
 // are simply ignored by it.
 type Option func(*Config)
 
-// ServerOption is the historical name for Option.
-//
-// Deprecated: use Option. Retained as an alias so pre-v2 call sites
-// keep compiling unchanged.
-type ServerOption = Option
-
 // apply folds opts into a Config.
 func (c *Config) apply(opts []Option) {
 	for _, o := range opts {

@@ -35,8 +35,8 @@ type ClientConn struct {
 // Dial connects to an update server at addr over TCP and negotiates
 // protocol v2. Transport knobs (WithStreamLimit, WithInitialWindow,
 // WithMaxFrame) and session defaults (WithMessageTimeout, ...) come from
-// the shared Config options. Dialing a v1-only server fails with
-// ErrVersionMismatch.
+// the shared Config options. Dialing a server that does not speak v2
+// fails with ErrVersionMismatch.
 func Dial(ctx context.Context, addr string, opts ...Option) (*ClientConn, error) {
 	var d net.Dialer
 	conn, err := d.DialContext(ctx, "tcp", addr)

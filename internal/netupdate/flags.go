@@ -62,9 +62,9 @@ func (f *Flags) RegisterTransport(fs *flag.FlagSet) *Flags {
 // RegisterFaults binds the seeded network fault injector knobs.
 func (f *Flags) RegisterFaults(fs *flag.FlagSet) *Flags {
 	fs.Uint64Var(&f.FaultSeed, "fault-seed", 0, "seed for the network fault injector (and retry jitter)")
-	fs.Float64Var(&f.FaultRate, "fault-rate", 0, "injected per-operation connection-drop probability")
+	fs.Float64Var(&f.FaultRate, "fault-rate", 0, "injected per-operation session-stream drop probability")
 	fs.Float64Var(&f.FaultCorrupt, "fault-corrupt", 0, "injected per-read byte-corruption probability")
-	fs.Int64Var(&f.FaultDropAfter, "fault-drop-after", 0, "kill each connection after exactly N bytes (0 = never)")
+	fs.Int64Var(&f.FaultDropAfter, "fault-drop-after", 0, "kill each session stream after exactly N bytes (0 = never)")
 	return f
 }
 

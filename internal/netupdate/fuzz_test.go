@@ -66,8 +66,9 @@ func FuzzSession(f *testing.F) {
 	f.Add([]byte{msgStatus})
 
 	f.Fuzz(func(t *testing.T, data []byte) {
-		// Server side: a byzantine client.
-		_ = srv.HandleConn(newScriptConn(data))
+		// Server side: a byzantine client, fed to the per-stream session
+		// handler every v2 stream runs (the hello/status parsers).
+		_ = srv.handleSession(newScriptConn(data))
 
 		// Client side: a byzantine server. The device is tiny so a
 		// fuzzer-crafted FULL or DELTA cannot make it do much work.
@@ -76,6 +77,6 @@ func FuzzSession(f *testing.F) {
 			t.Fatal(err)
 		}
 		dev := device.New(flash, int64(len(history[0])), 256)
-		_, _ = RunSession(context.Background(), newScriptConn(data), dev, SessionOptions{})
+		_, _ = Run(context.Background(), newScriptConn(data), dev)
 	})
 }

@@ -16,7 +16,6 @@ type serverMetrics struct {
 	unknownVersion  *obs.Counter
 	budgetRejects   *obs.Counter
 	bytesServed     *obs.Counter
-	v1Sessions      *obs.Counter // connections served through the v1 shim
 	cacheHits       *obs.Counter // delta lookups served from the cache
 	cacheMisses     *obs.Counter // delta lookups that started a build
 	buildWaits      *obs.Counter // delta lookups that joined an in-flight build
@@ -40,7 +39,6 @@ func resolveServerMetrics(r *obs.Registry) *serverMetrics {
 		unknownVersion:  r.Counter("ipdelta_server_unknown_version_total"),
 		budgetRejects:   r.Counter("ipdelta_server_budget_rejects_total"),
 		bytesServed:     r.Counter("ipdelta_server_bytes_served_total"),
-		v1Sessions:      r.Counter("ipdelta_server_v1_sessions_total"),
 		cacheHits:       r.Counter("ipdelta_server_delta_cache_hits_total"),
 		cacheMisses:     r.Counter("ipdelta_server_delta_cache_misses_total"),
 		buildWaits:      r.Counter("ipdelta_server_build_waits_total"),
@@ -54,7 +52,7 @@ func resolveServerMetrics(r *obs.Registry) *serverMetrics {
 	}
 }
 
-// clientMetrics holds the pre-resolved handles of an observed Runner.
+// clientMetrics holds the pre-resolved handles of an observed Client.
 type clientMetrics struct {
 	runs          *obs.Counter
 	runFailures   *obs.Counter

@@ -108,9 +108,9 @@ func TestClientMetricsRetryAndDegrade(t *testing.T) {
 		return c
 	})
 	reg := obs.NewRegistry()
-	ru := NewRunner(RunnerConfig{
-		MaxAttempts: 6, FullFallbackAfter: 2, Sleep: noBackoff, Observer: reg,
-	})
+	ru := NewClient(
+		WithMaxAttempts(6), WithFullFallbackAfter(2), WithSleep(noBackoff), WithObserver(reg),
+	)
 	rep, err := ru.Run(context.Background(), dial, dev)
 	if err != nil {
 		t.Fatalf("run: %v (log: %v)", err, rep.FailureLog)

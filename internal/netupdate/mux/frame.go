@@ -9,11 +9,10 @@
 //	| 0xD5  | 0x02    | 1 byte   | 1 B   | 4 bytes BE  | 4 bytes BE |
 //	+-------+---------+----------+-------+-------------+------------+
 //
-// followed by length payload bytes. The magic byte deliberately collides
-// with nothing in protocol v1 (whose messages begin with a type byte in
-// 0x01..0x07), so a server can tell the two protocols apart from the
-// first byte of a connection and keep serving v1 devices through the
-// deprecated single-stream shim.
+// followed by length payload bytes. The magic byte collides with no
+// session message type (0x01..0x07), so a peer that skips the transport
+// and speaks the session protocol directly fails the handshake on its
+// first byte.
 //
 // Payload handling is keyed by msg-type through a codec registry
 // (RegisterCodec): control frames — SETTINGS, SYN, FIN, RST, WINDOW,

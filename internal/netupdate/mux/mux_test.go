@@ -23,7 +23,7 @@ func pair(t *testing.T, cs, ss Settings) (*Transport, *Transport) {
 	)
 	go func() {
 		defer close(done)
-		srv, serr = Server(sc, sc, ss)
+		srv, serr = Server(sc, ss)
 	}()
 	cli, cerr := Client(cc, cs)
 	<-done
@@ -225,7 +225,7 @@ func TestSynReuseFailsConnection(t *testing.T) {
 	defer cc.Close()
 	srvErr := make(chan error, 1)
 	go func() {
-		srv, err := Server(sc, sc, Settings{})
+		srv, err := Server(sc, Settings{})
 		if err != nil {
 			srvErr <- err
 			return
@@ -425,7 +425,7 @@ func rawServerConn(t *testing.T, ss Settings, closeOnEOF bool) (net.Conn, chan e
 	t.Cleanup(func() { cc.Close() })
 	srvErr := make(chan error, 1)
 	go func() {
-		srv, err := Server(sc, sc, ss)
+		srv, err := Server(sc, ss)
 		if err != nil {
 			srvErr <- err
 			return
@@ -654,8 +654,8 @@ func TestClientHandshakeAgainstNonV2(t *testing.T) {
 			_, err := Client(cc, Settings{})
 			errc <- err
 		}()
-		// A v1 server's first reply byte is a v1 message type (0x01..0x07),
-		// never Magic.
+		// A peer speaking the bare session protocol (the retired v1)
+		// answers with a message type (0x01..0x07), never Magic.
 		sc.Write([]byte{0x05, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00})
 		if err := <-errc; !errors.Is(err, ErrBadMagic) {
 			t.Fatalf("Client against v1-style peer: err=%v, want ErrBadMagic", err)

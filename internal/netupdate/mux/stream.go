@@ -10,9 +10,8 @@ import (
 )
 
 // Stream is one multiplexed byte stream over a Transport. It implements
-// net.Conn, so everything written against the single-connection v1
-// protocol — sessions, deadline wrappers, fault injectors — runs over a
-// Stream unchanged.
+// net.Conn, so everything written against a plain connection — sessions,
+// deadline wrappers, fault injectors — runs over a Stream unchanged.
 //
 // Reads are fed by the transport's read loop through a pooled ring
 // buffer bounded by the advertised receive window; as the application

@@ -43,27 +43,27 @@ type Transport struct {
 // Client establishes protocol v2 on conn from the initiating side: it
 // sends our SETTINGS, requires the peer's SETTINGS in reply, and starts
 // the demultiplexing loop. A peer that answers with anything but a v2
-// SETTINGS frame — a v1 updated, some unrelated service — fails with
+// SETTINGS frame — some unrelated service — fails with
 // ErrVersionMismatch (or ErrBadMagic) without having consumed more than
 // one frame's worth of reply.
 func Client(conn net.Conn, st Settings) (*Transport, error) {
-	return handshake(conn, conn, st, true)
+	return handshake(conn, st, true)
 }
 
 // Server establishes protocol v2 on conn from the accepting side: it
 // requires the client's opening SETTINGS, replies with ours, and starts
-// the loop. r is the connection's read side, which may be a buffered
-// reader that already consumed (peeked) bytes during protocol
-// negotiation; pass conn itself when nothing peeked ahead.
-func Server(conn net.Conn, r io.Reader, st Settings) (*Transport, error) {
-	return handshake(conn, r, st, false)
+// the loop. A peer whose first byte is not Magic — a client speaking some
+// other protocol — fails with ErrBadMagic at once, without waiting for a
+// whole frame header.
+func Server(conn net.Conn, st Settings) (*Transport, error) {
+	return handshake(conn, st, false)
 }
 
-func handshake(conn net.Conn, r io.Reader, st Settings, client bool) (*Transport, error) {
+func handshake(conn net.Conn, st Settings, client bool) (*Transport, error) {
 	st = st.withDefaults()
 	t := &Transport{
 		conn:     conn,
-		br:       bufio.NewReaderSize(r, 64<<10),
+		br:       bufio.NewReaderSize(conn, 64<<10),
 		client:   client,
 		local:    st,
 		streams:  make(map[uint32]*Stream),
@@ -109,9 +109,18 @@ func handshake(conn net.Conn, r io.Reader, st Settings, client bool) (*Transport
 // readSettings reads and validates the peer's opening SETTINGS frame.
 func (t *Transport) readSettings() (Settings, error) {
 	var hdr [HeaderLen]byte
-	if _, err := io.ReadFull(t.br, hdr[:]); err != nil {
+	_, err := io.ReadFull(t.br, hdr[:1])
+	if err == nil && hdr[0] != Magic {
+		// Fail on the first byte: a peer speaking another protocol may
+		// send fewer than HeaderLen bytes and then wait for a reply.
+		return Settings{}, fmt.Errorf("mux: handshake: %w", ErrBadMagic)
+	}
+	if err == nil {
+		_, err = io.ReadFull(t.br, hdr[1:])
+	}
+	if err != nil {
 		// A peer that closed instead of answering the preface is not
-		// speaking v2 — the common shape of dialing a v1-only server.
+		// speaking v2 — the common shape of dialing some other service.
 		return Settings{}, fmt.Errorf("mux: handshake read: %w: %w", ErrVersionMismatch, err)
 	}
 	h, err := parseHeader(hdr[:])

@@ -10,6 +10,7 @@ import (
 	"testing"
 	"time"
 
+	"ipdelta/internal/netupdate/mux"
 	"ipdelta/internal/obs"
 )
 
@@ -110,41 +111,103 @@ func TestV2ManySessionsOneConn(t *testing.T) {
 	if got := reg.Snapshot().Counters["ipdelta_server_sessions_total"]; got != devices {
 		t.Fatalf("server saw %d sessions, want %d", got, devices)
 	}
-	if got := reg.Snapshot().Counters["ipdelta_server_v1_sessions_total"]; got != 0 {
-		t.Fatalf("v1 shim served %d sessions on a v2 conn", got)
-	}
 }
 
-// TestV1ShimStillServes: a pre-v2 client (raw conn + deprecated
-// UpdateDevice) against the negotiating server.
-func TestV1ShimStillServes(t *testing.T) {
-	history := makeHistory(2, 8<<10, 63)
+// TestHandleConnRejectsV1Hello: a client that skips the v2 handshake and
+// opens with a bare session HELLO — the retired v1 protocol — fails the
+// handshake with a typed error, gets a closed connection instead of a
+// hang, and is never admitted as a session. The small device makes the
+// HELLO shorter than a frame header, so the refusal must come from the
+// first byte.
+func TestHandleConnRejectsV1Hello(t *testing.T) {
+	history := makeHistory(2, 4<<10, 63)
 	reg := obs.NewRegistry()
 	srv, err := NewServer(history, WithObserver(reg))
 	if err != nil {
 		t.Fatal(err)
 	}
-	addr := serveTCP(t, srv)
+	if n := len(frame(msgHello, encodeHello(hello{ImageLen: 4 << 10, Capacity: 8 << 10}))); n >= mux.HeaderLen {
+		t.Fatalf("%d-byte HELLO does not exercise the first-byte check", n)
+	}
+	client, server := net.Pipe()
+	defer client.Close()
+	srvErr := make(chan error, 1)
+	go func() {
+		defer server.Close()
+		srvErr <- srv.HandleConn(server)
+	}()
+	runErr := make(chan error, 1)
+	go func() {
+		_, err := Run(context.Background(), client, deviceFor(t, history[0], 8<<10))
+		runErr <- err
+	}()
+	select {
+	case err := <-srvErr:
+		if !errors.Is(err, mux.ErrProtocol) {
+			t.Fatalf("HandleConn error = %v, want mux.ErrProtocol", err)
+		}
+	case <-time.After(5 * time.Second):
+		t.Fatal("HandleConn hung on a v1 HELLO")
+	}
+	select {
+	case err := <-runErr:
+		if err == nil {
+			t.Fatal("v1 session succeeded against a v2-only server")
+		}
+	case <-time.After(5 * time.Second):
+		t.Fatal("v1 client hung after the server refused it")
+	}
+	if got := reg.Snapshot().Counters["ipdelta_server_sessions_total"]; got != 0 {
+		t.Fatalf("server admitted %d sessions from a v1 peer", got)
+	}
+}
 
-	dev := deviceFor(t, history[0], 32<<10)
-	conn, err := net.Dial("tcp", addr)
+// TestHandleConnHandshakeTimeout: a peer that connects and never speaks
+// cannot pin a server goroutine; the message timeout bounds the handshake.
+func TestHandleConnHandshakeTimeout(t *testing.T) {
+	const timeout = 250 * time.Millisecond
+	srv, err := NewServer(makeHistory(2, 4<<10, 70), WithMessageTimeout(timeout))
+	if err != nil {
+		t.Fatal(err)
+	}
+	l, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer l.Close()
+	srvErr := make(chan error, 1)
+	go func() {
+		conn, err := l.Accept()
+		if err != nil {
+			srvErr <- err
+			return
+		}
+		defer conn.Close()
+		srvErr <- srv.HandleConn(conn)
+	}()
+	conn, err := net.Dial("tcp", l.Addr().String())
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer conn.Close()
-	if _, err := UpdateDevice(conn, dev); err != nil {
-		t.Fatalf("v1 session: %v", err)
-	}
-	if !bytes.Equal(dev.Image(), srv.Current()) {
-		t.Fatal("device image wrong over the v1 shim")
-	}
-	if got := reg.Snapshot().Counters["ipdelta_server_v1_sessions_total"]; got != 1 {
-		t.Fatalf("v1 shim counter = %d, want 1", got)
+	start := time.Now()
+	select {
+	case err := <-srvErr:
+		if elapsed := time.Since(start); elapsed > 2*timeout {
+			t.Fatalf("handshake timed out after %v, want about %v", elapsed, timeout)
+		}
+		var ne net.Error
+		if !errors.As(err, &ne) || !ne.Timeout() {
+			t.Fatalf("HandleConn error = %v, want a timeout", err)
+		}
+	case <-time.After(5 * time.Second):
+		t.Fatal("a silent peer pinned HandleConn")
 	}
 }
 
-// TestV2ClientAgainstV1Server: the reverse negotiation direction — a v2
-// client dialing a server that only speaks v1 fails typed, not hung.
+// TestV2ClientAgainstV1Server: a v2 client dialing a service that does
+// not speak v2 (here, one that reads a request and hangs up) fails typed,
+// not hung.
 func TestV2ClientAgainstV1Server(t *testing.T) {
 	l, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
@@ -159,8 +222,7 @@ func TestV2ClientAgainstV1Server(t *testing.T) {
 			}
 			go func() {
 				defer conn.Close()
-				// A v1-only server: reads the hello it expects, chokes on
-				// frames, and hangs up.
+				// Reads whatever arrives, chokes on frames, and hangs up.
 				buf := make([]byte, 256)
 				conn.Read(buf)
 			}()
@@ -170,7 +232,7 @@ func TestV2ClientAgainstV1Server(t *testing.T) {
 	defer cancel()
 	_, err = Dial(ctx, l.Addr().String())
 	if err == nil {
-		t.Fatal("Dial succeeded against a v1-only server")
+		t.Fatal("Dial succeeded against a non-v2 server")
 	}
 	if !errors.Is(err, ErrVersionMismatch) {
 		t.Fatalf("Dial error = %v, want ErrVersionMismatch", err)
@@ -352,33 +414,6 @@ func TestOptionSurfaceCovers(t *testing.T) {
 	if st.MaxStreams != 9 || st.InitialWindow != 1<<20 || st.MaxFrame != 2<<10 || st.AcceptBacklog != 5 {
 		t.Fatalf("muxSettings projection wrong: %+v", st)
 	}
-}
-
-// TestDeprecatedWrappersDelegate: the retired constructors must behave
-// identically to their replacements.
-func TestDeprecatedWrappersDelegate(t *testing.T) {
-	history := makeHistory(2, 4<<10, 68)
-	srv, err := NewServer(history)
-	if err != nil {
-		t.Fatal(err)
-	}
-	addr := serveTCP(t, srv)
-	dial := func(ctx context.Context) (net.Conn, error) {
-		var d net.Dialer
-		return d.DialContext(ctx, "tcp", addr)
-	}
-	ru := NewRunner(RunnerConfig{
-		MaxAttempts: 3,
-		Sleep:       func(context.Context, time.Duration) error { return nil },
-	})
-	dev := deviceFor(t, history[0], 32<<10)
-	if _, err := ru.Run(context.Background(), dial, dev); err != nil {
-		t.Fatalf("deprecated NewRunner path: %v", err)
-	}
-	if !bytes.Equal(dev.Image(), srv.Current()) {
-		t.Fatal("device image wrong via deprecated wrapper")
-	}
-	var _ *Runner = ru // the alias keeps old declarations compiling
 }
 
 func TestFlakyConnOverStream(t *testing.T) {

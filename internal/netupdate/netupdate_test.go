@@ -2,6 +2,7 @@ package netupdate
 
 import (
 	"bytes"
+	"context"
 	"errors"
 	"net"
 	"sync"
@@ -51,7 +52,8 @@ func deviceFor(t *testing.T, image []byte, capacity int64) *device.Device {
 	return device.New(flash, int64(len(image)), device.DefaultWorkBufSize)
 }
 
-// runSession wires a client and server over an in-memory pipe.
+// runSession wires a client and the server's per-stream session handler
+// over an in-memory pipe.
 func runSession(t *testing.T, s *Server, dev *device.Device) (Result, error) {
 	t.Helper()
 	client, server := net.Pipe()
@@ -61,9 +63,9 @@ func runSession(t *testing.T, s *Server, dev *device.Device) (Result, error) {
 	go func() {
 		defer wg.Done()
 		defer server.Close()
-		serverErr = s.HandleConn(server)
+		serverErr = s.handleSession(server)
 	}()
-	res, err := UpdateDevice(client, dev)
+	res, err := Run(context.Background(), client, dev)
 	client.Close()
 	wg.Wait()
 	if err == nil && serverErr != nil {
@@ -195,14 +197,14 @@ func TestServeOverTCP(t *testing.T) {
 	}()
 
 	dev := deviceFor(t, history[0], 64<<10)
-	conn, err := net.Dial("tcp", l.Addr().String())
+	cc, err := Dial(context.Background(), l.Addr().String())
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := UpdateDevice(conn, dev); err != nil {
+	if _, err := cc.Update(context.Background(), dev); err != nil {
 		t.Fatal(err)
 	}
-	conn.Close()
+	cc.Close()
 	if !bytes.Equal(dev.Image(), s.Current()) {
 		t.Fatal("device image wrong over TCP")
 	}
@@ -324,13 +326,13 @@ func TestConcurrentFleetOverTCP(t *testing.T) {
 				return
 			}
 			dev := device.New(flash, int64(len(img)), 512)
-			conn, err := net.Dial("tcp", l.Addr().String())
+			cc, err := Dial(context.Background(), l.Addr().String())
 			if err != nil {
 				errs <- err
 				return
 			}
-			defer conn.Close()
-			if _, err := UpdateDevice(conn, dev); err != nil {
+			defer cc.Close()
+			if _, err := cc.Update(context.Background(), dev); err != nil {
 				errs <- err
 				return
 			}

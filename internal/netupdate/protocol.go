@@ -24,6 +24,10 @@
 // delta deterministically and the device resumes where it stopped. The
 // final ACK closes the loop: a device whose flash was corrupted by a bad
 // transfer learns about it immediately and can fall back to a full image.
+//
+// Every session runs on one stream of a protocol-v2 connection (package
+// mux), which multiplexes many sessions over one TCP connection; a peer
+// that sends session messages without the v2 handshake is refused.
 package netupdate
 
 import (

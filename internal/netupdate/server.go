@@ -6,7 +6,6 @@ import (
 	"errors"
 	"fmt"
 	"hash/crc32"
-	"io"
 	"log/slog"
 	"net"
 	"runtime"
@@ -337,50 +336,22 @@ func (s *Server) addServed(n int64) {
 	}
 }
 
-// HandleConn serves one connection, negotiating the protocol version
-// from its first byte: a v2 frame (magic 0xD5) starts a multiplexed
-// transport serving one session per stream; anything else falls back to
-// the deprecated v1 single-session protocol, whose first byte is a v1
-// message type.
+// HandleConn serves one protocol-v2 connection: one update session per
+// accepted stream, each under the per-client failure budget. A peer that
+// does not open with a v2 SETTINGS frame fails the handshake with a typed
+// mux.ErrProtocol error. HandleConn returns nil when the peer shut down
+// deliberately (GOAWAY or clean close) and the transport's terminal error
+// otherwise.
 func (s *Server) HandleConn(conn net.Conn) error {
-	br := bufio.NewReaderSize(conn, 64<<10)
 	if s.msgTimeout > 0 {
 		// A peer that connects and never speaks cannot pin the worker in
-		// the version sniff.
-		_ = conn.SetReadDeadline(time.Now().Add(s.msgTimeout))
+		// the handshake.
+		_ = conn.SetDeadline(time.Now().Add(s.msgTimeout))
 	}
-	first, err := br.Peek(1)
+	tr, err := mux.Server(conn, s.muxSet)
 	if s.msgTimeout > 0 {
-		_ = conn.SetReadDeadline(time.Time{})
+		_ = conn.SetDeadline(time.Time{})
 	}
-	if err != nil {
-		return err
-	}
-	if first[0] == mux.Magic {
-		return s.handleMux(conn, br)
-	}
-	if s.met != nil {
-		s.met.v1Sessions.Inc()
-	}
-	return s.handleSession(&bufferedConn{Conn: conn, r: br})
-}
-
-// bufferedConn reads through a reader that may hold bytes peeked off the
-// wrapped connection during version negotiation; everything else —
-// writes, deadlines, addresses — passes straight through.
-type bufferedConn struct {
-	net.Conn
-	r io.Reader
-}
-
-func (b *bufferedConn) Read(p []byte) (int, error) { return b.r.Read(p) }
-
-// handleMux serves a v2 connection: one update session per accepted
-// stream, each under the same failure-budget and metrics regime as a v1
-// session. It returns nil when the peer shut down deliberately (GOAWAY
-// or clean close) and the transport's terminal error otherwise.
-func (s *Server) handleMux(conn net.Conn, br *bufio.Reader) error {
-	tr, err := mux.Server(conn, br, s.muxSet)
 	if err != nil {
 		return err
 	}
@@ -415,9 +386,9 @@ func (s *Server) handleMux(conn net.Conn, br *bufio.Reader) error {
 	}
 }
 
-// handleSession serves one update session on an arbitrary connection (a
-// raw v1 conn or one v2 stream), enforcing the per-client failure budget
-// around it.
+// handleSession serves one update session on one v2 stream (or any
+// net.Conn speaking the session protocol), enforcing the per-client
+// failure budget around it.
 func (s *Server) handleSession(conn net.Conn) error {
 	key := clientKey(conn.RemoteAddr())
 	if !s.admit(key) {

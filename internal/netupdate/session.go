@@ -18,56 +18,6 @@ import (
 // closes whatever it returns.
 type DialFunc func(ctx context.Context) (net.Conn, error)
 
-// RunnerConfig tunes the retrying update session runner.
-//
-// Deprecated: use NewClient with the shared Config options
-// (WithMaxAttempts, WithBaseBackoff, WithMaxBackoff, WithMessageTimeout,
-// WithFullFallbackAfter, WithSeed, WithSleep, WithObserver, WithLogger).
-type RunnerConfig struct {
-	// MaxAttempts bounds total session attempts (default 8).
-	MaxAttempts int
-	// BaseBackoff is the delay before the first retry; it doubles per
-	// attempt (default 100ms).
-	BaseBackoff time.Duration
-	// MaxBackoff caps the exponential backoff (default 5s).
-	MaxBackoff time.Duration
-	// MessageTimeout is the per-I/O deadline inside each session; zero
-	// disables deadlines.
-	MessageTimeout time.Duration
-	// FullFallbackAfter is how many consecutive failed delta sessions the
-	// runner tolerates before degrading to a full-image transfer. Session
-	//-level rejections (server errors, CRC mismatches) degrade
-	// immediately. Zero uses the default (3); negative disables the
-	// fallback entirely.
-	FullFallbackAfter int
-	// Seed feeds the backoff jitter RNG, for reproducible schedules.
-	Seed uint64
-	// Sleep overrides the inter-attempt wait, letting tests collapse the
-	// backoff schedule. Nil uses a context-aware timer.
-	Sleep func(ctx context.Context, d time.Duration) error
-	// Observer, when non-nil, receives client-side metrics: runs,
-	// attempts, retries, degradations to full image, bytes received, and
-	// per-attempt latency. Handles resolve once in NewRunner.
-	Observer *obs.Registry
-	// Logger receives per-attempt structured log lines. Nil discards.
-	Logger *slog.Logger
-}
-
-// asConfig maps the retired struct onto the shared Config.
-func (c RunnerConfig) asConfig() Config {
-	return Config{
-		MaxAttempts:       c.MaxAttempts,
-		BaseBackoff:       c.BaseBackoff,
-		MaxBackoff:        c.MaxBackoff,
-		MessageTimeout:    c.MessageTimeout,
-		FullFallbackAfter: c.FullFallbackAfter,
-		Seed:              c.Seed,
-		Sleep:             c.Sleep,
-		Observer:          c.Observer,
-		Logger:            c.Logger,
-	}
-}
-
 // RunReport summarizes a runner invocation: how hard the update was, not
 // just whether it landed.
 type RunReport struct {
@@ -95,34 +45,17 @@ type Client struct {
 	rng *rand.Rand
 }
 
-// Runner is the historical name for Client.
-//
-// Deprecated: use Client (built with NewClient). Retained as an alias so
-// pre-v2 call sites keep compiling unchanged.
-type Runner = Client
-
 // NewClient builds a retrying update client from the shared Config
 // options (unset knobs take defaults).
 func NewClient(opts ...Option) *Client {
 	var cfg Config
 	cfg.apply(opts)
-	return newClient(cfg)
-}
-
-func newClient(cfg Config) *Client {
 	cfg = cfg.withClientDefaults()
 	cl := &Client{cfg: cfg, log: obs.OrNop(cfg.Logger), rng: rand.New(rand.NewPCG(cfg.Seed, 1))}
 	if cfg.Observer != nil {
 		cl.met = resolveClientMetrics(cfg.Observer)
 	}
 	return cl
-}
-
-// NewRunner builds a Runner from the retired RunnerConfig struct.
-//
-// Deprecated: use NewClient with the shared Config options.
-func NewRunner(cfg RunnerConfig) *Runner {
-	return newClient(cfg.asConfig())
 }
 
 // errClass buckets session errors by the right response.

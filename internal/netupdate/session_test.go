@@ -16,16 +16,16 @@ import (
 // noBackoff collapses the retry schedule for fast tests.
 func noBackoff(ctx context.Context, d time.Duration) error { return ctx.Err() }
 
-// pipeDial returns a DialFunc connecting to a fresh server handler over a
-// synchronous in-memory pipe, wrapping the client end with wrap (nil for a
-// clean connection).
+// pipeDial returns a DialFunc connecting to the server's per-stream
+// session handler over a synchronous in-memory pipe, wrapping the client
+// end with wrap (nil for a clean connection).
 func pipeDial(s *Server, wrap func(attempt int, c net.Conn) net.Conn) DialFunc {
 	attempt := 0
 	return func(ctx context.Context) (net.Conn, error) {
 		client, server := net.Pipe()
 		go func() {
 			defer server.Close()
-			_ = s.HandleConn(server)
+			_ = s.handleSession(server)
 		}()
 		attempt++
 		if wrap == nil {
@@ -49,7 +49,7 @@ func TestRunnerRetriesTransientAndResumes(t *testing.T) {
 		}
 		return c
 	})
-	ru := NewRunner(RunnerConfig{MaxAttempts: 5, Sleep: noBackoff, Seed: 1})
+	ru := NewClient(WithMaxAttempts(5), WithSleep(noBackoff), WithSeed(1))
 	rep, err := ru.Run(context.Background(), dial, dev)
 	if err != nil {
 		t.Fatalf("run: %v (log: %v)", err, rep.FailureLog)
@@ -79,7 +79,7 @@ func TestRunnerFallsBackOnUnknownVersion(t *testing.T) {
 	}
 	stranger := corpus.Generate(corpus.PairSpec{Profile: corpus.Binary, Size: 16 << 10, ChangeRate: 0, Seed: 501})
 	dev := deviceFor(t, stranger.Ref, 64<<10)
-	ru := NewRunner(RunnerConfig{MaxAttempts: 4, Sleep: noBackoff})
+	ru := NewClient(WithMaxAttempts(4), WithSleep(noBackoff))
 	rep, err := ru.Run(context.Background(), pipeDial(s, nil), dev)
 	if err != nil {
 		t.Fatalf("run: %v (log: %v)", err, rep.FailureLog)
@@ -110,7 +110,7 @@ func TestRunnerFallsBackAfterConsecutiveDeltaFailures(t *testing.T) {
 		}
 		return c
 	})
-	ru := NewRunner(RunnerConfig{MaxAttempts: 6, FullFallbackAfter: 2, Sleep: noBackoff})
+	ru := NewClient(WithMaxAttempts(6), WithFullFallbackAfter(2), WithSleep(noBackoff))
 	rep, err := ru.Run(context.Background(), dial, dev)
 	if err != nil {
 		t.Fatalf("run: %v (log: %v)", err, rep.FailureLog)
@@ -156,16 +156,16 @@ func TestRunnerImageRejectionTriggersFullFallback(t *testing.T) {
 	conn, srvConn := net.Pipe()
 	go func() {
 		defer srvConn.Close()
-		_ = s.HandleConn(srvConn)
+		_ = s.handleSession(srvConn)
 	}()
-	_, err = RunSession(context.Background(), conn, dev, SessionOptions{})
+	_, err = Run(context.Background(), conn, dev)
 	conn.Close()
 	if !errors.Is(err, ErrImageRejected) {
 		t.Fatalf("error = %v, want ErrImageRejected", err)
 	}
 
 	// The runner turns that rejection into a full-image transfer.
-	ru := NewRunner(RunnerConfig{MaxAttempts: 4, Sleep: noBackoff})
+	ru := NewClient(WithMaxAttempts(4), WithSleep(noBackoff))
 	rep, err := ru.Run(context.Background(), pipeDial(s, nil), dev)
 	if err != nil {
 		t.Fatalf("run: %v (log: %v)", err, rep.FailureLog)
@@ -188,7 +188,7 @@ func TestRunnerExhaustsBudget(t *testing.T) {
 	dial := pipeDial(s, func(attempt int, c net.Conn) net.Conn {
 		return NewFlakyConn(c, FaultProfile{Seed: uint64(attempt), DropAfterBytes: 4})
 	})
-	ru := NewRunner(RunnerConfig{MaxAttempts: 3, FullFallbackAfter: -1, Sleep: noBackoff})
+	ru := NewClient(WithMaxAttempts(3), WithFullFallbackAfter(-1), WithSleep(noBackoff))
 	rep, err := ru.Run(context.Background(), dial, dev)
 	if err == nil {
 		t.Fatal("doomed transport converged")
@@ -213,7 +213,7 @@ func TestRunnerContextCancel(t *testing.T) {
 	dev := deviceFor(t, history[0], 64<<10)
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	ru := NewRunner(RunnerConfig{MaxAttempts: 3})
+	ru := NewClient(WithMaxAttempts(3))
 	if _, err := ru.Run(ctx, pipeDial(s, nil), dev); !errors.Is(err, context.Canceled) {
 		t.Fatalf("error = %v, want context.Canceled", err)
 	}
@@ -229,7 +229,7 @@ func TestSessionMessageTimeout(t *testing.T) {
 		_, _ = io.Copy(io.Discard, server)
 	}()
 	start := time.Now()
-	_, err := RunSession(context.Background(), client, dev, SessionOptions{MessageTimeout: 50 * time.Millisecond})
+	_, err := Run(context.Background(), client, dev, WithMessageTimeout(50*time.Millisecond))
 	client.Close()
 	if err == nil {
 		t.Fatal("stalled session succeeded")
@@ -261,7 +261,7 @@ func TestSessionContextCancelAbortsIO(t *testing.T) {
 	}()
 	done := make(chan error, 1)
 	go func() {
-		_, err := RunSession(ctx, client, dev, SessionOptions{})
+		_, err := Run(ctx, client, dev)
 		done <- err
 	}()
 	select {
@@ -299,10 +299,10 @@ func TestServerFailureBudget(t *testing.T) {
 	handlerErr := make(chan error, 1)
 	go func() {
 		defer server.Close()
-		handlerErr <- s.HandleConn(server)
+		handlerErr <- s.handleSession(server)
 	}()
 	dev := deviceFor(t, history[0], 64<<10)
-	_, err = UpdateDevice(client, dev)
+	_, err = Run(context.Background(), client, dev)
 	client.Close()
 	var se *ServerError
 	if !errors.As(err, &se) {
@@ -341,10 +341,10 @@ func TestServerFailureBudget(t *testing.T) {
 	client2, server2 := net.Pipe()
 	go func() {
 		defer server2.Close()
-		_ = s2.HandleConn(server2)
+		_ = s2.handleSession(server2)
 	}()
 	dev2 := deviceFor(t, history[0], 64<<10)
-	_, err = UpdateDevice(client2, dev2)
+	_, err = Run(context.Background(), client2, dev2)
 	client2.Close()
 	if !errors.As(err, &se) {
 		t.Fatalf("client error = %v, want budget rejection", err)

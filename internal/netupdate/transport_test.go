@@ -2,6 +2,7 @@ package netupdate
 
 import (
 	"bytes"
+	"context"
 	"net"
 	"sync"
 	"sync/atomic"
@@ -20,10 +21,10 @@ func attemptThroughFlaky(t *testing.T, s *Server, dev *device.Device, p FaultPro
 	go func() {
 		defer close(done)
 		defer server.Close()
-		_ = s.HandleConn(server)
+		_ = s.handleSession(server)
 	}()
 	fc := NewFlakyConn(client, p)
-	res, err := UpdateDevice(fc, dev)
+	res, err := Run(context.Background(), fc, dev)
 	client.Close()
 	<-done
 	return res, fc.Transferred(), err

@@ -165,21 +165,6 @@ func ConvertInPlace(d *Delta, ref []byte, opts ...ConvertOption) (*Delta, *Conve
 	return inplace.Convert(d, ref, opts...)
 }
 
-// ConvertInPlaceWithPolicy is ConvertInPlace under an explicit
-// cycle-breaking policy.
-//
-// Deprecated: use ConvertInPlace(d, ref, WithPolicy(p)).
-func ConvertInPlaceWithPolicy(d *Delta, ref []byte, p Policy) (*Delta, *ConvertStats, error) {
-	return ConvertInPlace(d, ref, WithPolicy(p))
-}
-
-// ConvertInPlaceScratch is ConvertInPlace with a scratch budget.
-//
-// Deprecated: use ConvertInPlace(d, ref, WithScratchBudget(budget)).
-func ConvertInPlaceScratch(d *Delta, ref []byte, budget int64) (*Delta, *ConvertStats, error) {
-	return ConvertInPlace(d, ref, WithScratchBudget(budget))
-}
-
 // DiffInPlace is Diff followed by ConvertInPlace; opts apply to the
 // conversion.
 func DiffInPlace(ref, version []byte, opts ...ConvertOption) (*Delta, *ConvertStats, error) {

@@ -102,7 +102,7 @@ func TestFacadePolicies(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, p := range []Policy{ConstantTime, LocallyMinimum} {
-		ip, _, err := ConvertInPlaceWithPolicy(d, old, p)
+		ip, _, err := ConvertInPlace(d, old, WithPolicy(p))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -202,7 +202,7 @@ func TestFacadeScratchBudget(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ip, st, err := ConvertInPlaceScratch(d, old, 8)
+	ip, st, err := ConvertInPlace(d, old, WithScratchBudget(8))
 	if err != nil {
 		t.Fatal(err)
 	}

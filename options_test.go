@@ -37,10 +37,24 @@ func encodeAll(t *testing.T, d *Delta) []byte {
 	return buf.Bytes()
 }
 
-// TestConvertOptionsMatchLegacy proves the options API is a drop-in
-// replacement: for every policy and scratch budget, ConvertInPlace with
-// the matching option produces a byte-for-byte identical delta and equal
-// stats to the legacy entry point.
+// reconstructs applies ip in place over ref and checks the result is
+// version.
+func reconstructs(t *testing.T, ip *Delta, ref, version []byte) {
+	t.Helper()
+	buf := make([]byte, ip.InPlaceBufLen())
+	copy(buf, ref)
+	if err := PatchInPlace(buf, ip); err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(buf[:ip.VersionLen], version) {
+		t.Fatal("wrong in-place reconstruction")
+	}
+}
+
+// TestConvertOptionsMatchLegacy pins the options API that replaced the
+// retired positional entry points (hence the name): for every policy and
+// scratch budget, ConvertInPlace with the matching option applies that
+// setting and yields a correct in-place delta.
 func TestConvertOptionsMatchLegacy(t *testing.T) {
 	ref, version := scrambledPair(17, 16<<10)
 	d, err := Diff(ref, version)
@@ -51,20 +65,17 @@ func TestConvertOptionsMatchLegacy(t *testing.T) {
 	t.Run("policy", func(t *testing.T) {
 		for _, p := range []Policy{LocallyMinimum, ConstantTime} {
 			t.Run(p.Name(), func(t *testing.T) {
-				legacy, legacyStats, err := ConvertInPlaceWithPolicy(d, ref, p)
+				ip, st, err := ConvertInPlace(d, ref, WithPolicy(p))
 				if err != nil {
 					t.Fatal(err)
 				}
-				opt, optStats, err := ConvertInPlace(d, ref, WithPolicy(p))
-				if err != nil {
-					t.Fatal(err)
+				if st.Policy != p.Name() {
+					t.Fatalf("converted under %q, want %q", st.Policy, p.Name())
 				}
-				if !bytes.Equal(encodeAll(t, legacy), encodeAll(t, opt)) {
-					t.Fatal("options-API delta differs from legacy")
+				if st.CyclesBroken == 0 {
+					t.Fatal("fixture has no cycles; the policy is not exercised")
 				}
-				if *legacyStats != *optStats {
-					t.Fatalf("stats diverged:\n  legacy: %+v\n  option: %+v", *legacyStats, *optStats)
-				}
+				reconstructs(t, ip, ref, version)
 			})
 		}
 	})
@@ -72,20 +83,19 @@ func TestConvertOptionsMatchLegacy(t *testing.T) {
 	t.Run("scratch", func(t *testing.T) {
 		for _, budget := range []int64{0, 64, 4 << 10, 1 << 20} {
 			t.Run(fmt.Sprintf("budget=%d", budget), func(t *testing.T) {
-				legacy, legacyStats, err := ConvertInPlaceScratch(d, ref, budget)
+				ip, st, err := ConvertInPlace(d, ref, WithScratchBudget(budget))
 				if err != nil {
 					t.Fatal(err)
 				}
-				opt, optStats, err := ConvertInPlace(d, ref, WithScratchBudget(budget))
+				if got := ip.ScratchRequired(); got > budget || got != st.ScratchUsed {
+					t.Fatalf("scratch required %d, stats say %d, budget %d", got, st.ScratchUsed, budget)
+				}
+				// Scratch deltas must survive their wire format too.
+				got, _, err := Decode(bytes.NewReader(encodeAll(t, ip)))
 				if err != nil {
 					t.Fatal(err)
 				}
-				if !bytes.Equal(encodeAll(t, legacy), encodeAll(t, opt)) {
-					t.Fatal("options-API delta differs from legacy")
-				}
-				if *legacyStats != *optStats {
-					t.Fatalf("stats diverged:\n  legacy: %+v\n  option: %+v", *legacyStats, *optStats)
-				}
+				reconstructs(t, got, ref, version)
 			})
 		}
 	})
@@ -97,14 +107,7 @@ func TestConvertOptionsMatchLegacy(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		buf := make([]byte, ip.InPlaceBufLen())
-		copy(buf, ref)
-		if err := PatchInPlace(buf, ip); err != nil {
-			t.Fatal(err)
-		}
-		if !bytes.Equal(buf[:ip.VersionLen], version) {
-			t.Fatal("composed options produced a wrong reconstruction")
-		}
+		reconstructs(t, ip, ref, version)
 	})
 }
 
@@ -141,12 +144,5 @@ func TestConvertObserverRecords(t *testing.T) {
 		}
 	}
 	// The observed conversion is still correct.
-	buf := make([]byte, ip.InPlaceBufLen())
-	copy(buf, ref)
-	if err := PatchInPlace(buf, ip); err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(buf[:ip.VersionLen], version) {
-		t.Fatal("observed conversion produced a wrong reconstruction")
-	}
+	reconstructs(t, ip, ref, version)
 }
