@@ -390,47 +390,6 @@ func BenchmarkStoreAppendAndServe(b *testing.B) {
 	}
 }
 
-// BenchmarkDiffParallel measures the sharded differencer at several worker
-// counts; compare against BenchmarkDiffLinear on a multi-core host.
-func BenchmarkDiffParallel(b *testing.B) {
-	p := benchPair(1 << 20)
-	for _, workers := range []int{2, 4, 8} {
-		b.Run(fmt.Sprintf("workers-%d", workers), func(b *testing.B) {
-			b.ReportAllocs()
-			pd := diff.NewParallelDiffer(workers)
-			defer pd.Close()
-			b.SetBytes(int64(len(p.Version)))
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				if _, err := pd.Diff(p.Ref, p.Version); err != nil {
-					b.Fatal(err)
-				}
-			}
-		})
-	}
-}
-
-// BenchmarkDiffAuto measures the self-selecting engine across the
-// crossover: compare each size against the matching BenchmarkDiffLinear
-// and BenchmarkDiffParallel rows — auto should track whichever wins.
-func BenchmarkDiffAuto(b *testing.B) {
-	for _, size := range []int{4 << 10, 64 << 10, 256 << 10, 1 << 20} {
-		b.Run(fmt.Sprintf("%dKiB", size>>10), func(b *testing.B) {
-			b.ReportAllocs()
-			p := benchPair(size)
-			ad := diff.NewAutoDiffer()
-			defer ad.Close()
-			b.SetBytes(int64(len(p.Version)))
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				if _, err := ad.Diff(p.Ref, p.Version); err != nil {
-					b.Fatal(err)
-				}
-			}
-		})
-	}
-}
-
 // BenchmarkStoreVersionCached measures serving the head of a deep delta
 // chain cold (replay per request) and through the materialization cache.
 func BenchmarkStoreVersionCached(b *testing.B) {

@@ -57,14 +57,13 @@ type baselineHistogram struct {
 // baselineDoc is the emitted document.
 type baselineDoc struct {
 	Environment struct {
-		GoVersion   string `json:"go_version"`
-		GOOS        string `json:"goos"`
-		GOARCH      string `json:"goarch"`
-		NumCPU      int    `json:"num_cpu"`
-		GOMAXPROCS  int    `json:"gomaxprocs"`
-		DiffWorkers []int  `json:"diff_workers"`
-		InputBytes  int    `json:"input_bytes"`
-		Seed        int64  `json:"seed"`
+		GoVersion  string `json:"go_version"`
+		GOOS       string `json:"goos"`
+		GOARCH     string `json:"goarch"`
+		NumCPU     int    `json:"num_cpu"`
+		GOMAXPROCS int    `json:"gomaxprocs"`
+		InputBytes int    `json:"input_bytes"`
+		Seed       int64  `json:"seed"`
 	} `json:"environment"`
 	Results []baselineResult `json:"results"`
 	// Metrics carries selected counters from an instrumented convert run
@@ -75,21 +74,6 @@ type baselineDoc struct {
 	Stages []baselineStage `json:"stages,omitempty"`
 	// Histograms carries the run's other histograms (sizes, counts).
 	Histograms []baselineHistogram `json:"histograms,omitempty"`
-}
-
-// scalingWorkers returns the worker counts for the diff scaling curve:
-// powers of two from 1 up to numCPU, always ending at numCPU itself, so
-// the emitted document shows where parallel speedup flattens on this
-// machine and the last row is directly comparable to diff.Auto's pick.
-func scalingWorkers(numCPU int) []int {
-	if numCPU < 1 {
-		numCPU = 1
-	}
-	var ws []int
-	for w := 1; w < numCPU; w *= 2 {
-		ws = append(ws, w)
-	}
-	return append(ws, numCPU)
 }
 
 // makeChain builds depth related version images for the store benchmarks:
@@ -206,15 +190,12 @@ func runBaseline(out io.Writer, outPath string, quick bool, seed int64) error {
 		return fmt.Errorf("bench-baseline: diff: %w", err)
 	}
 
-	parallelWorkers := scalingWorkers(runtime.NumCPU())
-
 	doc := &baselineDoc{}
 	doc.Environment.GoVersion = runtime.Version()
 	doc.Environment.GOOS = runtime.GOOS
 	doc.Environment.GOARCH = runtime.GOARCH
 	doc.Environment.NumCPU = runtime.NumCPU()
 	doc.Environment.GOMAXPROCS = runtime.GOMAXPROCS(0)
-	doc.Environment.DiffWorkers = parallelWorkers
 	doc.Environment.InputBytes = size
 	doc.Environment.Seed = seed
 
@@ -259,32 +240,6 @@ func runBaseline(out io.Writer, outPath string, quick bool, seed int64) error {
 			}
 		}
 	})
-	// Parallel diff scaling curve: worker counts 1, 2, 4, ... up to this
-	// machine's core count. The rows are only meaningful relative to the
-	// environment block's num_cpu — on a box with fewer cores than an old
-	// document's, -compare skips them rather than reading noise.
-	for _, w := range parallelWorkers {
-		pd := diff.NewParallelDiffer(w)
-		doc.measure(fmt.Sprintf("diff/parallel/%d", w), vbytes, func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				if _, err := pd.Diff(p.Ref, p.Version); err != nil {
-					b.Fatal(err)
-				}
-			}
-		})
-		pd.Close()
-	}
-	// The self-selecting engine on the same input: should track whichever
-	// of diff/reuse and diff/parallel/NumCPU wins on this machine.
-	ad := diff.NewAutoDiffer()
-	doc.measure("diff/auto", vbytes, func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			if _, err := ad.Diff(p.Ref, p.Version); err != nil {
-				b.Fatal(err)
-			}
-		}
-	})
-	ad.Close()
 
 	// Chunked dedup tier: content-defined split and ingest throughput,
 	// then the recipe-diff fast path against the full-image reuse differ

@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"io"
 	"os"
-	"strings"
 )
 
 // The regression-compare mode (-compare OLD) reads two baseline documents —
@@ -53,8 +52,8 @@ func runCompare(out io.Writer, oldPath, newPath string, threshold float64) error
 		oldBy[r.Name] = r
 	}
 
-	// The environments lead the table: parallel rows are meaningless
-	// without knowing how much parallelism each run actually had.
+	// The environments lead the table: timings are meaningless without
+	// knowing the machine each run had.
 	fmt.Fprintf(out, "old: %d CPU / GOMAXPROCS %d (%s)\nnew: %d CPU / GOMAXPROCS %d (%s)\n",
 		oldDoc.Environment.NumCPU, oldDoc.Environment.GOMAXPROCS, oldDoc.Environment.GoVersion,
 		newDoc.Environment.NumCPU, newDoc.Environment.GOMAXPROCS, newDoc.Environment.GoVersion)
@@ -63,16 +62,11 @@ func runCompare(out io.Writer, oldPath, newPath string, threshold float64) error
 		fmt.Fprintf(out, "note: environments differ; timings are not directly comparable\n")
 	}
 	fmt.Fprintln(out)
-	// A baseline from a smaller machine says nothing about parallel rows on
-	// this one: the old numbers were measured with less parallelism than
-	// the new run, so a slowdown there is expected, not a regression.
-	skipParallel := oldDoc.Environment.NumCPU < newDoc.Environment.NumCPU
 
 	fmt.Fprintf(out, "%-22s %14s %14s %8s %10s  %s\n",
 		"benchmark", "old ns/op", "new ns/op", "delta", "allocs", "verdict")
 	regressions := 0
 	compared := 0
-	skipped := 0
 	newRows := 0
 	for _, nr := range newDoc.Results {
 		or, ok := oldBy[nr.Name]
@@ -85,12 +79,6 @@ func runCompare(out io.Writer, oldPath, newPath string, threshold float64) error
 			continue
 		}
 		if or.NsPerOp <= 0 {
-			continue
-		}
-		if skipParallel && (strings.HasPrefix(nr.Name, "diff/parallel/") || nr.Name == "diff/auto") {
-			skipped++
-			fmt.Fprintf(out, "%-22s %14.0f %14.0f %8s %10s  %s\n",
-				nr.Name, or.NsPerOp, nr.NsPerOp, "-", "-", "skipped (old ran on fewer CPUs)")
 			continue
 		}
 		compared++
@@ -110,11 +98,11 @@ func runCompare(out io.Writer, oldPath, newPath string, threshold float64) error
 	}
 	// New rows alone are not enough: a document sharing zero benchmarks
 	// with the baseline is almost certainly the wrong file, not progress.
-	if compared == 0 && skipped == 0 {
+	if compared == 0 {
 		return fmt.Errorf("compare: no shared benchmarks between %s and %s", oldPath, newPath)
 	}
-	fmt.Fprintf(out, "\n%d compared, %d regressed, %d skipped, %d new (threshold %+.0f%%)\n",
-		compared, regressions, skipped, newRows, threshold*100)
+	fmt.Fprintf(out, "\n%d compared, %d regressed, %d new (threshold %+.0f%%)\n",
+		compared, regressions, newRows, threshold*100)
 	if regressions > 0 {
 		return errRegression{n: regressions}
 	}

@@ -10,22 +10,17 @@
 //	        [-fleet] [-scratch]
 //	ipbench -bench-baseline [-baseline-out FILE] [-quick] [-seed N]
 //	ipbench -compare OLD.json [-compare-to NEW.json] [-threshold R]
-//	ipbench -scaling-gate [-gate-threshold R] [-quick] [-seed N]
 //	ipbench -recipe-gate [-recipe-speedup F] [-quick] [-seed N]
 //
 // With no experiment flags, all experiments run. -json emits one JSON
 // document with every selected result instead of rendered tables.
 // -bench-baseline skips the experiments and instead measures the
-// conversion pipeline's hot paths (convert, CRWI build, diff — sequential
-// and parallel — batch, and store serving cold vs cached), writing ns/op,
-// allocs/op, and MB/s as JSON for before/after comparison. -compare reads
-// a previously committed baseline and a fresh one and exits non-zero when
-// any shared benchmark slowed down by more than -threshold (default 0.25,
-// i.e. 25%), or when a zero-allocation benchmark started allocating.
-// -scaling-gate measures the diff scaling curve (sequential reuse,
-// parallel at 1..NumCPU workers, auto) in-process and exits non-zero when
-// parallel at full core count or the auto engine loses to sequential
-// reuse by more than -gate-threshold (default 0.05, i.e. 5%).
+// conversion pipeline's hot paths (convert, CRWI build, diff, batch, and
+// store serving cold vs cached), writing ns/op, allocs/op, and MB/s as
+// JSON for before/after comparison. -compare reads a previously committed
+// baseline and a fresh one and exits non-zero when any shared benchmark
+// slowed down by more than -threshold (default 0.25, i.e. 25%), or when a
+// zero-allocation benchmark started allocating.
 // -recipe-gate checks both correctness and speed of the chunked
 // recipe-diff fast path on a 16 MiB 5%-churn input: both deltas must
 // reconstruct identical bytes, and recipe diffing must beat the full
@@ -79,8 +74,6 @@ func run(args []string) error {
 	comparePath := fs.String("compare", "", "compare this old baseline JSON against -compare-to and exit non-zero on regression")
 	compareTo := fs.String("compare-to", "BENCH_convert.json", "new baseline JSON for -compare")
 	threshold := fs.Float64("threshold", 0.25, "allowed ns/op slowdown ratio for -compare (0.25 = 25%)")
-	scalingGate := fs.Bool("scaling-gate", false, "measure the diff scaling curve and exit non-zero when parallel at full core count or auto loses to sequential reuse")
-	gateThreshold := fs.Float64("gate-threshold", 0.05, "allowed slowdown ratio for -scaling-gate (0.05 = 5%)")
 	recipeGate := fs.Bool("recipe-gate", false, "measure recipe diff vs the full differ on churned input and exit non-zero unless recipe wins by -recipe-speedup")
 	recipeSpeedup := fs.Float64("recipe-speedup", 2.0, "required recipe-vs-full speedup factor for -recipe-gate")
 	if err := fs.Parse(args); err != nil {
@@ -88,9 +81,6 @@ func run(args []string) error {
 	}
 	if *comparePath != "" {
 		return runCompare(os.Stdout, *comparePath, *compareTo, *threshold)
-	}
-	if *scalingGate {
-		return runScalingGate(os.Stdout, *gateThreshold, *quick, *seed)
 	}
 	if *recipeGate {
 		return runRecipeGate(os.Stdout, *recipeSpeedup, *quick, *seed)

@@ -4,7 +4,7 @@
 //
 // Usage:
 //
-//	ipdelta diff    -ref OLD -version NEW -out FILE [-algo auto|linear|...] [-format F] [-inplace] [-policy P]
+//	ipdelta diff    -ref OLD -version NEW -out FILE [-algo linear|greedy|...] [-format F] [-inplace] [-policy P]
 //	ipdelta convert -ref OLD -delta IN -out FILE [-policy P] [-format F] [-metrics]
 //	ipdelta patch   -ref OLD -delta FILE -out NEW [-inplace]
 //	ipdelta info    -delta FILE
@@ -71,7 +71,7 @@ func cmdDiff(args []string) error {
 	refPath := fs.String("ref", "", "reference (old) file")
 	versionPath := fs.String("version", "", "version (new) file")
 	outPath := fs.String("out", "", "output delta file")
-	algoName := fs.String("algo", "auto", "differencing algorithm: auto, linear, parallel, greedy, null")
+	algoName := fs.String("algo", "linear", "differencing algorithm: linear, greedy, null")
 	formatName := fs.String("format", "", "wire format (default: ordered, or compact with -inplace)")
 	inPlace := fs.Bool("inplace", false, "convert the delta for in-place reconstruction")
 	policyName := fs.String("policy", "locally-minimum", "cycle-breaking policy")

@@ -28,7 +28,7 @@ func cmdServe(args []string) error {
 	listen := fs.String("listen", "127.0.0.1:7080", "listen address")
 	policyName := fs.String("policy", "locally-minimum", "cycle-breaking policy for served deltas")
 	cacheSize := fs.Int("cache", 64, "materialization cache entries (0 disables; versions and composed deltas are replayed per request)")
-	diffName := fs.String("diff", "auto", "differencing algorithm for appended versions: auto, linear, parallel, recipe, ...")
+	diffName := fs.String("diff", "linear", "differencing algorithm for appended versions: linear, greedy, recipe, ...")
 	chunked := fs.Bool("chunked", false, "enable the chunked recipe tier: versions dedup into a content-addressed chunk store, and served deltas are sourced from recipe diffs")
 	verbose := fs.Bool("v", false, "log each request (structured, stderr)")
 	if err := fs.Parse(args); err != nil {

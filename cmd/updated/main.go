@@ -15,10 +15,8 @@
 // deadline, the handshake included, so a stalled client cannot pin a
 // server worker; -failure-budget turns away clients (by remote host) after
 // N consecutive failed sessions; -diff names the differencing algorithm
-// for per-release deltas: the default auto lets the self-selecting engine
-// pick sequential or parallel per input, linear forces the sequential
-// differencer and parallel the sharded one on GOMAXPROCS workers — which
-// matters on multi-core servers prewarming long histories.
+// for per-release deltas (default linear, the paper's linear-time
+// differencer).
 //
 // -metrics-addr starts an HTTP listener serving the server's metrics
 // registry on /metrics (Prometheus-style text, or JSON with
@@ -57,7 +55,7 @@ func run(args []string) error {
 	nf.RegisterServer(fs)
 	nf.RegisterTransport(fs)
 	metricsAddr := fs.String("metrics-addr", "", "serve /metrics on this HTTP address (empty = disabled)")
-	diffName := fs.String("diff", "auto", "differencing algorithm by name (auto, linear, parallel, recipe, ...)")
+	diffName := fs.String("diff", "linear", "differencing algorithm by name (linear, greedy, recipe, ...)")
 	verbose := fs.Bool("v", false, "log each session (structured, stderr)")
 	if err := fs.Parse(args); err != nil {
 		return err

@@ -9,10 +9,6 @@
 //     fingerprinted with a Karp–Rabin rolling hash into a fixed-size table;
 //     the version is scanned once, extending verified seed matches forward
 //     and backward.
-//   - Parallel: the same algorithm sharded across worker goroutines — a
-//     lock-free concurrent build of the fingerprint index, segmented
-//     version scans into per-worker arenas, and a seam-merge stitch —
-//     for multi-core throughput at near-identical compression.
 //   - Greedy: a byte-granular greedy matcher with chained hash buckets in
 //     the style of Reichenberger, kept as the classical baseline. It finds
 //     longer matches at higher cost (quadratic in the worst case).
@@ -39,12 +35,8 @@ type Algorithm interface {
 // ByName resolves an algorithm identifier as used by CLI flags.
 func ByName(name string) (Algorithm, error) {
 	switch name {
-	case "auto":
-		return NewAuto(), nil
 	case "linear":
 		return NewLinear(), nil
-	case "parallel":
-		return NewParallel(0), nil
 	case "greedy":
 		return NewGreedy(), nil
 	case "blockwise":

@@ -38,8 +38,10 @@ func TestByName(t *testing.T) {
 			t.Errorf("ByName(%q) = %v, %v", name, a, err)
 		}
 	}
-	if _, err := ByName("nope"); err == nil {
-		t.Error("accepted unknown algorithm")
+	for _, name := range []string{"nope", "auto", "parallel"} {
+		if _, err := ByName(name); err == nil {
+			t.Errorf("ByName(%q) accepted an unknown algorithm", name)
+		}
 	}
 }
 

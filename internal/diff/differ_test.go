@@ -2,8 +2,13 @@ package diff
 
 import (
 	"bytes"
+	"fmt"
 	"math/rand"
+	"sync"
 	"testing"
+
+	"ipdelta/internal/corpus"
+	"ipdelta/internal/delta"
 )
 
 // TestDifferMatchesLinear interleaves many diffs through one Differ and
@@ -128,4 +133,77 @@ func TestLinearDiffAllocs(t *testing.T) {
 	if allocs > 4 {
 		t.Fatalf("steady-state (*Linear).Diff allocates %.1f times per call, want <= 4", allocs)
 	}
+}
+
+// TestLinearConcurrentDiffs runs concurrent diffs through one *Linear, the
+// way a server shares one Algorithm across its builds. The pairs span
+// every indexing stride (1, 2, 4, 8), so pooled states are handed between
+// goroutines with differently sized tables. Each result must equal a
+// serial diff of the same pair and reconstruct the version; under -race
+// this also proves the pooled fingerprint tables are never shared.
+func TestLinearConcurrentDiffs(t *testing.T) {
+	profiles := []corpus.Profile{corpus.Text, corpus.Binary, corpus.Firmware, corpus.Database}
+	sizes := []int{4 << 10, 96 << 10, 320 << 10, 1100 << 10}
+	const pairs, rounds = 8, 3
+	l := NewLinear()
+	var refs, versions [][]byte
+	var want []*delta.Delta
+	for i := 0; i < pairs; i++ {
+		p := corpus.Generate(corpus.PairSpec{
+			Profile:    profiles[i%len(profiles)],
+			Size:       sizes[i%len(sizes)],
+			ChangeRate: 0.05,
+			Seed:       int64(1998 + i),
+		})
+		d, err := l.Diff(p.Ref, p.Version)
+		if err != nil {
+			t.Fatalf("pair %d: serial diff: %v", i, err)
+		}
+		refs, versions, want = append(refs, p.Ref), append(versions, p.Version), append(want, d)
+	}
+
+	var wg sync.WaitGroup
+	errs := make(chan error, pairs*rounds)
+	for i := 0; i < pairs; i++ {
+		wg.Add(1)
+		go func(i int) {
+			defer wg.Done()
+			for round := 0; round < rounds; round++ {
+				if err := sameDiff(l, refs[i], versions[i], want[i]); err != nil {
+					errs <- fmt.Errorf("pair %d round %d: %w", i, round, err)
+				}
+			}
+		}(i)
+	}
+	wg.Wait()
+	close(errs)
+	for err := range errs {
+		t.Error(err)
+	}
+}
+
+// sameDiff diffs (ref, version) and checks the result against want, byte
+// for byte, and that it reconstructs version.
+func sameDiff(l *Linear, ref, version []byte, want *delta.Delta) error {
+	got, err := l.Diff(ref, version)
+	if err != nil {
+		return err
+	}
+	if got.RefLen != want.RefLen || got.VersionLen != want.VersionLen || len(got.Commands) != len(want.Commands) {
+		return fmt.Errorf("shape %d/%d/%d commands, serial %d/%d/%d",
+			got.RefLen, got.VersionLen, len(got.Commands), want.RefLen, want.VersionLen, len(want.Commands))
+	}
+	for k := range got.Commands {
+		if !got.Commands[k].Equal(want.Commands[k]) {
+			return fmt.Errorf("command %d: %v, serial %v", k, got.Commands[k], want.Commands[k])
+		}
+	}
+	out, err := got.Apply(ref)
+	if err != nil {
+		return fmt.Errorf("apply: %w", err)
+	}
+	if !bytes.Equal(out, version) {
+		return fmt.Errorf("delta does not reconstruct the version")
+	}
+	return nil
 }

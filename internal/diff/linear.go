@@ -3,7 +3,6 @@ package diff
 import (
 	"bytes"
 	"sync"
-	"sync/atomic"
 
 	"ipdelta/internal/delta"
 	"ipdelta/internal/obs"
@@ -107,6 +106,11 @@ func NewLinear(opts ...LinearOption) *Linear {
 	return l
 }
 
+// NewAuto returns NewLinear(opts...). It exists solely for the frozen
+// benchmark adapter in perfbench/, which still calls it by that name;
+// every other caller uses NewLinear.
+func NewAuto(opts ...LinearOption) *Linear { return NewLinear(opts...) }
+
 // Name implements Algorithm.
 func (l *Linear) Name() string { return "linear" }
 
@@ -195,9 +199,7 @@ func tableBitsFor(maxBits uint, indexed int) uint {
 }
 
 // tableParams derives the (stride, table bits) pair for one reference
-// length. Linear and Parallel share this derivation, so for equal inputs
-// they build byte-identical tables and compression differences can come
-// only from segment seams.
+// length.
 //
 //ipvet:allocfree
 func (l *Linear) tableParams(refLen int) (stride int, bits uint) {
@@ -248,9 +250,8 @@ func (h *krHasher) roll(out, in byte) uint64 {
 // *slower* than one-shot because prepare cleared the whole table each
 // call; with tagging, stale entries are invalidated for free.)
 //
-// The packed layout also gives the parallel differ a lock-free build: a
-// single compare-and-swap installs generation and offset together, with
-// min-offset-wins preserving the sequential first-occurrence semantics.
+// A table belongs to one pooled state and is only touched by the diff that
+// holds that state, so entries are plain loads and stores.
 type krTable struct {
 	entries []uint64
 	gen     uint32
@@ -270,25 +271,19 @@ func (t *krTable) prepare(bits uint) {
 	t.gen++
 	if t.gen == 0 {
 		// Generation wrap: ancient entries could alias the new generation,
-		// so pay the one clear per 2^32 diffs. prepare runs strictly before
-		// any builder goroutine starts, so the plain element writes cannot
-		// race the shards' atomic CAS traffic.
-		clear(t.entries) //ipvet:ignore atomicmix -- single-threaded phase, no concurrent builders yet
+		// so pay the one clear per 2^32 diffs.
+		clear(t.entries)
 		t.gen = 1
 	}
 }
 
 // insert records offset r for bucket b if the bucket is empty this
 // generation (first occurrence wins, matching the left-to-right scan).
-// The entries are CAS-written by insertMin when the parallel differ
-// shares a table, so even the sequential path goes through atomics —
-// free on 64-bit hardware, and it keeps the two paths raceless by
-// construction rather than by call-site discipline.
 //
 //ipvet:allocfree
 func (t *krTable) insert(b uint64, r int) {
-	if uint32(atomic.LoadUint64(&t.entries[b])>>32) != t.gen {
-		atomic.StoreUint64(&t.entries[b], uint64(t.gen)<<32|uint64(uint32(r+1)))
+	if uint32(t.entries[b]>>32) != t.gen {
+		t.entries[b] = uint64(t.gen)<<32 | uint64(uint32(r+1))
 	}
 }
 
@@ -296,29 +291,11 @@ func (t *krTable) insert(b uint64, r int) {
 //
 //ipvet:allocfree
 func (t *krTable) lookup(b uint64) (int, bool) {
-	e := atomic.LoadUint64(&t.entries[b])
+	e := t.entries[b]
 	if uint32(e>>32) != t.gen {
 		return 0, false
 	}
 	return int(uint32(e)) - 1, true
-}
-
-// insertMin atomically records offset r for bucket b, keeping the smallest
-// offset per generation. Concurrent builders over disjoint reference
-// shards converge on exactly the table the sequential insert produces.
-//
-//ipvet:allocfree
-func (t *krTable) insertMin(b uint64, r int) {
-	want := uint64(t.gen)<<32 | uint64(uint32(r+1))
-	for {
-		cur := atomic.LoadUint64(&t.entries[b])
-		if uint32(cur>>32) == t.gen && uint32(cur) <= uint32(r+1) {
-			return
-		}
-		if atomic.CompareAndSwapUint64(&t.entries[b], cur, want) {
-			return
-		}
-	}
 }
 
 // linearState is one diff's working memory: the fingerprint table and the
@@ -390,149 +367,89 @@ func (l *Linear) scan(st *linearState, ref, version []byte) {
 			l.met.strided.Inc()
 		}
 	}
-	buildTable(&st.table, ref, p, 0, len(ref)-p+1, stride)
+	buildTable(&st.table, ref, p, stride)
 	if l.met != nil {
 		span.End()
 		span = l.met.emitStage.Start()
 	}
-	scanRange(&st.table, &st.e, ref, version, p, 0, len(version), 0)
+	scanRange(&st.table, &st.e, ref, version, p)
 	if l.met != nil {
 		span.End()
 	}
 }
 
-// alignUp returns the first multiple of stride at or after r. Anchors are
-// aligned to global stride multiples, not shard-local ones, so sharded
-// builders index exactly the position set the sequential build indexes.
+// buildTable indexes the reference seeds whose start offsets are multiples
+// of stride: table[h] maps the fingerprint bucket h to the anchor's first
+// occurrence. Below strideJump the hash rolls across every position (one
+// cheap step per skipped byte); at or above it each anchor is hashed from
+// scratch with the unrolled kernel and the skipped bytes are never
+// touched.
 //
 //ipvet:allocfree
-func alignUp(r, stride int) int {
-	if rem := r % stride; rem != 0 {
-		return r + stride - rem
-	}
-	return r
-}
-
-// buildTable indexes the reference seeds whose start offsets lie in
-// [rlo, rhi) and are multiples of stride: table[h] maps the fingerprint
-// bucket h to the anchor's first occurrence. Sequential first-wins
-// inserts here, atomic min-wins in buildTableShard when reference shards
-// build concurrently — over the same position set the results are
-// identical. Below strideJump the hash still rolls across every position
-// (one cheap step per skipped byte); at or above it each anchor is
-// hashed from scratch with the unrolled kernel and the skipped bytes are
-// never touched.
-//
-//ipvet:allocfree
-func buildTable(t *krTable, ref []byte, p, rlo, rhi, stride int) {
-	if rlo >= rhi {
+func buildTable(t *krTable, ref []byte, p, stride int) {
+	n := len(ref) - p + 1 // seed positions
+	if n <= 0 {
 		return
 	}
 	if stride >= strideJump {
-		for r := alignUp(rlo, stride); r < rhi; r += stride {
+		for r := 0; r < n; r += stride {
 			t.insert(krHash(ref[r:r+p])&t.mask, r)
 		}
 		return
 	}
 	rh := newKRHasher(p)
-	rh.init(ref[rlo : rlo+p])
-	next := alignUp(rlo, stride)
-	for r := rlo; ; r++ {
+	rh.init(ref[:p])
+	next := 0 // the next anchor
+	for r := 0; ; r++ {
 		if r == next {
 			t.insert(rh.hash&t.mask, r)
 			next += stride
 		}
-		if r+1 >= rhi {
+		if r+1 >= n {
 			break
 		}
 		rh.roll(ref[r], ref[r+p])
 	}
 }
 
-// buildTableShard is buildTable with atomic min-wins inserts, for
-// concurrent builders over disjoint [rlo, rhi) reference shards.
+// scanRange scans version against the indexed reference, emitting
+// commands into e that cover exactly its bytes: each verified seed match
+// is extended forward as far as the files agree and backward into the
+// pending literal run.
 //
 //ipvet:allocfree
-func buildTableShard(t *krTable, ref []byte, p, rlo, rhi, stride int) {
-	if rlo >= rhi {
+func scanRange(t *krTable, e *emitter, ref, version []byte, p int) {
+	if len(version) < p {
+		e.literal(version)
 		return
 	}
-	if stride >= strideJump {
-		for r := alignUp(rlo, stride); r < rhi; r += stride {
-			t.insertMin(krHash(ref[r:r+p])&t.mask, r)
-		}
-		return
-	}
-	rh := newKRHasher(p)
-	rh.init(ref[rlo : rlo+p])
-	next := alignUp(rlo, stride)
-	for r := rlo; ; r++ {
-		if r == next {
-			t.insertMin(rh.hash&t.mask, r)
-			next += stride
-		}
-		if r+1 >= rhi {
-			break
-		}
-		rh.roll(ref[r], ref[r+p])
-	}
-}
-
-// scanRange scans version[start:end) against the indexed reference,
-// emitting commands into e that cover exactly those bytes. Seed windows
-// may read past end (the overlap window of a parallel segment scan —
-// capped at len(version)); emitted copies never write past end, and
-// backward extension never crosses start, so per-segment outputs
-// concatenate into a well-formed delta. minCopy suppresses boundary-capped
-// copies shorter than the seed would allow (0 keeps every verified match).
-//
-//ipvet:allocfree
-func scanRange(t *krTable, e *emitter, ref, version []byte, p, start, end, minCopy int) {
-	if start >= end {
-		return
-	}
-	v := start
-	lit := start // start of the current unmatched literal run
-	if v+p > len(version) {
-		e.literal(version[lit:end])
-		return
-	}
+	v := 0
+	lit := 0 // start of the current unmatched literal run
 	vh := newKRHasher(p)
-	vh.init(version[v : v+p])
+	vh.init(version[:p])
 	for {
-		matched := false
-		if r, ok := t.lookup(vh.hash & t.mask); ok {
-			// Verify: fingerprints collide, bytes decide.
-			if bytes.Equal(ref[r:r+p], version[v:v+p]) {
-				fwd := p + matchForward(ref, version, r+p, v+p)
-				if v+fwd > end {
-					fwd = end - v
-				}
-				back := matchBackward(ref, version, r, v, v-lit)
-				if fwd+back >= minCopy {
-					// Emit literals preceding the (extended) match.
-					e.literal(version[lit : v-back])
-					e.copyCmd(int64(r-back), int64(fwd+back))
-					v += fwd
-					lit = v
-					matched = true
-				}
-			}
-		}
-		if matched {
-			if v >= end || v+p > len(version) {
+		// Verify: fingerprints collide, bytes decide.
+		if r, ok := t.lookup(vh.hash & t.mask); ok && bytes.Equal(ref[r:r+p], version[v:v+p]) {
+			fwd := p + matchForward(ref, version, r+p, v+p)
+			back := matchBackward(ref, version, r, v, v-lit)
+			// Emit literals preceding the (extended) match.
+			e.literal(version[lit : v-back])
+			e.copyCmd(int64(r-back), int64(fwd+back))
+			v += fwd
+			lit = v
+			if v+p > len(version) {
 				break
 			}
 			vh.init(version[v : v+p])
 			continue
 		}
-		if v+1 >= end || v+1+p > len(version) {
+		if v+1+p > len(version) {
 			break
 		}
 		vh.roll(version[v], version[v+p])
 		v++
 	}
-	e.literal(version[lit:end])
+	e.literal(version[lit:])
 }
 
 // Differ is a reusable linear differencer for single-threaded steady-state

@@ -213,7 +213,7 @@ func (rd *RecipeDiffer) diffRun(st *recipeState, newR chunk.Recipe, a, b int, ol
 		stride := strideFor(len(st.oldWin) - rd.seedLen + 1)
 		indexed := (len(st.oldWin) - rd.seedLen + 1 + stride - 1) / stride
 		st.table.prepare(tableBitsFor(rd.maxBits, indexed))
-		buildTable(&st.table, st.oldWin, rd.seedLen, 0, len(st.oldWin)-rd.seedLen+1, stride)
+		buildTable(&st.table, st.oldWin, rd.seedLen, stride)
 		haveTable = true
 		if rd.met != nil {
 			rd.met.runWindows.Inc()
@@ -232,7 +232,7 @@ func (rd *RecipeDiffer) diffRun(st *recipeState, newR chunk.Recipe, a, b int, ol
 			st.e.literal(st.newSeg)
 		} else {
 			mark := len(st.e.cmds)
-			scanRange(&st.table, &st.e, st.oldWin, st.newSeg, rd.seedLen, 0, len(st.newSeg), 0)
+			scanRange(&st.table, &st.e, st.oldWin, st.newSeg, rd.seedLen)
 			// scanRange emitted copies relative to the window; rebase them
 			// to absolute old-file offsets. Adds stash arena offsets in
 			// From and must not be touched.

@@ -166,6 +166,14 @@ func TestRecipeDiffBoundedWindow(t *testing.T) {
 		t.Fatal("bounded-window reconstruction mismatch")
 	}
 	st, _ := rd.pool.Get().(*recipeState)
+	// sync.Pool does not promise that Get returns what Put stored: a Put
+	// can stay in the private slot of a P this goroutine has since left,
+	// and under the race detector a quarter of Puts are dropped on
+	// purpose. Diff again until a state comes back.
+	for tries := 0; st == nil && tries < 20; tries++ {
+		applyRecipeDiff(t, rd, old, new)
+		st, _ = rd.pool.Get().(*recipeState)
+	}
 	if st == nil {
 		t.Fatal("no pooled state after a diff")
 	}

@@ -83,9 +83,7 @@ func resolveResourceMetrics(r *obs.Registry) *resourceMetrics {
 // ResourceOption customizes a Resource.
 type ResourceOption func(*Resource)
 
-// WithAlgorithm selects the differencing algorithm (default auto, which
-// picks the sequential or parallel engine per update from body size and
-// GOMAXPROCS).
+// WithAlgorithm selects the differencing algorithm (default linear).
 func WithAlgorithm(a diff.Algorithm) ResourceOption {
 	return func(r *Resource) { r.algo = a }
 }
@@ -117,7 +115,7 @@ func WithLogger(l *slog.Logger) ResourceOption {
 // NewResource creates a resource with an initial body.
 func NewResource(body []byte, opts ...ResourceOption) *Resource {
 	r := &Resource{
-		algo:        diff.NewAuto(),
+		algo:        diff.NewLinear(),
 		maxVersions: 8,
 		versions:    make(map[string][]byte),
 	}

@@ -68,9 +68,9 @@ func TestDeltaEncodedFetches(t *testing.T) {
 	}
 }
 
-func TestParallelDiffOption(t *testing.T) {
+func TestAlgorithmOption(t *testing.T) {
 	v1 := newPage(7)
-	res := NewResource(v1, WithAlgorithm(diff.NewParallel(4)))
+	res := NewResource(v1, WithAlgorithm(diff.NewGreedy()))
 	srv := httptest.NewServer(res)
 	defer srv.Close()
 
@@ -86,10 +86,10 @@ func TestParallelDiffOption(t *testing.T) {
 		t.Fatal(err)
 	}
 	if !bytes.Equal(got, v2) {
-		t.Fatal("warm fetch mismatch with parallel differencer")
+		t.Fatal("warm fetch mismatch with greedy differencer")
 	}
 	if warm := c.TransferredBytes() - cold; warm > int64(len(v2))/10 {
-		t.Fatalf("parallel diff transferred %d of %d bytes; delta encoding degraded", warm, len(v2))
+		t.Fatalf("greedy diff transferred %d of %d bytes; delta encoding degraded", warm, len(v2))
 	}
 }
 

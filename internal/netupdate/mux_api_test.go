@@ -294,6 +294,15 @@ func TestV2SessionFailureBudget(t *testing.T) {
 			t.Fatalf("unknown version session %d succeeded", i)
 		}
 	}
+	// The server notes a failure after the client has seen it; wait for
+	// both to land before the next session.
+	deadline := time.Now().Add(5 * time.Second)
+	for srv.admit("127.0.0.1") {
+		if time.Now().After(deadline) {
+			t.Fatal("server never recorded the failed sessions")
+		}
+		time.Sleep(time.Millisecond)
+	}
 	// Budget exhausted: the next session is refused outright.
 	dev := deviceFor(t, history[0], 32<<10)
 	_, err = cc.Update(context.Background(), dev)

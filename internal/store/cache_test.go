@@ -144,7 +144,12 @@ func TestCacheSingleflightDedup(t *testing.T) {
 	release := make(chan struct{})
 	results := make(chan []byte, waiters+1)
 
+	// wg covers the leader too: results is closed only after every sender
+	// is done.
+	var wg sync.WaitGroup
+	wg.Add(1)
 	go func() {
+		defer wg.Done()
 		v, err := c.do(key, func() (any, error) {
 			calls.Add(1)
 			close(entered)
@@ -158,7 +163,6 @@ func TestCacheSingleflightDedup(t *testing.T) {
 	}()
 	<-entered
 
-	var wg sync.WaitGroup
 	for k := 0; k < waiters; k++ {
 		wg.Add(1)
 		go func() {

@@ -121,15 +121,6 @@ func DiffGreedy(ref, version []byte) (*Delta, error) {
 	return diff.NewGreedy().Diff(ref, version)
 }
 
-// DiffParallel computes the same delta family as Diff with the reference
-// index built and the version scanned across workers goroutines (<= 0 means
-// GOMAXPROCS). On multi-core hosts it trades a few percent of compression —
-// matches are stitched across segment seams, so the loss is bounded — for
-// near-linear diff throughput.
-func DiffParallel(ref, version []byte, workers int) (*Delta, error) {
-	return diff.NewParallel(workers).Diff(ref, version)
-}
-
 // NewRegistry creates an empty metrics registry. Pass it to components
 // via WithObserver (and the sub-packages' observer options) and mount it
 // on an HTTP mux to expose a /metrics endpoint:

@@ -133,24 +133,6 @@ func TestFacadeGreedy(t *testing.T) {
 	}
 }
 
-func TestFacadeParallel(t *testing.T) {
-	rng := rand.New(rand.NewSource(3))
-	old := make([]byte, 64<<10)
-	rng.Read(old)
-	new_ := append([]byte(nil), old[32<<10:]...)
-	new_ = append(new_, old[:32<<10]...)
-	for _, workers := range []int{1, 4} {
-		d, err := DiffParallel(old, new_, workers)
-		if err != nil {
-			t.Fatal(err)
-		}
-		got, err := Patch(old, d)
-		if err != nil || !bytes.Equal(got, new_) {
-			t.Fatalf("parallel round trip failed with %d workers", workers)
-		}
-	}
-}
-
 // TestFacadeQuickEndToEnd is the whole-pipeline property test at the public
 // API level: diff → convert → encode → decode → patch in place == version.
 func TestFacadeQuickEndToEnd(t *testing.T) {
