@@ -1,6 +1,7 @@
 package main
 
 import (
+	"bytes"
 	"encoding/json"
 	"fmt"
 	"io"
@@ -12,6 +13,7 @@ import (
 	"testing"
 
 	"ipdelta/internal/chunk"
+	"ipdelta/internal/codec"
 	"ipdelta/internal/corpus"
 	"ipdelta/internal/diff"
 	"ipdelta/internal/inplace"
@@ -117,6 +119,63 @@ func blockyChurn(base []byte, rate float64, seed int64) []byte {
 		rng.Read(out[off : off+block])
 	}
 	return out
+}
+
+// measureCodec adds the wire-format rows: compact encode and streaming
+// decode of the in-place delta between record releases four apart, whose
+// moved record runs give the converter hundreds of cycles — the delta a
+// rollout server encodes and a device decodes, command by command.
+func measureCodec(doc *baselineDoc, size int, seed int64) error {
+	chain := corpus.RecordChain(seed, size, 5)
+	raw, err := diff.NewLinear().Diff(chain[0], chain[4])
+	if err != nil {
+		return fmt.Errorf("bench-baseline: records diff: %w", err)
+	}
+	d, _, err := inplace.Convert(raw, chain[0])
+	if err != nil {
+		return fmt.Errorf("bench-baseline: records convert: %w", err)
+	}
+	var enc bytes.Buffer
+	if _, err := codec.Encode(&enc, d, codec.FormatCompact); err != nil {
+		return fmt.Errorf("bench-baseline: records encode: %w", err)
+	}
+	wire := enc.Bytes()
+	vbytes := int64(len(chain[4]))
+	var sink bytes.Buffer
+	doc.measure("codec/encode/compact", vbytes, func(b *testing.B) {
+		for i := 0; i < b.N; i++ {
+			sink.Reset()
+			if _, err := codec.Encode(&sink, d, codec.FormatCompact); err != nil {
+				b.Fatal(err)
+			}
+		}
+	})
+	r := bytes.NewReader(wire)
+	work := make([]byte, 4096)
+	doc.measure("codec/decode/stream", vbytes, func(b *testing.B) {
+		for i := 0; i < b.N; i++ {
+			r.Reset(wire)
+			dec, err := codec.NewDecoder(r)
+			if err != nil {
+				b.Fatal(err)
+			}
+			for {
+				_, payload, err := dec.NextStreaming()
+				if err == io.EOF {
+					break
+				}
+				if err != nil {
+					b.Fatal(err)
+				}
+				if payload != nil {
+					if _, err := io.CopyBuffer(io.Discard, payload, work); err != nil {
+						b.Fatal(err)
+					}
+				}
+			}
+		}
+	})
+	return nil
 }
 
 // sizeLabel renders a byte count as a row-name suffix.
@@ -225,6 +284,9 @@ func runBaseline(out io.Writer, outPath string, quick bool, seed int64) error {
 			}
 		}
 	})
+	if err := measureCodec(doc, 4*size, seed); err != nil {
+		return err
+	}
 	doc.measure("diff/one-shot", vbytes, func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
 			if _, err := l.Diff(p.Ref, p.Version); err != nil {

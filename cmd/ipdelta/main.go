@@ -184,9 +184,9 @@ func cmdConvert(args []string) error {
 	if err != nil {
 		return err
 	}
-	fmt.Printf("wrote %s (%s, %s): %d copies, %d adds, %d edges, %d cycles broken, %d copies converted (%s)\n",
+	fmt.Printf("wrote %s (%s, %s): %d copies, %d adds, %d edges, %d cycles broken, %d components split, %d copies converted (%s)\n",
 		*outPath, stats.Bytes(n), format, st.Copies, st.Adds, st.Edges, st.CyclesBroken,
-		st.ConvertedCopies, stats.Bytes(st.ConvertedBytes))
+		st.SplitComponents, st.ConvertedCopies, stats.Bytes(st.ConvertedBytes))
 	if reg != nil {
 		fmt.Fprint(os.Stderr, reg.Snapshot().Text())
 	}
@@ -276,8 +276,14 @@ func cmdInfo(args []string) error {
 	case a.ReorderSufficient:
 		fmt.Printf("conversion:  permutation alone suffices (no data conversion needed)\n")
 	default:
-		fmt.Printf("conversion:  needs ≥%s as adds; locally-minimum would convert %s\n",
-			stats.Bytes(a.MinConversionBytes), stats.Bytes(a.LocallyMinimumBytes))
+		split := 0
+		for _, cs := range a.CycleSacrifices {
+			if cs.Split {
+				split++
+			}
+		}
+		fmt.Printf("conversion:  needs ≥%s as adds; converting (locally-minimum, %d of %d components split) moves %s\n",
+			stats.Bytes(a.MinConversionBytes), split, a.CyclicComponents, stats.Bytes(a.LocallyMinimumBytes))
 	}
 	return nil
 }

@@ -1,0 +1,89 @@
+package codec
+
+import (
+	"bytes"
+	"io"
+	"math/rand"
+	"testing"
+
+	"ipdelta/internal/delta"
+)
+
+// scatteredDelta builds an in-place shaped delta of n commands: record
+// copies listed in a shuffled (dependency-like) order, then the adds — the
+// shape the converter hands the compact encoder on every serving path.
+func scatteredDelta(n int) *delta.Delta {
+	rng := rand.New(rand.NewSource(17))
+	const rec = 128
+	d := &delta.Delta{RefLen: int64(n) * rec, VersionLen: int64(n) * rec}
+	var adds []delta.Command
+	for k := 0; k < n; k++ {
+		to := int64(k) * rec
+		if k%5 == 0 {
+			data := make([]byte, rec)
+			rng.Read(data)
+			adds = append(adds, delta.NewAdd(to, data))
+			continue
+		}
+		d.Commands = append(d.Commands, delta.NewCopy(rng.Int63n(d.RefLen-rec+1), to, rec))
+	}
+	rng.Shuffle(len(d.Commands), func(i, j int) { d.Commands[i], d.Commands[j] = d.Commands[j], d.Commands[i] })
+	d.Commands = append(d.Commands, adds...)
+	return d
+}
+
+// TestEncodeCompactAllocs is the allocation gate for compact encoding: the
+// writer, its buffer and the validator's spans are per call, but nothing
+// scales with the command count (each varint used to allocate through the
+// hash interface, and the body split copied both sections).
+func TestEncodeCompactAllocs(t *testing.T) {
+	d := scatteredDelta(4500)
+	var buf bytes.Buffer
+	allocs := testing.AllocsPerRun(20, func() {
+		buf.Reset()
+		if _, err := Encode(&buf, d, FormatCompact); err != nil {
+			t.Fatalf("encode: %v", err)
+		}
+	})
+	if allocs > 8 {
+		t.Fatalf("compact Encode of %d commands allocates %.1f times per call, want <= 8", len(d.Commands), allocs)
+	}
+}
+
+// TestDecodeStreamingAllocs is the allocation gate for the device's decode
+// path: streaming a whole compact delta through NextStreaming, payloads
+// included, costs the decoder's fixed set-up and nothing per command.
+func TestDecodeStreamingAllocs(t *testing.T) {
+	d := scatteredDelta(4500)
+	var enc bytes.Buffer
+	if _, err := Encode(&enc, d, FormatCompact); err != nil {
+		t.Fatal(err)
+	}
+	wire := enc.Bytes()
+	r := bytes.NewReader(wire)
+	work := make([]byte, 256)
+	allocs := testing.AllocsPerRun(20, func() {
+		r.Reset(wire)
+		dec, err := NewDecoder(r)
+		if err != nil {
+			t.Fatalf("decoder: %v", err)
+		}
+		for {
+			c, payload, err := dec.NextStreaming()
+			if err == io.EOF {
+				break
+			}
+			if err != nil {
+				t.Fatalf("next: %v", err)
+			}
+			if payload != nil {
+				if _, err := io.ReadFull(payload, work[:c.Length]); err != nil {
+					t.Fatalf("payload: %v", err)
+				}
+			}
+		}
+	})
+	if allocs > 8 {
+		t.Fatalf("streaming decode of %d commands allocates %.1f times per call, want <= 8", len(d.Commands), allocs)
+	}
+}

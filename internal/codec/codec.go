@@ -27,9 +27,9 @@
 package codec
 
 import (
-	"encoding/binary"
 	"errors"
 	"fmt"
+	"math/bits"
 )
 
 // Format identifies a delta wire format.
@@ -113,18 +113,13 @@ var (
 //
 //ipvet:allocfree
 func UvarintLen(v uint64) int {
-	n := 1
-	for v >= 0x80 {
-		v >>= 7
-		n++
-	}
-	return n
+	// Seven payload bits per byte; v|1 gives zero a one-byte length.
+	return (bits.Len64(v|1) + 6) / 7
 }
 
 // VarintLen returns the encoded size of v as a zig-zag signed varint.
 //
 //ipvet:allocfree
 func VarintLen(v int64) int {
-	var buf [binary.MaxVarintLen64]byte
-	return binary.PutVarint(buf[:], v)
+	return UvarintLen(uint64(v<<1) ^ uint64(v>>63)) // zig-zag, as binary.PutVarint
 }

@@ -2,6 +2,7 @@ package codec
 
 import (
 	"bytes"
+	"encoding/binary"
 	"errors"
 	"io"
 	"math/rand"
@@ -602,5 +603,63 @@ func TestOffsetsFormatRejectsScratchOpcodeOnWire(t *testing.T) {
 	raw[4] = byte(FormatOffsets)
 	if _, _, err := Decode(bytes.NewReader(raw)); err == nil {
 		t.Fatal("offsets decoder accepted scratch opcodes")
+	}
+}
+
+// TestSizeMatchesEncode holds the arithmetic Size to the bytes Encode
+// actually writes in the formats it sizes, on ordered deltas, permuted
+// in-place shaped deltas and scratch deltas, and checks that it refuses
+// the others.
+func TestSizeMatchesEncode(t *testing.T) {
+	rng := rand.New(rand.NewSource(5))
+	check := func(name string, d *delta.Delta, f Format) {
+		t.Helper()
+		got, err := Size(d, f)
+		if f != FormatCompact && f != FormatOffsets && f != FormatScratch {
+			if !errors.Is(err, ErrBadFormat) {
+				t.Fatalf("%s/%v: Size error %v, want ErrBadFormat", name, f, err)
+			}
+			return
+		}
+		var buf bytes.Buffer
+		want, wantErr := Encode(&buf, d, f)
+		if (wantErr == nil) != (err == nil) {
+			t.Fatalf("%s/%v: Size error %v, Encode error %v", name, f, err, wantErr)
+		}
+		if wantErr == nil && (got != want || got != int64(buf.Len())) {
+			t.Fatalf("%s/%v: Size = %d, Encode wrote %d", name, f, got, buf.Len())
+		}
+	}
+	for i := 0; i < 200; i++ {
+		d := randomOrderedDelta(rng, int64(rng.Intn(1<<20)))
+		for _, f := range allFormats {
+			check("ordered", d, f)
+		}
+		rng.Shuffle(len(d.Commands), func(a, b int) { d.Commands[a], d.Commands[b] = d.Commands[b], d.Commands[a] })
+		for _, f := range allFormats {
+			check("permuted", d, f)
+		}
+	}
+	for _, f := range allFormats {
+		check("scratch", scratchDelta(), f)
+		check("scattered", scatteredDelta(300), f)
+	}
+}
+
+// TestVarintLenMatchesBinary checks the closed-form lengths against
+// encoding/binary at every bit width, signed and unsigned.
+func TestVarintLenMatchesBinary(t *testing.T) {
+	var buf [binary.MaxVarintLen64]byte
+	for shift := 0; shift < 64; shift++ {
+		for _, u := range []uint64{1 << shift, 1<<shift - 1, 1<<shift + 1} {
+			if got, want := UvarintLen(u), binary.PutUvarint(buf[:], u); got != want {
+				t.Fatalf("UvarintLen(%d) = %d, binary writes %d", u, got, want)
+			}
+			for _, v := range []int64{int64(u), -int64(u)} {
+				if got, want := VarintLen(v), binary.PutVarint(buf[:], v); got != want {
+					t.Fatalf("VarintLen(%d) = %d, binary writes %d", v, got, want)
+				}
+			}
+		}
 	}
 }

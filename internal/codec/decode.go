@@ -4,7 +4,6 @@ import (
 	"bufio"
 	"encoding/binary"
 	"fmt"
-	"hash"
 	"hash/crc32"
 	"io"
 
@@ -37,6 +36,7 @@ type Decoder struct {
 	// streaming mode state (see NextStreaming).
 	streaming bool
 	pending   int64
+	payload   payloadReader
 	// compact-format section state
 	copiesLeft int
 	addsLeft   int
@@ -52,7 +52,7 @@ func NewDecoder(r io.Reader) (*Decoder, error) {
 	if m != magic {
 		return nil, ErrBadMagic
 	}
-	fb, err := cr.readByte()
+	fb, err := cr.ReadByte()
 	if err != nil {
 		return nil, fmt.Errorf("%w: %v", ErrTruncated, err)
 	}
@@ -166,7 +166,7 @@ func (d *Decoder) Next() (delta.Command, error) {
 
 // scratchCommand decodes one command of the scratch format.
 func (d *Decoder) scratchCommand() (delta.Command, error) {
-	op, err := d.r.readByte()
+	op, err := d.r.ReadByte()
 	if err != nil {
 		return delta.Command{}, fmt.Errorf("%w: opcode", ErrTruncated)
 	}
@@ -215,7 +215,7 @@ func (d *Decoder) scratchCommand() (delta.Command, error) {
 }
 
 func (d *Decoder) verify() error {
-	want := d.r.crc.Sum32()
+	want := d.r.sum()
 	var buf [4]byte
 	if err := d.r.readRaw(buf[:]); err != nil {
 		return fmt.Errorf("%w: checksum", ErrTruncated)
@@ -267,7 +267,7 @@ func min64(a, b int64) int64 {
 }
 
 func (d *Decoder) varintCommand(offsets bool) (delta.Command, error) {
-	op, err := d.r.readByte()
+	op, err := d.r.ReadByte()
 	if err != nil {
 		return delta.Command{}, fmt.Errorf("%w: opcode", ErrTruncated)
 	}
@@ -312,7 +312,7 @@ func (d *Decoder) varintCommand(offsets bool) (delta.Command, error) {
 }
 
 func (d *Decoder) legacyCommand(offsets bool) (delta.Command, error) {
-	op, err := d.r.readByte()
+	op, err := d.r.ReadByte()
 	if err != nil {
 		return delta.Command{}, fmt.Errorf("%w: opcode", ErrTruncated)
 	}
@@ -328,7 +328,7 @@ func (d *Decoder) legacyCommand(offsets bool) (delta.Command, error) {
 	}
 	switch op {
 	case legacyOpAdd:
-		l, err := d.r.readByte()
+		l, err := d.r.ReadByte()
 		if err != nil {
 			return delta.Command{}, fmt.Errorf("%w: add length", ErrTruncated)
 		}
@@ -473,31 +473,57 @@ func decode(r io.Reader) (*delta.Delta, Format, int64, error) {
 }
 
 // crcReader tracks the CRC32 and count of all bytes read through it.
+// Single bytes (opcodes, varint bytes) are staged in a fixed array and
+// hashed in bulk with crc32.Update, so the per-byte cost is a store
+// instead of a hash call; the stage is flushed before any bulk read and
+// before the checksum is compared, so the hash always covers exactly the
+// bytes read, in order. *crcReader is itself the io.ByteReader the varint
+// readers consume.
 type crcReader struct {
-	r   *bufio.Reader
-	crc hash.Hash32
-	n   int64
+	r     *bufio.Reader
+	crc   uint32
+	n     int64
+	stage [64]byte
+	ns    int // staged bytes not yet hashed
 }
 
 func newCRCReader(r io.Reader) *crcReader {
-	return &crcReader{r: bufio.NewReader(r), crc: crc32.NewIEEE()}
+	return &crcReader{r: bufio.NewReader(r)}
 }
 
-func (c *crcReader) readByte() (byte, error) {
+// ReadByte implements io.ByteReader, hashing the byte through the stage.
+func (c *crcReader) ReadByte() (byte, error) {
 	b, err := c.r.ReadByte()
 	if err != nil {
 		return 0, err
 	}
-	c.crc.Write([]byte{b})
+	if c.ns == len(c.stage) {
+		c.flush()
+	}
+	c.stage[c.ns] = b
+	c.ns++
 	c.n++
 	return b, nil
+}
+
+// flush hashes the staged bytes.
+func (c *crcReader) flush() {
+	c.crc = crc32.Update(c.crc, crc32.IEEETable, c.stage[:c.ns])
+	c.ns = 0
+}
+
+// sum returns the CRC32 of every hashed byte read so far.
+func (c *crcReader) sum() uint32 {
+	c.flush()
+	return c.crc
 }
 
 func (c *crcReader) readFull(p []byte) error {
 	if _, err := io.ReadFull(c.r, p); err != nil {
 		return err
 	}
-	c.crc.Write(p)
+	c.flush()
+	c.crc = crc32.Update(c.crc, crc32.IEEETable, p)
 	c.n += int64(len(p))
 	return nil
 }
@@ -509,13 +535,9 @@ func (c *crcReader) readRaw(p []byte) error {
 	return err
 }
 
-func (c *crcReader) readUvarint() (uint64, error) {
-	return binary.ReadUvarint(byteReaderFunc(c.readByte))
-}
+func (c *crcReader) readUvarint() (uint64, error) { return binary.ReadUvarint(c) }
 
-func (c *crcReader) readVarint() (int64, error) {
-	return binary.ReadVarint(byteReaderFunc(c.readByte))
-}
+func (c *crcReader) readVarint() (int64, error) { return binary.ReadVarint(c) }
 
 func (c *crcReader) readUint(width int) (uint64, error) {
 	var buf [8]byte
@@ -524,8 +546,3 @@ func (c *crcReader) readUint(width int) (uint64, error) {
 	}
 	return binary.BigEndian.Uint64(buf[:]), nil
 }
-
-// byteReaderFunc adapts a func to io.ByteReader for binary.ReadUvarint.
-type byteReaderFunc func() (byte, error)
-
-func (f byteReaderFunc) ReadByte() (byte, error) { return f() }

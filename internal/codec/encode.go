@@ -4,7 +4,6 @@ import (
 	"bufio"
 	"encoding/binary"
 	"fmt"
-	"hash"
 	"hash/crc32"
 	"io"
 
@@ -52,55 +51,47 @@ func EncodedSize(d *delta.Delta, f Format) (int64, error) {
 }
 
 // crcWriter counts bytes and maintains the running CRC32 of everything
-// written through it.
+// written through it. The CRC is a plain uint32 advanced with
+// crc32.Update, so hashing a write is a direct call rather than an
+// interface call that would force the caller's bytes onto the heap.
 type crcWriter struct {
 	w   *bufio.Writer
-	crc hash.Hash32
+	crc uint32
 	n   int64
+	// hdr stages one codeword's fixed fields so each command reaches the
+	// writer and the hash in a single call.
+	hdr [1 + 3*binary.MaxVarintLen64]byte
 }
 
 func newCRCWriter(w io.Writer) *crcWriter {
-	return &crcWriter{w: bufio.NewWriter(w), crc: crc32.NewIEEE()}
+	return &crcWriter{w: bufio.NewWriter(w)}
 }
 
 func (c *crcWriter) Write(p []byte) (int, error) {
 	n, err := c.w.Write(p)
-	c.crc.Write(p[:n])
+	c.crc = crc32.Update(c.crc, crc32.IEEETable, p[:n])
 	c.n += int64(n)
 	return n, err
 }
 
-func (c *crcWriter) writeByte(b byte) error {
-	_, err := c.Write([]byte{b})
+// fields starts a staged codeword: it returns the empty staging buffer
+// the per-format encoders append their fields to before one put.
+func (c *crcWriter) fields() []byte { return c.hdr[:0] }
+
+// put writes a staged codeword built on c.hdr.
+func (c *crcWriter) put(b []byte) error {
+	_, err := c.Write(b)
 	return err
 }
 
 func (c *crcWriter) writeUvarint(v uint64) error {
-	var buf [binary.MaxVarintLen64]byte
-	n := binary.PutUvarint(buf[:], v)
-	_, err := c.Write(buf[:n])
-	return err
-}
-
-func (c *crcWriter) writeVarint(v int64) error {
-	var buf [binary.MaxVarintLen64]byte
-	n := binary.PutVarint(buf[:], v)
-	_, err := c.Write(buf[:n])
-	return err
-}
-
-func (c *crcWriter) writeUint(v uint64, width int) error {
-	var buf [8]byte
-	binary.BigEndian.PutUint64(buf[:], v)
-	_, err := c.Write(buf[8-width:])
-	return err
+	return c.put(binary.AppendUvarint(c.fields(), v))
 }
 
 // finish appends the CRC (not hashed, of course) and flushes.
 func (c *crcWriter) finish() error {
-	var buf [4]byte
-	binary.BigEndian.PutUint32(buf[:], c.crc.Sum32())
-	n, err := c.w.Write(buf[:])
+	buf := binary.BigEndian.AppendUint32(c.fields(), c.crc)
+	n, err := c.w.Write(buf)
 	c.n += int64(n)
 	if err != nil {
 		return err
@@ -185,19 +176,11 @@ func prepareCommands(d *delta.Delta, f Format) ([]delta.Command, error) {
 }
 
 func (e *encoder) header(d *delta.Delta, f Format, ncmds int) error {
-	if _, err := e.w.Write(magic[:]); err != nil {
-		return err
-	}
-	if err := e.w.writeByte(byte(f)); err != nil {
-		return err
-	}
-	if err := e.w.writeUvarint(uint64(d.RefLen)); err != nil {
-		return err
-	}
-	if err := e.w.writeUvarint(uint64(d.VersionLen)); err != nil {
-		return err
-	}
-	return e.w.writeUvarint(uint64(ncmds))
+	b := append(e.w.fields(), magic[:]...)
+	b = append(b, byte(f))
+	b = binary.AppendUvarint(b, uint64(d.RefLen))
+	b = binary.AppendUvarint(b, uint64(d.VersionLen))
+	return e.w.put(binary.AppendUvarint(b, uint64(ncmds)))
 }
 
 func (e *encoder) command(c delta.Command, f Format) error {
@@ -213,70 +196,50 @@ func (e *encoder) command(c delta.Command, f Format) error {
 	}
 }
 
+// payload writes an add's literal bytes after its staged codeword.
+func (e *encoder) payload(c delta.Command) error {
+	if c.Op != delta.OpAdd {
+		return nil
+	}
+	_, err := e.w.Write(c.Data)
+	return err
+}
+
 // scratchCommand encodes one command of the scratch format: opcode, then
 // ⟨f,t,l⟩ for copies, ⟨t,l⟩+data for adds, ⟨f,l⟩ for stash, ⟨t,l⟩ for
 // unstash — all varints.
 func (e *encoder) scratchCommand(c delta.Command) error {
-	if err := e.w.writeByte(byte(c.Op)); err != nil {
-		return err
-	}
+	b := append(e.w.fields(), byte(c.Op))
 	switch c.Op {
-	case delta.OpCopy:
-		if err := e.w.writeUvarint(uint64(c.From)); err != nil {
-			return err
-		}
-		if err := e.w.writeUvarint(uint64(c.To)); err != nil {
-			return err
-		}
-		return e.w.writeUvarint(uint64(c.Length))
-	case delta.OpAdd:
-		if err := e.w.writeUvarint(uint64(c.To)); err != nil {
-			return err
-		}
-		if err := e.w.writeUvarint(uint64(c.Length)); err != nil {
-			return err
-		}
-		_, err := e.w.Write(c.Data)
-		return err
-	case delta.OpStash:
-		if err := e.w.writeUvarint(uint64(c.From)); err != nil {
-			return err
-		}
-		return e.w.writeUvarint(uint64(c.Length))
-	case delta.OpUnstash:
-		if err := e.w.writeUvarint(uint64(c.To)); err != nil {
-			return err
-		}
-		return e.w.writeUvarint(uint64(c.Length))
+	case delta.OpCopy, delta.OpStash:
+		b = binary.AppendUvarint(b, uint64(c.From))
+	case delta.OpAdd, delta.OpUnstash:
 	default:
 		return fmt.Errorf("scratch encode: %v", delta.ErrBadOp)
 	}
+	if c.Op != delta.OpStash {
+		b = binary.AppendUvarint(b, uint64(c.To))
+	}
+	if err := e.w.put(binary.AppendUvarint(b, uint64(c.Length))); err != nil {
+		return err
+	}
+	return e.payload(c)
 }
 
 // varintCommand encodes one command of the ordered/offsets formats:
 // opcode byte, then ⟨l⟩ / ⟨t,l⟩ for adds and ⟨f,l⟩ / ⟨f,t,l⟩ for copies.
 func (e *encoder) varintCommand(c delta.Command, offsets bool) error {
-	if err := e.w.writeByte(byte(c.Op)); err != nil {
-		return err
-	}
+	b := append(e.w.fields(), byte(c.Op))
 	if c.Op == delta.OpCopy {
-		if err := e.w.writeUvarint(uint64(c.From)); err != nil {
-			return err
-		}
+		b = binary.AppendUvarint(b, uint64(c.From))
 	}
 	if offsets {
-		if err := e.w.writeUvarint(uint64(c.To)); err != nil {
-			return err
-		}
+		b = binary.AppendUvarint(b, uint64(c.To))
 	}
-	if err := e.w.writeUvarint(uint64(c.Length)); err != nil {
+	if err := e.w.put(binary.AppendUvarint(b, uint64(c.Length))); err != nil {
 		return err
 	}
-	if c.Op == delta.OpAdd {
-		_, err := e.w.Write(c.Data)
-		return err
-	}
-	return nil
+	return e.payload(c)
 }
 
 // legacyCommand encodes one classic codeword. In the offsets variant every
@@ -284,12 +247,8 @@ func (e *encoder) varintCommand(c delta.Command, offsets bool) error {
 // the many short legacy adds become once in-place reconstruction forces
 // explicit offsets (§7).
 func (e *encoder) legacyCommand(c delta.Command, offsets bool) error {
-	writeOffset := func() error {
-		if !offsets {
-			return nil
-		}
-		return e.w.writeUint(uint64(c.To), 8)
-	}
+	op := byte(legacyOpAdd)
+	fw, lw := 0, 1
 	switch c.Op {
 	case delta.OpAdd:
 		// Long adds are split into <=255-byte codewords before reaching
@@ -297,94 +256,66 @@ func (e *encoder) legacyCommand(c delta.Command, offsets bool) error {
 		if c.Length > legacyMaxAdd {
 			return fmt.Errorf("codec: legacy add length %d exceeds %d", c.Length, legacyMaxAdd)
 		}
-		if err := e.w.writeByte(legacyOpAdd); err != nil {
-			return err
-		}
-		if err := writeOffset(); err != nil {
-			return err
-		}
-		if err := e.w.writeByte(byte(c.Length)); err != nil {
-			return err
-		}
-		_, err := e.w.Write(c.Data)
-		return err
 	case delta.OpCopy:
 		switch {
 		case c.From <= 0xFFFF && c.Length <= 0xFF:
-			if err := e.w.writeByte(legacyOpCopyShort); err != nil {
-				return err
-			}
-			if err := writeOffset(); err != nil {
-				return err
-			}
-			if err := e.w.writeUint(uint64(c.From), 2); err != nil {
-				return err
-			}
-			return e.w.writeUint(uint64(c.Length), 1)
+			op, fw, lw = legacyOpCopyShort, 2, 1
 		case c.From <= 0xFFFFFFFF && c.Length <= 0xFFFF:
-			if err := e.w.writeByte(legacyOpCopyMed); err != nil {
-				return err
-			}
-			if err := writeOffset(); err != nil {
-				return err
-			}
-			if err := e.w.writeUint(uint64(c.From), 4); err != nil {
-				return err
-			}
-			return e.w.writeUint(uint64(c.Length), 2)
+			op, fw, lw = legacyOpCopyMed, 4, 2
 		default:
-			if err := e.w.writeByte(legacyOpCopyLong); err != nil {
-				return err
-			}
-			if err := writeOffset(); err != nil {
-				return err
-			}
-			if err := e.w.writeUint(uint64(c.From), 8); err != nil {
-				return err
-			}
-			return e.w.writeUint(uint64(c.Length), 4)
+			op, fw, lw = legacyOpCopyLong, 8, 4
 		}
 	default:
 		return fmt.Errorf("legacy encode: %v", delta.ErrBadOp)
 	}
+	b := append(e.w.fields(), op)
+	if offsets {
+		b = appendBigEndian(b, uint64(c.To), 8)
+	}
+	if fw > 0 {
+		b = appendBigEndian(b, uint64(c.From), fw)
+	}
+	if err := e.w.put(appendBigEndian(b, uint64(c.Length), lw)); err != nil {
+		return err
+	}
+	return e.payload(c)
 }
 
 // compactBody encodes the redesigned in-place format: a copy section in
 // application order with the from-offset expressed as a displacement from
 // the write offset, then an add section whose write offsets are
-// delta-encoded from the end of the previous add.
+// delta-encoded from the end of the previous add. Both sections are
+// written by walking cmds twice, so encoding allocates nothing per call.
 func (e *encoder) compactBody(cmds []delta.Command) error {
-	var copies, adds []delta.Command
+	copies := 0
 	for _, c := range cmds {
 		if c.Op == delta.OpCopy {
-			copies = append(copies, c)
-		} else {
-			adds = append(adds, c)
+			copies++
 		}
 	}
-	if err := e.w.writeUvarint(uint64(len(copies))); err != nil {
+	if err := e.w.writeUvarint(uint64(copies)); err != nil {
 		return err
 	}
-	for _, c := range copies {
-		if err := e.w.writeUvarint(uint64(c.To)); err != nil {
-			return err
+	for _, c := range cmds {
+		if c.Op != delta.OpCopy {
+			continue
 		}
-		if err := e.w.writeUvarint(uint64(c.Length)); err != nil {
-			return err
-		}
-		if err := e.w.writeVarint(c.From - c.To); err != nil {
+		b := binary.AppendUvarint(e.w.fields(), uint64(c.To))
+		b = binary.AppendUvarint(b, uint64(c.Length))
+		if err := e.w.put(binary.AppendVarint(b, c.From-c.To)); err != nil {
 			return err
 		}
 	}
-	if err := e.w.writeUvarint(uint64(len(adds))); err != nil {
+	if err := e.w.writeUvarint(uint64(len(cmds) - copies)); err != nil {
 		return err
 	}
 	prevEnd := int64(0)
-	for _, c := range adds {
-		if err := e.w.writeVarint(c.To - prevEnd); err != nil {
-			return err
+	for _, c := range cmds {
+		if c.Op == delta.OpCopy {
+			continue
 		}
-		if err := e.w.writeUvarint(uint64(c.Length)); err != nil {
+		b := binary.AppendVarint(e.w.fields(), c.To-prevEnd)
+		if err := e.w.put(binary.AppendUvarint(b, uint64(c.Length))); err != nil {
 			return err
 		}
 		if _, err := e.w.Write(c.Data); err != nil {
@@ -393,4 +324,11 @@ func (e *encoder) compactBody(cmds []delta.Command) error {
 		prevEnd = c.To + c.Length
 	}
 	return nil
+}
+
+// appendBigEndian appends the low width bytes of v, most significant first.
+func appendBigEndian(b []byte, v uint64, width int) []byte {
+	var buf [8]byte
+	binary.BigEndian.PutUint64(buf[:], v)
+	return append(b, buf[8-width:]...)
 }

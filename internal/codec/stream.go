@@ -28,12 +28,14 @@ func (d *Decoder) NextStreaming() (delta.Command, io.Reader, error) {
 	}
 	if c.Op == delta.OpAdd {
 		d.pending = c.Length
-		return c, &payloadReader{d: d}, nil
+		d.payload.d = d
+		return c, &d.payload, nil
 	}
 	return c, nil, nil
 }
 
 // payloadReader streams the pending add payload through the decoder's CRC.
+// Each Decoder embeds one, handed out by every NextStreaming call.
 type payloadReader struct {
 	d *Decoder
 }

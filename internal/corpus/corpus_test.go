@@ -162,3 +162,24 @@ func TestDatabaseProfile(t *testing.T) {
 		t.Fatal("round trip failed")
 	}
 }
+
+func TestRecordChain(t *testing.T) {
+	chain := RecordChain(3, 64<<10, 4)
+	if len(chain) != 4 {
+		t.Fatalf("%d releases, want 4", len(chain))
+	}
+	for k, img := range chain {
+		if len(img)%recordSize != 0 || len(img) < 48<<10 {
+			t.Fatalf("release %d: %d bytes, not a plausible record image", k, len(img))
+		}
+	}
+	again := RecordChain(3, 64<<10, 4)
+	for k := range chain {
+		if !bytes.Equal(chain[k], again[k]) {
+			t.Fatalf("release %d differs between runs with one seed", k)
+		}
+	}
+	if bytes.Equal(chain[0], chain[1]) {
+		t.Fatal("a release did not change the image")
+	}
+}

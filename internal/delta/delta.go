@@ -18,8 +18,10 @@ package delta
 
 import (
 	"bytes"
+	"cmp"
 	"errors"
 	"fmt"
+	"slices"
 
 	"ipdelta/internal/interval"
 )
@@ -228,35 +230,119 @@ func (d *Delta) Validate() error {
 	return v.Validate(d)
 }
 
-// Validator runs delta validation over a reusable interval set, so a
-// steady-state pipeline (one converter validating every incoming delta)
-// performs no per-call allocations. The zero value is ready for use; a
-// Validator must not be used concurrently. Validate on a Validator checks
-// exactly what (*Delta).Validate checks.
+// Validator runs delta validation over reusable scratch, so a steady-state
+// pipeline (one converter validating every incoming delta) performs no
+// per-call allocations. The zero value is ready for use; a Validator must
+// not be used concurrently. Validate on a Validator checks exactly what
+// (*Delta).Validate checks and reports the same error.
+//
+// The write intervals are collected as spans, sorted only when they arrive
+// out of order (an in-place delta lists its copies in dependency order),
+// and checked to tile [0, VersionLen): O(n log n) where inserting each
+// interval into a sorted set cost O(n) per command.
 type Validator struct {
-	written interval.Set
+	spans, prefix []writeSpan
+}
+
+// writeSpan is one command's write interval [lo, hi) and its position.
+type writeSpan struct {
+	lo, hi int64
+	index  int
 }
 
 // Validate implements (*Delta).Validate over the validator's scratch.
 func (v *Validator) Validate(d *Delta) error {
-	v.written.Reset()
+	// The first error in command order wins: a command that fails its own
+	// checks is reported unless an earlier command's write already
+	// overlapped a write before it.
+	bad := len(d.Commands)
+	var badErr error
+	if cap(v.spans) < len(d.Commands) {
+		v.spans = make([]writeSpan, 0, len(d.Commands))
+	}
+	v.spans = v.spans[:0]
 	for k, c := range d.Commands {
 		if err := d.validateCommand(c); err != nil {
-			return &ValidationError{Index: k, Cmd: c, Cause: err}
+			bad, badErr = k, err
+			break
 		}
-		w := c.WriteInterval()
-		if v.written.Overlaps(w) {
-			return &ValidationError{Index: k, Cmd: c, Cause: ErrOverlap}
+		if c.Op != OpStash { // stash writes only to scratch
+			v.spans = append(v.spans, writeSpan{lo: c.To, hi: c.To + c.Length, index: k})
 		}
-		v.written.Add(w)
 	}
-	if v.written.Total() != d.VersionLen {
-		return &ValidationError{Index: -1, Cause: ErrCoverage}
+	sortSpans(v.spans)
+	if !disjoint(v.spans) {
+		k := v.firstOverlap()
+		return &ValidationError{Index: k, Cmd: d.Commands[k], Cause: ErrOverlap}
 	}
-	if d.VersionLen > 0 && !v.written.ContainsInterval(interval.FromRange(0, d.VersionLen)) {
+	if badErr != nil {
+		return &ValidationError{Index: bad, Cmd: d.Commands[bad], Cause: badErr}
+	}
+	// Disjoint, in-bounds spans cover [0, VersionLen) exactly when they
+	// abut end to end from 0.
+	var at int64
+	for _, sp := range v.spans {
+		if sp.lo != at {
+			return &ValidationError{Index: -1, Cause: ErrCoverage}
+		}
+		at = sp.hi
+	}
+	if at != d.VersionLen {
 		return &ValidationError{Index: -1, Cause: ErrCoverage}
 	}
 	return d.validateScratch()
+}
+
+// sortSpans orders spans by start, skipping the sort when they already are.
+func sortSpans(spans []writeSpan) {
+	for i := 1; i < len(spans); i++ {
+		if spans[i].lo < spans[i-1].lo {
+			slices.SortFunc(spans, func(a, b writeSpan) int { return cmp.Compare(a.lo, b.lo) })
+			return
+		}
+	}
+}
+
+// disjoint reports whether start-sorted spans are pairwise disjoint: with
+// no overlap so far, the furthest end is the previous span's.
+func disjoint(spans []writeSpan) bool {
+	for i := 1; i < len(spans); i++ {
+		if spans[i].lo < spans[i-1].hi {
+			return false
+		}
+	}
+	return true
+}
+
+// firstOverlap returns the smallest command index k whose write overlaps
+// the write of some command before it — the command an in-order check
+// reports. Whether commands [0, k] overlap is monotone in k, so a binary
+// search over prefixes finds it in O(n log² n); it runs only on the
+// error path.
+func (v *Validator) firstOverlap() int {
+	overlaps := func(k int) bool {
+		v.prefix = v.prefix[:0]
+		for _, sp := range v.spans {
+			if sp.index <= k {
+				v.prefix = append(v.prefix, sp)
+			}
+		}
+		sortSpans(v.prefix)
+		return !disjoint(v.prefix)
+	}
+	lo, hi := 0, 0
+	for _, sp := range v.spans {
+		hi = max(hi, sp.index)
+	}
+	for lo < hi {
+		mid := lo + (hi-lo)/2
+		if overlaps(mid) {
+			hi = mid
+		} else {
+			lo = mid + 1
+		}
+	}
+	return lo
 }
 
 func (d *Delta) validateCommand(c Command) error {

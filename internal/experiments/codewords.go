@@ -30,7 +30,8 @@ type CodewordResult struct {
 	VersionBytes int64
 }
 
-// RunCodewords encodes the corpus deltas in every format.
+// RunCodewords encodes the corpus deltas in every format; the in-place
+// rows encode the paper's conversion (inplace.StrategyDFS).
 func RunCodewords(pairs []corpus.Pair, algo diff.Algorithm) (*CodewordResult, error) {
 	formats := []codec.Format{
 		codec.FormatLegacyOrdered,
@@ -46,7 +47,7 @@ func RunCodewords(pairs []corpus.Pair, algo diff.Algorithm) (*CodewordResult, er
 		if err != nil {
 			return nil, err
 		}
-		ip, _, err := inplace.Convert(d, p.Ref)
+		ip, _, err := inplace.Convert(d, p.Ref, inplace.WithStrategy(inplace.StrategyDFS))
 		if err != nil {
 			return nil, err
 		}

@@ -53,6 +53,33 @@ func TestRunTable1(t *testing.T) {
 	}
 }
 
+// TestRunTable1Split checks the split row reported next to the paper's
+// Table 1: splitting never loses compression against the paper's
+// locally-minimum conversion, and its losses decompose like the paper's.
+func TestRunTable1Split(t *testing.T) {
+	res, err := RunTable1(testCorpus(t), diff.NewLinear())
+	if err != nil {
+		t.Fatal(err)
+	}
+	offsets, lm, split := res.Rows[1], res.Rows[2], res.Split
+	if split.Compression > lm.Compression {
+		t.Errorf("split (%.4f) worse than locally-minimum (%.4f)", split.Compression, lm.Compression)
+	}
+	if split.Compression < offsets.Compression {
+		t.Errorf("split (%.4f) better than the unconverted offsets delta (%.4f)", split.Compression, offsets.Compression)
+	}
+	if d := split.EncodingLoss + split.CycleLoss - split.TotalLoss; d > 1e-9 || d < -1e-9 {
+		t.Errorf("split losses do not sum: %f + %f != %f", split.EncodingLoss, split.CycleLoss, split.TotalLoss)
+	}
+	var sb strings.Builder
+	if err := res.Render(&sb); err != nil {
+		t.Fatal(err)
+	}
+	if !strings.Contains(sb.String(), "split at conflict boundaries") {
+		t.Fatalf("render output lacks the split row:\n%s", sb.String())
+	}
+}
+
 func TestRunTiming(t *testing.T) {
 	res, err := RunTiming(testCorpus(t), diff.NewLinear())
 	if err != nil {

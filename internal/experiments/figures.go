@@ -23,7 +23,8 @@ type Fig2Row struct {
 }
 
 // Fig2Result drives the Figure 2 adversarial construction end to end: the
-// delta is built as real commands, converted under both policies, and the
+// delta is built as real commands, converted under both policies of the
+// paper's algorithm (inplace.StrategyDFS), and the
 // bytes converted to adds are compared against the optimal (root-only)
 // deletion.
 type Fig2Result struct {
@@ -40,11 +41,11 @@ func RunFig2(depths []int, leafLen int) (*Fig2Result, error) {
 		rng := rand.New(rand.NewSource(int64(depth)))
 		rng.Read(ref)
 
-		_, lm, err := inplace.Convert(d, ref, inplace.WithPolicy(graph.LocallyMinimum{}))
+		_, lm, err := inplace.Convert(d, ref, inplace.WithStrategy(inplace.StrategyDFS), inplace.WithPolicy(graph.LocallyMinimum{}))
 		if err != nil {
 			return nil, fmt.Errorf("fig2 depth %d: %w", depth, err)
 		}
-		_, ct, err := inplace.Convert(d, ref, inplace.WithPolicy(graph.ConstantTime{}))
+		_, ct, err := inplace.Convert(d, ref, inplace.WithStrategy(inplace.StrategyDFS), inplace.WithPolicy(graph.ConstantTime{}))
 		if err != nil {
 			return nil, fmt.Errorf("fig2 depth %d: %w", depth, err)
 		}

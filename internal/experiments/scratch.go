@@ -37,7 +37,8 @@ type ScratchResult struct {
 	VersionBytes int64
 }
 
-// RunScratch sweeps scratch budgets over the corpus.
+// RunScratch sweeps scratch budgets over the corpus, on the paper's
+// whole-copy conversion (inplace.StrategyDFS) so budget 0 is the paper.
 func RunScratch(pairs []corpus.Pair, algo diff.Algorithm, budgets []float64) (*ScratchResult, error) {
 	res := &ScratchResult{}
 	for _, p := range pairs {
@@ -51,7 +52,7 @@ func RunScratch(pairs []corpus.Pair, algo diff.Algorithm, budgets []float64) (*S
 				return nil, err
 			}
 			budget := int64(float64(len(p.Version)) * b)
-			ip, st, err := inplace.Convert(d, p.Ref, inplace.WithScratchBudget(budget))
+			ip, st, err := inplace.Convert(d, p.Ref, inplace.WithStrategy(inplace.StrategyDFS), inplace.WithScratchBudget(budget))
 			if err != nil {
 				return nil, fmt.Errorf("scratch %s @%.3f: %w", p.Name, b, err)
 			}

@@ -13,7 +13,7 @@ func TestRunStrategies(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(res.Rows) != 3 {
+	if len(res.Rows) != 4 {
 		t.Fatalf("%d rows", len(res.Rows))
 	}
 	byName := map[string]StrategyRow{}
@@ -36,6 +36,15 @@ func TestRunStrategies(t *testing.T) {
 	// On the corpus, LM must not be worse than CT overall.
 	if lm.CorpusBytes > ct.CorpusBytes {
 		t.Errorf("LM corpus bytes %d worse than CT %d", lm.CorpusBytes, ct.CorpusBytes)
+	}
+	// Splitting at conflict boundaries converts fewer bytes than the
+	// paper's locally-minimum resolution on the corpus and on the tree.
+	split := byName["split/locally-minimum"]
+	if split.CorpusBytes > lm.CorpusBytes {
+		t.Errorf("split corpus bytes %d worse than LM %d", split.CorpusBytes, lm.CorpusBytes)
+	}
+	if split.TreeBytes >= lm.TreeBytes {
+		t.Errorf("split tree bytes %d not better than LM %d", split.TreeBytes, lm.TreeBytes)
 	}
 
 	var sb strings.Builder

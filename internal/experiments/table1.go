@@ -42,14 +42,23 @@ type Table1Result struct {
 	ConvertedCT int
 	// CyclesLM counts cycles broken under the locally-minimum policy.
 	CyclesLM int
+	// Split is the extension beyond the paper's four variants: the
+	// default conversion, which splits copies at conflict boundaries
+	// (inplace.StrategySplit, locally-minimum policy). It is kept out of
+	// Rows so Rows stays the paper's Table 1.
+	Split Table1Row
+	// ConvertedSplit counts the adds the split conversion made from copy
+	// data (whole copies or runs of pieces).
+	ConvertedSplit int
 }
 
 // RunTable1 measures the four delta variants of Table 1 over the corpus:
 // the ordered delta without write offsets, the same commands with explicit
 // write offsets, and the in-place converted delta under each cycle-breaking
-// policy.
+// policy of the paper's algorithm (inplace.StrategyDFS). It also measures
+// the default split conversion, reported apart from the paper's rows.
 func RunTable1(pairs []corpus.Pair, algo diff.Algorithm) (*Table1Result, error) {
-	var versionBytes, ordered, offsets, lm, ct int64
+	var versionBytes, ordered, offsets, lm, ct, split int64
 	res := &Table1Result{Pairs: len(pairs)}
 	for _, p := range pairs {
 		d, err := algo.Diff(p.Ref, p.Version)
@@ -64,7 +73,7 @@ func RunTable1(pairs []corpus.Pair, algo diff.Algorithm) (*Table1Result, error) 
 		if err != nil {
 			return nil, err
 		}
-		ipLM, stLM, err := inplace.Convert(d, p.Ref, inplace.WithPolicy(graph.LocallyMinimum{}))
+		ipLM, stLM, err := inplace.Convert(d, p.Ref, inplace.WithStrategy(inplace.StrategyDFS), inplace.WithPolicy(graph.LocallyMinimum{}))
 		if err != nil {
 			return nil, err
 		}
@@ -72,11 +81,19 @@ func RunTable1(pairs []corpus.Pair, algo diff.Algorithm) (*Table1Result, error) 
 		if err != nil {
 			return nil, err
 		}
-		ipCT, stCT, err := inplace.Convert(d, p.Ref, inplace.WithPolicy(graph.ConstantTime{}))
+		ipCT, stCT, err := inplace.Convert(d, p.Ref, inplace.WithStrategy(inplace.StrategyDFS), inplace.WithPolicy(graph.ConstantTime{}))
 		if err != nil {
 			return nil, err
 		}
 		sCT, err := codec.EncodedSize(ipCT, codec.FormatOffsets)
+		if err != nil {
+			return nil, err
+		}
+		ipSplit, stSplit, err := inplace.Convert(d, p.Ref, inplace.WithPolicy(graph.LocallyMinimum{}))
+		if err != nil {
+			return nil, err
+		}
+		sSplit, err := codec.EncodedSize(ipSplit, codec.FormatOffsets)
 		if err != nil {
 			return nil, err
 		}
@@ -85,6 +102,8 @@ func RunTable1(pairs []corpus.Pair, algo diff.Algorithm) (*Table1Result, error) 
 		offsets += sw
 		lm += sLM
 		ct += sCT
+		split += sSplit
+		res.ConvertedSplit += stSplit.ConvertedCopies
 		res.ConvertedLM += stLM.ConvertedCopies
 		res.ConvertedCT += stCT.ConvertedCopies
 		res.CyclesLM += stLM.CyclesBroken
@@ -118,6 +137,14 @@ func RunTable1(pairs []corpus.Pair, algo diff.Algorithm) (*Table1Result, error) 
 			TotalLoss:    cCT - cOrdered,
 		},
 	}
+	cSplit := compression(split)
+	res.Split = Table1Row{
+		Variant:      "in-place (split at conflict boundaries, extension)",
+		Compression:  cSplit,
+		EncodingLoss: cOffsets - cOrdered,
+		CycleLoss:    cSplit - cOffsets,
+		TotalLoss:    cSplit - cOrdered,
+	}
 	return res, nil
 }
 
@@ -128,7 +155,7 @@ func (r *Table1Result) Render(w io.Writer) error {
 			r.Pairs, stats.Bytes(r.VersionBytes)),
 		Headers: []string{"variant", "compression", "encoding loss", "loss from cycles", "total loss"},
 	}
-	for _, row := range r.Rows {
+	for _, row := range append(r.Rows[:len(r.Rows):len(r.Rows)], r.Split) {
 		enc, cyc, tot := "", "", ""
 		if row.TotalLoss != 0 {
 			enc = stats.Pct(row.EncodingLoss)
@@ -142,7 +169,7 @@ func (r *Table1Result) Render(w io.Writer) error {
 	if err := t.Render(w); err != nil {
 		return err
 	}
-	_, err := fmt.Fprintf(w, "copies converted: locally-minimum %d, constant-time %d; cycles broken: %d\n",
-		r.ConvertedLM, r.ConvertedCT, r.CyclesLM)
+	_, err := fmt.Fprintf(w, "copies converted: locally-minimum %d, constant-time %d, split %d; cycles broken: %d\n",
+		r.ConvertedLM, r.ConvertedCT, r.ConvertedSplit, r.CyclesLM)
 	return err
 }

@@ -31,8 +31,8 @@ type TimingResult struct {
 	AdversarialCT time.Duration
 }
 
-// RunTiming measures differencing time against in-place conversion time
-// per corpus pair.
+// RunTiming measures differencing time against the paper's in-place
+// conversion (inplace.StrategyDFS) time per corpus pair.
 func RunTiming(pairs []corpus.Pair, algo diff.Algorithm) (*TimingResult, error) {
 	res := &TimingResult{Pairs: len(pairs)}
 	var ratioLM, ratioCT stats.Aggregate
@@ -45,13 +45,13 @@ func RunTiming(pairs []corpus.Pair, algo diff.Algorithm) (*TimingResult, error) 
 		diffTime := time.Since(start)
 
 		start = time.Now()
-		if _, _, err := inplace.Convert(d, p.Ref, inplace.WithPolicy(graph.LocallyMinimum{})); err != nil {
+		if _, _, err := inplace.Convert(d, p.Ref, inplace.WithStrategy(inplace.StrategyDFS), inplace.WithPolicy(graph.LocallyMinimum{})); err != nil {
 			return nil, err
 		}
 		lmTime := time.Since(start)
 
 		start = time.Now()
-		if _, _, err := inplace.Convert(d, p.Ref, inplace.WithPolicy(graph.ConstantTime{})); err != nil {
+		if _, _, err := inplace.Convert(d, p.Ref, inplace.WithStrategy(inplace.StrategyDFS), inplace.WithPolicy(graph.ConstantTime{})); err != nil {
 			return nil, err
 		}
 		ctTime := time.Since(start)
@@ -74,12 +74,12 @@ func RunTiming(pairs []corpus.Pair, algo diff.Algorithm) (*TimingResult, error) 
 	tree := inplace.AdversarialDelta(12, 32)
 	ref := make([]byte, tree.RefLen)
 	start := time.Now()
-	if _, _, err := inplace.Convert(tree, ref, inplace.WithPolicy(graph.LocallyMinimum{})); err != nil {
+	if _, _, err := inplace.Convert(tree, ref, inplace.WithStrategy(inplace.StrategyDFS), inplace.WithPolicy(graph.LocallyMinimum{})); err != nil {
 		return nil, err
 	}
 	res.AdversarialLM = time.Since(start)
 	start = time.Now()
-	if _, _, err := inplace.Convert(tree, ref, inplace.WithPolicy(graph.ConstantTime{})); err != nil {
+	if _, _, err := inplace.Convert(tree, ref, inplace.WithStrategy(inplace.StrategyDFS), inplace.WithPolicy(graph.ConstantTime{})); err != nil {
 		return nil, err
 	}
 	res.AdversarialCT = time.Since(start)

@@ -144,6 +144,14 @@ func growInt32(s []int32, n int) []int32 {
 	return s
 }
 
+// reserve returns s emptied, with capacity for at least n elements.
+func reserve[T any](s []T, n int) []T {
+	if cap(s) < n {
+		return make([]T, 0, n)
+	}
+	return s[:0]
+}
+
 // growBytes returns s resized to n elements, all zero, reusing capacity.
 func growBytes(s []byte, n int) []byte {
 	if cap(s) < n {

@@ -27,10 +27,10 @@ func (s *SCCScratch) Components(g Graph) (verts, offs []int32) {
 	s.index = growInt32(s.index, n)
 	s.lowlink = growInt32(s.lowlink, n)
 	s.onStack = growBools(s.onStack, n)
-	s.stack = s.stack[:0]
-	s.dfs = s.dfs[:0]
-	s.verts = s.verts[:0]
-	s.offs = append(s.offs[:0], 0)
+	s.stack = reserve(s.stack, n)
+	s.dfs = reserve(s.dfs, n)
+	s.verts = reserve(s.verts, n)
+	s.offs = append(reserve(s.offs, n+1), 0)
 	for k := range s.index {
 		s.index[k] = unvisited
 	}

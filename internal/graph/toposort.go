@@ -8,6 +8,9 @@ type SortResult struct {
 	// Removed lists the vertices deleted to break cycles, in deletion
 	// order.
 	Removed []int
+	// CycleLens[k] is the length of the cycle whose break deleted
+	// Removed[k]; the lengths sum to CycleVertices.
+	CycleLens []int
 	// CyclesBroken counts the cycles encountered.
 	CyclesBroken int
 	// CycleVertices sums the lengths of the cycles examined; for the
@@ -65,9 +68,11 @@ func TopoSort(g Graph, cost CostFunc, policy Policy) *SortResult {
 func (ts *TopoScratch) Sort(g Graph, cost CostFunc, policy Policy) *SortResult {
 	n := g.NumVertices()
 	ts.color = growBytes(ts.color, n)
-	ts.stack = ts.stack[:0]
-	ts.postorder = ts.postorder[:0]
-	ts.res = SortResult{Order: ts.res.Order[:0], Removed: ts.res.Removed[:0]}
+	// Paths, the postorder and the order hold at most n vertices: reserve
+	// them once rather than growing them append by append.
+	ts.stack = reserve(ts.stack, n)
+	ts.postorder = reserve(ts.postorder, n)
+	ts.res = SortResult{Order: reserve(ts.res.Order, n), Removed: ts.res.Removed[:0], CycleLens: ts.res.CycleLens[:0]}
 	color, res := ts.color, &ts.res
 
 	push := func(v int32) {
@@ -109,6 +114,7 @@ func (ts *TopoScratch) Sort(g Graph, cost CostFunc, policy Policy) *SortResult {
 				res.CycleVertices += len(ts.cycle)
 				victim := policy.SelectVictim(ts.cycle, cost)
 				res.Removed = append(res.Removed, victim)
+				res.CycleLens = append(res.CycleLens, len(ts.cycle))
 				res.RemovedCost += cost(victim)
 				color[victim] = deleted
 

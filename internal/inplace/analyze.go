@@ -1,12 +1,10 @@
 package inplace
 
 import (
+	"errors"
 	"fmt"
-	"slices"
 
-	"ipdelta/internal/codec"
 	"ipdelta/internal/delta"
-	"ipdelta/internal/graph"
 )
 
 // Analysis describes the in-place structure of a delta without converting
@@ -29,14 +27,13 @@ type Analysis struct {
 	// AlreadySafe reports whether the delta, in its current order,
 	// satisfies Equation 2 (safe to apply in place as-is).
 	AlreadySafe bool
-	// ReorderSufficient reports whether a permutation alone (no copy→add
-	// conversions) can make the delta in-place safe, i.e. the CRWI digraph
-	// is acyclic.
+	// ReorderSufficient reports whether the default conversion needs no
+	// copy→add conversion: the CRWI digraph is acyclic, or cutting copies
+	// at conflict boundaries untangles every cycle, so a permutation (of
+	// copies, or of their pieces) makes the delta in-place safe.
 	ReorderSufficient bool
-	// MinConversionBytes lower-bounds the literal bytes conversion must
-	// move into the delta: for each cyclic component, the smallest copy in
-	// it (every feedback vertex set takes at least one vertex per cyclic
-	// component).
+	// MinConversionBytes lower-bounds the literal bytes the conversion
+	// moves into the delta: the sum of CycleSacrifice.MinBytes.
 	MinConversionBytes int64
 	// CensusPolicy names the cycle-breaking policy the cycle census below
 	// assumes (always "locally-minimum"; constant-time depends on DFS
@@ -45,100 +42,78 @@ type Analysis struct {
 	// ipdelta_convert_cycles_broken_total{policy="..."}, so Analyze and a
 	// live registry count the same thing.
 	CensusPolicy string
-	// LocallyMinimumBytes is what the CensusPolicy would actually convert,
-	// summed over every cycle.
+	// LocallyMinimumBytes is what the default conversion (StrategySplit
+	// under CensusPolicy) actually converts, summed over every cycle.
 	LocallyMinimumBytes int64
 	// CycleSacrifices reports, per cyclic component, what breaking its
-	// cycles under CensusPolicy sacrifices — the per-cycle totals behind
-	// MinConversionBytes and LocallyMinimumBytes.
+	// cycles sacrifices — the per-cycle totals behind MinConversionBytes
+	// and LocallyMinimumBytes.
 	CycleSacrifices []CycleSacrifice
 }
 
 // CycleSacrifice is the conversion cost census of one cyclic strongly
-// connected component under Analysis.CensusPolicy.
+// connected component under the default conversion.
 type CycleSacrifice struct {
 	// Vertices is the component's size (≥ 2).
 	Vertices int
-	// MinBytes is the smallest copy in the component — the lower bound
-	// any feedback vertex set pays here.
+	// MinBytes is the least either resolution of the component converts:
+	// its smallest copy (what any whole-copy feedback vertex set pays at
+	// least), or less when splitting at conflict boundaries resolves it
+	// with fewer bytes.
 	MinBytes int64
-	// SacrificedBytes is the literal bytes the census policy actually
-	// converts to adds in this component (0 when a permutation already
-	// untangles it, which cannot happen for a true cyclic component).
+	// SacrificedBytes is the literal bytes the conversion actually
+	// converts to adds in this component.
 	SacrificedBytes int64
-	// SacrificedCopies counts the copies the census policy deletes in
-	// this component.
+	// SacrificedCopies counts the add commands the conversion makes from
+	// copy data in this component (whole copies, or runs of pieces).
 	SacrificedCopies int
+	// Split reports whether the component is resolved by splitting its
+	// copies at conflict boundaries rather than by the paper's whole-copy
+	// resolution.
+	Split bool
 }
 
 // Analyze inspects d and reports its in-place structure. The cycle
-// census (CyclesBroken projections, LocallyMinimumBytes, and the
-// per-component CycleSacrifices) assumes the locally-minimum policy — the
-// paper's recommended default and this module's — which Analysis records
-// in CensusPolicy; a conversion run under a different policy or strategy
-// may sacrifice different copies.
+// census (LocallyMinimumBytes and the per-component CycleSacrifices) is
+// computed by the same resolution Convert runs by default — conflict-
+// boundary splitting under the locally-minimum policy — so it ties out
+// to that conversion's Stats; a conversion with a different policy or
+// strategy may sacrifice different copies.
 func Analyze(d *delta.Delta) (*Analysis, error) {
-	if err := d.Validate(); err != nil {
-		return nil, fmt.Errorf("analyze: %w", err)
+	var cv Converter
+	cv.init()
+	if _, err := cv.resolve(d); err != nil {
+		return nil, fmt.Errorf("analyze: %w", errors.Unwrap(err))
 	}
-	var copies []delta.Command
-	adds := 0
-	for _, c := range d.Commands {
-		if c.Op == delta.OpCopy {
-			copies = append(copies, c)
-		} else {
-			adds++
-		}
-	}
-	slices.SortFunc(copies, commandsByWriteOffset)
-	var cs crwiScratch
-	g := cs.build(copies)
-	cost := func(v int) int64 {
-		c := copies[v]
-		return c.Length - int64(codec.UvarintLen(uint64(c.From)))
-	}
-
 	a := &Analysis{
-		Copies:       len(copies),
-		Adds:         adds,
-		Edges:        g.NumEdges(),
+		Copies:       cv.stats.Copies,
+		Adds:         cv.stats.Adds,
+		Edges:        cv.stats.Edges,
 		AlreadySafe:  d.CheckInPlace() == nil,
-		CensusPolicy: graph.LocallyMinimum{}.Name(),
+		CensusPolicy: cv.stats.Policy,
 	}
-	// compOf maps each vertex entangled in a cyclic component to that
-	// component's index in CycleSacrifices, so the policy's removals below
-	// can be attributed per cycle.
-	compOf := make(map[int]int)
-	for _, comp := range graph.StronglyConnectedComponents(g) {
-		if len(comp) < 2 {
+	for _, c := range cv.sp.comps {
+		if c.size < 2 {
 			continue
 		}
 		a.CyclicComponents++
-		a.VerticesInCycles += len(comp)
-		if len(comp) > a.LargestComponent {
-			a.LargestComponent = len(comp)
+		a.VerticesInCycles += c.size
+		a.LargestComponent = max(a.LargestComponent, c.size)
+		r := c.chosen()
+		cs := CycleSacrifice{
+			Vertices:         c.size,
+			MinBytes:         c.minLen,
+			SacrificedBytes:  r.convertedBytes,
+			SacrificedCopies: r.converted,
+			Split:            c.split,
 		}
-		minLen := copies[comp[0]].Length
-		for _, v := range comp {
-			if copies[v].Length < minLen {
-				minLen = copies[v].Length
-			}
-			compOf[v] = len(a.CycleSacrifices)
+		if c.split {
+			cs.MinBytes = min(cs.MinBytes, r.convertedBytes)
 		}
-		a.MinConversionBytes += minLen
-		a.CycleSacrifices = append(a.CycleSacrifices, CycleSacrifice{
-			Vertices: len(comp),
-			MinBytes: minLen,
-		})
+		a.MinConversionBytes += cs.MinBytes
+		a.LocallyMinimumBytes += cs.SacrificedBytes
+		a.CycleSacrifices = append(a.CycleSacrifices, cs)
 	}
-	a.ReorderSufficient = a.CyclicComponents == 0
-	res := graph.TopoSort(g, cost, graph.LocallyMinimum{})
-	for _, v := range res.Removed {
-		a.LocallyMinimumBytes += copies[v].Length
-		if ci, ok := compOf[v]; ok {
-			a.CycleSacrifices[ci].SacrificedBytes += copies[v].Length
-			a.CycleSacrifices[ci].SacrificedCopies++
-		}
-	}
+	a.ReorderSufficient = cv.stats.ConvertedCopies == 0
 	return a, nil
 }

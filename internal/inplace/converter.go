@@ -25,6 +25,8 @@ type converterMetrics struct {
 	convertedB    *obs.Counter
 	stashed       *obs.Counter
 	scratchB      *obs.Counter
+	// splitComponents counts cyclic components resolved by splitting.
+	splitComponents *obs.Counter
 
 	partitionStage obs.Stage
 	crwiStage      obs.Stage
@@ -47,6 +49,8 @@ func resolveConverterMetrics(r *obs.Registry, policy string) *converterMetrics {
 		convertedB:    r.Counter("ipdelta_convert_converted_bytes_total"),
 		stashed:       r.Counter("ipdelta_convert_stashed_copies_total"),
 		scratchB:      r.Counter("ipdelta_convert_scratch_bytes_total"),
+
+		splitComponents: r.Counter("ipdelta_convert_split_components_total"),
 
 		partitionStage: r.Stage("ipdelta_convert_stage_partition_nanos"),
 		crwiStage:      r.Stage("ipdelta_convert_stage_crwi_nanos"),
@@ -76,15 +80,20 @@ type Converter struct {
 	topo      graph.TopoScratch
 	mask      []bool // StrategySCCGreedy removal mask
 
-	stashes    []delta.Command
-	unstashes  []delta.Command
-	converted  []delta.Command
-	addVictims []int
-	arena      []byte // literal data of converted copies (pooled mode)
+	sp splitScratch // StrategySplit state
+
+	seq       []delta.Command // copies of one resolution, in emission order
+	victims   []delta.Command // copies of one resolution to convert or stash
+	stashes   []delta.Command
+	unstashes []delta.Command
+	converted []delta.Command
+	arena     []byte // literal data of converted copies (pooled mode)
 
 	out   delta.Delta
+	alt   []delta.Command // the other resolution's layout, for reuse
 	stats Stats
 	met   *converterMetrics // nil when no observer is attached
+	span  obs.Span          // the running stage span when observed
 }
 
 // NewConverter returns a Converter with the given options applied. The
@@ -103,7 +112,7 @@ func (cv *Converter) init() {
 		cv.o.policy = graph.LocallyMinimum{}
 	}
 	if cv.o.strategy == 0 {
-		cv.o.strategy = StrategyDFS
+		cv.o.strategy = StrategySplit
 	}
 	if cv.met == nil && cv.o.obs != nil {
 		name := cv.o.policy.Name()
@@ -144,6 +153,19 @@ func (cv *Converter) ConvertNew(d *delta.Delta, ref []byte) (*delta.Delta, *Stat
 	return cv.convert(d, ref, true)
 }
 
+// release drops the converter's references to caller memory — the
+// observer, and the input's add data held by its command buffers — so a
+// pooled converter pins nothing but its own scratch. Every call fills
+// these buffers from index 0, so clearing what this call used clears
+// everything ever written.
+func (cv *Converter) release() {
+	cv.o.obs, cv.met = nil, nil
+	clear(cv.adds)
+	clear(cv.out.Commands)
+	clear(cv.alt)
+	cv.out = delta.Delta{Commands: cv.out.Commands[:0]}
+}
+
 // BuildCRWI partitions d's commands, sorts the copies by write offset and
 // builds their CRWI digraph over the converter's pooled scratch, without
 // converting. It returns the copy and edge counts — a cheap structural
@@ -182,23 +204,76 @@ func commandsByWriteOffset(a, b delta.Command) int { return cmp.Compare(a.To, b.
 
 func (cv *Converter) convert(d *delta.Delta, ref []byte, detach bool) (*delta.Delta, *Stats, error) {
 	cv.init()
-	if err := cv.validator.Validate(d); err != nil {
-		if cv.met != nil {
-			cv.met.errors.Inc()
-		}
-		return nil, nil, fmt.Errorf("convert: %w", err)
+	cmds, err := cv.resolve(d)
+	if err == nil && int64(len(ref)) != d.RefLen {
+		err = fmt.Errorf("convert: reference length %d, delta expects %d", len(ref), d.RefLen)
 	}
-	if int64(len(ref)) != d.RefLen {
+	if err != nil {
 		if cv.met != nil {
 			cv.met.errors.Inc()
 		}
-		return nil, nil, fmt.Errorf("convert: reference length %d, delta expects %d", len(ref), d.RefLen)
+		return nil, nil, err
+	}
+	if detach {
+		cmds = append(make([]delta.Command, 0, len(cmds)), cmds...)
+	}
+
+	// Converted copies carry their reference bytes in one arena, sized up
+	// front so the per-command sub-slices stay valid as it fills.
+	arena := cv.arena
+	if detach || int64(cap(arena)) < cv.stats.ConvertedBytes {
+		arena = make([]byte, 0, cv.stats.ConvertedBytes)
+	} else {
+		arena = arena[:0]
+	}
+	for k := range cmds {
+		c := &cmds[k]
+		if c.Op != delta.OpAdd || c.Data != nil {
+			continue
+		}
+		start := int64(len(arena))
+		arena = append(arena, ref[c.From:c.From+c.Length]...)
+		*c = delta.NewAdd(c.To, arena[start:len(arena):len(arena)])
+	}
+	if !detach {
+		cv.arena = arena
+	}
+	if cv.met != nil {
+		cv.span.End()
+		m := cv.met
+		m.conversions.Inc()
+		m.edges.Add(int64(cv.stats.Edges))
+		m.cyclesBroken.Add(int64(cv.stats.CyclesBroken))
+		m.cycleVertices.Add(int64(cv.stats.CycleVertices))
+		m.converted.Add(int64(cv.stats.ConvertedCopies))
+		m.convertedB.Add(cv.stats.ConvertedBytes)
+		m.stashed.Add(int64(cv.stats.StashedCopies))
+		m.scratchB.Add(cv.stats.ScratchUsed)
+		m.splitComponents.Add(int64(cv.stats.SplitComponents))
+	}
+	if detach {
+		out := &delta.Delta{RefLen: d.RefLen, VersionLen: d.VersionLen, Commands: cmds}
+		st := cv.stats
+		return out, &st, nil
+	}
+	cv.out = delta.Delta{RefLen: d.RefLen, VersionLen: d.VersionLen, Commands: cmds}
+	return &cv.out, &cv.stats, nil
+}
+
+// resolve runs the conversion up to, but not including, reading the
+// reference: it validates d, builds and resolves the CRWI digraph, and
+// returns the output command sequence in converter-owned memory, with
+// every converted copy laid out as an add whose From still names its
+// reference bytes and whose Data is nil. It fills cv.stats. Analyze runs
+// exactly this, so its census describes the conversion Convert performs.
+func (cv *Converter) resolve(d *delta.Delta) ([]delta.Command, error) {
+	if err := cv.validator.Validate(d); err != nil {
+		return nil, fmt.Errorf("convert: %w", err)
 	}
 
 	// Step 1: partition into copies and adds.
-	var span obs.Span
 	if cv.met != nil {
-		span = cv.met.partitionStage.Start()
+		cv.span = cv.met.partitionStage.Start()
 	}
 	cv.partition(d)
 	policyName := cv.o.policy.Name()
@@ -213,21 +288,25 @@ func (cv *Converter) convert(d *delta.Delta, ref []byte, detach bool) (*delta.De
 
 	// Step 2: sort copies by increasing write offset.
 	slices.SortFunc(cv.copies, commandsByWriteOffset)
+	// The input's adds go last, sorted by write offset for determinism;
+	// cv.adds is the converter's own copy, so it can be sorted in place.
+	slices.SortFunc(cv.adds, commandsByWriteOffset)
 	if cv.met != nil {
-		span.End()
-		span = cv.met.crwiStage.Start()
+		cv.span.End()
+		cv.span = cv.met.crwiStage.Start()
 	}
 
 	// Step 3: build the CRWI digraph (sweep-line merge, CSR form).
 	g := cv.crwi.build(cv.copies)
 	cv.stats.Edges = g.NumEdges()
 	if cv.met != nil {
-		span.End()
-		span = cv.met.sortStage.Start()
+		cv.span.End()
+		cv.span = cv.met.sortStage.Start()
 	}
 
 	// Step 4: topological sort with cycle breaking.
 	var order, removed []int
+	split := false
 	switch cv.o.strategy {
 	case StrategySCCGreedy:
 		removed = graph.GreedyFeedbackVertexSet(g, cv.costFn)
@@ -245,10 +324,7 @@ func (cv *Converter) convert(d *delta.Delta, ref []byte, detach bool) (*delta.De
 		order, ok = graph.TopoSortExcluding(g, cv.mask)
 		if !ok {
 			// The greedy set is acyclic by construction; this is a bug.
-			if cv.met != nil {
-				cv.met.errors.Inc()
-			}
-			return nil, nil, fmt.Errorf("convert: SCC strategy left a cycle")
+			return nil, fmt.Errorf("convert: SCC strategy left a cycle")
 		}
 		cv.stats.CyclesBroken = len(removed)
 	default:
@@ -257,98 +333,110 @@ func (cv *Converter) convert(d *delta.Delta, ref []byte, detach bool) (*delta.De
 		cv.stats.CyclesBroken = res.CyclesBroken
 		cv.stats.CycleVertices = res.CycleVertices
 		cv.stats.RemovedCost = res.RemovedCost
+		if cv.o.strategy == StrategySplit {
+			split = cv.sp.resolve(cv, g, res)
+		}
 	}
 	if cv.met != nil {
-		span.End()
-		span = cv.met.emitStage.Start()
+		cv.span.End()
+		cv.span = cv.met.emitStage.Start()
 	}
 
-	// Step 5: emit — stashes, surviving copies in topological order,
-	// unstashes, converted copies as adds, then the original adds, both
-	// add groups sorted by write offset for determinism.
-	//
-	// Bounded-scratch extension: removed copies that fit the budget are
-	// stashed up front (while their source bytes are still original) and
-	// unstashed at the end, instead of carrying their data as adds.
-	budget := cv.o.scratch
-	cv.stashes, cv.unstashes, cv.addVictims = cv.stashes[:0], cv.unstashes[:0], cv.addVictims[:0]
+	// Step 5: emit the paper's resolution: the surviving copies in
+	// topological order, the removed ones as adds (or stashes).
+	cv.seq = reserve(cv.seq, len(order))
+	for _, v := range order {
+		cv.seq = append(cv.seq, cv.copies[v])
+	}
+	cv.victims = reserve(cv.victims, len(removed))
 	for _, v := range removed {
-		c := cv.copies[v]
+		cv.victims = append(cv.victims, cv.copies[v])
+	}
+	var counts emitCounts
+	cv.out.Commands, counts = cv.assemble(cv.out.Commands, cv.seq, cv.victims)
+	cmds := cv.out.Commands
+	if split {
+		// Some cyclic components resolve cheaper split at conflict
+		// boundaries: emit components in condensation order and keep the
+		// result only if it also encodes smaller as a whole.
+		var splitCounts emitCounts
+		cv.alt, splitCounts = cv.assemble(cv.alt, cv.sp.sequence(cv, order), cv.sp.victims(cv, removed))
+		if cv.smaller(d, cv.alt, cmds) {
+			cmds, counts = cv.alt, splitCounts
+			cv.out.Commands, cv.alt = cv.alt, cv.out.Commands
+			cv.sp.chosenStats(&cv.stats)
+		} else {
+			cv.sp.reject()
+		}
+	}
+	cv.stats.ConvertedCopies = counts.converted
+	cv.stats.ConvertedBytes = counts.convertedBytes
+	cv.stats.StashedCopies = counts.stashed
+	cv.stats.ScratchUsed = counts.scratch
+	return cmds, nil
+}
+
+// emitCounts tallies what assemble did with the victims.
+type emitCounts struct {
+	converted, stashed      int
+	convertedBytes, scratch int64
+}
+
+// assemble lays out one resolution's output in dst's storage: stashes,
+// the copies of seq in order, unstashes, the victims that did not fit the
+// scratch budget as adds sorted by write offset, then the input's adds.
+//
+// Bounded-scratch extension: victims that fit the budget are stashed up
+// front (while their source bytes are still original) and unstashed at
+// the end, instead of carrying their data as adds. A converted add keeps
+// its source offset in From and has nil Data until convert fills it.
+func (cv *Converter) assemble(dst, seq, victims []delta.Command) ([]delta.Command, emitCounts) {
+	var n emitCounts
+	budget := cv.o.scratch
+	cv.stashes, cv.unstashes = reserve(cv.stashes, len(victims)), reserve(cv.unstashes, len(victims))
+	cv.converted = reserve(cv.converted, len(victims))
+	for _, c := range victims {
 		if c.Length <= budget {
 			cv.stashes = append(cv.stashes, delta.NewStash(c.From, c.Length))
 			cv.unstashes = append(cv.unstashes, delta.NewUnstash(c.To, c.Length))
 			budget -= c.Length
-			cv.stats.StashedCopies++
-			cv.stats.ScratchUsed += c.Length
+			n.stashed++
+			n.scratch += c.Length
 			continue
 		}
-		cv.addVictims = append(cv.addVictims, v)
-	}
-
-	cmds := cv.out.Commands[:0]
-	if detach {
-		cmds = make([]delta.Command, 0, len(d.Commands)+len(removed))
-	}
-	cmds = append(cmds, cv.stashes...)
-	for _, v := range order {
-		cmds = append(cmds, cv.copies[v])
-	}
-	cmds = append(cmds, cv.unstashes...)
-
-	// Converted copies carry their reference bytes in one arena, sized up
-	// front so the per-command sub-slices stay valid as it fills.
-	var total int64
-	for _, v := range cv.addVictims {
-		total += cv.copies[v].Length
-	}
-	arena := cv.arena
-	if detach {
-		arena = make([]byte, 0, total)
-	} else if int64(cap(arena)) < total {
-		arena = make([]byte, 0, total)
-	} else {
-		arena = arena[:0]
-	}
-	cv.converted = cv.converted[:0]
-	for _, v := range cv.addVictims {
-		c := cv.copies[v]
-		start := int64(len(arena))
-		arena = append(arena, ref[c.From:c.From+c.Length]...)
-		data := arena[start:len(arena):len(arena)]
-		cv.converted = append(cv.converted, delta.NewAdd(c.To, data))
-		cv.stats.ConvertedCopies++
-		cv.stats.ConvertedBytes += c.Length
-	}
-	if !detach {
-		cv.arena = arena
+		cv.converted = append(cv.converted, delta.Command{Op: delta.OpAdd, From: c.From, To: c.To, Length: c.Length})
+		n.converted++
+		n.convertedBytes += c.Length
 	}
 	slices.SortFunc(cv.converted, commandsByWriteOffset)
-	cmds = append(cmds, cv.converted...)
+	dst = reserve(dst, len(seq)+2*len(victims)+len(cv.adds))
+	dst = append(dst, cv.stashes...)
+	dst = append(dst, seq...)
+	dst = append(dst, cv.unstashes...)
+	dst = append(dst, cv.converted...)
+	dst = append(dst, cv.adds...)
+	return dst, n
+}
 
-	// cv.adds is the converter's own copy of the input's add commands, so
-	// it can be sorted in place.
-	slices.SortFunc(cv.adds, commandsByWriteOffset)
-	cmds = append(cmds, cv.adds...)
-
-	if cv.met != nil {
-		span.End()
-		m := cv.met
-		m.conversions.Inc()
-		m.edges.Add(int64(cv.stats.Edges))
-		m.cyclesBroken.Add(int64(cv.stats.CyclesBroken))
-		m.cycleVertices.Add(int64(cv.stats.CycleVertices))
-		m.converted.Add(int64(cv.stats.ConvertedCopies))
-		m.convertedB.Add(cv.stats.ConvertedBytes)
-		m.stashed.Add(int64(cv.stats.StashedCopies))
-		m.scratchB.Add(cv.stats.ScratchUsed)
+// smaller reports whether the command list a encodes strictly smaller than
+// b in every wire format that can carry them: the scratch format when a
+// budget allows stashes, else both the compact and the offsets format.
+// Converted adds are sized by Length, so no reference bytes are needed.
+func (cv *Converter) smaller(d *delta.Delta, a, b []delta.Command) bool {
+	da := delta.Delta{RefLen: d.RefLen, VersionLen: d.VersionLen, Commands: a}
+	db := delta.Delta{RefLen: d.RefLen, VersionLen: d.VersionLen, Commands: b}
+	formats := [2]codec.Format{codec.FormatCompact, codec.FormatOffsets}
+	if cv.o.scratch > 0 {
+		formats = [2]codec.Format{codec.FormatScratch, codec.FormatScratch}
 	}
-	if detach {
-		out := &delta.Delta{RefLen: d.RefLen, VersionLen: d.VersionLen, Commands: cmds}
-		st := cv.stats
-		return out, &st, nil
+	for _, f := range formats {
+		sa, errA := codec.Size(&da, f)
+		sb, errB := codec.Size(&db, f)
+		if errA != nil || errB != nil || sa >= sb {
+			return false
+		}
 	}
-	cv.out = delta.Delta{RefLen: d.RefLen, VersionLen: d.VersionLen, Commands: cmds}
-	return &cv.out, &cv.stats, nil
+	return true
 }
 
 // crwiScratch builds CRWI digraphs in CSR form with a sweep-line merge,
@@ -408,27 +496,50 @@ func (cs *crwiScratch) build(copies []delta.Command) *graph.CSR {
 		}
 		cs.firstW[i], cs.endW[i] = int32(w), int32(j)
 	}
+	return cs.edges(nil)
+}
 
-	// Two-pass CSR build over the recorded ranges. A copy never conflicts
-	// with itself (§4.1), so i is skipped inside its own range.
+// edges builds the CSR digraph from the recorded write ranges: vertex i
+// gets an edge to every j in [firstW[i], endW[i]). A copy never conflicts
+// with itself (§4.1), so i is skipped inside its own range; a non-nil
+// label keeps only the edges between vertices with equal labels.
+func (cs *crwiScratch) edges(label []int32) *graph.CSR {
+	n := len(cs.firstW)
+	keep := func(i, j int) bool { return j != i && (label == nil || label[i] == label[j]) }
 	cs.b.Reset(n)
 	for i := 0; i < n; i++ {
-		deg := int(cs.endW[i] - cs.firstW[i])
-		if cs.firstW[i] <= int32(i) && int32(i) < cs.endW[i] {
-			deg--
+		if label == nil {
+			deg := int(cs.endW[i] - cs.firstW[i])
+			if cs.firstW[i] <= int32(i) && int32(i) < cs.endW[i] {
+				deg--
+			}
+			cs.b.AddDegree(i, deg)
+			continue
 		}
-		cs.b.AddDegree(i, deg)
+		for j := cs.firstW[i]; j < cs.endW[i]; j++ {
+			if keep(i, int(j)) {
+				cs.b.CountEdge(i)
+			}
+		}
 	}
 	cs.b.StartFill()
 	for i := 0; i < n; i++ {
 		for j := cs.firstW[i]; j < cs.endW[i]; j++ {
-			if int(j) == i {
-				continue
+			if keep(i, int(j)) {
+				cs.b.FillEdge(i, int(j))
 			}
-			cs.b.FillEdge(i, int(j))
 		}
 	}
 	return cs.b.Finish()
+}
+
+// reserve returns s emptied, with capacity for at least n elements, so a
+// run of appends that stays within n does not grow it piecemeal.
+func reserve[T any](s []T, n int) []T {
+	if cap(s) < n {
+		return make([]T, 0, n)
+	}
+	return s[:0]
 }
 
 // growIndex returns s resized to n elements, reusing capacity. Contents

@@ -4,10 +4,15 @@ import (
 	"bytes"
 	"fmt"
 	"math/rand"
+	"reflect"
+	"runtime/debug"
 	"slices"
+	"sync"
 	"testing"
 
+	"ipdelta/internal/corpus"
 	"ipdelta/internal/delta"
+	"ipdelta/internal/diff"
 	"ipdelta/internal/graph"
 	"ipdelta/internal/obs"
 )
@@ -304,4 +309,183 @@ func TestBuildCRWIProbe(t *testing.T) {
 	if _, _, err := cv.BuildCRWI(&delta.Delta{}); err != nil {
 		t.Fatalf("BuildCRWI on empty delta: %v", err)
 	}
+}
+
+// TestConverterConvertAllocsSplit holds the split path to the same gate:
+// on record releases whose moved runs put hundreds of copies in cycles,
+// the converter cuts, re-sorts and merges pieces — all over pooled
+// scratch — and must reach steady state without allocating.
+func TestConverterConvertAllocsSplit(t *testing.T) {
+	chain := corpus.RecordChain(11, 256<<10, 3)
+	d, err := diff.NewLinear().Diff(chain[0], chain[2])
+	if err != nil {
+		t.Fatal(err)
+	}
+	cv := NewConverter()
+	_, st, err := cv.Convert(d, chain[0]) // warm the scratch
+	if err != nil {
+		t.Fatalf("warm-up convert: %v", err)
+	}
+	if st.SplitComponents == 0 {
+		t.Fatal("input split no component; the gate would not cover the split path")
+	}
+	allocs := testing.AllocsPerRun(20, func() {
+		if _, _, err := cv.Convert(d, chain[0]); err != nil {
+			t.Fatalf("convert: %v", err)
+		}
+	})
+	if allocs > 2 {
+		t.Fatalf("steady-state split (*Converter).Convert allocates %.1f times per call, want <= 2", allocs)
+	}
+}
+
+// TestPieceGraphMatchesReference proves the split strategy's piece
+// digraph, built from the copies' write ranges without a read-order sort,
+// has the exact edge set (successor order included) of the reference
+// builder run over the pieces, restricted to edges within a component.
+func TestPieceGraphMatchesReference(t *testing.T) {
+	chain := corpus.RecordChain(3, 128<<10, 5)
+	inputs := [][2][]byte{{chain[3], chain[4]}, {chain[0], chain[4]}}
+	for _, p := range corpus.SmallCorpus(1998) {
+		inputs = append(inputs, [2][]byte{p.Ref, p.Version})
+	}
+	checked := 0
+	for k, in := range inputs {
+		d, err := diff.NewLinear().Diff(in[0], in[1])
+		if err != nil {
+			t.Fatal(err)
+		}
+		cv := NewConverter()
+		if _, _, err := cv.Convert(d, in[0]); err != nil {
+			t.Fatal(err)
+		}
+		sp := &cv.sp
+		if len(sp.pieces) == 0 {
+			continue
+		}
+		checked++
+		ref := buildCRWI(sp.pieces)
+		want := graph.New(len(sp.pieces))
+		for u := 0; u < ref.NumVertices(); u++ {
+			for _, v := range ref.Succ(u) {
+				if sp.label[u] == sp.label[v] {
+					want.AddEdge(u, int(v))
+				}
+			}
+		}
+		requireSameGraph(t, fmt.Sprintf("input-%d", k), want, sp.pieceGraph(cv))
+	}
+	if checked < 2 {
+		t.Fatalf("only %d inputs were cut into pieces", checked)
+	}
+}
+
+// TestConvertPooledStartsFresh checks that the free Convert function's
+// pooled converters start every call from the caller's options alone: a
+// call with a scratch budget, another policy, the paper's strategy and an
+// observer must leave nothing behind for the next, default call.
+func TestConvertPooledStartsFresh(t *testing.T) {
+	chain := corpus.RecordChain(5, 128<<10, 3)
+	d, err := diff.NewLinear().Diff(chain[0], chain[2])
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, wantSt, err := NewConverter().ConvertNew(d, chain[0])
+	if err != nil {
+		t.Fatal(err)
+	}
+	reg := obs.NewRegistry()
+	for i := 0; i < 3; i++ {
+		if _, _, err := Convert(d, chain[0], WithScratchBudget(4096), WithPolicy(graph.ConstantTime{}),
+			WithStrategy(StrategyDFS), WithObserver(reg)); err != nil {
+			t.Fatal(err)
+		}
+		got, st, err := Convert(d, chain[0])
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !reflect.DeepEqual(got, want) || *st != *wantSt {
+			t.Fatalf("round %d: pooled Convert differs from a fresh converter: stats %+v, want %+v", i, *st, *wantSt)
+		}
+	}
+	if n := reg.Snapshot().Counters["ipdelta_convert_total"]; n != 3 {
+		t.Fatalf("observer saw %d conversions, want 3 (the observed calls only)", n)
+	}
+}
+
+// TestConvertPooledAllocs gates the free Convert function: its working
+// memory comes from a pool, so a steady-state call allocates only the
+// caller-owned result (delta, commands, literal arena, stats), not the
+// partition, digraph, sort and split scratch.
+func TestConvertPooledAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race runtime drops sync.Pool puts at random")
+	}
+	defer debug.SetGCPercent(debug.SetGCPercent(-1)) // a GC empties the pool
+	chain := corpus.RecordChain(11, 256<<10, 3)
+	d, err := diff.NewLinear().Diff(chain[0], chain[2])
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, _, err := Convert(d, chain[0]); err != nil { // warm the pool
+		t.Fatalf("warm-up convert: %v", err)
+	}
+	allocs := testing.AllocsPerRun(20, func() {
+		if _, _, err := Convert(d, chain[0]); err != nil {
+			t.Fatalf("convert: %v", err)
+		}
+	})
+	if allocs > 4 {
+		t.Fatalf("steady-state Convert allocates %.1f times per call, want <= 4", allocs)
+	}
+}
+
+// TestConvertPooledConcurrent runs the free Convert function from several
+// goroutines at once, with different inputs and options, so pooled
+// converters pass between goroutines and configurations; every result
+// must equal a fresh converter's.
+func TestConvertPooledConcurrent(t *testing.T) {
+	chain := corpus.RecordChain(9, 64<<10, 4)
+	type job struct {
+		d    *delta.Delta
+		ref  []byte
+		opts []Option
+		want *delta.Delta
+	}
+	var jobs []job
+	for back := 1; back <= 3; back++ {
+		d, err := diff.NewLinear().Diff(chain[3-back], chain[3])
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, opts := range [][]Option{nil, {WithStrategy(StrategyDFS)}, {WithScratchBudget(2048)}} {
+			want, _, err := NewConverter(opts...).ConvertNew(d, chain[3-back])
+			if err != nil {
+				t.Fatal(err)
+			}
+			jobs = append(jobs, job{d, chain[3-back], opts, want})
+		}
+	}
+	var wg sync.WaitGroup
+	for g := 0; g < 8; g++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for r := 0; r < 3; r++ {
+				for k := range jobs {
+					j := jobs[(k+g)%len(jobs)]
+					got, _, err := Convert(j.d, j.ref, j.opts...)
+					if err != nil {
+						t.Error(err)
+						return
+					}
+					if !reflect.DeepEqual(got, j.want) {
+						t.Errorf("goroutine %d: pooled Convert differs from a fresh converter", g)
+						return
+					}
+				}
+			}
+		}()
+	}
+	wg.Wait()
 }

@@ -16,10 +16,16 @@
 //
 // The result satisfies Equation 2 — no command reads a byte any earlier
 // command wrote — so a serial, in-place application is correct.
+//
+// By default (StrategySplit) the converter goes one step beyond the
+// paper: copies entangled in cycles are cut at conflict boundaries so a
+// broken cycle costs a piece of a copy, not all of it (see split.go).
+// WithStrategy(StrategyDFS) runs the paper's algorithm unchanged.
 package inplace
 
 import (
 	"sort"
+	"sync"
 
 	"ipdelta/internal/codec"
 	"ipdelta/internal/delta"
@@ -53,6 +59,10 @@ type Stats struct {
 	ConvertedBytes int64
 	// RemovedCost sums the cost function l − |f| over converted copies.
 	RemovedCost int64
+	// SplitComponents counts the cyclic components of the CRWI digraph
+	// emitted with conflict-boundary splitting (StrategySplit) instead of
+	// the paper's whole-copy resolution.
+	SplitComponents int
 	// Policy is the cycle-breaking policy used.
 	Policy string
 }
@@ -63,7 +73,8 @@ type Strategy int
 const (
 	// StrategyDFS is the paper's algorithm: cycles are broken one at a
 	// time as the topological sort's depth-first search closes them, with
-	// the victim chosen by the configured policy.
+	// the victim chosen by the configured policy, and every victim's whole
+	// copy is converted to an add.
 	StrategyDFS Strategy = iota + 1
 	// StrategySCCGreedy is an ablation strategy beyond the paper: compute
 	// a feedback vertex set over whole strongly connected components with
@@ -71,6 +82,17 @@ const (
 	// It can escape the locally-minimum policy's Figure 2 failure mode by
 	// seeing hub vertices, at the price of repeated SCC computations.
 	StrategySCCGreedy
+	// StrategySplit, the default, extends StrategyDFS beyond the paper:
+	// every copy of a cyclic strongly connected component is cut at the
+	// write boundaries of the same-component copies its read interval
+	// meets (no piece shorter than 32 bytes), and the policy sort breaks
+	// the pieces' cycles, so a cycle costs the piece that closes it rather
+	// than a whole copy. A component keeps the split resolution only when
+	// it encodes smaller than the paper's resolution of it, and the delta
+	// as a whole only when it encodes smaller than StrategyDFS's, so the
+	// result is never larger; with no component re-resolved it is
+	// byte-identical to StrategyDFS.
+	StrategySplit
 )
 
 // Options configures a conversion.
@@ -84,14 +106,15 @@ type Options struct {
 // Option customizes Convert.
 type Option func(*Options)
 
-// WithPolicy selects the cycle-breaking policy for StrategyDFS. The
-// default is the locally-minimum policy, which the paper finds superior on
-// every metric.
+// WithPolicy selects the cycle-breaking policy for StrategyDFS and
+// StrategySplit. The default is the locally-minimum policy, which the
+// paper finds superior on every metric.
 func WithPolicy(p graph.Policy) Option {
 	return func(o *Options) { o.policy = p }
 }
 
-// WithStrategy selects the cycle-breaking strategy (default StrategyDFS).
+// WithStrategy selects the cycle-breaking strategy (default
+// StrategySplit). StrategyDFS reproduces the paper's algorithm exactly.
 func WithStrategy(s Strategy) Option {
 	return func(o *Options) { o.strategy = s }
 }
@@ -100,8 +123,8 @@ func WithStrategy(s Strategy) Option {
 // scratch memory (the bounded-scratch extension): copies that cycle
 // breaking would convert to adds are instead stashed at the start of the
 // delta and unstashed into place at the end, preserving compression at a
-// bounded memory cost. A zero budget (the default) reproduces the paper's
-// pure in-place algorithm exactly. Deltas that use scratch must travel in
+// bounded memory cost. A zero budget (the default) is the paper's pure
+// in-place model. Deltas that use scratch must travel in
 // codec.FormatScratch.
 func WithScratchBudget(n int64) Option {
 	return func(o *Options) {
@@ -131,12 +154,24 @@ func WithObserver(r *obs.Registry) Option {
 // The returned delta applies correctly both with scratch space (Apply) and
 // in place (ApplyInPlace), and always satisfies CheckInPlace.
 //
-// Convert is a thin wrapper over a one-shot Converter; steady-state
-// callers converting many deltas should hold a Converter and amortize its
-// working memory across calls.
+// Convert runs ConvertNew on a Converter drawn from a process-wide pool,
+// so callers that convert one delta at a time (servers building a release
+// on demand) reuse working memory too. Callers converting many deltas in
+// one loop should still hold their own Converter.
 func Convert(d *delta.Delta, ref []byte, opts ...Option) (*delta.Delta, *Stats, error) {
-	return NewConverter(opts...).ConvertNew(d, ref)
+	cv := converters.Get().(*Converter)
+	cv.o = Options{}
+	for _, opt := range opts {
+		opt(&cv.o)
+	}
+	out, st, err := cv.ConvertNew(d, ref)
+	cv.release()
+	converters.Put(cv)
+	return out, st, err
 }
+
+// converters holds idle Converters for Convert.
+var converters = sync.Pool{New: func() any { return new(Converter) }}
 
 // buildCRWI constructs the conflicting-read-write-interval digraph over
 // copies, which must be sorted by write offset. An edge i→j is added when

@@ -223,7 +223,8 @@ func TestAdversarialDeltaPolicyGap(t *testing.T) {
 	rng := rand.New(rand.NewSource(2))
 	rng.Read(ref)
 
-	_, lmStats := convertAndCheck(t, d, ref, WithPolicy(graph.LocallyMinimum{}))
+	// The paper's algorithm: whole-copy cycle breaking.
+	_, lmStats := convertAndCheck(t, d, ref, WithStrategy(StrategyDFS), WithPolicy(graph.LocallyMinimum{}))
 	if lmStats.ConvertedCopies != leaves {
 		t.Fatalf("locally-minimum converted %d copies, want %d leaves", lmStats.ConvertedCopies, leaves)
 	}

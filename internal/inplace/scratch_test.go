@@ -112,7 +112,8 @@ func TestScratchBudgetOnAdversarialTree(t *testing.T) {
 	ref := make([]byte, d.RefLen)
 	rand.New(rand.NewSource(8)).Read(ref)
 
-	out, st, err := Convert(d, ref, WithScratchBudget(int64(leaves*leafLen)))
+	// The paper's algorithm plus scratch: whole leaves are the victims.
+	out, st, err := Convert(d, ref, WithStrategy(StrategyDFS), WithScratchBudget(int64(leaves*leafLen)))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -133,7 +134,7 @@ func TestScratchBudgetOnAdversarialTree(t *testing.T) {
 	}
 
 	// Half the budget stashes some leaves, converts the rest.
-	_, stHalf, err := Convert(d, ref, WithScratchBudget(int64(leaves*leafLen/2)))
+	_, stHalf, err := Convert(d, ref, WithStrategy(StrategyDFS), WithScratchBudget(int64(leaves*leafLen/2)))
 	if err != nil {
 		t.Fatal(err)
 	}
