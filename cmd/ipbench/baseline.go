@@ -303,13 +303,14 @@ func runBaseline(out io.Writer, outPath string, quick bool, seed int64) error {
 		}
 	})
 
-	// Chunked dedup tier: content-defined split and ingest throughput,
-	// then the recipe-diff fast path against the full-image reuse differ
-	// on the same 5%-blocky-churn input at growing sizes. Recipes are
-	// pre-ingested — the recipe rows measure diffing versions the store
-	// already holds, the serving steady state; ingest cost is its own row.
-	// The chunk store and recipe differ share the metrics registry, so the
-	// dedup hit/miss/bytes-saved counters land in the document's metrics.
+	// Chunked dedup tier: content-defined split, ingest and materialize
+	// throughput, then the recipe-diff fast path against the full-image
+	// reuse differ on the same 5%-blocky-churn input at growing sizes.
+	// Recipes are pre-ingested — the recipe rows measure diffing versions
+	// the store already holds, the serving steady state; ingest cost is
+	// its own row. The chunk store and recipe differ share the metrics
+	// registry, so the dedup hit/miss/bytes-saved counters land in the
+	// document's metrics.
 	chunkSizes := []int{1 << 20, 16 << 20, 256 << 20}
 	if quick {
 		chunkSizes = []int{1 << 20}
@@ -342,6 +343,13 @@ func runBaseline(out io.Writer, outPath string, quick bool, seed int64) error {
 		cstore := chunk.NewStore(chunk.WithObserver(reg))
 		ro := cstore.IngestAll(ck, oldImg)
 		rn := cstore.IngestAll(ck, newImg)
+		doc.measure("chunk/materialize/"+label, int64(csz), func(b *testing.B) {
+			for i := 0; i < b.N; i++ {
+				if _, err := chunk.Materialize(nil, ro, cstore); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
 		doc.measure("recipe/diff/"+label, int64(csz), func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
 				if _, err := rd.DiffRecipes(ro, rn, cstore); err != nil {
@@ -444,9 +452,9 @@ func runBaseline(out io.Writer, outPath string, quick bool, seed int64) error {
 	fmt.Fprintf(out, "environment: %d CPU, GOMAXPROCS %d, %s %s/%s — parallel rows reflect this parallelism\n\n",
 		doc.Environment.NumCPU, doc.Environment.GOMAXPROCS,
 		doc.Environment.GoVersion, doc.Environment.GOOS, doc.Environment.GOARCH)
-	fmt.Fprintf(out, "%-18s %12s %14s %12s %10s\n", "benchmark", "iters", "ns/op", "allocs/op", "MB/s")
+	fmt.Fprintf(out, "%-24s %12s %14s %12s %10s\n", "benchmark", "iters", "ns/op", "allocs/op", "MB/s")
 	for _, r := range doc.Results {
-		fmt.Fprintf(out, "%-18s %12d %14.0f %12d %10.1f\n",
+		fmt.Fprintf(out, "%-24s %12d %14.0f %12d %10.1f\n",
 			r.Name, r.Iters, r.NsPerOp, r.AllocsPerOp, r.MBPerSec)
 	}
 	return nil

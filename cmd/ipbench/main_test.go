@@ -72,7 +72,7 @@ func TestRunBenchBaseline(t *testing.T) {
 	want := map[string]bool{
 		"convert/one-shot": false, "convert/reuse": false, "crwi/build": false,
 		"diff/one-shot": false, "diff/reuse": false, "batch/4": false,
-		"chunk/split/1MiB": false, "chunk/ingest/1MiB": false,
+		"chunk/split/1MiB": false, "chunk/ingest/1MiB": false, "chunk/materialize/1MiB": false,
 		"recipe/diff/1MiB": false, "diff/full/1MiB": false,
 	}
 	for _, r := range doc.Results {

@@ -5,6 +5,7 @@ import (
 	"encoding/hex"
 	"fmt"
 	"hash/crc32"
+	"slices"
 )
 
 // ID is the content address of a chunk: its SHA-256. Two chunks share an
@@ -63,16 +64,36 @@ type Source interface {
 // (pass nil to allocate). Every chunk is verified against its recorded
 // length and CRC, so a corrupt or substituted chunk is caught here
 // rather than surfacing as silently wrong content.
+//
+// It makes two passes (DESIGN.md §14). The first resolves every chunk and
+// checks its length, so dst then grows once, by the byte count actually
+// resolved: a recipe that lies about lengths fails before any allocation
+// it describes. The second checks each chunk's CRC and copies it.
 func Materialize(dst []byte, r Recipe, src Source) ([]byte, error) {
+	chunks := make([][]byte, len(r.Chunks))
+	total := 0
 	for k, c := range r.Chunks {
 		data, err := src.Chunk(c.ID)
 		if err != nil {
 			return nil, fmt.Errorf("chunk: materialize chunk %d (%s): %w", k, c.ID, err)
 		}
-		if int64(len(data)) != c.Length || crc32.ChecksumIEEE(data) != c.CRC {
-			return nil, fmt.Errorf("chunk: materialize chunk %d (%s): content contradicts its recipe identity", k, c.ID)
+		if int64(len(data)) != c.Length {
+			return nil, errIdentity(k, c)
+		}
+		chunks[k] = data
+		total += len(data)
+	}
+	dst = slices.Grow(dst, total)
+	for k, data := range chunks {
+		if crc32.ChecksumIEEE(data) != r.Chunks[k].CRC {
+			return nil, errIdentity(k, r.Chunks[k])
 		}
 		dst = append(dst, data...)
 	}
 	return dst, nil
+}
+
+// errIdentity reports that chunk k's content contradicts its recipe entry.
+func errIdentity(k int, c Ref) error {
+	return fmt.Errorf("chunk: materialize chunk %d (%s): content contradicts its recipe identity", k, c.ID)
 }

@@ -3,6 +3,8 @@ package chunk
 import (
 	"bytes"
 	"math/rand"
+	"runtime"
+	"strings"
 	"sync"
 	"testing"
 
@@ -197,6 +199,11 @@ func TestMaterializeRejectsCorruptChunk(t *testing.T) {
 	if _, err := Materialize(nil, bad2, s); err == nil {
 		t.Fatal("missing chunk accepted")
 	}
+	// Corrupt content of the right length must fail the CRC check.
+	_, err := Materialize(nil, r, corruptingSource{Store: s, bad: r.Chunks[2].ID})
+	if err == nil || !strings.Contains(err.Error(), "contradicts its recipe identity") {
+		t.Fatalf("chunk with one flipped byte: err = %v, want the identity error", err)
+	}
 }
 
 func BenchmarkStoreIngestDedup(b *testing.B) {
@@ -210,5 +217,72 @@ func BenchmarkStoreIngestDedup(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		r := s.IngestAll(ck, data)
 		s.ReleaseRecipe(r)
+	}
+}
+
+// corruptingSource serves chunks from a store but flips one byte of the
+// chunk with the given ID, keeping its length.
+type corruptingSource struct {
+	*Store
+	bad ID
+}
+
+func (c corruptingSource) Chunk(id ID) ([]byte, error) {
+	data, err := c.Store.Chunk(id)
+	if err != nil || id != c.bad {
+		return data, err
+	}
+	data = append([]byte(nil), data...)
+	data[len(data)/2] ^= 0x40
+	return data, nil
+}
+
+// TestMaterializeRejectsHugeLength feeds a recipe that claims a resident
+// chunk is 1 TiB long. It must fail on the length check, before growing
+// the output, instead of panicking or allocating what the recipe claims.
+func TestMaterializeRejectsHugeLength(t *testing.T) {
+	ck, _ := NewChunker(Params{Min: 256, Avg: 1024, Max: 4096})
+	s := NewStore()
+	r := s.IngestAll(ck, randBytes(81, 16<<10))
+	bad := Recipe{Chunks: append([]Ref(nil), r.Chunks...)}
+	bad.Chunks[len(bad.Chunks)-1].Length = 1 << 40
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	out, err := Materialize(nil, bad, s)
+	runtime.ReadMemStats(&after)
+	if err == nil || !strings.Contains(err.Error(), "contradicts its recipe identity") {
+		t.Fatalf("1 TiB claimed length: err = %v, want the identity error", err)
+	}
+	if out != nil {
+		t.Fatalf("failed materialize returned %d bytes", len(out))
+	}
+	if grew := after.TotalAlloc - before.TotalAlloc; grew > 1<<20 {
+		t.Fatalf("failed materialize allocated %d bytes", grew)
+	}
+}
+
+// TestMaterializeAllocs gates the materialize path: with a nil dst it
+// allocates the resolved-chunk index and the output, and nothing per
+// chunk.
+func TestMaterializeAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("race instrumentation inflates allocation counts")
+	}
+	ck, _ := NewChunker(Params{Min: 256, Avg: 1024, Max: 4096})
+	s := NewStore()
+	data := randBytes(82, 256<<10)
+	r := s.IngestAll(ck, data)
+	var out []byte
+	n := testing.AllocsPerRun(20, func() {
+		var err error
+		if out, err = Materialize(nil, r, s); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if n > 2 {
+		t.Fatalf("Materialize of %d chunks allocates %v per run, want <= 2", len(r.Chunks), n)
+	}
+	if !bytes.Equal(out, data) {
+		t.Fatal("materialized bytes differ from the ingested image")
 	}
 }

@@ -243,20 +243,35 @@ func (h *krHasher) roll(out, in byte) uint64 {
 }
 
 // krTable maps fingerprint buckets to the first reference offset whose
-// seed hashed there. Entries are generation-tagged — the high 32 bits hold
-// the generation that wrote the entry, the low 32 bits the offset plus one
-// — so reusing the table for a new diff is a generation bump, not a
-// multi-megabyte clear. (BENCH_convert.json showed the reuse path benching
-// *slower* than one-shot because prepare cleared the whole table each
-// call; with tagging, stale entries are invalidated for free.)
+// seed hashed there. Each entry packs three fields into one uint64
+// (DESIGN.md §10):
+//
+//	bits 63..48  generation that wrote the entry
+//	bits 47..32  tag: the top 16 bits of the seed's full fingerprint
+//	bits 31..0   reference offset plus one
+//
+// The generation makes reusing the table for a new diff a counter bump,
+// not a multi-megabyte clear. The tag lets lookup reject a probe whose
+// bucket holds a different seed without reading the reference: different
+// tags mean different fingerprints, hence different seed bytes, so the
+// byte comparison the tag skips could only have failed. Output is
+// therefore identical to an untagged table; only the wasted compares (a
+// cache miss each once the reference outgrows the cache) are gone.
 //
 // A table belongs to one pooled state and is only touched by the diff that
 // holds that state, so entries are plain loads and stores.
 type krTable struct {
 	entries []uint64
-	gen     uint32
+	gen     uint16
 	mask    uint64
 }
+
+// key returns the high word of an entry for fingerprint h in the current
+// generation: the generation above the tag. Buckets use the low tableBits
+// (at most 26) bits of h, so the tag is independent of the bucket.
+//
+//ipvet:allocfree
+func (t *krTable) key(h uint64) uint64 { return uint64(t.gen)<<16 | h>>48 }
 
 // prepare sizes the table for 2^bits entries and advances the generation,
 // invalidating all previous entries without touching them.
@@ -270,29 +285,33 @@ func (t *krTable) prepare(bits uint) {
 	}
 	t.gen++
 	if t.gen == 0 {
-		// Generation wrap: ancient entries could alias the new generation,
-		// so pay the one clear per 2^32 diffs.
+		// Generation wrap: entries from 2^16 prepares ago would alias the
+		// new generation, so clear once per wrap.
 		clear(t.entries)
 		t.gen = 1
 	}
 }
 
-// insert records offset r for bucket b if the bucket is empty this
-// generation (first occurrence wins, matching the left-to-right scan).
+// insert records offset r for the seed with fingerprint h if its bucket
+// is empty this generation (first occurrence wins, matching the
+// left-to-right scan).
 //
 //ipvet:allocfree
-func (t *krTable) insert(b uint64, r int) {
-	if uint32(t.entries[b]>>32) != t.gen {
-		t.entries[b] = uint64(t.gen)<<32 | uint64(uint32(r+1))
+func (t *krTable) insert(h uint64, r int) {
+	b := h & t.mask
+	if uint16(t.entries[b]>>48) != t.gen {
+		t.entries[b] = t.key(h)<<32 | uint64(uint32(r+1))
 	}
 }
 
-// lookup returns the stored offset for bucket b, if current.
+// lookup returns the stored offset for fingerprint h if its bucket is
+// current and holds a seed with the same tag. A hit is still only a
+// probable match; the caller compares bytes.
 //
 //ipvet:allocfree
-func (t *krTable) lookup(b uint64) (int, bool) {
-	e := t.entries[b]
-	if uint32(e>>32) != t.gen {
+func (t *krTable) lookup(h uint64) (int, bool) {
+	e := t.entries[h&t.mask]
+	if e>>32 != t.key(h) {
 		return 0, false
 	}
 	return int(uint32(e)) - 1, true
@@ -393,7 +412,7 @@ func buildTable(t *krTable, ref []byte, p, stride int) {
 	}
 	if stride >= strideJump {
 		for r := 0; r < n; r += stride {
-			t.insert(krHash(ref[r:r+p])&t.mask, r)
+			t.insert(krHash(ref[r:r+p]), r)
 		}
 		return
 	}
@@ -402,7 +421,7 @@ func buildTable(t *krTable, ref []byte, p, stride int) {
 	next := 0 // the next anchor
 	for r := 0; ; r++ {
 		if r == next {
-			t.insert(rh.hash&t.mask, r)
+			t.insert(rh.hash, r)
 			next += stride
 		}
 		if r+1 >= n {
@@ -429,7 +448,7 @@ func scanRange(t *krTable, e *emitter, ref, version []byte, p int) {
 	vh.init(version[:p])
 	for {
 		// Verify: fingerprints collide, bytes decide.
-		if r, ok := t.lookup(vh.hash & t.mask); ok && bytes.Equal(ref[r:r+p], version[v:v+p]) {
+		if r, ok := t.lookup(vh.hash); ok && bytes.Equal(ref[r:r+p], version[v:v+p]) {
 			fwd := p + matchForward(ref, version, r+p, v+p)
 			back := matchBackward(ref, version, r, v, v-lit)
 			// Emit literals preceding the (extended) match.
