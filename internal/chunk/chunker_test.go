@@ -70,12 +70,12 @@ func TestChunkerDeterministic(t *testing.T) {
 
 func TestChunkerParamValidation(t *testing.T) {
 	bad := []Params{
-		{Min: 16, Avg: 8 << 10, Max: 64 << 10},    // Min too small
-		{Min: 4 << 10, Avg: 2 << 10, Max: 64000},  // Min > Avg
-		{Min: 2 << 10, Avg: 64 << 10, Max: 8192},  // Avg > Max
-		{Min: 2 << 10, Avg: 3000, Max: 64 << 10},  // Avg not a power of two
-		{Min: -1, Avg: 8 << 10, Max: 64 << 10},    // negative
-		{Min: 2 << 10, Avg: 8 << 10, Max: -1},     // negative max
+		{Min: 16, Avg: 8 << 10, Max: 64 << 10},   // Min too small
+		{Min: 4 << 10, Avg: 2 << 10, Max: 64000}, // Min > Avg
+		{Min: 2 << 10, Avg: 64 << 10, Max: 8192}, // Avg > Max
+		{Min: 2 << 10, Avg: 3000, Max: 64 << 10}, // Avg not a power of two
+		{Min: -1, Avg: 8 << 10, Max: 64 << 10},   // negative
+		{Min: 2 << 10, Avg: 8 << 10, Max: -1},    // negative max
 	}
 	for _, p := range bad {
 		if _, err := NewChunker(p); err == nil {

@@ -56,6 +56,8 @@ func (r Recipe) Total() int64 {
 // Source supplies chunk contents by address — the read side of a Store,
 // or anything else that can resolve an ID (a remote peer, an archive
 // tier). Returned slices are shared and must be treated as read-only.
+// A Source must be safe for concurrent use: the recipe differ resolves
+// the chunks of different runs in parallel.
 type Source interface {
 	Chunk(id ID) ([]byte, error)
 }

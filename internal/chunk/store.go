@@ -4,6 +4,7 @@ import (
 	"container/list"
 	"errors"
 	"fmt"
+	"runtime"
 	"sync"
 
 	"ipdelta/internal/obs"
@@ -115,7 +116,12 @@ func NewStore(opts ...StoreOption) *Store {
 // counters record it. Concurrent ingests of the same new chunk perform
 // one copy (singleflight).
 func (s *Store) Ingest(data []byte) Ref {
-	ref := RefOf(data)
+	return s.install(RefOf(data), data)
+}
+
+// install takes one reference to the chunk ref describes, storing a copy
+// of data (its content) if no copy is resident.
+func (s *Store) install(ref Ref, data []byte) Ref {
 	if s.met != nil {
 		s.met.sizes.Observe(ref.Length)
 	}
@@ -251,12 +257,113 @@ func (s *Store) Contains(id ID) bool {
 // version's recipe. This is the chunked ingest path: for a version that
 // shares most content with anything previously ingested — by any tenant
 // of this store — only the novel chunks cost storage.
+//
+// The calling goroutine cuts and installs; GOMAXPROCS−1 hashers compute
+// the chunks' Refs in between, a batch of chunks at a time (DESIGN.md
+// §14). Chunks are installed in input order, so the recipe, the store's
+// contents and its counters are those of an Ingest call per chunk. An
+// input of one batch, or GOMAXPROCS=1, is hashed inline.
 func (s *Store) IngestAll(ck *Chunker, data []byte) Recipe {
 	r := Recipe{Chunks: make([]Ref, 0, len(data)/ck.p.Avg+1)}
-	ck.Split(data, func(chunk []byte) {
-		r.Chunks = append(r.Chunks, s.Ingest(chunk))
-	})
+	installBatch := func(b *ingestBatch) {
+		lo := 0
+		for k, end := range b.ends[:b.n] {
+			r.Chunks = append(r.Chunks, s.install(b.refs[k], b.data[lo:end]))
+			lo = end
+		}
+	}
+	var first ingestBatch
+	rest := first.cut(ck, data)
+	hashers := min(runtime.GOMAXPROCS(0)-1, len(rest)/(ck.p.Avg*ingestBatchLen)+1)
+	if len(rest) == 0 || hashers == 0 {
+		for {
+			first.hash()
+			installBatch(&first)
+			if len(rest) == 0 {
+				return r
+			}
+			rest = first.cut(ck, rest)
+		}
+	}
+
+	// Two batches per hasher keep every hasher busy while the cutter
+	// fills the next one; the ring holds them in input order.
+	ring := make([]ingestBatch, 2*hashers+1)
+	// One slot per ring batch: every batch in flight fits, so a send
+	// never blocks the cutter.
+	work := make(chan *ingestBatch, len(ring))
+	var wg sync.WaitGroup
+	wg.Add(hashers)
+	for range hashers {
+		go func() {
+			defer wg.Done()
+			for b := range work {
+				b.hash()
+				b.hashed.Done()
+			}
+		}()
+	}
+	send := func(b *ingestBatch) {
+		b.hashed.Add(1)
+		work <- b
+	}
+	ring[0].data, ring[0].ends, ring[0].n = first.data, first.ends, first.n
+	send(&ring[0])
+	head, inFlight := 0, 1
+	for len(rest) > 0 || inFlight > 0 {
+		if len(rest) > 0 && inFlight < len(ring) {
+			b := &ring[(head+inFlight)%len(ring)]
+			rest = b.cut(ck, rest)
+			send(b)
+			inFlight++
+			continue
+		}
+		b := &ring[head]
+		b.hashed.Wait()
+		installBatch(b)
+		head = (head + 1) % len(ring)
+		inFlight--
+	}
+	close(work)
+	wg.Wait()
 	return r
+}
+
+// ingestBatchLen is the number of chunks IngestAll hands a hasher at a
+// time: about 512 KiB at the default average chunk size.
+const ingestBatchLen = 64
+
+// ingestBatch is up to ingestBatchLen consecutive chunks of an IngestAll
+// input. The cutter fills data, ends and n; a hasher then fills refs and
+// marks the batch hashed. Neither touches the batch while the other owns
+// it.
+type ingestBatch struct {
+	data   []byte              // the input the batch's chunks cover
+	ends   [ingestBatchLen]int // chunk k is data[ends[k-1]:ends[k]]
+	n      int                 // chunks in the batch
+	refs   [ingestBatchLen]Ref // RefOf each chunk
+	hashed sync.WaitGroup      // done once refs are filled
+}
+
+// cut fills b with the next chunks of data and returns the rest.
+func (b *ingestBatch) cut(ck *Chunker, data []byte) []byte {
+	end := 0
+	for b.n = 0; b.n < ingestBatchLen && end < len(data); b.n++ {
+		n, _ := ck.Cut(data[end:])
+		end += n
+		b.ends[b.n] = end
+	}
+	b.data = data[:end]
+	return data[end:]
+}
+
+// hash computes the Ref of every chunk in b.
+func (b *ingestBatch) hash() {
+	lo := 0
+	for k, end := range b.ends[:b.n] {
+		b.refs[k] = RefOf(b.data[lo:end])
+		lo = end
+	}
 }
 
 // Stats is a point-in-time summary of the store, for tests and tools.

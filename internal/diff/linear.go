@@ -274,20 +274,24 @@ type krTable struct {
 func (t *krTable) key(h uint64) uint64 { return uint64(t.gen)<<16 | h>>48 }
 
 // prepare sizes the table for 2^bits entries and advances the generation,
-// invalidating all previous entries without touching them.
+// invalidating all previous entries without touching them. A table that
+// once held more entries keeps its allocation, so a state that diffs
+// windows of varying size allocates once, for the largest.
 func (t *krTable) prepare(bits uint) {
 	size := 1 << bits
-	if len(t.entries) != size {
+	t.mask = uint64(size) - 1
+	if cap(t.entries) < size {
 		t.entries = make([]uint64, size)
 		t.gen = 1
-		t.mask = uint64(size) - 1
 		return
 	}
+	t.entries = t.entries[:size]
 	t.gen++
 	if t.gen == 0 {
 		// Generation wrap: entries from 2^16 prepares ago would alias the
-		// new generation, so clear once per wrap.
-		clear(t.entries)
+		// new generation, so clear once per wrap — the whole allocation,
+		// since a later, larger prepare reslices into it.
+		clear(t.entries[:cap(t.entries)])
 		t.gen = 1
 	}
 }

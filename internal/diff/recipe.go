@@ -3,8 +3,10 @@ package diff
 import (
 	"crypto/sha256"
 	"fmt"
+	"runtime"
 	"sort"
 	"sync"
+	"sync/atomic"
 
 	"ipdelta/internal/chunk"
 	"ipdelta/internal/delta"
@@ -19,7 +21,8 @@ import (
 // against a bounded window of old bytes around the gap, never the whole
 // file. For a multi-GiB version pair with localized churn this turns the
 // O(L_R + L_V) full scan into work proportional to the churn, and caps
-// working memory at O(window + max chunk) regardless of file size.
+// working memory at O(window + max chunk) per worker regardless of file
+// size.
 type RecipeDiffer struct {
 	seedLen   int
 	maxBits   uint
@@ -50,14 +53,48 @@ func resolveRecipeMetrics(r *obs.Registry) *recipeMetrics {
 	}
 }
 
-// recipeState is one diff's working memory: the fingerprint table, the
-// emitter, and the two bounded materialization buffers. Pooled per
-// RecipeDiffer so steady-state calls reallocate none of it.
+// recipeState is one worker's working memory: the fingerprint table, the
+// emitter, and the two bounded materialization buffers. The state of the
+// goroutine that called DiffRecipes also holds the call's plan. States
+// are pooled per RecipeDiffer so steady-state calls reallocate none of
+// it.
 type recipeState struct {
 	table  krTable
 	e      emitter
 	oldWin []byte // materialized old context, <= windowCap
 	newSeg []byte // materialized new-run segment, <= windowCap
+
+	// The plan, in the calling goroutine's state only.
+	oldOff    map[chunk.ID]int64 // first-occurrence offset of every old chunk
+	oldStarts []int64            // cumulative old chunk starts, plus the total
+	steps     []recipeStep
+	runs      []recipeRun
+	nextRun   atomic.Int64   // the next run a worker takes
+	helpers   []*recipeState // states the other workers diffed in
+	workers   sync.WaitGroup // the helpers' goroutines
+}
+
+// recipeStep is one entry of a DiffRecipes plan, in new-file order: a
+// merged whole-chunk copy of n bytes from old offset from to new offset
+// to, or, when run >= 0, the unmatched run runs[run].
+type recipeStep struct {
+	from, to, n int64
+	run         int
+}
+
+// recipeRun is an unmatched run of new chunks [a, b), starting at new
+// offset to, diffed against the old context [gapLo, gapHi). The diff
+// phase records which worker's emitter holds its commands and literal
+// bytes, and where.
+type recipeRun struct {
+	a, b         int
+	to           int64
+	gapLo, gapHi int64
+
+	st           *recipeState
+	cmdLo, cmdHi int
+	litLo, litHi int
+	err          error
 }
 
 // RecipeOption customizes a RecipeDiffer.
@@ -104,39 +141,93 @@ func NewRecipeDiffer(opts ...RecipeOption) *RecipeDiffer {
 // The result is equivalent to a full-image diff under Apply — the
 // acceptance property the tests pin — while touching only matched-chunk
 // metadata plus a bounded byte window per unmatched run.
+//
+// It works in three phases (DESIGN.md §14). Plan walks the recipes and
+// lists the merged chunk copies and the unmatched runs between them.
+// Diff hands the runs to min(GOMAXPROCS, runs) workers, each with its
+// own pooled state; one worker runs inline. Stitch concatenates the
+// copies and each run's commands and literal bytes in plan order. src
+// must be safe for concurrent use.
 func (rd *RecipeDiffer) DiffRecipes(oldR, newR chunk.Recipe, src chunk.Source) (*delta.Delta, error) {
+	st := rd.getState()
+	defer rd.putStates(st)
+	newLen := rd.plan(st, oldR, newR)
+	rd.diffRuns(st, newR, oldR, src)
+	for k := range st.runs {
+		if err := st.runs[k].err; err != nil {
+			return nil, err
+		}
+	}
+	d := &delta.Delta{
+		RefLen:     st.oldStarts[len(oldR.Chunks)],
+		VersionLen: newLen,
+		Commands:   stitch(st),
+	}
+	if rd.met != nil {
+		rd.met.diffs.Inc()
+	}
+	return d, nil
+}
+
+// getState takes a state from the pool, or makes one.
+func (rd *RecipeDiffer) getState() *recipeState {
 	st, _ := rd.pool.Get().(*recipeState)
 	if st == nil {
-		st = &recipeState{}
+		st = &recipeState{oldOff: make(map[chunk.ID]int64)}
 	}
-	st.e.reset()
+	return st
+}
+
+// putStates returns the calling goroutine's state and its helpers' to
+// the pool.
+func (rd *RecipeDiffer) putStates(st *recipeState) {
+	for k, h := range st.helpers {
+		rd.pool.Put(h)
+		st.helpers[k] = nil
+	}
+	st.helpers = st.helpers[:0]
+	for k := range st.runs {
+		st.runs[k] = recipeRun{} // drop helper states and errors
+	}
+	rd.pool.Put(st)
+}
+
+// plan aligns the recipes: every new chunk the old file also holds
+// becomes a whole-chunk copy, merged with its predecessor when the two
+// are contiguous in the old file, and each maximal run of unmatched new
+// chunks is recorded with the old context between its neighbouring
+// matches. Metadata only; it returns the new file's length.
+func (rd *RecipeDiffer) plan(st *recipeState, oldR, newR chunk.Recipe) int64 {
+	clear(st.oldOff)
+	st.oldStarts = st.oldStarts[:0]
+	st.steps = st.steps[:0]
+	st.runs = st.runs[:0]
 
 	// First-occurrence offset of every old chunk, plus cumulative starts
 	// for window materialization. O(#old chunks) metadata, not bytes.
-	oldOff := make(map[chunk.ID]int64, len(oldR.Chunks))
-	oldStarts := make([]int64, len(oldR.Chunks)+1)
 	var off int64
-	for i, c := range oldR.Chunks {
-		oldStarts[i] = off
-		if _, ok := oldOff[c.ID]; !ok {
-			oldOff[c.ID] = off
+	for _, c := range oldR.Chunks {
+		st.oldStarts = append(st.oldStarts, off)
+		if _, ok := st.oldOff[c.ID]; !ok {
+			st.oldOff[c.ID] = off
 		}
 		off += c.Length
 	}
-	oldStarts[len(oldR.Chunks)] = off
+	st.oldStarts = append(st.oldStarts, off)
 
-	var pendFrom, pendLen int64 // pending merged whole-chunk copy
-	runStart := -1              // first new-chunk index of the pending unmatched run
-	gapLo := int64(0)           // old offset where the current gap's context begins
+	var pend recipeStep // pending merged whole-chunk copy
+	runStart := -1      // first new-chunk index of the pending unmatched run
+	var runTo int64     // its new-file offset
+	gapLo := int64(0)   // old offset where the current gap's context begins
 	var newOff int64
 
 	flushCopy := func() {
-		if pendLen > 0 {
-			st.e.copyCmd(pendFrom, pendLen)
+		if pend.n > 0 {
+			st.steps = append(st.steps, pend)
 			if rd.met != nil {
-				rd.met.chunkCopy.Add(pendLen)
+				rd.met.chunkCopy.Add(pend.n)
 			}
-			pendLen = 0
+			pend.n = 0
 		}
 	}
 
@@ -146,11 +237,11 @@ func (rd *RecipeDiffer) DiffRecipes(oldR, newR chunk.Recipe, src chunk.Source) (
 		matched := false
 		if i < len(newR.Chunks) {
 			c = newR.Chunks[i]
-			at, matched = oldOff[c.ID]
+			at, matched = st.oldOff[c.ID]
 		}
 		if !matched && i < len(newR.Chunks) {
 			if runStart < 0 {
-				runStart = i
+				runStart, runTo = i, newOff
 			}
 			newOff += c.Length
 			continue
@@ -158,40 +249,102 @@ func (rd *RecipeDiffer) DiffRecipes(oldR, newR chunk.Recipe, src chunk.Source) (
 		// A match (or the end sentinel) closes any pending unmatched run.
 		if runStart >= 0 {
 			flushCopy()
-			gapHi := oldStarts[len(oldR.Chunks)]
+			gapHi := off
 			if matched {
 				gapHi = at
 			}
-			if err := rd.diffRun(st, newR, runStart, i, oldR, oldStarts, src, gapLo, gapHi); err != nil {
-				rd.pool.Put(st)
-				return nil, err
-			}
+			st.steps = append(st.steps, recipeStep{run: len(st.runs)})
+			st.runs = append(st.runs, recipeRun{a: runStart, b: i, to: runTo, gapLo: gapLo, gapHi: gapHi})
 			runStart = -1
 		}
 		if !matched {
 			break // end sentinel
 		}
-		if pendLen > 0 && at == pendFrom+pendLen {
-			pendLen += c.Length // contiguous in the old file: extend
+		if pend.n > 0 && at == pend.from+pend.n {
+			pend.n += c.Length // contiguous in the old file: extend
 		} else {
 			flushCopy()
-			pendFrom, pendLen = at, c.Length
+			pend = recipeStep{from: at, to: newOff, n: c.Length, run: -1}
 		}
 		gapLo = at + c.Length
 		newOff += c.Length
 	}
 	flushCopy()
+	return newOff
+}
 
-	d := &delta.Delta{
-		RefLen:     oldStarts[len(oldR.Chunks)],
-		VersionLen: newOff,
-		Commands:   st.e.finish(),
+// diffRuns diffs every planned run on min(GOMAXPROCS, runs) workers.
+// The caller is a worker too, so one worker starts no goroutine.
+func (rd *RecipeDiffer) diffRuns(st *recipeState, newR, oldR chunk.Recipe, src chunk.Source) {
+	st.nextRun.Store(0)
+	for w := 1; w < min(runtime.GOMAXPROCS(0), len(st.runs)); w++ {
+		ws := rd.getState()
+		st.helpers = append(st.helpers, ws)
+		st.workers.Add(1)
+		go func() {
+			defer st.workers.Done()
+			rd.work(st, ws, newR, oldR, src)
+		}()
 	}
-	rd.pool.Put(st)
-	if rd.met != nil {
-		rd.met.diffs.Inc()
+	rd.work(st, st, newR, oldR, src)
+	st.workers.Wait()
+}
+
+// work is one worker: it takes st's runs in order from the shared
+// counter and diffs each into ws's emitter, recording the spans of
+// commands and literal bytes the run produced there.
+func (rd *RecipeDiffer) work(st, ws *recipeState, newR, oldR chunk.Recipe, src chunk.Source) {
+	ws.e.reset()
+	for {
+		k := int(st.nextRun.Add(1) - 1)
+		if k >= len(st.runs) {
+			return
+		}
+		run := &st.runs[k]
+		ws.e.at = run.to
+		run.st, run.cmdLo, run.litLo = ws, len(ws.e.cmds), len(ws.e.lits)
+		run.err = rd.diffRun(ws, newR, run.a, run.b, oldR, st.oldStarts, src, run.gapLo, run.gapHi)
+		ws.e.flushAdd()
+		run.cmdHi, run.litHi = len(ws.e.cmds), len(ws.e.lits)
 	}
-	return d, nil
+}
+
+// stitch assembles the plan into one detached command list over one
+// literal arena: chunk copies as planned, each run's commands as its
+// worker emitted them, with add arena offsets rebased from the worker's
+// arena to the shared one. A chunk copy separates any two runs and the
+// emitter never merges an add across a copy, so the result is the
+// command list a single emitter walking the plan in order would build.
+func stitch(st *recipeState) []delta.Command {
+	ncmds, nlits := 0, 0
+	for _, s := range st.steps {
+		if s.run < 0 {
+			ncmds++
+			continue
+		}
+		r := &st.runs[s.run]
+		ncmds += r.cmdHi - r.cmdLo
+		nlits += r.litHi - r.litLo
+	}
+	cmds := make([]delta.Command, 0, ncmds)
+	arena := make([]byte, 0, nlits)
+	for _, s := range st.steps {
+		if s.run < 0 {
+			cmds = append(cmds, delta.NewCopy(s.from, s.to, s.n))
+			continue
+		}
+		r := &st.runs[s.run]
+		rebase := int64(len(arena) - r.litLo)
+		arena = append(arena, r.st.e.lits[r.litLo:r.litHi]...)
+		for _, c := range r.st.e.cmds[r.cmdLo:r.cmdHi] {
+			if c.Op == delta.OpAdd {
+				c.From += rebase
+			}
+			cmds = append(cmds, c)
+		}
+	}
+	resolveAdds(cmds, arena)
+	return cmds
 }
 
 // diffRun emits commands covering new chunks [a, b) — a run that matched

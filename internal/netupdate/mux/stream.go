@@ -31,9 +31,9 @@ type Stream struct {
 
 	sendWin  int64 // credit granted by the peer
 	sentFin  bool
-	consumed int   // bytes read since the last WINDOW grant
-	closed   bool  // local Close: reads fail, late frames are discarded
-	retired  bool  // removed from the transport's stream table
+	consumed int  // bytes read since the last WINDOW grant
+	closed   bool // local Close: reads fail, late frames are discarded
+	retired  bool // removed from the transport's stream table
 
 	rdl, wdl       time.Time
 	rtimer, wtimer *time.Timer
