@@ -15,6 +15,7 @@ import (
 	"ipdelta/internal/chunk"
 	"ipdelta/internal/codec"
 	"ipdelta/internal/corpus"
+	"ipdelta/internal/delta"
 	"ipdelta/internal/diff"
 	"ipdelta/internal/inplace"
 	"ipdelta/internal/obs"
@@ -22,11 +23,12 @@ import (
 )
 
 // The benchmark-baseline mode (-bench-baseline) measures the conversion
-// pipeline's steady-state hot paths with testing.Benchmark and emits a
+// pipeline's steady-state hot paths with testing.Benchmark, emits a
 // machine-readable JSON document (-baseline-out, BENCH_convert.json by
-// convention). Committing the file alongside a perf-sensitive change gives
-// reviewers and CI a before/after record of ns/op and allocs/op without
-// re-running anything.
+// convention), and then checks the document against the rule table in
+// rules.go. Committing the file alongside a perf-sensitive change gives
+// reviewers a before/after record of ns/op, allocs/op and delta size
+// without re-running anything; the rules make the run itself the gate.
 
 // baselineResult is one benchmark's measurement.
 type baselineResult struct {
@@ -36,6 +38,11 @@ type baselineResult struct {
 	BytesPerOp  int64   `json:"bytes_per_op"`
 	AllocsPerOp int64   `json:"allocs_per_op"`
 	MBPerSec    float64 `json:"mb_per_s,omitempty"`
+	// DeltaBytes and AddPct describe the delta a diff row builds: its
+	// size in the ordered format, and its add bytes as a percentage of
+	// the version. Only diff rows carry them.
+	DeltaBytes int64   `json:"delta_bytes,omitempty"`
+	AddPct     float64 `json:"add_pct,omitempty"`
 }
 
 // baselineStage summarizes one observed pipeline stage from the metrics
@@ -203,6 +210,39 @@ func (doc *baselineDoc) measure(name string, bytes int64, fn func(b *testing.B))
 	doc.Results = append(doc.Results, res)
 }
 
+// measureDiff records a diff row. It first builds one delta with diffFn
+// and requires it to rebuild version from ref exactly, so a fast wrong
+// answer never reaches the document, and records the delta's shape; then
+// it times diffFn.
+func (doc *baselineDoc) measureDiff(name string, ref, version []byte, diffFn func() (*delta.Delta, error)) error {
+	d, err := diffFn()
+	if err != nil {
+		return fmt.Errorf("bench-baseline: %s: %w", name, err)
+	}
+	got, err := d.Apply(ref)
+	if err != nil {
+		return fmt.Errorf("bench-baseline: %s: apply: %w", name, err)
+	}
+	if !bytes.Equal(got, version) {
+		return fmt.Errorf("bench-baseline: %s: delta does not rebuild the version image", name)
+	}
+	size, err := codec.EncodedSize(d, codec.FormatOrdered)
+	if err != nil {
+		return fmt.Errorf("bench-baseline: %s: %w", name, err)
+	}
+	addPct := 100 * float64(d.AddedBytes()) / float64(len(version))
+	doc.measure(name, int64(len(version)), func(b *testing.B) {
+		for i := 0; i < b.N; i++ {
+			if _, err := diffFn(); err != nil {
+				b.Fatal(err)
+			}
+		}
+	})
+	r := &doc.Results[len(doc.Results)-1]
+	r.DeltaBytes, r.AddPct = size, addPct
+	return nil
+}
+
 // addRegistry folds the registry's counters and histograms into the
 // document: stage timers (named *_nanos) into Stages, the rest into
 // Histograms with unit-neutral fields.
@@ -226,9 +266,17 @@ func (doc *baselineDoc) addRegistry(reg *obs.Registry) {
 	sort.Slice(doc.Histograms, func(i, j int) bool { return doc.Histograms[i].Name < doc.Histograms[j].Name })
 }
 
-// runBaseline measures the pipeline and writes the JSON document to
-// outPath, rendering a summary table to out.
+// runBaseline measures the pipeline, writes the JSON document to outPath,
+// renders a summary table to out, and returns an error naming every
+// baseline rule the document breaks.
 func runBaseline(out io.Writer, outPath string, quick bool, seed int64) error {
+	// Open the output first: an unwritable path fails before minutes of
+	// measuring, not after.
+	f, err := os.Create(outPath)
+	if err != nil {
+		return fmt.Errorf("bench-baseline: %w", err)
+	}
+	defer f.Close()
 	size := 256 << 10
 	batchJobs := 16
 	if quick {
@@ -287,21 +335,17 @@ func runBaseline(out io.Writer, outPath string, quick bool, seed int64) error {
 	if err := measureCodec(doc, 4*size, seed); err != nil {
 		return err
 	}
-	doc.measure("diff/one-shot", vbytes, func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			if _, err := l.Diff(p.Ref, p.Version); err != nil {
-				b.Fatal(err)
-			}
-		}
-	})
+	if err := doc.measureDiff("diff/one-shot", p.Ref, p.Version, func() (*delta.Delta, error) {
+		return l.Diff(p.Ref, p.Version)
+	}); err != nil {
+		return err
+	}
 	dr := diff.NewDiffer()
-	doc.measure("diff/reuse", vbytes, func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			if _, err := dr.Diff(p.Ref, p.Version); err != nil {
-				b.Fatal(err)
-			}
-		}
-	})
+	if err := doc.measureDiff("diff/reuse", p.Ref, p.Version, func() (*delta.Delta, error) {
+		return dr.Diff(p.Ref, p.Version)
+	}); err != nil {
+		return err
+	}
 
 	// Chunked dedup tier: content-defined split, ingest and materialize
 	// throughput, then the recipe-diff fast path against the full-image
@@ -313,7 +357,7 @@ func runBaseline(out io.Writer, outPath string, quick bool, seed int64) error {
 	// document's metrics.
 	chunkSizes := []int{1 << 20, 16 << 20, 256 << 20}
 	if quick {
-		chunkSizes = []int{1 << 20}
+		chunkSizes = chunkSizes[:2]
 	}
 	ck, err := chunk.NewChunker(chunk.Params{})
 	if err != nil {
@@ -350,20 +394,16 @@ func runBaseline(out io.Writer, outPath string, quick bool, seed int64) error {
 				}
 			}
 		})
-		doc.measure("recipe/diff/"+label, int64(csz), func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				if _, err := rd.DiffRecipes(ro, rn, cstore); err != nil {
-					b.Fatal(err)
-				}
-			}
-		})
-		doc.measure("diff/full/"+label, int64(csz), func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				if _, err := dr.Diff(oldImg, newImg); err != nil {
-					b.Fatal(err)
-				}
-			}
-		})
+		if err := doc.measureDiff("recipe/diff/"+label, oldImg, newImg, func() (*delta.Delta, error) {
+			return rd.DiffRecipes(ro, rn, cstore)
+		}); err != nil {
+			return err
+		}
+		if err := doc.measureDiff("diff/full/"+label, oldImg, newImg, func() (*delta.Delta, error) {
+			return dr.Diff(oldImg, newImg)
+		}); err != nil {
+			return err
+		}
 	}
 
 	// Store serving path: materializing the head of a delta chain cold
@@ -434,14 +474,9 @@ func runBaseline(out io.Writer, outPath string, quick bool, seed int64) error {
 	// the chunk tier's dedup counters all report through reg.
 	doc.addRegistry(reg)
 
-	f, err := os.Create(outPath)
-	if err != nil {
-		return fmt.Errorf("bench-baseline: %w", err)
-	}
 	enc := json.NewEncoder(f)
 	enc.SetIndent("", "  ")
 	if err := enc.Encode(doc); err != nil {
-		f.Close()
 		return fmt.Errorf("bench-baseline: %w", err)
 	}
 	if err := f.Close(); err != nil {
@@ -452,10 +487,14 @@ func runBaseline(out io.Writer, outPath string, quick bool, seed int64) error {
 	fmt.Fprintf(out, "environment: %d CPU, GOMAXPROCS %d, %s %s/%s — parallel rows reflect this parallelism\n\n",
 		doc.Environment.NumCPU, doc.Environment.GOMAXPROCS,
 		doc.Environment.GoVersion, doc.Environment.GOOS, doc.Environment.GOARCH)
-	fmt.Fprintf(out, "%-24s %12s %14s %12s %10s\n", "benchmark", "iters", "ns/op", "allocs/op", "MB/s")
+	fmt.Fprintf(out, "%-24s %12s %14s %12s %10s %8s\n", "benchmark", "iters", "ns/op", "allocs/op", "MB/s", "add %")
 	for _, r := range doc.Results {
-		fmt.Fprintf(out, "%-24s %12d %14.0f %12d %10.1f\n",
-			r.Name, r.Iters, r.NsPerOp, r.AllocsPerOp, r.MBPerSec)
+		fmt.Fprintf(out, "%-24s %12d %14.0f %12d %10.1f", r.Name, r.Iters, r.NsPerOp, r.AllocsPerOp, r.MBPerSec)
+		if r.DeltaBytes > 0 {
+			fmt.Fprintf(out, " %8.2f", r.AddPct)
+		}
+		fmt.Fprintln(out)
 	}
-	return nil
+	fmt.Fprintln(out)
+	return checkRules(out, doc, baselineRules)
 }

@@ -9,22 +9,17 @@
 //	        [-policies] [-strategies] [-composition] [-algorithms]
 //	        [-fleet] [-scratch]
 //	ipbench -bench-baseline [-baseline-out FILE] [-quick] [-seed N]
-//	ipbench -compare OLD.json [-compare-to NEW.json] [-threshold R]
-//	ipbench -recipe-gate [-recipe-speedup F] [-quick] [-seed N]
 //
 // With no experiment flags, all experiments run. -json emits one JSON
 // document with every selected result instead of rendered tables.
 // -bench-baseline skips the experiments and instead measures the
-// conversion pipeline's hot paths (convert, CRWI build, diff, batch, and
-// store serving cold vs cached), writing ns/op, allocs/op, and MB/s as
-// JSON for before/after comparison. -compare reads a previously committed
-// baseline and a fresh one and exits non-zero when any shared benchmark
-// slowed down by more than -threshold (default 0.25, i.e. 25%), or when a
-// zero-allocation benchmark started allocating.
-// -recipe-gate checks both correctness and speed of the chunked
-// recipe-diff fast path on a 16 MiB 5%-churn input: both deltas must
-// reconstruct identical bytes, and recipe diffing must beat the full
-// differ by at least -recipe-speedup (default 2.0x).
+// pipeline's hot paths (convert, CRWI build, codec, diff, the chunk tier
+// and recipe diff, store serving cold vs cached, batch), writing ns/op,
+// allocs/op, MB/s and each diff row's delta size and add share as JSON.
+// It then checks the document against a fixed rule table (exact
+// allocation counts, speed ratios between rows, compression) and exits
+// non-zero, naming each broken rule, if any fails. -quick stops the
+// chunk rows at 16 MiB instead of 256 MiB.
 package main
 
 import (
@@ -69,21 +64,10 @@ func run(args []string) error {
 	algorithms := fs.Bool("algorithms", false, "E10: differencing algorithm ablation")
 	fleetFlag := fs.Bool("fleet", false, "E11: fleet rollout comparison")
 	scratch := fs.Bool("scratch", false, "E12: bounded-scratch trade-off")
-	benchBaseline := fs.Bool("bench-baseline", false, "measure the conversion pipeline and emit a machine-readable baseline instead of running experiments")
+	benchBaseline := fs.Bool("bench-baseline", false, "measure the pipeline, emit a machine-readable baseline and check its rules instead of running experiments")
 	baselineOut := fs.String("baseline-out", "BENCH_convert.json", "output path for -bench-baseline")
-	comparePath := fs.String("compare", "", "compare this old baseline JSON against -compare-to and exit non-zero on regression")
-	compareTo := fs.String("compare-to", "BENCH_convert.json", "new baseline JSON for -compare")
-	threshold := fs.Float64("threshold", 0.25, "allowed ns/op slowdown ratio for -compare (0.25 = 25%)")
-	recipeGate := fs.Bool("recipe-gate", false, "measure recipe diff vs the full differ on churned input and exit non-zero unless recipe wins by -recipe-speedup")
-	recipeSpeedup := fs.Float64("recipe-speedup", 2.0, "required recipe-vs-full speedup factor for -recipe-gate")
 	if err := fs.Parse(args); err != nil {
 		return err
-	}
-	if *comparePath != "" {
-		return runCompare(os.Stdout, *comparePath, *compareTo, *threshold)
-	}
-	if *recipeGate {
-		return runRecipeGate(os.Stdout, *recipeSpeedup, *quick, *seed)
 	}
 	if *benchBaseline {
 		return runBaseline(os.Stdout, *baselineOut, *quick, *seed)

@@ -7,7 +7,6 @@ import (
 
 	"ipdelta/internal/codec"
 	"ipdelta/internal/diff"
-	"ipdelta/internal/graph"
 	"ipdelta/internal/netupdate/mux"
 	"ipdelta/internal/obs"
 )
@@ -26,8 +25,6 @@ type Config struct {
 	Format codec.Format
 	// Algorithm is the differencing algorithm.
 	Algorithm diff.Algorithm
-	// Policy is the cycle-breaking policy.
-	Policy graph.Policy
 	// ScratchBudget enables bounded-scratch deltas when positive.
 	ScratchBudget int64
 	// FailureBudget rejects clients after that many consecutive failed
@@ -127,12 +124,6 @@ func WithFormat(f codec.Format) Option {
 // WithAlgorithm selects the differencing algorithm (default linear).
 func WithAlgorithm(a diff.Algorithm) Option {
 	return func(c *Config) { c.Algorithm = a }
-}
-
-// WithServerPolicy selects the cycle-breaking policy (default
-// locally-minimum).
-func WithServerPolicy(p graph.Policy) Option {
-	return func(c *Config) { c.Policy = p }
 }
 
 // WithScratchBudget makes the server prepare bounded-scratch deltas (the

@@ -32,7 +32,6 @@ type Server struct {
 	crcs    []uint32
 	format  codec.Format
 	algo    diff.Algorithm
-	policy  graph.Policy
 
 	scratchBudget int64
 	msgTimeout    time.Duration
@@ -62,14 +61,12 @@ func NewServer(history [][]byte, opts ...Option) (*Server, error) {
 	cfg := Config{
 		Format:    codec.FormatCompact,
 		Algorithm: diff.NewLinear(),
-		Policy:    graph.LocallyMinimum{},
 	}
 	cfg.apply(opts)
 	s := &Server{
 		history:       history,
 		format:        cfg.Format,
 		algo:          cfg.Algorithm,
-		policy:        cfg.Policy,
 		scratchBudget: cfg.ScratchBudget,
 		msgTimeout:    cfg.MessageTimeout,
 		failBudget:    cfg.FailureBudget,
@@ -205,12 +202,13 @@ func (s *Server) lookup(key deltaKey) (deltaEntry, bool) {
 }
 
 // build runs diff → in-place convert → encode for history[idx] against
-// the current version, in the scratch format when scratch is set.
+// the current version, in the scratch format when scratch is set. Cycles
+// are broken under the locally-minimum policy, the paper's default.
 func (s *Server) build(idx int, scratch bool) (deltaEntry, error) {
 	if s.met != nil {
 		defer s.met.buildStage.Start().End()
 	}
-	opts := []inplace.Option{inplace.WithPolicy(s.policy)}
+	opts := []inplace.Option{inplace.WithPolicy(graph.LocallyMinimum{})}
 	format := s.format
 	if scratch {
 		opts = append(opts, inplace.WithScratchBudget(s.scratchBudget))
