@@ -14,7 +14,6 @@ import (
 	"time"
 
 	"ipdelta/internal/codec"
-	"ipdelta/internal/diff"
 	"ipdelta/internal/graph"
 	"ipdelta/internal/obs"
 	"ipdelta/internal/store"
@@ -28,7 +27,6 @@ func cmdServe(args []string) error {
 	listen := fs.String("listen", "127.0.0.1:7080", "listen address")
 	policyName := fs.String("policy", "locally-minimum", "cycle-breaking policy for served deltas")
 	cacheSize := fs.Int("cache", 64, "materialization cache entries (0 disables; versions and composed deltas are replayed per request)")
-	diffName := fs.String("diff", "linear", "differencing algorithm for appended versions: linear, greedy, recipe, ...")
 	chunked := fs.Bool("chunked", false, "enable the chunked recipe tier: versions dedup into a content-addressed chunk store, and served deltas are sourced from recipe diffs")
 	verbose := fs.Bool("v", false, "log each request (structured, stderr)")
 	if err := fs.Parse(args); err != nil {
@@ -37,14 +35,10 @@ func cmdServe(args []string) error {
 	if *storePath == "" {
 		return errors.New("serve: -store is required")
 	}
-	algo, err := diff.ByName(*diffName)
-	if err != nil {
-		return err
-	}
 	reg := obs.NewRegistry()
 	// The cache and its hit/miss/dedup counters attach at load time, so
 	// /metrics shows the serving hot path from the first request.
-	storeOpts := []store.Option{store.WithObserver(reg), store.WithAlgorithm(algo)}
+	storeOpts := []store.Option{store.WithObserver(reg)}
 	if *cacheSize > 0 {
 		storeOpts = append(storeOpts, store.WithCache(*cacheSize))
 	}

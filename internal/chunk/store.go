@@ -49,7 +49,8 @@ type entry struct {
 
 // ingestFlight deduplicates concurrent ingests of the same new chunk:
 // one goroutine copies and installs, late arrivals wait and then just
-// take a reference — the singleflight pattern of the store cache.
+// take a reference — the singleflight of internal/lru, kept apart here
+// because a flight's result is a refcounted pin, not a cached value.
 type ingestFlight struct {
 	wg sync.WaitGroup
 }

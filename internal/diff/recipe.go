@@ -10,6 +10,7 @@ import (
 
 	"ipdelta/internal/chunk"
 	"ipdelta/internal/delta"
+	"ipdelta/internal/lru"
 	"ipdelta/internal/obs"
 )
 
@@ -99,28 +100,6 @@ type recipeRun struct {
 
 // RecipeOption customizes a RecipeDiffer.
 type RecipeOption func(*RecipeDiffer)
-
-// WithRecipeWindow caps the old-file context (and new-run segment) the
-// byte differ sees per unmatched run; <= 0 keeps the default. Smaller
-// windows bound memory tighter at some compression cost on large
-// rewrites.
-func WithRecipeWindow(n int) RecipeOption {
-	return func(rd *RecipeDiffer) {
-		if n > 0 {
-			rd.windowCap = n
-		}
-	}
-}
-
-// WithRecipeSeedLen sets the seed length of the run differ (default 16).
-func WithRecipeSeedLen(p int) RecipeOption {
-	return func(rd *RecipeDiffer) {
-		if p < 4 {
-			p = 4
-		}
-		rd.seedLen = p
-	}
-}
 
 // WithRecipeObserver attaches a metrics registry.
 func WithRecipeObserver(r *obs.Registry) RecipeOption {
@@ -440,67 +419,38 @@ func appendRecipeRange(dst []byte, r chunk.Recipe, starts []int64, src chunk.Sou
 }
 
 // RecipeAlgo adapts the recipe differ to the byte-level Algorithm
-// interface: inputs are chunked into a shared dedup store on first
-// sight (keyed by whole-input SHA-256, so a server diffing many clients
-// against the same reference ingests it once) and subsequent diffs run
-// over recipes. It is the "recipe" entry in ByName, which is how
-// netupdate sessions and ipstore serve source their deltas from chunk
-// recipes.
+// interface: inputs are chunked into a private dedup store on first
+// sight and subsequent diffs run over recipes. It is the "recipe" entry
+// in ByName, which is how netupdate sessions source their deltas from
+// chunk recipes.
+//
+// Recipes are cached by whole-input SHA-256 in an lru.Cache of
+// recipeCacheEntries, so a server diffing many clients against the same
+// image ingests it once; concurrent diffs of one new input ingest it
+// once too. A cached recipe pins its chunks, and eviction releases them
+// to the chunk store's own LRU.
 type RecipeAlgo struct {
-	ck *chunk.Chunker
-	cs *chunk.Store
-	rd *RecipeDiffer
-
-	mu      sync.Mutex
-	recipes map[[sha256.Size]byte]chunk.Recipe
-	order   [][sha256.Size]byte // FIFO bound on cached (pinned) recipes
-	maxKeep int
+	ck      *chunk.Chunker
+	cs      *chunk.Store
+	rd      *RecipeDiffer
+	recipes *lru.Cache[[sha256.Size]byte, chunk.Recipe]
 }
 
-// RecipeAlgoOption customizes a RecipeAlgo.
-type RecipeAlgoOption func(*RecipeAlgo)
-
-// WithRecipeStore shares an existing chunk store (and its dedup state)
-// instead of a private one.
-func WithRecipeStore(cs *chunk.Store) RecipeAlgoOption {
-	return func(a *RecipeAlgo) { a.cs = cs }
-}
-
-// WithRecipeDiffer substitutes a configured differ.
-func WithRecipeDiffer(rd *RecipeDiffer) RecipeAlgoOption {
-	return func(a *RecipeAlgo) { a.rd = rd }
-}
-
-// WithRecipeCacheSize bounds how many distinct inputs stay pinned as
-// recipes (default 8); older entries release their chunk references to
-// the store's LRU.
-func WithRecipeCacheSize(n int) RecipeAlgoOption {
-	return func(a *RecipeAlgo) {
-		if n > 0 {
-			a.maxKeep = n
-		}
-	}
-}
+// recipeCacheEntries bounds how many distinct inputs stay pinned as
+// recipes.
+const recipeCacheEntries = 8
 
 // NewRecipeAlgo returns a recipe-backed Algorithm with default chunking
 // parameters and a private bounded chunk store.
-func NewRecipeAlgo(opts ...RecipeAlgoOption) *RecipeAlgo {
+func NewRecipeAlgo() *RecipeAlgo {
 	ck, err := chunk.NewChunker(chunk.Params{})
 	if err != nil {
 		panic(err) // defaults are statically valid
 	}
-	a := &RecipeAlgo{
-		ck:      ck,
-		rd:      NewRecipeDiffer(),
-		recipes: make(map[[sha256.Size]byte]chunk.Recipe),
-		maxKeep: 8,
-	}
-	for _, o := range opts {
-		o(a)
-	}
-	if a.cs == nil {
-		a.cs = chunk.NewStore()
-	}
+	a := &RecipeAlgo{ck: ck, cs: chunk.NewStore(), rd: NewRecipeDiffer()}
+	a.recipes = lru.New(recipeCacheEntries, func(_ [sha256.Size]byte, r chunk.Recipe) {
+		a.cs.ReleaseRecipe(r)
+	}, nil)
 	return a
 }
 
@@ -517,33 +467,8 @@ func (a *RecipeAlgo) Diff(ref, version []byte) (*delta.Delta, error) {
 
 // recipeFor returns the cached recipe of data, ingesting it on a miss.
 func (a *RecipeAlgo) recipeFor(data []byte) chunk.Recipe {
-	key := sha256.Sum256(data)
-	a.mu.Lock()
-	if r, ok := a.recipes[key]; ok {
-		a.mu.Unlock()
-		return r
-	}
-	a.mu.Unlock()
-
-	r := a.cs.IngestAll(a.ck, data) // concurrent-safe; may race a twin
-	a.mu.Lock()
-	if prev, ok := a.recipes[key]; ok {
-		a.mu.Unlock()
-		a.cs.ReleaseRecipe(r) // a twin won the install; drop our references
-		return prev
-	}
-	a.recipes[key] = r
-	a.order = append(a.order, key)
-	var evicted []chunk.Recipe
-	for len(a.order) > a.maxKeep {
-		old := a.order[0]
-		a.order = a.order[1:]
-		evicted = append(evicted, a.recipes[old])
-		delete(a.recipes, old)
-	}
-	a.mu.Unlock()
-	for _, e := range evicted {
-		a.cs.ReleaseRecipe(e)
-	}
+	r, _, _ := a.recipes.Do(sha256.Sum256(data), func() (chunk.Recipe, error) {
+		return a.cs.IngestAll(a.ck, data), nil
+	})
 	return r
 }

@@ -160,7 +160,8 @@ func TestRecipeDiffBoundedWindow(t *testing.T) {
 	rng.Read(new[256<<10 : 1792<<10])
 
 	const winCap = 64 << 10
-	rd := NewRecipeDiffer(WithRecipeWindow(winCap))
+	rd := NewRecipeDiffer()
+	rd.windowCap = winCap
 	got := applyRecipeDiff(t, rd, old, new)
 	if !bytes.Equal(got, new) {
 		t.Fatal("bounded-window reconstruction mismatch")
@@ -246,10 +247,9 @@ func TestRecipeAlgoByName(t *testing.T) {
 }
 
 func TestRecipeAlgoCacheEviction(t *testing.T) {
-	cs := chunk.NewStore()
-	a := NewRecipeAlgo(WithRecipeStore(cs), WithRecipeCacheSize(2))
+	a := NewRecipeAlgo()
 	rng := rand.New(rand.NewSource(7))
-	inputs := make([][]byte, 4)
+	inputs := make([][]byte, recipeCacheEntries+4)
 	for k := range inputs {
 		inputs[k] = make([]byte, 64<<10)
 		rng.Read(inputs[k])
@@ -259,13 +259,43 @@ func TestRecipeAlgoCacheEviction(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	a.mu.Lock()
-	cached := len(a.recipes)
-	a.mu.Unlock()
-	if cached > 2 {
-		t.Fatalf("recipe cache holds %d entries, bound is 2", cached)
+	if cached := a.recipes.Len(); cached > recipeCacheEntries {
+		t.Fatalf("recipe cache holds %d entries, bound is %d", cached, recipeCacheEntries)
 	}
-	if st := cs.Stats(); st.PinnedBytes > 2*64<<10+16<<10 {
+	if st := a.cs.Stats(); st.PinnedBytes > recipeCacheEntries*64<<10+16<<10 {
 		t.Fatalf("evicted recipes did not release their pins: %+v", st)
+	}
+}
+
+// TestRecipeAlgoKeepsSharedVersion: a server diffs one version against
+// many references. The version is used by every diff, so it stays cached
+// however many references pass through, and each diff after the first
+// ingests only its reference's chunks.
+func TestRecipeAlgoKeepsSharedVersion(t *testing.T) {
+	reg := obs.NewRegistry()
+	a := NewRecipeAlgo()
+	a.cs = chunk.NewStore(chunk.WithObserver(reg))
+	ingests := func() int64 {
+		snap := reg.Snapshot()
+		return snap.Counter("ipdelta_chunk_dedup_hits_total") + snap.Counter("ipdelta_chunk_dedup_misses_total")
+	}
+	rng := rand.New(rand.NewSource(8))
+	version := make([]byte, 256<<10)
+	rng.Read(version)
+	for k := range recipeCacheEntries + 4 {
+		ref := make([]byte, 256<<10)
+		rng.Read(ref)
+		before := ingests()
+		if _, err := a.Diff(ref, version); err != nil {
+			t.Fatal(err)
+		}
+		if k == 0 {
+			continue
+		}
+		var want int64
+		a.ck.Split(ref, func([]byte) { want++ })
+		if got := ingests() - before; got != want {
+			t.Fatalf("diff %d ingested %d chunks, want the reference's %d", k, got, want)
+		}
 	}
 }

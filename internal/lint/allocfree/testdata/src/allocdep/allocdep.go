@@ -17,3 +17,13 @@ func Sum(xs []int) int {
 func Grow(n int) []int {
 	return make([]int, n)
 }
+
+// Box is a generic type whose methods the target calls through an
+// instantiation; their facts are exported on the declared methods.
+type Box[T any] struct{ items []T }
+
+// Get is allocation-free.
+func (b *Box[T]) Get(k int) T { return b.items[k] }
+
+// Copy allocates.
+func (b *Box[T]) Copy() []T { return make([]T, len(b.items)) }

@@ -130,6 +130,19 @@ func CallsDepAllocator(n int) []int {
 	return allocdep.Grow(n) // want `CallsDepAllocator is marked //ipvet:allocfree but calls Grow which allocates`
 }
 
+// Methods of an instantiated generic type resolve to the declared
+// methods' facts.
+//
+//ipvet:allocfree
+func GenericDepClean(b *allocdep.Box[int]) int {
+	return b.Get(0)
+}
+
+//ipvet:allocfree
+func GenericDepAllocator(b *allocdep.Box[int]) []int {
+	return b.Copy() // want `GenericDepAllocator is marked //ipvet:allocfree but calls Copy which allocates`
+}
+
 // Deny-listed external package: every fmt call is assumed to allocate.
 //
 //ipvet:allocfree

@@ -33,7 +33,9 @@ var Analyzer = &analysis.Analyzer{
 	Run:  run,
 }
 
-// Call is one resolved static call site.
+// Call is one resolved static call site. A call of a generic function or
+// of a method of an instantiated generic type resolves to the declared
+// (origin) function, which is what carries facts.
 type Call struct {
 	Callee *types.Func
 	Pos    token.Pos
@@ -124,7 +126,7 @@ func collectCalls(pass *analysis.Pass, body ast.Node, node *Node) {
 		case *ast.Ident:
 			switch obj := pass.ObjectOf(f).(type) {
 			case *types.Func:
-				node.Static = append(node.Static, Call{Callee: obj, Pos: call.Pos()})
+				node.Static = append(node.Static, Call{Callee: obj.Origin(), Pos: call.Pos()})
 			case *types.Builtin, *types.TypeName, nil:
 				// append/make/len/…, conversions: not calls we track.
 			default:
@@ -143,13 +145,13 @@ func collectCalls(pass *analysis.Pass, body ast.Node, node *Node) {
 					node.Dynamic = append(node.Dynamic, call.Pos())
 					return true
 				}
-				node.Static = append(node.Static, Call{Callee: callee, Pos: call.Pos()})
+				node.Static = append(node.Static, Call{Callee: callee.Origin(), Pos: call.Pos()})
 				return true
 			}
 			// Package-qualified reference: pkg.F.
 			switch obj := pass.ObjectOf(f.Sel).(type) {
 			case *types.Func:
-				node.Static = append(node.Static, Call{Callee: obj, Pos: call.Pos()})
+				node.Static = append(node.Static, Call{Callee: obj.Origin(), Pos: call.Pos()})
 			case *types.TypeName, nil:
 			default:
 				node.Dynamic = append(node.Dynamic, call.Pos())

@@ -449,13 +449,12 @@ func TestServerPrewarm(t *testing.T) {
 
 // cachedDeltas counts the server's cached deltas of one variant.
 func cachedDeltas(s *Server, scratch bool) int {
-	s.mu.Lock()
-	defer s.mu.Unlock()
 	n := 0
-	for key := range s.cache {
+	s.cache.Max(func(key deltaKey) (int, bool) {
 		if key.scratch == scratch {
 			n++
 		}
-	}
+		return 0, false // count only; select no entry
+	})
 	return n
 }

@@ -17,6 +17,7 @@ import (
 	"ipdelta/internal/diff"
 	"ipdelta/internal/graph"
 	"ipdelta/internal/inplace"
+	"ipdelta/internal/lru"
 	"ipdelta/internal/netupdate/mux"
 	"ipdelta/internal/obs"
 )
@@ -42,10 +43,9 @@ type Server struct {
 	met    *serverMetrics
 	log    *slog.Logger
 
-	mu       sync.Mutex
-	cache    map[deltaKey]deltaEntry // built deltas
-	inflight map[deltaKey]*flight    // builds in progress
-	failures map[string]int          // consecutive failed sessions per client
+	cache    *lru.Cache[deltaKey, deltaEntry] // built deltas
+	mu       sync.Mutex                       // guards failures
+	failures map[string]int                   // consecutive failed sessions per client
 
 	// served counts delta payload bytes sent, for transfer accounting.
 	served atomic.Int64
@@ -73,13 +73,15 @@ func NewServer(history [][]byte, opts ...Option) (*Server, error) {
 		obsReg:        cfg.Observer,
 		log:           cfg.Logger,
 		muxSet:        cfg.muxSettings(),
-		cache:         make(map[deltaKey]deltaEntry),
-		inflight:      make(map[deltaKey]*flight),
 		failures:      make(map[string]int),
 	}
+	var onWait func(deltaKey)
 	if s.obsReg != nil {
 		s.met = resolveServerMetrics(s.obsReg)
+		onWait = func(deltaKey) { s.met.buildWaits.Inc() }
 	}
+	// One plain and one scratch delta per release: the bound never evicts.
+	s.cache = lru.New[deltaKey, deltaEntry](2*len(history), nil, onWait)
 	s.log = obs.OrNop(s.log)
 	if !s.format.InPlaceCapable() {
 		return nil, fmt.Errorf("netupdate: format %v cannot carry in-place deltas", s.format)
@@ -121,14 +123,6 @@ type deltaEntry struct {
 	footprint int64
 }
 
-// flight is one in-progress build; entry and err are set before done
-// closes.
-type flight struct {
-	done  chan struct{}
-	entry deltaEntry
-	err   error
-}
-
 // deltaFor returns (building and caching if needed) the encoded in-place
 // delta from history[idx] to the current version. With scratch enabled,
 // the scratch-format variant is built too and preferred for devices whose
@@ -150,55 +144,26 @@ func (s *Server) deltaFor(idx int, deviceCapacity int64) ([]byte, error) {
 }
 
 // entry returns the delta for key, building it from history[idx] on a
-// miss. Concurrent callers for the same cold key share one build; s.mu is
-// never held across it, so callers for other keys proceed. A failed build
-// is not cached: its waiters get the error and the next call rebuilds.
+// miss. Concurrent callers for the same cold key share one build, and no
+// lock is held across it, so callers for other keys proceed. A failed
+// build is not cached: its waiters get the error and the next call
+// rebuilds.
 func (s *Server) entry(idx int, key deltaKey) (deltaEntry, error) {
-	s.mu.Lock()
-	if e, ok := s.lookup(key); ok {
-		s.mu.Unlock()
-		return e, nil
-	}
-	if f, ok := s.inflight[key]; ok {
-		s.mu.Unlock()
+	e, o, err := s.cache.Do(key, func() (deltaEntry, error) {
 		if s.met != nil {
-			s.met.buildWaits.Inc()
+			s.met.cacheMisses.Inc()
 		}
-		<-f.done
-		return f.entry, f.err
-	}
-	f := &flight{done: make(chan struct{})}
-	s.inflight[key] = f
-	s.mu.Unlock()
+		return s.build(idx, key.scratch)
+	})
 	if s.met != nil {
-		s.met.cacheMisses.Inc()
-	}
-
-	f.entry, f.err = s.build(idx, key.scratch)
-
-	s.mu.Lock()
-	delete(s.inflight, key)
-	if f.err == nil {
-		s.cache[key] = f.entry
-		if s.met != nil {
-			s.met.cachedDeltas.Set(int64(len(s.cache)))
+		switch {
+		case o == lru.Hit:
+			s.met.cacheHits.Inc()
+		case o == lru.Miss && err == nil:
+			s.met.cachedDeltas.Set(int64(s.cache.Len()))
 		}
 	}
-	s.mu.Unlock()
-	close(f.done)
-	return f.entry, f.err
-}
-
-// lookup returns the cached delta for key, counting a hit; callers hold
-// s.mu.
-//
-//ipvet:allocfree
-func (s *Server) lookup(key deltaKey) (deltaEntry, bool) {
-	e, ok := s.cache[key]
-	if ok && s.met != nil {
-		s.met.cacheHits.Inc()
-	}
-	return e, ok
+	return e, err
 }
 
 // build runs diff → in-place convert → encode for history[idx] against

@@ -1,9 +1,7 @@
 package store
 
 import (
-	"container/list"
-	"sync"
-
+	"ipdelta/internal/lru"
 	"ipdelta/internal/obs"
 )
 
@@ -21,25 +19,9 @@ type cacheKey struct {
 	from, to int
 }
 
-// flight is one in-progress computation: late arrivals for the same key
-// wait on it instead of recomputing (singleflight). val and err are
-// written before wg.Done releases the waiters.
-type flight struct {
-	wg  sync.WaitGroup
-	val any
-	err error
-}
-
-// lruEntry is one cache slot, linked into the recency list.
-type lruEntry struct {
-	key cacheKey
-	val any
-}
-
-// matCache is the store's materialization cache: a bounded LRU over
-// version images and composed deltas, with singleflight deduplication so
-// N concurrent requests for the same cold artifact perform exactly one
-// chain replay or composition.
+// matCache is the store's materialization cache: an lru.Cache over
+// version images and composed deltas, so N concurrent requests for the
+// same cold artifact perform exactly one chain replay or composition.
 //
 // Coherence comes from the store's append-only shape: version i and the
 // composed delta (i, j) are immutable once their releases exist, so
@@ -48,16 +30,10 @@ type lruEntry struct {
 // as read-only; every consumer in this module (diff, compose, invert,
 // in-place convert, HTTP serving) only reads them.
 type matCache struct {
-	mu      sync.Mutex
-	max     int
-	entries map[cacheKey]*list.Element
-	order   *list.List // front = most recently used
-	flights map[cacheKey]*flight
+	c *lru.Cache[cacheKey, any]
 
 	// Pre-resolved metric handles, indexed by kind; all nil-safe.
 	hits, misses [numKinds]*obs.Counter
-	dedups       *obs.Counter
-	evictions    *obs.Counter
 	inflight     *obs.Gauge
 }
 
@@ -65,72 +41,41 @@ type matCache struct {
 // non-positive size.
 const defaultCacheEntries = 64
 
-// newMatCache builds a cache holding up to max artifacts. reg may be nil.
+// newMatCache builds a cache holding up to max > 0 artifacts. reg may be
+// nil.
 func newMatCache(max int, reg *obs.Registry) *matCache {
-	if max <= 0 {
-		max = defaultCacheEntries
-	}
-	c := &matCache{
-		max:     max,
-		entries: make(map[cacheKey]*list.Element),
-		order:   list.New(),
-		flights: make(map[cacheKey]*flight),
-	}
+	c := &matCache{}
+	var onEvict func(cacheKey, any)
+	var onWait func(cacheKey)
 	if reg != nil {
 		c.hits[kindVersion] = reg.Counter("ipdelta_store_cache_version_hits_total")
 		c.misses[kindVersion] = reg.Counter("ipdelta_store_cache_version_misses_total")
 		c.hits[kindDelta] = reg.Counter("ipdelta_store_cache_delta_hits_total")
 		c.misses[kindDelta] = reg.Counter("ipdelta_store_cache_delta_misses_total")
-		c.dedups = reg.Counter("ipdelta_store_cache_dedup_waits_total")
-		c.evictions = reg.Counter("ipdelta_store_cache_evictions_total")
 		c.inflight = reg.Gauge("ipdelta_store_cache_inflight")
+		dedups := reg.Counter("ipdelta_store_cache_dedup_waits_total")
+		evictions := reg.Counter("ipdelta_store_cache_evictions_total")
+		onWait = func(cacheKey) { dedups.Inc() }
+		onEvict = func(cacheKey, any) { evictions.Inc() }
 	}
+	c.c = lru.New(max, onEvict, onWait)
 	return c
 }
 
 // do returns the cached value for key, or computes it with fn. Concurrent
 // calls for the same missing key share one fn execution. The hit path is
-// allocation-free: a map probe and a list splice under a short lock.
+// allocation-free.
 func (c *matCache) do(key cacheKey, fn func() (any, error)) (any, error) {
-	c.mu.Lock()
-	if el, ok := c.entries[key]; ok {
-		c.order.MoveToFront(el)
-		v := el.Value.(*lruEntry).val
-		c.mu.Unlock()
+	v, o, err := c.c.Do(key, func() (any, error) {
+		c.misses[key.kind].Inc()
+		c.inflight.Add(1)
+		defer c.inflight.Add(-1)
+		return fn()
+	})
+	if o == lru.Hit {
 		c.hits[key.kind].Inc()
-		return v, nil
 	}
-	if f, ok := c.flights[key]; ok {
-		c.mu.Unlock()
-		c.dedups.Inc()
-		f.wg.Wait()
-		return f.val, f.err
-	}
-	f := &flight{}
-	f.wg.Add(1)
-	c.flights[key] = f
-	c.mu.Unlock()
-
-	c.misses[key.kind].Inc()
-	c.inflight.Add(1)
-	f.val, f.err = fn()
-	c.inflight.Add(-1)
-
-	c.mu.Lock()
-	delete(c.flights, key)
-	if f.err == nil {
-		c.entries[key] = c.order.PushFront(&lruEntry{key: key, val: f.val})
-		for c.order.Len() > c.max {
-			back := c.order.Back()
-			ent := back.Value.(*lruEntry)
-			c.order.Remove(back)
-			delete(c.entries, ent.key)
-			c.evictions.Inc()
-		}
-	}
-	c.mu.Unlock()
-	f.wg.Done()
-	return f.val, f.err
+	return v, err
 }
 
 // nearestVersion returns the deepest cached version at or below i — the
@@ -139,27 +84,16 @@ func (c *matCache) do(key cacheKey, fn func() (any, error)) (any, error) {
 //
 //ipvet:allocfree
 func (c *matCache) nearestVersion(i int) (int, []byte, bool) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	best := -1
-	var bestEl *list.Element
-	for key, el := range c.entries {
-		if key.kind == kindVersion && key.to <= i && key.to > best {
-			best, bestEl = key.to, el
-		}
-	}
-	if bestEl == nil {
+	key, v, ok := c.c.Max(func(k cacheKey) (int, bool) {
+		return k.to, k.kind == kindVersion && k.to <= i
+	})
+	if !ok {
 		return 0, nil, false
 	}
-	c.order.MoveToFront(bestEl)
-	return best, bestEl.Value.(*lruEntry).val.([]byte), true
+	return key.to, v.([]byte), true
 }
 
 // len reports the current entry count (for tests).
 //
 //ipvet:allocfree
-func (c *matCache) len() int {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.order.Len()
-}
+func (c *matCache) len() int { return c.c.Len() }
