@@ -43,7 +43,9 @@ type progress struct {
 
 // Store is the storage a device patches in place: the Flash simulation or
 // a real file via FileStore. Reads beyond written data return zeros, like
-// an erased part.
+// an erased part. The Device over a Store is its only writer: the device
+// remembers its image CRC between its own writes, so bytes changed behind
+// its back would go unseen until its next write.
 type Store interface {
 	// ReadAt fills p from offset off.
 	ReadAt(p []byte, off int64) error
@@ -62,6 +64,8 @@ type Device struct {
 	work     []byte
 	nv       progress
 	nvWrites int64
+	crc      uint32 // CRC of the installed image, valid while crcOK
+	crcOK    bool
 }
 
 // New returns a device whose storage currently holds an image of imageLen
@@ -105,9 +109,14 @@ func (d *Device) NVWrites() int64 { return d.nvWrites }
 // persist simulates writing the progress record to NVRAM.
 func (d *Device) persist() { d.nvWrites++ }
 
-// ImageCRC computes the CRC32 of the installed image using the bounded
-// working buffer; the update protocol uses it to identify versions.
+// ImageCRC returns the CRC32 of the installed image; the update protocol
+// uses it to identify versions. It reads the image through the bounded
+// working buffer once, then remembers the value until the next flash
+// write, so a session's hello and Apply share one pass.
 func (d *Device) ImageCRC() (uint32, error) {
+	if d.crcOK {
+		return d.crc, nil
+	}
 	h := crc32.NewIEEE()
 	for at := int64(0); at < d.imageLen; {
 		n := int64(len(d.work))
@@ -120,7 +129,15 @@ func (d *Device) ImageCRC() (uint32, error) {
 		h.Write(d.work[:n])
 		at += n
 	}
-	return h.Sum32(), nil
+	d.crc, d.crcOK = h.Sum32(), true
+	return d.crc, nil
+}
+
+// write stores p at off. It forgets the image CRC first, so a write that
+// fails or is cut leaves no stale value behind.
+func (d *Device) write(p []byte, off int64) error {
+	d.crcOK = false
+	return d.store.WriteAt(p, off)
 }
 
 // Pending describes an interrupted update. Full marks an interrupted
@@ -207,6 +224,8 @@ func (d *Device) Apply(r io.Reader) error {
 		if hdr.RefLen != d.imageLen {
 			return fmt.Errorf("%w: image %d bytes, delta expects %d", ErrWrongVersion, d.imageLen, hdr.RefLen)
 		}
+		// The session's hello already read the image for its CRC;
+		// ImageCRC remembers it, so this costs no second pass.
 		refCRC, err := d.ImageCRC()
 		if err != nil {
 			return err
@@ -262,7 +281,8 @@ func (d *Device) Apply(r io.Reader) error {
 		d.nv.done = 0
 		d.persist()
 	}
-	d.imageLen = d.nv.versionLen
+	// A delta may change the length without a write; the CRC goes too.
+	d.imageLen, d.crcOK = d.nv.versionLen, false
 	d.nv = progress{}
 	d.persist()
 	return nil
@@ -310,7 +330,7 @@ func (d *Device) applyCopy(c delta.Command, done int64) error {
 		if err := d.store.ReadAt(d.work[:n], c.From+off); err != nil {
 			return err
 		}
-		if err := d.store.WriteAt(d.work[:n], c.To+off); err != nil {
+		if err := d.write(d.work[:n], c.To+off); err != nil {
 			return err
 		}
 		done += n
@@ -351,14 +371,14 @@ func (d *Device) InstallFull(r io.Reader, length int64) error {
 		if _, err := io.ReadFull(r, d.work[:n]); err != nil {
 			return err
 		}
-		if err := d.store.WriteAt(d.work[:n], done); err != nil {
+		if err := d.write(d.work[:n], done); err != nil {
 			return err
 		}
 		done += n
 		d.nv.done = done
 		d.persist()
 	}
-	d.imageLen = length
+	d.imageLen, d.crcOK = length, false
 	d.nv = progress{}
 	d.persist()
 	return nil
@@ -380,7 +400,7 @@ func (d *Device) applyAdd(c delta.Command, payload io.Reader, done int64) error 
 		if _, err := io.ReadFull(payload, d.work[:n]); err != nil {
 			return err
 		}
-		if err := d.store.WriteAt(d.work[:n], c.To+done); err != nil {
+		if err := d.write(d.work[:n], c.To+done); err != nil {
 			return err
 		}
 		done += n

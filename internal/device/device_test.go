@@ -3,6 +3,8 @@ package device
 import (
 	"bytes"
 	"errors"
+	"fmt"
+	"hash/crc32"
 	"math/rand"
 	"testing"
 	"testing/quick"
@@ -223,6 +225,79 @@ func TestDevicePowerCutResume(t *testing.T) {
 	}
 	if !bytes.Equal(dev.Image(), pair.Version) {
 		t.Fatalf("image corrupt after %d power cuts", cuts)
+	}
+}
+
+// TestDeviceImageCRCMemo: ImageCRC reads the image once and then answers
+// from memory until the next flash write. A power cut mid-Apply or
+// mid-InstallFull leaves no stale value: the next ImageCRC is the CRC of
+// the partial flash.
+func TestDeviceImageCRCMemo(t *testing.T) {
+	pair := corpus.Generate(corpus.PairSpec{Profile: corpus.Firmware, Size: 64 << 10, ChangeRate: 0.15, Seed: 5})
+	enc := buildInPlaceDelta(t, pair.Ref, pair.Version, codec.FormatCompact)
+	capacity := int64(max(len(pair.Ref), len(pair.Version)))
+	flash, err := NewFlash(pair.Ref, capacity)
+	if err != nil {
+		t.Fatal(err)
+	}
+	dev := New(flash, int64(len(pair.Ref)), 512)
+	// checkCRC requires ImageCRC to match the flash and to read it whole
+	// only when read is set.
+	checkCRC := func(label string, read bool) uint32 {
+		t.Helper()
+		before := flash.Stats().BytesRead
+		got, err := dev.ImageCRC()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if want := crc32.ChecksumIEEE(flash.Image(dev.ImageLen())); got != want {
+			t.Fatalf("%s: ImageCRC %08x, flash holds %08x", label, got, want)
+		}
+		want := int64(0)
+		if read {
+			want = dev.ImageLen()
+		}
+		if n := flash.Stats().BytesRead - before; n != want {
+			t.Fatalf("%s: ImageCRC read %d bytes, want %d", label, n, want)
+		}
+		return got
+	}
+	refCRC := checkCRC("first", true)
+	checkCRC("repeat", false)
+
+	changed := 0
+	for fail := int64(1); ; fail += 7 {
+		flash.FailAfterWrites(fail)
+		err := dev.Apply(bytes.NewReader(enc))
+		if err == nil {
+			break
+		}
+		if !errors.Is(err, ErrPowerCut) {
+			t.Fatalf("unexpected error: %v", err)
+		}
+		if checkCRC(fmt.Sprintf("cut after %d writes", fail), true) != refCRC {
+			changed++
+		}
+		checkCRC("repeat after cut", false)
+	}
+	if changed == 0 {
+		t.Fatal("no cut left a partial flash that differs from the reference")
+	}
+	if got := checkCRC("applied", true); got != crc32.ChecksumIEEE(pair.Version) {
+		t.Fatal("ImageCRC after Apply is not the version's CRC")
+	}
+
+	flash.FailAfterWrites(3)
+	if err := dev.InstallFull(bytes.NewReader(pair.Ref), int64(len(pair.Ref))); !errors.Is(err, ErrPowerCut) {
+		t.Fatalf("InstallFull: %v, want a power cut", err)
+	}
+	checkCRC("cut install", true)
+	flash.FailAfterWrites(-1)
+	if err := dev.InstallFull(bytes.NewReader(pair.Ref), int64(len(pair.Ref))); err != nil {
+		t.Fatal(err)
+	}
+	if got := checkCRC("installed", true); got != refCRC {
+		t.Fatal("ImageCRC after InstallFull is not the image's CRC")
 	}
 }
 

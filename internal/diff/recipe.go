@@ -448,7 +448,7 @@ func NewRecipeAlgo() *RecipeAlgo {
 		panic(err) // defaults are statically valid
 	}
 	a := &RecipeAlgo{ck: ck, cs: chunk.NewStore(), rd: NewRecipeDiffer()}
-	a.recipes = lru.New(recipeCacheEntries, func(_ [sha256.Size]byte, r chunk.Recipe) {
+	a.recipes = lru.New(recipeCacheEntries, nil, func(_ [sha256.Size]byte, r chunk.Recipe) {
 		a.cs.ReleaseRecipe(r)
 	}, nil)
 	return a

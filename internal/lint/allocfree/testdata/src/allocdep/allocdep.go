@@ -27,3 +27,7 @@ func (b *Box[T]) Get(k int) T { return b.items[k] }
 
 // Copy allocates.
 func (b *Box[T]) Copy() []T { return make([]T, len(b.items)) }
+
+// MakeOf is a generic function the target calls through an explicit
+// instantiation; it allocates.
+func MakeOf[T any](n int) []T { return make([]T, n) }

@@ -143,6 +143,31 @@ func GenericDepAllocator(b *allocdep.Box[int]) []int {
 	return b.Copy() // want `GenericDepAllocator is marked //ipvet:allocfree but calls Copy which allocates`
 }
 
+// An explicit instantiation calls the generic function: its fact
+// applies, imported or local.
+//
+//ipvet:allocfree
+func InstantiatedDepAllocator(n int) []int {
+	return allocdep.MakeOf[int](n) // want `InstantiatedDepAllocator is marked //ipvet:allocfree but calls MakeOf which allocates`
+}
+
+//ipvet:allocfree
+func InstantiatedLocalAllocator(n int) map[int]string {
+	return mapOf[int, string](n) // want `InstantiatedLocalAllocator is marked //ipvet:allocfree but calls mapOf which allocates`
+}
+
+func mapOf[K comparable, V any](n int) map[K]V {
+	return make(map[K]V, n)
+}
+
+// Calling through an index into a slice of funcs stays dynamic, so it is
+// trusted.
+//
+//ipvet:allocfree
+func IndexedFunc(fs []func(int) int, n int) int {
+	return fs[0](n)
+}
+
 // Deny-listed external package: every fmt call is assumed to allocate.
 //
 //ipvet:allocfree

@@ -122,6 +122,15 @@ func collectCalls(pass *analysis.Pass, body ast.Node, node *Node) {
 		if tv, ok := pass.TypesInfo.Types[fun]; ok && tv.IsType() {
 			return true
 		}
+		// An explicit instantiation, F[T](x) or pkg.F[T, U](x), calls F.
+		// Indexing anything else (a slice or map of funcs) yields a
+		// variable, which the cases below file as dynamic.
+		switch ix := fun.(type) {
+		case *ast.IndexExpr:
+			fun = ast.Unparen(ix.X)
+		case *ast.IndexListExpr:
+			fun = ast.Unparen(ix.X)
+		}
 		switch f := fun.(type) {
 		case *ast.Ident:
 			switch obj := pass.ObjectOf(f).(type) {

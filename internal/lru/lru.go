@@ -1,8 +1,10 @@
-// Package lru is the one build cache: a bounded LRU map with singleflight.
-// The store's materialization cache, the update server's per-release
-// deltas and the recipe differ's chunked inputs are each a Cache with
-// their own key, bound and hooks. The package counts nothing: Do reports
-// each call's Outcome and the caller bumps its own metrics.
+// Package lru is the one build cache: an LRU map with singleflight,
+// bounded by a budget of cost units. The store's materialization cache
+// (charged in bytes), the update server's per-release deltas and the
+// recipe differ's chunked inputs (charged one unit each) are each a
+// Cache with their own key, budget, cost and hooks. The package counts
+// nothing: Do reports each call's Outcome and the caller bumps its own
+// metrics.
 package lru
 
 import (
@@ -21,8 +23,9 @@ const (
 
 // entry is one cached value; list elements hold *entry.
 type entry[K comparable, V any] struct {
-	key K
-	val V
+	key  K
+	val  V
+	cost int64
 }
 
 // flight is one running fn. val and err are written before wg.Done
@@ -33,13 +36,16 @@ type flight[V any] struct {
 	err error
 }
 
-// Cache is a bounded LRU of keyed values with singleflight: concurrent
-// Do calls for one missing key run fn once, and the rest wait for it.
-// Cached values are shared between callers, who treat them as read-only.
-// A Cache is safe for concurrent use.
+// Cache is an LRU of keyed values with singleflight: concurrent Do calls
+// for one missing key run fn once, and the rest wait for it. The values
+// it holds never cost more than its budget together. Cached values are
+// shared between callers, who treat them as read-only. A Cache is safe
+// for concurrent use.
 type Cache[K comparable, V any] struct {
 	mu      sync.Mutex
-	max     int
+	budget  int64
+	used    int64 // total cost of the cached values
+	cost    func(V) int64
 	entries map[K]*list.Element
 	order   *list.List // front = most recently used
 	flights map[K]*flight[V]
@@ -47,17 +53,22 @@ type Cache[K comparable, V any] struct {
 	onWait  func(K)
 }
 
-// New returns a cache that holds at most max values (max must be
-// positive). onEvict, if not nil, runs once for each value the bound
-// evicts. onWait, if not nil, runs when a Do call is about to wait for
-// another call's fn, before it blocks. Neither runs with the cache's
-// lock held, so both may call back into the cache.
-func New[K comparable, V any](max int, onEvict func(K, V), onWait func(K)) *Cache[K, V] {
-	if max <= 0 {
-		panic("lru: non-positive bound")
+// New returns a cache whose values cost at most budget together (budget
+// must be positive). cost charges a value once, when fn returns it, and
+// must not be negative; a nil cost charges 1 per value, so budget is then
+// an entry count. onEvict, if not nil, runs once for each value the
+// budget evicts, and for each value that costs more than the whole
+// budget, which is handed to its callers but never retained. onWait, if
+// not nil, runs when a Do call is about to wait for another call's fn,
+// before it blocks. Neither runs with the cache's lock held, so both may
+// call back into the cache.
+func New[K comparable, V any](budget int64, cost func(V) int64, onEvict func(K, V), onWait func(K)) *Cache[K, V] {
+	if budget <= 0 {
+		panic("lru: non-positive budget")
 	}
 	return &Cache[K, V]{
-		max:     max,
+		budget:  budget,
+		cost:    cost,
 		entries: make(map[K]*list.Element),
 		order:   list.New(),
 		flights: make(map[K]*flight[V]),
@@ -69,9 +80,11 @@ func New[K comparable, V any](max int, onEvict func(K, V), onWait func(K)) *Cach
 // Do returns the value cached under key, or runs fn to produce it. No
 // lock is held while fn runs, and later calls for the same key wait for
 // it instead of running fn again. A value fn returns with a nil error is
-// cached, evicting the least recently used value past the bound; an
-// error is not cached, every waiter gets it, and the next call runs fn
-// again. A hit allocates nothing.
+// cached, and least recently used values are evicted until the cached
+// cost fits the budget; a value that alone costs more than the budget
+// goes to this call and its waiters, then to onEvict, and evicts
+// nothing. An error is not cached, every waiter gets it, and the next
+// call runs fn again. A hit allocates nothing.
 func (c *Cache[K, V]) Do(key K, fn func() (V, error)) (V, Outcome, error) {
 	c.mu.Lock()
 	if v, ok := c.getLocked(key); ok {
@@ -92,21 +105,35 @@ func (c *Cache[K, V]) Do(key K, fn func() (V, error)) (V, Outcome, error) {
 	c.mu.Unlock()
 
 	f.val, f.err = fn()
+	cost := int64(1)
+	if f.err == nil && c.cost != nil {
+		cost = c.cost(f.val)
+	}
 
 	c.mu.Lock()
 	delete(c.flights, key)
-	var evicted *entry[K, V]
+	var evicted []*entry[K, V]
 	if f.err == nil {
-		c.entries[key] = c.order.PushFront(&entry[K, V]{key, f.val})
-		if c.order.Len() > c.max {
-			evicted = c.order.Remove(c.order.Back()).(*entry[K, V])
-			delete(c.entries, evicted.key)
+		e := &entry[K, V]{key, f.val, cost}
+		if cost > c.budget {
+			evicted = append(evicted, e)
+		} else {
+			c.entries[key] = c.order.PushFront(e)
+			c.used += cost
+			for c.used > c.budget {
+				old := c.order.Remove(c.order.Back()).(*entry[K, V])
+				delete(c.entries, old.key)
+				c.used -= old.cost
+				evicted = append(evicted, old)
+			}
 		}
 	}
 	c.mu.Unlock()
 	f.wg.Done()
-	if evicted != nil && c.onEvict != nil {
-		c.onEvict(evicted.key, evicted.val)
+	if c.onEvict != nil {
+		for _, e := range evicted {
+			c.onEvict(e.key, e.val)
+		}
 	}
 	return f.val, Miss, f.err
 }
@@ -157,4 +184,13 @@ func (c *Cache[K, V]) Len() int {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	return c.order.Len()
+}
+
+// Cost reports the total cost of the cached values, at most the budget.
+//
+//ipvet:allocfree
+func (c *Cache[K, V]) Cost() int64 {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	return c.used
 }

@@ -62,7 +62,7 @@ type result struct {
 func TestCacheSingleflight(t *testing.T) {
 	const waiters = 7
 	var waiting, runs atomic.Int64
-	c := New[int, int](4, nil, func(int) { waiting.Add(1) })
+	c := New[int, int](4, nil, nil, func(int) { waiting.Add(1) })
 	release := make(chan struct{})
 	out := gatedFlight(t, c, &waiting, 1, 42, nil, waiters, &runs, release)
 	close(release)
@@ -90,7 +90,7 @@ func TestCacheSingleflight(t *testing.T) {
 func TestCacheErrorNotCached(t *testing.T) {
 	const waiters = 3
 	var waiting, runs atomic.Int64
-	c := New[int, int](4, nil, func(int) { waiting.Add(1) })
+	c := New[int, int](4, nil, nil, func(int) { waiting.Add(1) })
 	boom := errors.New("boom")
 	release := make(chan struct{})
 	out := gatedFlight(t, c, &waiting, 1, 0, boom, waiters, &runs, release)
@@ -118,7 +118,7 @@ func TestCacheEvictsLRU(t *testing.T) {
 	var runs atomic.Int64
 	var evicted []int
 	var c *Cache[int, int]
-	c = New[int, int](3, func(k, v int) {
+	c = New[int, int](3, nil, func(k, v int) {
 		if k*10 != v {
 			t.Errorf("evicted %d with value %d", k, v)
 		}
@@ -153,7 +153,7 @@ func TestCacheEvictsLRU(t *testing.T) {
 // the most recently used.
 func TestCacheMax(t *testing.T) {
 	var runs atomic.Int64
-	c := New[int, int](3, nil, nil)
+	c := New[int, int](3, nil, nil, nil)
 	for k := range 3 {
 		c.Do(k, value(k*10, &runs))
 	}
@@ -177,7 +177,7 @@ func TestCacheMax(t *testing.T) {
 func TestCacheConcurrentKeys(t *testing.T) {
 	var runs atomic.Int64
 	var evictions atomic.Int64
-	c := New[int, int](8, func(int, int) { evictions.Add(1) }, nil)
+	c := New[int, int](8, nil, func(int, int) { evictions.Add(1) }, nil)
 	var wg sync.WaitGroup
 	for w := range 4 {
 		wg.Add(1)
@@ -201,13 +201,139 @@ func TestCacheConcurrentKeys(t *testing.T) {
 	}
 }
 
+// self charges an int value its own size.
+func self(v int) int64 { return int64(v) }
+
+// TestCacheCostEvictsToBudget: a value past the budget evicts least
+// recently used values until the cached cost fits, however many that
+// takes, and the cost of every evicted value is released.
+func TestCacheCostEvictsToBudget(t *testing.T) {
+	var runs atomic.Int64
+	var evicted []int
+	c := New[int, int](10, self, func(k, _ int) { evicted = append(evicted, k) }, nil)
+	do := func(k, v int) {
+		t.Helper()
+		if _, _, err := c.Do(k, value(v, &runs)); err != nil {
+			t.Fatal(err)
+		}
+		if used := c.Cost(); used > 10 {
+			t.Fatalf("after Do(%d): cost %d over the budget 10", k, used)
+		}
+	}
+	do(0, 4)
+	do(1, 3)
+	do(2, 2)
+	do(0, -1) // a hit: 0 is now the most recently used
+	if used, n := c.Cost(), c.Len(); used != 9 || n != 3 {
+		t.Fatalf("cost %d over %d values, want 9 over 3", used, n)
+	}
+	do(3, 5) // 14 > 10: evicts 1, then 2
+	if want := []int{1, 2}; !slices.Equal(evicted, want) {
+		t.Fatalf("evicted %v, want %v", evicted, want)
+	}
+	if used, n := c.Cost(), c.Len(); used != 9 || n != 2 {
+		t.Fatalf("cost %d over %d values, want 9 over 2", used, n)
+	}
+	do(4, 10) // exactly the budget: evicts 0 and 3, and is kept
+	if used, n := c.Cost(), c.Len(); used != 10 || n != 1 {
+		t.Fatalf("cost %d over %d values, want 10 over 1", used, n)
+	}
+	if _, o, _ := c.Do(4, value(-1, &runs)); o != Hit {
+		t.Fatalf("a value of exactly the budget was not kept: outcome %v", o)
+	}
+}
+
+// TestCacheOverBudgetValue: a value that alone costs more than the
+// budget reaches the call that ran fn and every waiter, goes to onEvict
+// once, evicts nothing and is not retained.
+func TestCacheOverBudgetValue(t *testing.T) {
+	const waiters = 3
+	var waiting, runs atomic.Int64
+	type eviction struct{ k, v int }
+	var mu sync.Mutex
+	var evicted []eviction
+	c := New[int, int](10, self, func(k, v int) {
+		mu.Lock()
+		evicted = append(evicted, eviction{k, v})
+		mu.Unlock()
+	}, func(int) { waiting.Add(1) })
+	c.Do(0, value(4, &runs))
+	release := make(chan struct{})
+	out := gatedFlight(t, c, &waiting, 9, 11, nil, waiters, &runs, release)
+	close(release)
+	count := map[Outcome]int{}
+	for range waiters + 1 {
+		r := <-out
+		if r.err != nil || r.v != 11 {
+			t.Fatalf("Do = %d, %v; want the flight's 11", r.v, r.err)
+		}
+		count[r.o]++
+	}
+	if count[Miss] != 1 || count[Waited] != waiters {
+		t.Fatalf("outcomes %v, want 1 miss and %d waits", count, waiters)
+	}
+	mu.Lock()
+	got := slices.Clone(evicted)
+	mu.Unlock()
+	if want := []eviction{{9, 11}}; !slices.Equal(got, want) {
+		t.Fatalf("evicted %v, want %v", got, want)
+	}
+	if used, n := c.Cost(), c.Len(); used != 4 || n != 1 {
+		t.Fatalf("cost %d over %d values, want the untouched 4 over 1", used, n)
+	}
+	if _, o, _ := c.Do(0, value(-1, &runs)); o != Hit {
+		t.Fatal("the over-budget value evicted a resident one")
+	}
+	if v, o, _ := c.Do(9, value(11, &runs)); v != 11 || o != Miss {
+		t.Fatalf("repeat Do(9) = %d, %v; want a miss: the value was not retained", v, o)
+	}
+}
+
+// TestCacheCostConcurrent drives values of mixed cost past the budget
+// from several goroutines; it is a -race target. The cached cost never
+// exceeds the budget, and every charged unit is either resident or was
+// handed to onEvict.
+func TestCacheCostConcurrent(t *testing.T) {
+	const budget = 40
+	var charged, released atomic.Int64
+	c := New[int, int](budget, func(v int) int64 {
+		charged.Add(int64(v))
+		return int64(v)
+	}, func(_, v int) { released.Add(int64(v)) }, nil)
+	var wg sync.WaitGroup
+	for w := range 4 {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			var runs atomic.Int64
+			for i := range 500 {
+				k := (i*7 + w) % 24
+				// Costs 1..45: some keys cost more than the budget.
+				if v, _, err := c.Do(k, value(1+k*2, &runs)); err != nil || v != 1+k*2 {
+					t.Errorf("Do(%d) = %d, %v", k, v, err)
+					return
+				}
+				if used := c.Cost(); used > budget {
+					t.Errorf("cost %d over the budget %d", used, budget)
+					return
+				}
+			}
+		}()
+	}
+	wg.Wait()
+	if got, want := c.Cost(), charged.Load()-released.Load(); got != want {
+		t.Fatalf("resident cost %d, want charged %d - released %d = %d",
+			got, charged.Load(), released.Load(), want)
+	}
+}
+
 // TestCacheHitAllocs gates the hit path at zero allocations.
 func TestCacheHitAllocs(t *testing.T) {
 	type key struct {
 		kind     uint8
 		from, to int
 	}
-	c := New[key, []byte](4, nil, nil)
+	c := New[key, []byte](64, func(b []byte) int64 { return int64(len(b)) }, nil, nil)
 	k := key{to: 3}
 	fn := func() ([]byte, error) { return []byte("image"), nil }
 	c.Do(k, fn)

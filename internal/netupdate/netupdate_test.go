@@ -74,6 +74,42 @@ func runSession(t *testing.T, s *Server, dev *device.Device) (Result, error) {
 	return res, err
 }
 
+// TestSessionReadsImageTwice: a clean session reads the whole image twice,
+// once for the hello's CRC and once for confirm's. Apply reuses the
+// hello's CRC, so beyond those passes the flash serves only the delta's
+// copies.
+func TestSessionReadsImageTwice(t *testing.T) {
+	history := makeHistory(2, 32<<10, 36)
+	s, err := NewServer(history)
+	if err != nil {
+		t.Fatal(err)
+	}
+	flash, err := device.NewFlash(history[0], 64<<10)
+	if err != nil {
+		t.Fatal(err)
+	}
+	dev := device.New(flash, int64(len(history[0])), 1024)
+	enc, err := s.deltaFor(0, flash.Capacity())
+	if err != nil {
+		t.Fatal(err)
+	}
+	d, _, err := codec.Decode(bytes.NewReader(enc))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := runSession(t, s, dev); err != nil {
+		t.Fatal(err)
+	}
+	want := d.RefLen + d.CopiedBytes() + d.VersionLen
+	if got := flash.Stats().BytesRead; got != want {
+		t.Fatalf("session read %d flash bytes, want %d: one pass for the hello, %d for copies, one for confirm",
+			got, want, d.CopiedBytes())
+	}
+	if !bytes.Equal(dev.Image(), s.Current()) {
+		t.Fatal("device image differs from the current release")
+	}
+}
+
 func TestUpdateSession(t *testing.T) {
 	history := makeHistory(3, 32<<10, 1)
 	s, err := NewServer(history)

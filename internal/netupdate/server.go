@@ -80,8 +80,9 @@ func NewServer(history [][]byte, opts ...Option) (*Server, error) {
 		s.met = resolveServerMetrics(s.obsReg)
 		onWait = func(deltaKey) { s.met.buildWaits.Inc() }
 	}
-	// One plain and one scratch delta per release: the bound never evicts.
-	s.cache = lru.New[deltaKey, deltaEntry](2*len(history), nil, onWait)
+	// A nil cost counts entries: one plain and one scratch delta per
+	// release, so the budget never evicts.
+	s.cache = lru.New[deltaKey, deltaEntry](2*int64(len(history)), nil, nil, onWait)
 	s.log = obs.OrNop(s.log)
 	if !s.format.InPlaceCapable() {
 		return nil, fmt.Errorf("netupdate: format %v cannot carry in-place deltas", s.format)

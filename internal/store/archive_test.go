@@ -15,12 +15,19 @@ import (
 // count small, related versions.
 func buildTierStore(t testing.TB, k, m, count, segSize int, opts ...Option) (*Store, []*archive.Node, [][]byte) {
 	t.Helper()
+	return buildSizedTierStore(t, k, m, count, segSize, 512, opts...)
+}
+
+// buildSizedTierStore is buildTierStore with a base of size to size+511
+// bytes.
+func buildSizedTierStore(t testing.TB, k, m, count, segSize, size int, opts ...Option) (*Store, []*archive.Node, [][]byte) {
+	t.Helper()
 	a, nodes, err := archive.NewWithNodes(k, m)
 	if err != nil {
 		t.Fatal(err)
 	}
 	rng := rand.New(rand.NewPCG(uint64(count)*31+uint64(k)*7+uint64(m), 9))
-	base := make([]byte, 512+rng.IntN(512))
+	base := make([]byte, size+rng.IntN(512))
 	for i := range base {
 		base[i] = byte(rng.IntN(256))
 	}
@@ -241,8 +248,11 @@ func TestStoreArchiveWithCache(t *testing.T) {
 	}
 }
 
+// TestStoreArchiveConcurrentReaders: degraded tier reads race cache
+// evictions. Twelve versions of about 160 KiB overflow the 1 MiB budget.
 func TestStoreArchiveConcurrentReaders(t *testing.T) {
-	s, nodes, versions := buildTierStore(t, 3, 2, 12, 4, WithCache(4))
+	reg := obs.NewRegistry()
+	s, nodes, versions := buildSizedTierStore(t, 3, 2, 12, 4, 160<<10, WithCache(1), WithObserver(reg))
 	if _, err := s.Archive(11); err != nil {
 		t.Fatal(err)
 	}
@@ -270,6 +280,9 @@ func TestStoreArchiveConcurrentReaders(t *testing.T) {
 		if err := <-done; err != nil {
 			t.Fatal(err)
 		}
+	}
+	if ev := reg.Snapshot().Counter("ipdelta_store_cache_evictions_total"); ev == 0 {
+		t.Fatal("no evictions: the budget held every version")
 	}
 }
 

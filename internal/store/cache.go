@@ -1,6 +1,9 @@
 package store
 
 import (
+	"unsafe"
+
+	"ipdelta/internal/delta"
 	"ipdelta/internal/lru"
 	"ipdelta/internal/obs"
 )
@@ -21,7 +24,9 @@ type cacheKey struct {
 
 // matCache is the store's materialization cache: an lru.Cache over
 // version images and composed deltas, so N concurrent requests for the
-// same cold artifact perform exactly one chain replay or composition.
+// same cold artifact perform exactly one chain replay or composition. It
+// is bounded in bytes (artifactCost): an artifact larger than the whole
+// budget is handed to its callers and not kept.
 //
 // Coherence comes from the store's append-only shape: version i and the
 // composed delta (i, j) are immutable once their releases exist, so
@@ -33,17 +38,36 @@ type matCache struct {
 	c *lru.Cache[cacheKey, any]
 
 	// Pre-resolved metric handles, indexed by kind; all nil-safe.
-	hits, misses [numKinds]*obs.Counter
-	inflight     *obs.Gauge
+	hits, misses    [numKinds]*obs.Counter
+	inflight, bytes *obs.Gauge
 }
 
-// defaultCacheEntries bounds the cache when WithCache is given a
+// defaultCacheMiB is the budget WithCache gives the cache for a
 // non-positive size.
-const defaultCacheEntries = 64
+const defaultCacheMiB = 64
 
-// newMatCache builds a cache holding up to max > 0 artifacts. reg may be
-// nil.
-func newMatCache(max int, reg *obs.Registry) *matCache {
+// commandBytes is what one delta command costs the cache, its add data
+// aside.
+const commandBytes = int64(unsafe.Sizeof(delta.Command{}))
+
+// artifactCost charges a cached artifact its resident bytes: the image
+// length of a version, or the command array plus the add data of a
+// composed delta.
+//
+//ipvet:allocfree
+func artifactCost(v any) int64 {
+	switch v := v.(type) {
+	case []byte:
+		return int64(len(v))
+	case *delta.Delta:
+		return int64(len(v.Commands))*commandBytes + v.AddedBytes()
+	}
+	return 0
+}
+
+// newMatCache builds a cache holding up to budget > 0 bytes of
+// artifacts. reg may be nil.
+func newMatCache(budget int64, reg *obs.Registry) *matCache {
 	c := &matCache{}
 	var onEvict func(cacheKey, any)
 	var onWait func(cacheKey)
@@ -53,12 +77,18 @@ func newMatCache(max int, reg *obs.Registry) *matCache {
 		c.hits[kindDelta] = reg.Counter("ipdelta_store_cache_delta_hits_total")
 		c.misses[kindDelta] = reg.Counter("ipdelta_store_cache_delta_misses_total")
 		c.inflight = reg.Gauge("ipdelta_store_cache_inflight")
+		c.bytes = reg.Gauge("ipdelta_store_cache_bytes")
 		dedups := reg.Counter("ipdelta_store_cache_dedup_waits_total")
 		evictions := reg.Counter("ipdelta_store_cache_evictions_total")
 		onWait = func(cacheKey) { dedups.Inc() }
-		onEvict = func(cacheKey, any) { evictions.Inc() }
+		// An artifact over the budget is inserted and evicted at once:
+		// it counts as an eviction and leaves the gauge where it was.
+		onEvict = func(_ cacheKey, v any) {
+			evictions.Inc()
+			c.bytes.Add(-artifactCost(v))
+		}
 	}
-	c.c = lru.New(max, onEvict, onWait)
+	c.c = lru.New(budget, artifactCost, onEvict, onWait)
 	return c
 }
 
@@ -70,7 +100,11 @@ func (c *matCache) do(key cacheKey, fn func() (any, error)) (any, error) {
 		c.misses[key.kind].Inc()
 		c.inflight.Add(1)
 		defer c.inflight.Add(-1)
-		return fn()
+		v, err := fn()
+		if err == nil {
+			c.bytes.Add(artifactCost(v))
+		}
+		return v, err
 	})
 	if o == lru.Hit {
 		c.hits[key.kind].Inc()
@@ -97,3 +131,8 @@ func (c *matCache) nearestVersion(i int) (int, []byte, bool) {
 //
 //ipvet:allocfree
 func (c *matCache) len() int { return c.c.Len() }
+
+// resident reports the bytes the cached artifacts cost (for tests).
+//
+//ipvet:allocfree
+func (c *matCache) resident() int64 { return c.c.Cost() }

@@ -2,31 +2,41 @@ package store
 
 import (
 	"bytes"
+	"fmt"
 	"math/rand"
 	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
 
+	"ipdelta/internal/graph"
 	"ipdelta/internal/obs"
 )
 
 // buildCachedStore mirrors buildChainStore but applies store options.
 func buildCachedStore(t testing.TB, n int, seed int64, opts ...Option) (*Store, [][]byte) {
 	t.Helper()
-	plain, versions := buildChainStore(t, n, seed)
+	return buildSizedStore(t, n, 24<<10, seed, opts...)
+}
+
+// buildSizedStore is buildCachedStore over versions of size bytes.
+func buildSizedStore(t testing.TB, n, size int, seed int64, opts ...Option) (*Store, [][]byte) {
+	t.Helper()
+	versions := chainVersions(n, size, seed)
 	s := New(versions[0], opts...)
 	for k := 1; k < n; k++ {
 		if _, err := s.AppendVersion(versions[k]); err != nil {
 			t.Fatal(err)
 		}
 	}
-	_ = plain
 	return s, versions
 }
 
+// TestCacheVersionCorrectness: eight 384 KiB versions through a 1 MiB
+// budget, which holds two of them.
 func TestCacheVersionCorrectness(t *testing.T) {
-	s, versions := buildCachedStore(t, 8, 11, WithCache(4))
+	reg := obs.NewRegistry()
+	s, versions := buildSizedStore(t, 8, 384<<10, 11, WithCache(1), WithObserver(reg))
 	// Two passes: the first populates and evicts, the second re-reads a mix
 	// of cached and evicted versions. Every read must match the original.
 	for pass := 0; pass < 2; pass++ {
@@ -39,6 +49,9 @@ func TestCacheVersionCorrectness(t *testing.T) {
 				t.Fatalf("pass %d Version(%d) differs", pass, k)
 			}
 		}
+	}
+	if ev := reg.Snapshot().Counter("ipdelta_store_cache_evictions_total"); ev == 0 {
+		t.Fatal("no evictions: the budget held every version")
 	}
 }
 
@@ -85,19 +98,28 @@ func TestCacheHitAndAncestorReplay(t *testing.T) {
 	}
 }
 
+// TestCacheLRUEviction: six 400 KiB versions through a 1 MiB budget,
+// which holds two of them.
 func TestCacheLRUEviction(t *testing.T) {
 	reg := obs.NewRegistry()
-	s, versions := buildCachedStore(t, 6, 13, WithCache(2), WithObserver(reg))
+	s, versions := buildSizedStore(t, 6, 400<<10, 13, WithCache(1), WithObserver(reg))
 	for k := range versions {
 		if _, err := s.Version(k); err != nil {
 			t.Fatal(err)
+		}
+		if b := s.cache.resident(); b > 1<<20 {
+			t.Fatalf("Version(%d): cache holds %d bytes, budget %d", k, b, 1<<20)
 		}
 	}
 	if n := s.cache.len(); n > 2 {
 		t.Fatalf("cache holds %d entries, max 2", n)
 	}
-	if ev := reg.Snapshot().Counter("ipdelta_store_cache_evictions_total"); ev == 0 {
+	snap := reg.Snapshot()
+	if ev := snap.Counter("ipdelta_store_cache_evictions_total"); ev == 0 {
 		t.Fatal("no evictions recorded after overflowing the cache")
+	}
+	if g, b := snap.Gauges["ipdelta_store_cache_bytes"], s.cache.resident(); g != b {
+		t.Fatalf("ipdelta_store_cache_bytes = %d, cache holds %d", g, b)
 	}
 	// Evicted versions still materialize correctly.
 	got, err := s.Version(0)
@@ -135,7 +157,7 @@ func TestCacheDeltaBetweenMemoized(t *testing.T) {
 // requests for one missing key must share a single computation.
 func TestCacheSingleflightDedup(t *testing.T) {
 	reg := obs.NewRegistry()
-	c := newMatCache(8, reg)
+	c := newMatCache(8<<20, reg)
 	key := cacheKey{kind: kindVersion, to: 3}
 
 	const waiters = 4
@@ -250,6 +272,147 @@ func TestCacheConcurrentVersionAppend(t *testing.T) {
 	}
 	close(stop)
 	wg.Wait()
+}
+
+// budgetVersions returns n releases of exactly 1 MiB: a random base, and
+// each release rewrites four 8 KiB blocks of the one before and swaps two
+// 16 KiB blocks, so its in-place conversion has cycles to break.
+func budgetVersions(n int, seed int64) [][]byte {
+	const size, block = 1 << 20, 8 << 10
+	rng := rand.New(rand.NewSource(seed))
+	base := make([]byte, size)
+	rng.Read(base)
+	versions := [][]byte{base}
+	for k := 1; k < n; k++ {
+		v := append([]byte(nil), versions[k-1]...)
+		for range 4 {
+			at := rng.Intn(size/block) * block
+			rng.Read(v[at : at+block])
+		}
+		a, b := rng.Intn(size/(2*block))*2*block, rng.Intn(size/(2*block))*2*block
+		tmp := append([]byte(nil), v[a:a+2*block]...)
+		copy(v[a:a+2*block], v[b:b+2*block])
+		copy(v[b:b+2*block], tmp)
+		versions = append(versions, v)
+	}
+	return versions
+}
+
+// TestStoreCacheBudget: 1 MiB versions through a 1 MiB budget, on a plain
+// and a chunked store, with readers racing appends. After every call the
+// cache holds at most its budget, and every artifact it serves is right:
+// versions match, composed deltas rebuild their target, and in-place
+// deltas satisfy Equation 2 and apply in place to the head they were
+// built for. It is a -race target (see CI).
+func TestStoreCacheBudget(t *testing.T) {
+	const budget = 1 << 20
+	for _, tc := range []struct {
+		name string
+		opts []Option
+	}{
+		{"plain", nil},
+		{"chunked", []Option{WithChunking(nil)}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			versions := budgetVersions(9, 17)
+			reg := obs.NewRegistry()
+			s := New(versions[0], append(tc.opts, WithCache(1), WithObserver(reg))...)
+			within := func(op string) bool {
+				if b := s.cache.resident(); b > budget {
+					t.Errorf("%s: cache holds %d bytes, budget %d", op, b, budget)
+					return false
+				}
+				return true
+			}
+			for _, v := range versions[1:3] {
+				if _, err := s.AppendVersion(v); err != nil {
+					t.Fatal(err)
+				}
+			}
+			var wg sync.WaitGroup
+			for w := range 3 {
+				wg.Add(1)
+				go func() {
+					defer wg.Done()
+					rng := rand.New(rand.NewSource(int64(w)))
+					for it := range 9 {
+						if !budgetRead(t, s, versions, rng, it%3) || !within(fmt.Sprintf("reader %d op %d", w, it)) {
+							return
+						}
+					}
+				}()
+			}
+			for k, v := range versions[3:] {
+				if _, err := s.AppendVersion(v); err != nil {
+					t.Fatal(err)
+				}
+				if !within(fmt.Sprintf("append %d", k+3)) {
+					break
+				}
+			}
+			wg.Wait()
+			snap := reg.Snapshot()
+			if snap.Counter("ipdelta_store_cache_evictions_total") == 0 {
+				t.Error("no evictions: the budget held every artifact")
+			}
+			if g, b := snap.Gauges["ipdelta_store_cache_bytes"], s.cache.resident(); g != b {
+				t.Errorf("ipdelta_store_cache_bytes = %d, cache holds %d", g, b)
+			}
+		})
+	}
+}
+
+// budgetRead runs one checked read on s: Version, DeltaBetween or
+// InPlaceDeltaTo by op. It reports whether the result was right.
+func budgetRead(t *testing.T, s *Store, versions [][]byte, rng *rand.Rand, op int) bool {
+	n0 := s.NumVersions()
+	i := rng.Intn(n0)
+	switch op {
+	case 0:
+		got, err := s.Version(i)
+		if err != nil || !bytes.Equal(got, versions[i]) {
+			t.Errorf("Version(%d) differs (err %v)", i, err)
+			return false
+		}
+	case 1:
+		j := i + rng.Intn(n0-i)
+		d, err := s.DeltaBetween(i, j)
+		if err != nil {
+			t.Errorf("DeltaBetween(%d, %d): %v", i, j, err)
+			return false
+		}
+		if got, err := d.Apply(versions[i]); err != nil || !bytes.Equal(got, versions[j]) {
+			t.Errorf("DeltaBetween(%d, %d) does not rebuild %d (err %v)", i, j, j, err)
+			return false
+		}
+	default:
+		d, _, err := s.InPlaceDeltaTo(i, graph.LocallyMinimum{})
+		if err != nil {
+			t.Errorf("InPlaceDeltaTo(%d): %v", i, err)
+			return false
+		}
+		if err := d.CheckInPlace(); err != nil {
+			t.Errorf("InPlaceDeltaTo(%d): %v", i, err)
+			return false
+		}
+		buf := make([]byte, d.InPlaceBufLen())
+		copy(buf, versions[i])
+		if err := d.ApplyInPlace(buf); err != nil {
+			t.Errorf("InPlaceDeltaTo(%d) does not apply: %v", i, err)
+			return false
+		}
+		// The head moved while appends raced the call: the delta targets
+		// one of the heads seen from n0-1 on.
+		got := buf[:d.VersionLen]
+		for h := n0 - 1; h < s.NumVersions(); h++ {
+			if bytes.Equal(got, versions[h]) {
+				return true
+			}
+		}
+		t.Errorf("InPlaceDeltaTo(%d) rebuilds no head from %d on", i, n0-1)
+		return false
+	}
+	return true
 }
 
 // TestStoreCacheHitAllocs gates the hit path at zero allocations: a map

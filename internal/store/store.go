@@ -7,10 +7,11 @@
 // distribution, without materializing the intermediate versions.
 //
 // A Store is safe for concurrent use. With WithCache, recently
-// materialized versions and composed deltas are kept in a bounded LRU
-// with singleflight deduplication, so a serving hot path stops replaying
-// the delta chain per request (see DESIGN.md §10); cached artifacts are
-// shared and must be treated as read-only by callers.
+// materialized versions and composed deltas are kept in an LRU bounded
+// by a budget in MiB, with singleflight deduplication, so a serving hot
+// path stops replaying the delta chain per request (see DESIGN.md §10);
+// cached artifacts are shared and must be treated as read-only by
+// callers.
 package store
 
 import (
@@ -109,8 +110,8 @@ type Store struct {
 	recipes []chunk.Recipe
 
 	// Construction-time knobs recorded by options, consumed by finish.
-	cacheSize int
-	obsReg    *obs.Registry
+	cacheBytes int64
+	obsReg     *obs.Registry
 }
 
 // Option customizes a Store.
@@ -136,23 +137,27 @@ func WithChunking(shared *chunk.Store) Option {
 	}
 }
 
-// WithCache enables the materialization cache: up to max recently used
-// artifacts (version images and composed deltas combined; max <= 0 means
-// the default 64) are retained, and concurrent requests for the same cold
-// artifact share one computation. Version and DeltaBetween then return
-// shared values that must be treated as read-only.
-func WithCache(max int) Option {
+// WithCache enables the materialization cache with a budget of mib MiB
+// (mib <= 0 means the default 64 MiB): recently used version images and
+// composed deltas are retained while their bytes fit the budget, and
+// concurrent requests for the same cold artifact share one computation.
+// An image is charged its length, a composed delta its commands and add
+// bytes; an artifact larger than the budget is computed and returned but
+// not retained. Version and DeltaBetween then return shared values that
+// must be treated as read-only.
+func WithCache(mib int) Option {
 	return func(s *Store) {
-		s.cacheSize = max
-		if s.cacheSize <= 0 {
-			s.cacheSize = defaultCacheEntries
+		if mib <= 0 {
+			mib = defaultCacheMiB
 		}
+		s.cacheBytes = int64(mib) << 20
 	}
 }
 
 // WithObserver attaches a metrics registry: materialization and
 // composition stage timings, chain-replay counts, and — when WithCache is
-// also set — cache hit/miss/eviction counters and the in-flight gauge.
+// also set — cache hit/miss/eviction counters and the in-flight and
+// resident-bytes gauges.
 func WithObserver(r *obs.Registry) Option {
 	return func(s *Store) { s.obsReg = r }
 }
@@ -171,8 +176,8 @@ func New(base []byte, opts ...Option) *Store {
 	if s.obsReg != nil {
 		s.met = resolveStoreMetrics(s.obsReg)
 	}
-	if s.cacheSize > 0 {
-		s.cache = newMatCache(s.cacheSize, s.obsReg)
+	if s.cacheBytes > 0 {
+		s.cache = newMatCache(s.cacheBytes, s.obsReg)
 	}
 	if s.chunked {
 		s.ck, _ = chunk.NewChunker(chunk.Params{}) // zero params: statically valid defaults

@@ -15,9 +15,20 @@ import (
 // store plus the raw versions for comparison.
 func buildChainStore(t testing.TB, n int, seed int64) (*Store, [][]byte) {
 	t.Helper()
-	pair := corpus.Generate(corpus.PairSpec{Profile: corpus.Binary, Size: 24 << 10, ChangeRate: 0.06, Seed: seed})
+	versions := chainVersions(n, 24<<10, seed)
+	s := New(versions[0])
+	for _, v := range versions[1:] {
+		if _, err := s.AppendVersion(v); err != nil {
+			t.Fatal(err)
+		}
+	}
+	return s, versions
+}
+
+// chainVersions returns n related releases of size bytes.
+func chainVersions(n, size int, seed int64) [][]byte {
+	pair := corpus.Generate(corpus.PairSpec{Profile: corpus.Binary, Size: size, ChangeRate: 0.06, Seed: seed})
 	versions := [][]byte{pair.Ref}
-	s := New(pair.Ref)
 	cur := pair.Ref
 	for k := 1; k < n; k++ {
 		next := corpus.Generate(corpus.PairSpec{Profile: corpus.Binary, Size: len(cur), ChangeRate: 0.06, Seed: seed + int64(k)})
@@ -26,13 +37,10 @@ func buildChainStore(t testing.TB, n int, seed int64) (*Store, [][]byte) {
 		v := append([]byte(nil), cur...)
 		splice := len(v) / 5
 		copy(v[len(v)-splice:], next.Version[:splice])
-		if _, err := s.AppendVersion(v); err != nil {
-			t.Fatal(err)
-		}
 		versions = append(versions, v)
 		cur = v
 	}
-	return s, versions
+	return versions
 }
 
 func TestStoreVersions(t *testing.T) {
