@@ -17,6 +17,7 @@ import (
 	"ipdelta/internal/corpus"
 	"ipdelta/internal/delta"
 	"ipdelta/internal/diff"
+	"ipdelta/internal/graph"
 	"ipdelta/internal/inplace"
 	"ipdelta/internal/obs"
 	"ipdelta/internal/store"
@@ -179,6 +180,49 @@ func measureCodec(doc *baselineDoc, size int, seed int64) error {
 						b.Fatal(err)
 					}
 				}
+			}
+		}
+	})
+	return nil
+}
+
+// measureChunkedInPlace adds the chunked store's read-path row: a cold
+// InPlaceDeltaTo from three releases back on a cache-less chunked store
+// of size-byte blockyChurn releases — the endpoint recipe diff, then a
+// conversion that reads the old version by range. The delta must rebuild
+// the head in place before it is timed.
+func measureChunkedInPlace(doc *baselineDoc, size int, seed int64) error {
+	img := make([]byte, size)
+	rand.New(rand.NewSource(seed)).Read(img)
+	s := store.New(img, store.WithChunking(nil))
+	for k := 1; k <= 4; k++ {
+		img = blockyChurn(img, 0.05, seed+int64(k))
+		if _, err := s.AppendVersion(img); err != nil {
+			return fmt.Errorf("bench-baseline: chunked store: %w", err)
+		}
+	}
+	name := "store/inplace/chunked/" + sizeLabel(size)
+	i := s.NumVersions() - 4
+	d, _, err := s.InPlaceDeltaTo(i, graph.LocallyMinimum{})
+	if err != nil {
+		return fmt.Errorf("bench-baseline: %s: %w", name, err)
+	}
+	ref, err := s.Version(i)
+	if err != nil {
+		return fmt.Errorf("bench-baseline: %s: %w", name, err)
+	}
+	buf := make([]byte, d.InPlaceBufLen())
+	copy(buf, ref)
+	if err := d.ApplyInPlace(buf); err != nil {
+		return fmt.Errorf("bench-baseline: %s: apply: %w", name, err)
+	}
+	if !bytes.Equal(buf[:d.VersionLen], img) {
+		return fmt.Errorf("bench-baseline: %s: delta does not rebuild the head", name)
+	}
+	doc.measure(name, int64(size), func(b *testing.B) {
+		for n := 0; n < b.N; n++ {
+			if _, _, err := s.InPlaceDeltaTo(i, graph.LocallyMinimum{}); err != nil {
+				b.Fatal(err)
 			}
 		}
 	})
@@ -406,6 +450,10 @@ func runBaseline(out io.Writer, outPath string, quick bool, seed int64) error {
 		}
 	}
 
+	if err := measureChunkedInPlace(doc, 16<<20, seed); err != nil {
+		return err
+	}
+
 	// Store serving path: materializing the head of a delta chain cold
 	// (full replay per request) versus through the materialization cache
 	// (steady-state hits after one replay).
@@ -487,9 +535,9 @@ func runBaseline(out io.Writer, outPath string, quick bool, seed int64) error {
 	fmt.Fprintf(out, "environment: %d CPU, GOMAXPROCS %d, %s %s/%s — parallel rows reflect this parallelism\n\n",
 		doc.Environment.NumCPU, doc.Environment.GOMAXPROCS,
 		doc.Environment.GoVersion, doc.Environment.GOOS, doc.Environment.GOARCH)
-	fmt.Fprintf(out, "%-24s %12s %14s %12s %10s %8s\n", "benchmark", "iters", "ns/op", "allocs/op", "MB/s", "add %")
+	fmt.Fprintf(out, "%-28s %12s %14s %12s %10s %8s\n", "benchmark", "iters", "ns/op", "allocs/op", "MB/s", "add %")
 	for _, r := range doc.Results {
-		fmt.Fprintf(out, "%-24s %12d %14.0f %12d %10.1f", r.Name, r.Iters, r.NsPerOp, r.AllocsPerOp, r.MBPerSec)
+		fmt.Fprintf(out, "%-28s %12d %14.0f %12d %10.1f", r.Name, r.Iters, r.NsPerOp, r.AllocsPerOp, r.MBPerSec)
 		if r.DeltaBytes > 0 {
 			fmt.Fprintf(out, " %8.2f", r.AddPct)
 		}

@@ -5,7 +5,9 @@ import (
 	"encoding/hex"
 	"fmt"
 	"hash/crc32"
+	"io"
 	"slices"
+	"sort"
 )
 
 // ID is the content address of a chunk: its SHA-256. Two chunks share an
@@ -80,7 +82,7 @@ func Materialize(dst []byte, r Recipe, src Source) ([]byte, error) {
 			return nil, fmt.Errorf("chunk: materialize chunk %d (%s): %w", k, c.ID, err)
 		}
 		if int64(len(data)) != c.Length {
-			return nil, errIdentity(k, c)
+			return nil, errIdentity("materialize", k, c)
 		}
 		chunks[k] = data
 		total += len(data)
@@ -88,7 +90,7 @@ func Materialize(dst []byte, r Recipe, src Source) ([]byte, error) {
 	dst = slices.Grow(dst, total)
 	for k, data := range chunks {
 		if crc32.ChecksumIEEE(data) != r.Chunks[k].CRC {
-			return nil, errIdentity(k, r.Chunks[k])
+			return nil, errIdentity("materialize", k, r.Chunks[k])
 		}
 		dst = append(dst, data...)
 	}
@@ -96,6 +98,76 @@ func Materialize(dst []byte, r Recipe, src Source) ([]byte, error) {
 }
 
 // errIdentity reports that chunk k's content contradicts its recipe entry.
-func errIdentity(k int, c Ref) error {
-	return fmt.Errorf("chunk: materialize chunk %d (%s): content contradicts its recipe identity", k, c.ID)
+func errIdentity(op string, k int, c Ref) error {
+	return fmt.Errorf("chunk: %s chunk %d (%s): content contradicts its recipe identity", op, k, c.ID)
+}
+
+// Reader reads the file a recipe describes by byte range, resolving only
+// the chunks a read touches, so a caller that needs a few ranges of a
+// large version never materializes the rest. Every chunk a read touches
+// is checked against its recipe length and CRC, as Materialize checks
+// it: a corrupt or substituted chunk is an error, never wrong bytes. A
+// Reader is safe for concurrent use when its Source is.
+type Reader struct {
+	r    Recipe
+	src  Source
+	ends []int64 // ends[k] is the offset one past chunk k
+}
+
+// NewReader returns a Reader over the file r describes, with chunk
+// contents from src. It costs one pass over the recipe and no chunk
+// lookup.
+func NewReader(r Recipe, src Source) *Reader {
+	ends := make([]int64, len(r.Chunks))
+	var off int64
+	for k, c := range r.Chunks {
+		off += c.Length
+		ends[k] = off
+	}
+	return &Reader{r: r, src: src, ends: ends}
+}
+
+// Size returns the described file's length in bytes.
+func (rd *Reader) Size() int64 {
+	if len(rd.ends) == 0 {
+		return 0
+	}
+	return rd.ends[len(rd.ends)-1]
+}
+
+// ReadAt reads len(p) bytes at off, following io.ReaderAt: a read that
+// reaches the end of the file returns io.EOF with the bytes it read, and
+// a read at or past the end reads nothing.
+func (rd *Reader) ReadAt(p []byte, off int64) (int, error) {
+	if off < 0 {
+		return 0, fmt.Errorf("chunk: read at negative offset %d", off)
+	}
+	// The first chunk that ends past off holds its byte.
+	k := sort.Search(len(rd.ends), func(k int) bool { return rd.ends[k] > off })
+	n := 0
+	for ; n < len(p) && k < len(rd.ends); k++ {
+		data, err := rd.chunk(k)
+		if err != nil {
+			return n, err
+		}
+		start := rd.ends[k] - int64(len(data))
+		n += copy(p[n:], data[off+int64(n)-start:])
+	}
+	if n < len(p) {
+		return n, io.EOF
+	}
+	return n, nil
+}
+
+// chunk resolves chunk k and checks it against its recipe identity.
+func (rd *Reader) chunk(k int) ([]byte, error) {
+	c := rd.r.Chunks[k]
+	data, err := rd.src.Chunk(c.ID)
+	if err != nil {
+		return nil, fmt.Errorf("chunk: read chunk %d (%s): %w", k, c.ID, err)
+	}
+	if int64(len(data)) != c.Length || crc32.ChecksumIEEE(data) != c.CRC {
+		return nil, errIdentity("read", k, c)
+	}
+	return data, nil
 }

@@ -1,8 +1,10 @@
 package inplace
 
 import (
+	"bytes"
 	"cmp"
 	"fmt"
+	"io"
 	"slices"
 
 	"ipdelta/internal/codec"
@@ -88,6 +90,9 @@ type Converter struct {
 	unstashes []delta.Command
 	converted []delta.Command
 	arena     []byte // literal data of converted copies (pooled mode)
+	// bref adapts the []byte entry points to the reader path; boxing a
+	// pointer to it, not the slice, keeps them allocation-free.
+	bref bytes.Reader
 
 	out   delta.Delta
 	alt   []delta.Command // the other resolution's layout, for reuse
@@ -141,7 +146,8 @@ func (cv *Converter) init() {
 // The input delta is not modified; the output's unconverted add commands
 // share data slices with the input.
 func (cv *Converter) Convert(d *delta.Delta, ref []byte) (*delta.Delta, *Stats, error) {
-	return cv.convert(d, ref, false)
+	cv.bref.Reset(ref)
+	return cv.convert(d, &cv.bref, false)
 }
 
 // ConvertNew is Convert with freshly allocated, caller-owned output: the
@@ -150,7 +156,8 @@ func (cv *Converter) Convert(d *delta.Delta, ref []byte) (*delta.Delta, *Stats, 
 // reused, so a loop of ConvertNew calls allocates only what the results
 // themselves need.
 func (cv *Converter) ConvertNew(d *delta.Delta, ref []byte) (*delta.Delta, *Stats, error) {
-	return cv.convert(d, ref, true)
+	cv.bref.Reset(ref)
+	return cv.convert(d, &cv.bref, true)
 }
 
 // release drops the converter's references to caller memory — the
@@ -160,6 +167,7 @@ func (cv *Converter) ConvertNew(d *delta.Delta, ref []byte) (*delta.Delta, *Stat
 // everything ever written.
 func (cv *Converter) release() {
 	cv.o.obs, cv.met = nil, nil
+	cv.bref.Reset(nil)
 	clear(cv.adds)
 	clear(cv.out.Commands)
 	clear(cv.alt)
@@ -202,41 +210,20 @@ func (cv *Converter) partition(d *delta.Delta) {
 //ipvet:allocfree
 func commandsByWriteOffset(a, b delta.Command) int { return cmp.Compare(a.To, b.To) }
 
-func (cv *Converter) convert(d *delta.Delta, ref []byte, detach bool) (*delta.Delta, *Stats, error) {
+func (cv *Converter) convert(d *delta.Delta, ref RefReader, detach bool) (*delta.Delta, *Stats, error) {
 	cv.init()
 	cmds, err := cv.resolve(d)
-	if err == nil && int64(len(ref)) != d.RefLen {
-		err = fmt.Errorf("convert: reference length %d, delta expects %d", len(ref), d.RefLen)
+	if err == nil && ref.Size() != d.RefLen {
+		err = fmt.Errorf("convert: reference length %d, delta expects %d", ref.Size(), d.RefLen)
+	}
+	if err == nil {
+		cmds, err = cv.fill(cmds, ref, detach)
 	}
 	if err != nil {
 		if cv.met != nil {
 			cv.met.errors.Inc()
 		}
 		return nil, nil, err
-	}
-	if detach {
-		cmds = append(make([]delta.Command, 0, len(cmds)), cmds...)
-	}
-
-	// Converted copies carry their reference bytes in one arena, sized up
-	// front so the per-command sub-slices stay valid as it fills.
-	arena := cv.arena
-	if detach || int64(cap(arena)) < cv.stats.ConvertedBytes {
-		arena = make([]byte, 0, cv.stats.ConvertedBytes)
-	} else {
-		arena = arena[:0]
-	}
-	for k := range cmds {
-		c := &cmds[k]
-		if c.Op != delta.OpAdd || c.Data != nil {
-			continue
-		}
-		start := int64(len(arena))
-		arena = append(arena, ref[c.From:c.From+c.Length]...)
-		*c = delta.NewAdd(c.To, arena[start:len(arena):len(arena)])
-	}
-	if !detach {
-		cv.arena = arena
 	}
 	if cv.met != nil {
 		cv.span.End()
@@ -258,6 +245,52 @@ func (cv *Converter) convert(d *delta.Delta, ref []byte, detach bool) (*delta.De
 	}
 	cv.out = delta.Delta{RefLen: d.RefLen, VersionLen: d.VersionLen, Commands: cmds}
 	return &cv.out, &cv.stats, nil
+}
+
+// fill gives every converted copy in cmds its reference bytes, in one
+// arena sized up front so the per-command sub-slices stay valid as it
+// fills. This is the conversion's only read of the reference, and it
+// reads just those bytes. With detach, cmds and the arena are fresh
+// caller-owned memory.
+func (cv *Converter) fill(cmds []delta.Command, ref RefReader, detach bool) ([]delta.Command, error) {
+	if detach {
+		cmds = append(make([]delta.Command, 0, len(cmds)), cmds...)
+	}
+	arena := cv.arena
+	if detach || int64(cap(arena)) < cv.stats.ConvertedBytes {
+		arena = make([]byte, 0, cv.stats.ConvertedBytes)
+	} else {
+		arena = arena[:0]
+	}
+	for k := range cmds {
+		c := &cmds[k]
+		if c.Op != delta.OpAdd || c.Data != nil {
+			continue
+		}
+		start := int64(len(arena))
+		arena = arena[:start+c.Length]
+		if err := readFull(ref, arena[start:], c.From); err != nil {
+			return nil, err
+		}
+		*c = delta.NewAdd(c.To, arena[start:len(arena):len(arena)])
+	}
+	if !detach {
+		cv.arena = arena
+	}
+	return cmds, nil
+}
+
+// readFull reads len(p) bytes of ref at off. An io.ReaderAt may report
+// io.EOF beside a full read that ends its input; that read succeeded.
+func readFull(ref RefReader, p []byte, off int64) error {
+	n, err := ref.ReadAt(p, off)
+	if n == len(p) {
+		return nil
+	}
+	if err == nil || err == io.EOF {
+		err = io.ErrUnexpectedEOF
+	}
+	return fmt.Errorf("convert: read reference at %d+%d: %w", off, len(p), err)
 }
 
 // resolve runs the conversion up to, but not including, reading the

@@ -24,6 +24,7 @@
 package inplace
 
 import (
+	"io"
 	"sort"
 	"sync"
 
@@ -146,6 +147,19 @@ func WithObserver(r *obs.Registry) Option {
 	return func(o *Options) { o.obs = r }
 }
 
+// RefReader is a reference file read by byte range. Conversion reads the
+// reference at one step only: when cycle breaking turns a copy into an
+// add, the copied bytes become its literal data (§4, step 4). A
+// conversion through a RefReader reads exactly those ranges, so a
+// reference that is expensive to materialize — a chunked store's recipe,
+// a file on disk — is read no further than the converted copies reach.
+// *bytes.Reader and *io.SectionReader satisfy it.
+type RefReader interface {
+	io.ReaderAt
+	// Size is the reference length; it must equal the delta's RefLen.
+	Size() int64
+}
+
 // Convert rewrites d into an in-place reconstructible delta. The reference
 // file is needed to materialize the data of copy commands that cycle
 // breaking converts to adds. The input delta is not modified; the output
@@ -154,17 +168,31 @@ func WithObserver(r *obs.Registry) Option {
 // The returned delta applies correctly both with scratch space (Apply) and
 // in place (ApplyInPlace), and always satisfies CheckInPlace.
 //
-// Convert runs ConvertNew on a Converter drawn from a process-wide pool,
-// so callers that convert one delta at a time (servers building a release
+// Convert converts as ConvertNew does, on a Converter drawn from a
+// process-wide pool, so callers that convert one delta at a time (servers building a release
 // on demand) reuse working memory too. Callers converting many deltas in
 // one loop should still hold their own Converter.
 func Convert(d *delta.Delta, ref []byte, opts ...Option) (*delta.Delta, *Stats, error) {
 	cv := converters.Get().(*Converter)
+	cv.bref.Reset(ref)
+	return cv.convertPooled(d, &cv.bref, opts)
+}
+
+// ConvertAt is Convert against a reference read by byte range: it reads
+// only the bytes of the copies it converts, and none at all when it
+// converts none.
+func ConvertAt(d *delta.Delta, ref RefReader, opts ...Option) (*delta.Delta, *Stats, error) {
+	return converters.Get().(*Converter).convertPooled(d, ref, opts)
+}
+
+// convertPooled configures cv, drawn from the pool, with opts, runs a
+// detached conversion, and returns cv to the pool.
+func (cv *Converter) convertPooled(d *delta.Delta, ref RefReader, opts []Option) (*delta.Delta, *Stats, error) {
 	cv.o = Options{}
 	for _, opt := range opts {
 		opt(&cv.o)
 	}
-	out, st, err := cv.ConvertNew(d, ref)
+	out, st, err := cv.convert(d, ref, true)
 	cv.release()
 	converters.Put(cv)
 	return out, st, err

@@ -452,24 +452,23 @@ func (s *Store) compose(i, j int) (*delta.Delta, error) {
 
 // InPlaceDeltaTo returns a direct, in-place reconstructible delta from
 // version i to the newest version, composed from the chain and converted
-// with the given policy.
+// with the given policy. Conversion reads version i only for the copies
+// it converts to adds (refReader), so a conversion that converts none
+// never builds or caches that image.
 func (s *Store) InPlaceDeltaTo(i int, policy graph.Policy) (*delta.Delta, *inplace.Stats, error) {
 	head := s.NumVersions() - 1
 	d, err := s.DeltaBetween(i, head)
 	if err != nil {
 		return nil, nil, err
 	}
-	ref, err := s.Version(i)
-	if err != nil {
-		return nil, nil, err
-	}
-	return inplace.Convert(d, ref, inplace.WithPolicy(policy))
+	return inplace.ConvertAt(d, s.refReader(i), inplace.WithPolicy(policy))
 }
 
 // RollbackDelta returns an in-place reconstructible delta from the newest
 // version back to version i — inversion of the composed forward chain,
 // converted for in-place application. Devices use it to downgrade without
-// the server storing backward deltas.
+// the server storing backward deltas. Inversion needs version i whole; the
+// head is read only for the copies conversion turns into adds.
 func (s *Store) RollbackDelta(i int, policy graph.Policy) (*delta.Delta, *inplace.Stats, error) {
 	head := s.NumVersions() - 1
 	forward, err := s.DeltaBetween(i, head)
@@ -484,11 +483,44 @@ func (s *Store) RollbackDelta(i int, policy graph.Policy) (*delta.Delta, *inplac
 	if err != nil {
 		return nil, nil, err
 	}
-	cur, err := s.Version(head)
-	if err != nil {
-		return nil, nil, err
+	return inplace.ConvertAt(backward, s.refReader(head), inplace.WithPolicy(policy))
+}
+
+// refReader returns version i (which must exist) as a reference read by
+// byte range. On a chunked store it reads the chunks of i's recipe that a
+// read touches; otherwise it materializes i through Version on its first
+// read, and never when nothing is read.
+func (s *Store) refReader(i int) inplace.RefReader {
+	s.mu.RLock()
+	defer s.mu.RUnlock()
+	if s.chunked {
+		return chunk.NewReader(s.recipes[i], s.cs)
 	}
-	return inplace.Convert(backward, cur, inplace.WithPolicy(policy))
+	return &lazyVersion{s: s, i: i, size: s.releases[i].length}
+}
+
+// lazyVersion is a version image materialized on its first read.
+type lazyVersion struct {
+	s    *Store
+	i    int
+	size int64
+
+	once sync.Once
+	r    *bytes.Reader
+	err  error
+}
+
+func (v *lazyVersion) Size() int64 { return v.size }
+
+func (v *lazyVersion) ReadAt(p []byte, off int64) (int, error) {
+	v.once.Do(func() {
+		img, err := v.s.Version(v.i)
+		v.r, v.err = bytes.NewReader(img), err
+	})
+	if v.err != nil {
+		return 0, v.err
+	}
+	return v.r.ReadAt(p, off)
 }
 
 // StorageBytes returns the encoded size of the container: the base plus
