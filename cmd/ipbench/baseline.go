@@ -129,6 +129,24 @@ func blockyChurn(base []byte, rate float64, seed int64) []byte {
 	return out
 }
 
+// measureReingest adds the rows that ingest newImg into a store that
+// holds oldImg, then release it: repeat cuts and hashes every chunk, like
+// lets oldImg's recipe predict the unchanged ones.
+func measureReingest(doc *baselineDoc, ck *chunk.Chunker, oldImg, newImg []byte, label string) {
+	s := chunk.NewStore()
+	like := s.IngestAll(ck, oldImg)
+	doc.measure("chunk/ingest/repeat/"+label, int64(len(newImg)), func(b *testing.B) {
+		for i := 0; i < b.N; i++ {
+			s.ReleaseRecipe(s.IngestAll(ck, newImg))
+		}
+	})
+	doc.measure("chunk/ingest/like/"+label, int64(len(newImg)), func(b *testing.B) {
+		for i := 0; i < b.N; i++ {
+			s.ReleaseRecipe(s.IngestLike(ck, newImg, like))
+		}
+	})
+}
+
 // measureCodec adds the wire-format rows: compact encode and streaming
 // decode of the in-place delta between record releases four apart, whose
 // moved record runs give the converter hundreds of cycles — the delta a
@@ -427,6 +445,7 @@ func runBaseline(out io.Writer, outPath string, quick bool, seed int64) error {
 				fresh.IngestAll(ck, oldImg)
 			}
 		})
+		measureReingest(doc, ck, oldImg, newImg, label)
 
 		cstore := chunk.NewStore(chunk.WithObserver(reg))
 		ro := cstore.IngestAll(ck, oldImg)

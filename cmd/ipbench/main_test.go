@@ -74,7 +74,7 @@ func TestRunBenchBaseline(t *testing.T) {
 		"store/inplace/chunked/16MiB": false,
 	}
 	for _, label := range []string{"1MiB", "16MiB"} {
-		for _, row := range []string{"chunk/split/", "chunk/ingest/", "chunk/materialize/", "recipe/diff/", "diff/full/"} {
+		for _, row := range []string{"chunk/split/", "chunk/ingest/", "chunk/ingest/repeat/", "chunk/ingest/like/", "chunk/materialize/", "recipe/diff/", "diff/full/"} {
 			want[row+label] = false
 		}
 	}

@@ -42,7 +42,9 @@ func (r rule) String() string {
 
 // baselineRules holds at the default seed in both quick and full mode.
 // The recipe bound is the speedup the chunked fast path must deliver to
-// pay for itself. The zero-alloc rows are the steady-state reuse paths;
+// pay for itself; the like bound, what predicting the unchanged 95% of a
+// churned version from its predecessor's recipe must win over cutting
+// and hashing it all. The zero-alloc rows are the steady-state reuse paths;
 // the codec and materialize rows allocate a fixed few buffers per call,
 // the same count at GOMAXPROCS 1 and 2. chunk/ingest, recipe/diff and
 // batch allocate per worker, so their counts follow GOMAXPROCS and get
@@ -50,6 +52,7 @@ func (r rule) String() string {
 // collapses as the image grows.
 var baselineRules = []rule{
 	{kind: minSpeedup, row: "recipe/diff/16MiB", base: "diff/full/16MiB", bound: 2},
+	{kind: minSpeedup, row: "chunk/ingest/like/16MiB", base: "chunk/ingest/repeat/16MiB", bound: 2},
 	{kind: maxAllocs, row: "convert/reuse"},
 	{kind: maxAllocs, row: "crwi/build"},
 	{kind: maxAllocs, row: "diff/reuse"},
@@ -107,7 +110,7 @@ func checkRules(out io.Writer, doc *baselineDoc, rules []rule) error {
 			verdict = "FAIL"
 			failed = append(failed, fmt.Sprintf("%v (got %s)", r, got))
 		}
-		fmt.Fprintf(out, "%-52s %14s  %s\n", r, got, verdict)
+		fmt.Fprintf(out, "%-62s %14s  %s\n", r, got, verdict)
 	}
 	if len(failed) > 0 {
 		return fmt.Errorf("bench-baseline: %d of %d rules failed:\n\t%s",

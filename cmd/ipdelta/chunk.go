@@ -13,7 +13,8 @@ import (
 
 // cmdChunk splits files with the content-defined chunker and reports the
 // chunk-level view: sizes, dedup across the given files (in order), and
-// optionally the recipe container of the last file.
+// optionally the recipe container of the last file. Each file is ingested
+// against the recipe of the file before it.
 func cmdChunk(args []string) error {
 	fs := flag.NewFlagSet("chunk", flag.ContinueOnError)
 	minSize := fs.Int("min", chunk.DefaultMin, "minimum chunk size")
@@ -42,7 +43,7 @@ func cmdChunk(args []string) error {
 			return err
 		}
 		before := reg.Snapshot().Counters
-		r := cs.IngestAll(ck, data)
+		r := cs.IngestLike(ck, data, last)
 		after := reg.Snapshot().Counters
 		newBytes := after["ipdelta_chunk_stored_bytes_total"] - before["ipdelta_chunk_stored_bytes_total"]
 		dupBytes := after["ipdelta_chunk_dedup_bytes_saved_total"] - before["ipdelta_chunk_dedup_bytes_saved_total"]

@@ -4,6 +4,8 @@ import (
 	"bytes"
 	"encoding/binary"
 	"hash/crc32"
+	"math/rand"
+	"slices"
 	"testing"
 )
 
@@ -213,6 +215,70 @@ func FuzzChunkerSplit(f *testing.F) {
 			if streamed[k] != cuts[k] {
 				t.Fatalf("cut %d: streaming %d vs in-memory %d", k, streamed[k], cuts[k])
 			}
+		}
+	})
+}
+
+// editScript applies n seeded edits to a copy of old: overwrites,
+// inserts of fresh or repeated bytes, deletes, truncations and appends.
+func editScript(old []byte, seed int64, n uint8) []byte {
+	rng := rand.New(rand.NewSource(seed))
+	out := slices.Clone(old)
+	span := func() int { return 1 + rng.Intn(3000) }
+	for range n {
+		at := rng.Intn(len(out) + 1)
+		switch rng.Intn(6) {
+		case 0: // overwrite
+			rng.Read(out[at:min(at+span(), len(out))])
+		case 1: // insert fresh bytes
+			out = slices.Insert(out, at, randBytes(rng.Int63(), span())...)
+		case 2: // insert a copy of bytes already there
+			from := rng.Intn(len(out) + 1)
+			out = slices.Insert(out, at, slices.Clone(out[from:min(from+span(), len(out))])...)
+		case 3: // delete
+			out = slices.Delete(out, at, min(at+span(), len(out)))
+		case 4: // truncate
+			out = out[:at]
+		default: // append
+			out = append(out, randBytes(rng.Int63(), span())...)
+		}
+	}
+	return out
+}
+
+// FuzzIngestLike ingests a seeded edit of random old bytes against old's
+// recipe: the recipe and the resident set must be IngestAll's, whether
+// like is pinned, released or evicted.
+func FuzzIngestLike(f *testing.F) {
+	f.Add(randBytes(2, 20000), int64(1), uint8(3), uint8(0))
+	f.Add(bytes.Repeat([]byte("abcdefgh"), 3000), int64(2), uint8(5), uint8(1))
+	f.Add(make([]byte, 9000), int64(3), uint8(1), uint8(2))
+	f.Add([]byte{}, int64(4), uint8(2), uint8(0))
+	f.Fuzz(func(t *testing.T, old []byte, seed int64, edits, mode uint8) {
+		ck, err := NewChunker(Params{Min: 64, Avg: 256, Max: 1024})
+		if err != nil {
+			t.Fatal(err)
+		}
+		next := editScript(old, seed, edits%16)
+		run := func(ingest func(s *Store, like Recipe) Recipe) (Recipe, Stats) {
+			s := NewStore(WithMaxUnpinned(1 << 20))
+			like := s.IngestAll(ck, old)
+			switch mode % 3 {
+			case 1:
+				s.ReleaseRecipe(like)
+			case 2:
+				s.maxUnpin = 2048
+				s.ReleaseRecipe(like)
+			}
+			return ingest(s, like), s.Stats()
+		}
+		want, wantStats := run(func(s *Store, _ Recipe) Recipe { return s.IngestAll(ck, next) })
+		got, stats := run(func(s *Store, like Recipe) Recipe { return s.IngestLike(ck, next, like) })
+		if !slices.Equal(got.Chunks, want.Chunks) {
+			t.Fatalf("recipe of %d chunks differs from IngestAll's %d", len(got.Chunks), len(want.Chunks))
+		}
+		if stats != wantStats {
+			t.Fatalf("stats %+v, want %+v", stats, wantStats)
 		}
 	})
 }

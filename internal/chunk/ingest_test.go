@@ -1,6 +1,7 @@
 package chunk
 
 import (
+	"encoding/binary"
 	"fmt"
 	"reflect"
 	"runtime"
@@ -168,5 +169,205 @@ func TestIngestAllAllocs(t *testing.T) {
 	}
 	if hitN[1] > hitN[0]+slack {
 		t.Errorf("pipelined hit path allocates %d per call at %d chunks, %d at %d", hitN[1], chunks[1], hitN[0], chunks[0])
+	}
+}
+
+// likeCase is one IngestLike input: setup brings a store to the state
+// before the call and returns the like recipe, next is the input, and
+// predicted is the fewest chunks of next the predictor must take from
+// like.
+type likeCase struct {
+	name      string
+	setup     func(s *Store) Recipe
+	next      []byte
+	predicted int
+}
+
+// likeCases covers edits of a version against its own recipe, inputs
+// the recipe does not describe, and like chunks that left the store.
+func likeCases(ck *Chunker) []likeCase {
+	old := randBytes(80, 512<<10)
+	holds := func(v []byte) func(*Store) Recipe {
+		return func(s *Store) Recipe { return s.IngestAll(ck, v) }
+	}
+	overwrite := slices.Clone(old)
+	copy(overwrite[100<<10:], randBytes(81, 3000))
+	copy(overwrite[300<<10:], randBytes(82, 20000))
+	// Records that open with one 1500-byte header: many chunks start
+	// inside a header copy, so they share their first 8 bytes and differ.
+	header, records := randBytes(83, 1500), []byte(nil)
+	for k := range 200 {
+		records = slices.Concat(records, header, randBytes(int64(1000+k), 500+37*k%2500))
+	}
+	recordsEdit := slices.Concat(records[:150<<10], randBytes(84, 700), records[150<<10:])
+	released := func(s *Store) Recipe {
+		r := s.IngestAll(ck, old)
+		s.ReleaseRecipe(r)
+		return r
+	}
+	const most = 400 // of old's 453 chunks
+	return []likeCase{
+		{"identical", holds(old), old, 453}, // every chunk
+		{"overwrite", holds(old), overwrite, most},
+		{"insert", holds(old), slices.Concat(old[:70000], randBytes(85, 999), old[70000:200000], []byte("x"), old[200000:]), most},
+		{"delete", holds(old), slices.Concat(old[:50000], old[53000:400000], old[400001:]), most},
+		{"truncate", holds(old), old[:len(old)-12345], most},
+		{"past like's last chunk", holds(old), slices.Concat(old, randBytes(86, 20000)), most},
+		{"repeated content", holds(records), recordsEdit, 500},
+		{"zeros", holds(make([]byte, 300<<10)), make([]byte, 200<<10+77), 40},
+		{"empty input", holds(old), nil, 0},
+		{"empty like", func(*Store) Recipe { return Recipe{} }, overwrite, 0},
+		{"unrelated like", holds(randBytes(87, 256<<10)), overwrite, 0},
+		{"like released", released, overwrite, most},
+		// Resident chunks no cut of ck gives: empty, not past Min, over Max.
+		{"foreign like", func(s *Store) Recipe {
+			return Recipe{Chunks: []Ref{s.Ingest(nil), s.Ingest(old[:100]), s.Ingest(old[:5000]), s.Ingest(nil)}}
+		}, old, 0},
+		{"like evicted", func(s *Store) Recipe {
+			s.maxUnpin = 64 << 10 // keeps the last 64 KiB released
+			return released(s)
+		}, overwrite, 20},
+	}
+}
+
+// predictedChunks counts the chunks of data the predictor takes from
+// like, cutting the rest as IngestLike does.
+func predictedChunks(s *Store, ck *Chunker, data []byte, like Recipe) int {
+	p, n := s.newPredictor(ck, like), 0
+	var b ingestBatch
+	for rest := data; len(rest) > 0; {
+		rest = b.cut(ck, p, rest)
+		for _, known := range b.known[:b.n] {
+			if known {
+				n++
+			}
+		}
+	}
+	return n
+}
+
+// TestIngestLikeMatchesIngestAll pins IngestLike to IngestAll on every
+// case: the same recipe, the same resident set and the same counters and
+// histogram, inline and pipelined. Each case also checks that the
+// predictor took at least its share of chunks from like, so a predictor
+// that never predicts fails too.
+func TestIngestLikeMatchesIngestAll(t *testing.T) {
+	ck, _ := NewChunker(Params{Min: 256, Avg: 1024, Max: 4096})
+	for _, tc := range likeCases(ck) {
+		run := func(ingest func(s *Store, like Recipe) Recipe) (Recipe, Stats, obs.Snapshot) {
+			reg := obs.NewRegistry()
+			s := NewStore(WithObserver(reg))
+			r := ingest(s, tc.setup(s))
+			return r, s.Stats(), reg.Snapshot()
+		}
+		t.Run(tc.name, func(t *testing.T) {
+			s := NewStore()
+			if n := predictedChunks(s, ck, tc.next, tc.setup(s)); n < tc.predicted {
+				t.Errorf("predicted %d chunks, want at least %d", n, tc.predicted)
+			}
+			for _, procs := range []int{1, 4} {
+				defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(procs))
+				wantR, wantStats, wantSnap := run(func(s *Store, _ Recipe) Recipe { return s.IngestAll(ck, tc.next) })
+				r, stats, snap := run(func(s *Store, like Recipe) Recipe { return s.IngestLike(ck, tc.next, like) })
+				if !slices.Equal(r.Chunks, wantR.Chunks) {
+					t.Fatalf("GOMAXPROCS=%d: recipe differs from IngestAll's", procs)
+				}
+				if stats != wantStats {
+					t.Fatalf("GOMAXPROCS=%d: stats %+v, want %+v", procs, stats, wantStats)
+				}
+				if !reflect.DeepEqual(snap, wantSnap) {
+					t.Fatalf("GOMAXPROCS=%d: metrics differ from IngestAll's:\n got %+v\nwant %+v", procs, snap, wantSnap)
+				}
+			}
+		})
+	}
+}
+
+// TestIngestLikeSharedPrefixes checks that the repeated-content case
+// exercises what it is for: distinct chunks of like that share their
+// first 8 bytes, of which the predictor's table holds one.
+func TestIngestLikeSharedPrefixes(t *testing.T) {
+	ck, _ := NewChunker(Params{Min: 256, Avg: 1024, Max: 4096})
+	cases := likeCases(ck)
+	tc := cases[slices.IndexFunc(cases, func(tc likeCase) bool { return tc.name == "repeated content" })]
+	s := NewStore()
+	ids := map[uint64]map[ID]bool{}
+	shared := 0
+	for _, c := range tc.setup(s).Chunks {
+		data, err := s.Chunk(c.ID)
+		if err != nil {
+			t.Fatal(err)
+		}
+		key := binary.LittleEndian.Uint64(data)
+		if ids[key] == nil {
+			ids[key] = map[ID]bool{}
+		}
+		if ids[key][c.ID] = true; len(ids[key]) == 2 {
+			shared++
+		}
+	}
+	if shared == 0 {
+		t.Fatal("no two distinct chunks of like share their first 8 bytes")
+	}
+}
+
+// TestIngestLikeConcurrentRelease releases and evicts every chunk of
+// like while IngestLike predicts from it (CI runs the chunk suite under
+// -race): a prediction whose chunk left the store takes install's miss
+// path, and the recipe is still IngestAll's.
+func TestIngestLikeConcurrentRelease(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(4))
+	ck, _ := NewChunker(Params{Min: 256, Avg: 1024, Max: 4096})
+	prev, next := ingestImages()
+	want := ingestSplit(NewStore(), ck, next)
+	for range 4 {
+		s := NewStore(WithMaxUnpinned(1))
+		like := s.IngestAll(ck, prev)
+		done := make(chan struct{})
+		go func() {
+			defer close(done)
+			s.ReleaseRecipe(like)
+		}()
+		got := s.IngestLike(ck, next, like)
+		<-done
+		if !slices.Equal(got.Chunks, want.Chunks) {
+			t.Fatal("recipe differs from the sequential Split+Ingest loop")
+		}
+		s.ReleaseRecipe(got)
+		if st := s.Stats(); st.PinnedBytes != 0 {
+			t.Fatalf("pinned bytes after releasing every recipe: %+v", st)
+		}
+	}
+}
+
+// TestIngestLikeAllocs gates the predicted ingest: on hits its
+// allocations per call are the recipe and the predictor's three, inline
+// and pipelined, however many chunks the input has.
+func TestIngestLikeAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("race instrumentation inflates allocation counts")
+	}
+	const slack = 8 // as in TestIngestAllAllocs
+	ck, _ := NewChunker(Params{Min: 256, Avg: 1024, Max: 4096})
+	var chunks, likeN [2]int64
+	for k, size := range []int{256 << 10, 4 << 20} {
+		old := randBytes(int64(97+k), size)
+		next := slices.Concat(old[:size/3], randBytes(int64(99+k), 5000), old[size/3+100:])
+		copy(next[size/2:], randBytes(int64(101+k), 20000))
+		s := NewStore()
+		like := s.IngestAll(ck, old)
+		chunks[k] = int64(len(like.Chunks))
+		call := func() { s.ReleaseRecipe(s.IngestLike(ck, next, like)) }
+		s.IngestLike(ck, next, like) // pins next's new chunks: every call below hits
+		if n := testing.AllocsPerRun(10, call); n > 4 {
+			t.Errorf("%d chunks: inline hit path allocates %v per call, want the recipe and the predictor's 3", chunks[k], n)
+		}
+		likeN[k] = int64(minMallocs(4, call))
+	}
+	if chunks[1] < 8*chunks[0] {
+		t.Fatalf("inputs cut into %d and %d chunks, want a wide spread", chunks[0], chunks[1])
+	}
+	if likeN[1] > likeN[0]+slack {
+		t.Errorf("pipelined hit path allocates %d per call at %d chunks, %d at %d", likeN[1], chunks[1], likeN[0], chunks[0])
 	}
 }

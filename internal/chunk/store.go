@@ -1,7 +1,9 @@
 package chunk
 
 import (
+	"bytes"
 	"container/list"
+	"encoding/binary"
 	"errors"
 	"fmt"
 	"runtime"
@@ -43,6 +45,7 @@ func resolveStoreMetrics(r *obs.Registry) *storeMetrics {
 // evicted when the unpinned byte budget overflows.
 type entry struct {
 	data []byte
+	crc  uint32 // CRC32 of data, so a predicted chunk's Ref comes from the store
 	refs int64
 	el   *list.Element // non-nil while unpinned
 }
@@ -157,7 +160,7 @@ func (s *Store) install(ref Ref, data []byte) Ref {
 		copy(owned, data)
 
 		s.mu.Lock()
-		e := &entry{data: owned, refs: 1}
+		e := &entry{data: owned, crc: ref.CRC, refs: 1}
 		s.chunks[ref.ID] = e
 		delete(s.inflight, ref.ID)
 		s.mu.Unlock()
@@ -265,6 +268,22 @@ func (s *Store) Contains(id ID) bool {
 // contents and its counters are those of an Ingest call per chunk. An
 // input of one batch, or GOMAXPROCS=1, is hashed inline.
 func (s *Store) IngestAll(ck *Chunker, data []byte) Recipe {
+	return s.IngestLike(ck, data, Recipe{})
+}
+
+// IngestLike is IngestAll for data that resembles the version like
+// describes, typically its predecessor. It returns IngestAll's recipe and
+// leaves the store and its counters as IngestAll would. But where a
+// resident chunk of like recurs in data at a cut point, a byte compare
+// against the resident copy replaces cutting and hashing it, so the work
+// follows what changed rather than the size of data (DESIGN.md §14,
+// "Predicted ingest").
+//
+// like must have been cut by a Chunker with ck's Params, as every recipe
+// IngestAll or IngestLike returned for ck was. Only like's chunk IDs are
+// used: a predicted chunk's Ref comes from the store. A chunk of like
+// that is not resident when the call starts is not predicted.
+func (s *Store) IngestLike(ck *Chunker, data []byte, like Recipe) Recipe {
 	r := Recipe{Chunks: make([]Ref, 0, len(data)/ck.p.Avg+1)}
 	installBatch := func(b *ingestBatch) {
 		lo := 0
@@ -273,8 +292,9 @@ func (s *Store) IngestAll(ck *Chunker, data []byte) Recipe {
 			lo = end
 		}
 	}
+	p := s.newPredictor(ck, like)
 	var first ingestBatch
-	rest := first.cut(ck, data)
+	rest := first.cut(ck, p, data)
 	hashers := min(runtime.GOMAXPROCS(0)-1, len(rest)/(ck.p.Avg*ingestBatchLen)+1)
 	if len(rest) == 0 || hashers == 0 {
 		for {
@@ -283,7 +303,7 @@ func (s *Store) IngestAll(ck *Chunker, data []byte) Recipe {
 			if len(rest) == 0 {
 				return r
 			}
-			rest = first.cut(ck, rest)
+			rest = first.cut(ck, p, rest)
 		}
 	}
 
@@ -308,13 +328,13 @@ func (s *Store) IngestAll(ck *Chunker, data []byte) Recipe {
 		b.hashed.Add(1)
 		work <- b
 	}
-	ring[0].data, ring[0].ends, ring[0].n = first.data, first.ends, first.n
+	ring[0].data, ring[0].ends, ring[0].refs, ring[0].known, ring[0].n = first.data, first.ends, first.refs, first.known, first.n
 	send(&ring[0])
 	head, inFlight := 0, 1
 	for len(rest) > 0 || inFlight > 0 {
 		if len(rest) > 0 && inFlight < len(ring) {
 			b := &ring[(head+inFlight)%len(ring)]
-			rest = b.cut(ck, rest)
+			rest = b.cut(ck, p, rest)
 			send(b)
 			inFlight++
 			continue
@@ -330,27 +350,34 @@ func (s *Store) IngestAll(ck *Chunker, data []byte) Recipe {
 	return r
 }
 
-// ingestBatchLen is the number of chunks IngestAll hands a hasher at a
+// ingestBatchLen is the number of chunks IngestLike hands a hasher at a
 // time: about 512 KiB at the default average chunk size.
 const ingestBatchLen = 64
 
-// ingestBatch is up to ingestBatchLen consecutive chunks of an IngestAll
-// input. The cutter fills data, ends and n; a hasher then fills refs and
-// marks the batch hashed. Neither touches the batch while the other owns
-// it.
+// ingestBatch is up to ingestBatchLen consecutive chunks of an IngestLike
+// input. The cutter fills data, ends, n and the predicted refs; a hasher
+// then fills the other refs and marks the batch hashed. Neither touches
+// the batch while the other owns it.
 type ingestBatch struct {
-	data   []byte              // the input the batch's chunks cover
-	ends   [ingestBatchLen]int // chunk k is data[ends[k-1]:ends[k]]
-	n      int                 // chunks in the batch
-	refs   [ingestBatchLen]Ref // RefOf each chunk
-	hashed sync.WaitGroup      // done once refs are filled
+	data   []byte               // the input the batch's chunks cover
+	ends   [ingestBatchLen]int  // chunk k is data[ends[k-1]:ends[k]]
+	n      int                  // chunks in the batch
+	refs   [ingestBatchLen]Ref  // RefOf each chunk
+	known  [ingestBatchLen]bool // refs[k] was predicted, so hash skips it
+	hashed sync.WaitGroup       // done once refs are filled
 }
 
-// cut fills b with the next chunks of data and returns the rest.
-func (b *ingestBatch) cut(ck *Chunker, data []byte) []byte {
+// cut fills b with the next chunks of data and returns the rest. A chunk
+// p predicts is taken whole with its Ref; any other is cut by ck.
+func (b *ingestBatch) cut(ck *Chunker, p *predictor, data []byte) []byte {
 	end := 0
 	for b.n = 0; b.n < ingestBatchLen && end < len(data); b.n++ {
-		n, _ := ck.Cut(data[end:])
+		var n int
+		if b.refs[b.n], b.known[b.n] = p.predict(data[end:]); b.known[b.n] {
+			n = int(b.refs[b.n].Length)
+		} else {
+			n, _ = ck.Cut(data[end:])
+		}
 		end += n
 		b.ends[b.n] = end
 	}
@@ -358,13 +385,137 @@ func (b *ingestBatch) cut(ck *Chunker, data []byte) []byte {
 	return data[end:]
 }
 
-// hash computes the Ref of every chunk in b.
+// hash computes the Ref of every chunk in b that was not predicted.
 func (b *ingestBatch) hash() {
 	lo := 0
 	for k, end := range b.ends[:b.n] {
-		b.refs[k] = RefOf(b.data[lo:end])
+		if !b.known[k] {
+			b.refs[k] = RefOf(b.data[lo:end])
+		}
 		lo = end
 	}
+}
+
+// predictor proposes the next chunk of an IngestLike input from the
+// recipe the input resembles. Every chunk of like but the last was a
+// final cut (content-defined or forced at Max), and Cut decides a final
+// cut from the bytes since the previous cut alone. So at a cut point of
+// the input, a chunk of like that the input's next bytes equal is the
+// chunk Cut would find there, with the same ID. The last chunk of like
+// may have ended at the end of its input instead, so it is predicted
+// only where it ends the input too.
+type predictor struct {
+	chunks []likeChunk // like's chunks; data is nil where not predictable
+	table  []likeSlot  // open addressing on a chunk's first 8 bytes
+	shift  uint        // 64 − log2(len(table))
+	next   int         // the chunk after the last one predicted
+}
+
+// likeChunk is the resident content of one chunk of like and its Ref.
+type likeChunk struct {
+	data []byte
+	ref  Ref
+}
+
+// likeSlot maps the first 8 bytes of a chunk of like to its index + 1;
+// k == 0 marks an empty slot.
+type likeSlot struct {
+	key uint64
+	k   int32
+}
+
+// newPredictor reads the resident content of like's chunks and indexes
+// it by first 8 bytes, or returns nil when none is resident. It reads under
+// the store's lock without touching the LRU, so ingesting like this
+// changes no eviction order.
+func (s *Store) newPredictor(ck *Chunker, like Recipe) *predictor {
+	if len(like.Chunks) == 0 {
+		return nil
+	}
+	p := &predictor{chunks: make([]likeChunk, len(like.Chunks))}
+	last := len(like.Chunks) - 1
+	n := 0
+	s.mu.Lock()
+	for k, c := range like.Chunks {
+		e, ok := s.chunks[c.ID]
+		// Cut never returns a chunk over Max, and a final cut is longer
+		// than Min.
+		if !ok || len(e.data) > ck.p.Max || (k < last && len(e.data) <= ck.p.Min) {
+			continue
+		}
+		p.chunks[k] = likeChunk{data: e.data, ref: Ref{ID: c.ID, Length: int64(len(e.data)), CRC: e.crc}}
+		n++
+	}
+	s.mu.Unlock()
+	if n == 0 {
+		return nil
+	}
+
+	bits := uint(1)
+	for 1<<bits < 2*n {
+		bits++
+	}
+	p.table, p.shift = make([]likeSlot, 1<<bits), 64-bits
+	for k, c := range p.chunks {
+		if len(c.data) < 8 {
+			continue
+		}
+		key := binary.LittleEndian.Uint64(c.data)
+		i := p.slot(key)
+		for p.table[i].k != 0 && p.table[i].key != key {
+			i = (i + 1) & (len(p.table) - 1)
+		}
+		if p.table[i].k == 0 { // the first chunk with these 8 bytes keeps the slot
+			p.table[i] = likeSlot{key: key, k: int32(k + 1)}
+		}
+	}
+	return p
+}
+
+// slot returns the home slot of key.
+func (p *predictor) slot(key uint64) int {
+	return int((key * 0x9E3779B97F4A7C15) >> p.shift)
+}
+
+// predict returns the Ref of the chunk of like that data starts with, if
+// any: first the chunk after the last one predicted, then the chunk that
+// shares data's first 8 bytes. A nil predictor predicts nothing.
+func (p *predictor) predict(data []byte) (Ref, bool) {
+	if p == nil {
+		return Ref{}, false
+	}
+	if p.match(p.next, data) {
+		return p.take(p.next), true
+	}
+	if len(data) < 8 {
+		return Ref{}, false
+	}
+	key := binary.LittleEndian.Uint64(data)
+	for i := p.slot(key); p.table[i].k != 0; i = (i + 1) & (len(p.table) - 1) {
+		if p.table[i].key == key {
+			if k := int(p.table[i].k - 1); p.match(k, data) {
+				return p.take(k), true
+			}
+			break
+		}
+	}
+	return Ref{}, false
+}
+
+// match reports whether data starts with chunk k of like, and that chunk
+// may end there.
+func (p *predictor) match(k int, data []byte) bool {
+	if k >= len(p.chunks) {
+		return false
+	}
+	c := p.chunks[k].data
+	return c != nil && bytes.HasPrefix(data, c) && (k < len(p.chunks)-1 || len(c) == len(data))
+}
+
+// take records chunk k as predicted and returns its Ref.
+func (p *predictor) take(k int) Ref {
+	p.next = k + 1
+	return p.chunks[k].ref
 }
 
 // Stats is a point-in-time summary of the store, for tests and tools.

@@ -457,18 +457,19 @@ func NewRecipeAlgo() *RecipeAlgo {
 // Name implements Algorithm.
 func (a *RecipeAlgo) Name() string { return "recipe" }
 
-// Diff implements Algorithm: chunk (or recall) both inputs, then diff
-// their recipes.
+// Diff implements Algorithm: chunk (or recall) both inputs, the version
+// against the reference's recipe, then diff their recipes.
 func (a *RecipeAlgo) Diff(ref, version []byte) (*delta.Delta, error) {
-	ro := a.recipeFor(ref)
-	rn := a.recipeFor(version)
+	ro := a.recipeFor(ref, chunk.Recipe{})
+	rn := a.recipeFor(version, ro)
 	return a.rd.DiffRecipes(ro, rn, a.cs)
 }
 
-// recipeFor returns the cached recipe of data, ingesting it on a miss.
-func (a *RecipeAlgo) recipeFor(data []byte) chunk.Recipe {
+// recipeFor returns the cached recipe of data, ingesting it against like
+// on a miss.
+func (a *RecipeAlgo) recipeFor(data []byte, like chunk.Recipe) chunk.Recipe {
 	r, _, _ := a.recipes.Do(sha256.Sum256(data), func() (chunk.Recipe, error) {
-		return a.cs.IngestAll(a.ck, data), nil
+		return a.cs.IngestLike(a.ck, data, like), nil
 	})
 	return r
 }

@@ -237,14 +237,15 @@ func (s *Store) AppendVersion(version []byte) (int, error) {
 }
 
 // appendChunked is the recipe append path (appendMu held): the new
-// version is chunked into the dedup store and diffed recipe-against-
-// recipe with the head — no head materialization, no full-file scan, and
-// working memory bounded by the diff window rather than the image size.
+// version is chunked into the dedup store against the head's recipe and
+// diffed recipe-against-recipe with the head — no head materialization,
+// no full-file scan, and working memory bounded by the diff window rather
+// than the image size.
 func (s *Store) appendChunked(version []byte) (int, error) {
-	rn := s.cs.IngestAll(s.ck, version)
 	s.mu.RLock()
 	ro := s.recipes[len(s.recipes)-1]
 	s.mu.RUnlock()
+	rn := s.cs.IngestLike(s.ck, version, ro)
 	d, err := s.rd.DiffRecipes(ro, rn, s.cs)
 	if err != nil {
 		s.cs.ReleaseRecipe(rn)
@@ -668,8 +669,8 @@ func Load(data []byte, opts ...Option) (*Store, error) {
 		if s.chunked {
 			// Rebuild the recipe tier: recipes are derived state, not part
 			// of the container, so a chunked Load re-ingests each replayed
-			// version (deduped against everything already resident).
-			s.recipes = append(s.recipes, s.cs.IngestAll(s.ck, next))
+			// version against its predecessor's recipe.
+			s.recipes = append(s.recipes, s.cs.IngestLike(s.ck, next, s.recipes[len(s.recipes)-1]))
 		}
 		cur = next
 	}
