@@ -27,7 +27,7 @@ func cmdServe(args []string) error {
 	listen := fs.String("listen", "127.0.0.1:7080", "listen address")
 	policyName := fs.String("policy", "locally-minimum", "cycle-breaking policy for served deltas")
 	cacheSize := fs.Int("cache", 64, "materialization cache budget in MiB (0 disables; versions and composed deltas are replayed per request)")
-	chunked := fs.Bool("chunked", false, "enable the chunked recipe tier: versions dedup into a content-addressed chunk store, and served deltas are sourced from recipe diffs")
+	chunked := fs.Bool("chunked", false, "hold the store as chunk recipes: versions dedup into a content-addressed chunk store, and served deltas and /info sizes come from recipe diffs")
 	verbose := fs.Bool("v", false, "log each request (structured, stderr)")
 	if err := fs.Parse(args); err != nil {
 		return err

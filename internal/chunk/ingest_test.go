@@ -371,3 +371,36 @@ func TestIngestLikeAllocs(t *testing.T) {
 		t.Errorf("pipelined hit path allocates %d per call at %d chunks, %d at %d", likeN[1], chunks[1], likeN[0], chunks[0])
 	}
 }
+
+// TestIngestReleaseChurnAllocs gates the unpinned LRU: ingesting a
+// churned version and releasing it moves every chunk only it holds off
+// the LRU and back, and that allocates nothing, so a call allocates the
+// same however many chunks churn.
+func TestIngestReleaseChurnAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("race instrumentation inflates allocation counts")
+	}
+	ck, _ := NewChunker(Params{Min: 256, Avg: 1024, Max: 4096})
+	var chunks [2]int
+	var allocs [2]float64
+	for k, size := range []int{256 << 10, 4 << 20} { // 256 and 4,096 chunks of the average size
+		old := randBytes(int64(103+k), size)
+		next := slices.Clone(old)
+		for at := 0; at+100 <= size; at += 8 << 10 {
+			copy(next[at:], randBytes(int64(at), 100))
+		}
+		s := NewStore()
+		like := s.IngestAll(ck, old)
+		chunks[k] = len(like.Chunks)
+		allocs[k] = testing.AllocsPerRun(10, func() { s.ReleaseRecipe(s.IngestLike(ck, next, like)) })
+		if st := s.Stats(); st.UnpinnedBytes < int64(size)/16 {
+			t.Fatalf("%d chunks: %d unpinned bytes, want the churned chunks on the LRU", chunks[k], st.UnpinnedBytes)
+		}
+	}
+	if chunks[1] < 8*chunks[0] {
+		t.Fatalf("inputs cut into %d and %d chunks, want a wide spread", chunks[0], chunks[1])
+	}
+	if allocs[0] != allocs[1] {
+		t.Errorf("ingest+release allocates %v per call at %d chunks, %v at %d", allocs[0], chunks[0], allocs[1], chunks[1])
+	}
+}

@@ -2,7 +2,6 @@ package chunk
 
 import (
 	"bytes"
-	"container/list"
 	"encoding/binary"
 	"errors"
 	"fmt"
@@ -42,12 +41,14 @@ func resolveStoreMetrics(r *obs.Registry) *storeMetrics {
 
 // entry is one resident chunk. refs counts recipe references (pins);
 // while refs is zero the entry sits in the unpinned LRU and may be
-// evicted when the unpinned byte budget overflows.
+// evicted when the unpinned byte budget overflows. The LRU links live in
+// the entry, so moving a chunk on or off the LRU allocates nothing.
 type entry struct {
-	data []byte
-	crc  uint32 // CRC32 of data, so a predicted chunk's Ref comes from the store
-	refs int64
-	el   *list.Element // non-nil while unpinned
+	data       []byte
+	crc        uint32 // CRC32 of data, so a predicted chunk's Ref comes from the store
+	refs       int64
+	id         ID
+	prev, next *entry // LRU neighbours while unpinned; nil while pinned
 }
 
 // ingestFlight deduplicates concurrent ingests of the same new chunk:
@@ -69,8 +70,8 @@ type ingestFlight struct {
 type Store struct {
 	mu       sync.Mutex
 	chunks   map[ID]*entry
-	lru      *list.List // of ID; front = most recently unpinned/touched
-	unpinned int64      // bytes held by refs==0 entries
+	lru      entry // sentinel of the unpinned LRU: next = most recently unpinned/touched
+	unpinned int64 // bytes held by refs==0 entries
 	maxUnpin int64
 	inflight map[ID]*ingestFlight
 	met      *storeMetrics
@@ -104,10 +105,10 @@ func WithObserver(r *obs.Registry) StoreOption {
 func NewStore(opts ...StoreOption) *Store {
 	s := &Store{
 		chunks:   make(map[ID]*entry),
-		lru:      list.New(),
 		maxUnpin: DefaultMaxUnpinned,
 		inflight: make(map[ID]*ingestFlight),
 	}
+	s.lru.prev, s.lru.next = &s.lru, &s.lru
 	for _, o := range opts {
 		o(s)
 	}
@@ -160,7 +161,7 @@ func (s *Store) install(ref Ref, data []byte) Ref {
 		copy(owned, data)
 
 		s.mu.Lock()
-		e := &entry{data: owned, crc: ref.CRC, refs: 1}
+		e := &entry{data: owned, crc: ref.CRC, refs: 1, id: ref.ID}
 		s.chunks[ref.ID] = e
 		delete(s.inflight, ref.ID)
 		s.mu.Unlock()
@@ -178,11 +179,22 @@ func (s *Store) install(ref Ref, data []byte) Ref {
 // if this is the first one back.
 func (s *Store) pinLocked(e *entry) {
 	e.refs++
-	if e.el != nil {
-		s.lru.Remove(e.el)
-		e.el = nil
+	if e.next != nil {
+		e.unlink()
 		s.unpinned -= int64(len(e.data)) //ipvet:ignore locksafe -- xxxLocked helper: every caller holds s.mu
 	}
+}
+
+// pushFrontLocked puts the unlinked entry e at the front of the LRU.
+func (s *Store) pushFrontLocked(e *entry) {
+	e.prev, e.next = &s.lru, s.lru.next
+	e.prev.next, e.next.prev = e, e
+}
+
+// unlink takes e out of the LRU.
+func (e *entry) unlink() {
+	e.prev.next, e.next.prev = e.next, e.prev
+	e.prev, e.next = nil, nil
 }
 
 // Release drops one reference to id. When the last reference goes, the
@@ -195,7 +207,7 @@ func (s *Store) Release(id ID) {
 	if ok && e.refs > 0 {
 		e.refs--
 		if e.refs == 0 {
-			e.el = s.lru.PushFront(id)
+			s.pushFrontLocked(e)
 			s.unpinned += int64(len(e.data))
 			freed = s.evictLocked()
 		}
@@ -216,15 +228,10 @@ func (s *Store) ReleaseRecipe(r Recipe) {
 // evictLocked enforces the unpinned byte budget, returning bytes freed.
 func (s *Store) evictLocked() int64 {
 	var freed int64
-	for s.unpinned > s.maxUnpin {
-		back := s.lru.Back()
-		if back == nil {
-			break
-		}
-		id := back.Value.(ID)
-		e := s.chunks[id]
-		s.lru.Remove(back)
-		delete(s.chunks, id)
+	for s.unpinned > s.maxUnpin && s.lru.prev != &s.lru {
+		e := s.lru.prev
+		e.unlink()
+		delete(s.chunks, e.id)
 		s.unpinned -= int64(len(e.data)) //ipvet:ignore locksafe -- xxxLocked helper: every caller holds s.mu
 		freed += int64(len(e.data))
 		if s.met != nil {
@@ -243,8 +250,9 @@ func (s *Store) Chunk(id ID) ([]byte, error) {
 	if !ok {
 		return nil, fmt.Errorf("%w: %s", ErrNoSuchChunk, id)
 	}
-	if e.el != nil {
-		s.lru.MoveToFront(e.el)
+	if e.next != nil {
+		e.unlink()
+		s.pushFrontLocked(e)
 	}
 	return e.data, nil
 }

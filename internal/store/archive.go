@@ -31,25 +31,27 @@ import (
 	"ipdelta/internal/obs"
 )
 
-// ErrNoArchive reports Store.Archive on a store without an attached tier.
+// ErrNoArchive reports Store.Archive on a store without an attached tier,
+// or on a chunked store, which has no delta chain to archive.
 var ErrNoArchive = errors.New("store: no archive tier attached")
 
 // DefaultArchiveSegment is the number of versions compacted into one
 // archive stripe when WithArchiveSegment is not given.
 const DefaultArchiveSegment = 8
 
-// WithArchive attaches an archival tier: Store.Archive stripes cold chain
-// segments into a, and reads of archived versions are served from it —
-// transparently reconstructing from any k of n shards — through the
-// store's cache.
+// WithArchive attaches an archival tier to a plain store: Store.Archive
+// stripes cold chain segments into a, and reads of archived versions are
+// served from it — transparently reconstructing from any k of n shards —
+// through the store's cache. A chunked store has no chain, so its Archive
+// reports ErrNoArchive.
 func WithArchive(a *archive.Archive) Option {
 	return func(s *Store) { s.arch = a }
 }
 
-// WithArchiveSegment sets how many versions one archive stripe covers
-// (default DefaultArchiveSegment). Smaller segments mean shallower
-// reverse replays per read; larger ones amortize the stripe overhead over
-// more versions. n <= 0 keeps the default.
+// WithArchiveSegment sets how many versions one archive stripe of a
+// plain store covers (default DefaultArchiveSegment). Smaller segments
+// mean shallower reverse replays per read; larger ones amortize the
+// stripe overhead over more versions. n <= 0 keeps the default.
 func WithArchiveSegment(n int) Option {
 	return func(s *Store) {
 		if n > 0 {
@@ -79,10 +81,14 @@ func (s *Store) ArchiveTier() *archive.Archive { return s.arch }
 // are not rebuilt — and idempotent per segment. The forward chain is
 // retained for Save and delta composition; what Archive adds is
 // durability (any version survives up to m lost or corrupted shards per
-// stripe) and the shallow read path.
+// stripe) and the shallow read path. A chunked store has no chain to
+// archive and reports ErrNoArchive.
 func (s *Store) Archive(upTo int) (int, error) {
 	if s.arch == nil {
 		return -1, ErrNoArchive
+	}
+	if s.chunked {
+		return -1, fmt.Errorf("%w: a chunked store holds recipes, not a delta chain", ErrNoArchive)
 	}
 	// appendMu serializes archiving with appends (and other archivings):
 	// the chain snapshot below upTo is immutable either way, but the

@@ -2,10 +2,15 @@ package store
 
 import (
 	"bytes"
+	"crypto/sha256"
+	"fmt"
 	"math/rand"
+	"slices"
+	"sync"
 	"testing"
 
 	"ipdelta/internal/chunk"
+	"ipdelta/internal/corpus"
 	"ipdelta/internal/graph"
 	"ipdelta/internal/obs"
 )
@@ -165,5 +170,184 @@ func TestChunkedStoreInPlaceDelta(t *testing.T) {
 	}
 	if !bytes.Equal(buf[:len(head)], head) {
 		t.Fatal("in-place reconstruction from a recipe-sourced delta mismatch")
+	}
+}
+
+// TestChunkedStoreGoldenContainer pins the container a chunked store
+// saves: its SHA-256 and its StorageBytes were taken when a chunked store
+// still kept a forward delta per release, so they prove that the recipe
+// diffs Save runs on demand reproduce that container byte for byte.
+func TestChunkedStoreGoldenContainer(t *testing.T) {
+	versions := corpus.RecordChain(11, 256<<10, 6)
+	s := buildStore(t, versions, WithChunking(nil))
+	enc, err := s.Save()
+	if err != nil {
+		t.Fatal(err)
+	}
+	const wantSum = "b3fceb6eaaf43f9f0517f620b9287724304f9cf5dba08bd613d3b34cc8ef98e8"
+	if got := fmt.Sprintf("%x", sha256.Sum256(enc)); got != wantSum {
+		t.Errorf("Save SHA-256 = %s, want %s", got, wantSum)
+	}
+	if n, err := s.StorageBytes(); err != nil || n != 294319 {
+		t.Errorf("StorageBytes = %d, %v, want 294319", n, err)
+	}
+
+	// Save → Load → Save is a fixed point on a chunked store.
+	reloaded, err := Load(enc, WithChunking(nil))
+	if err != nil {
+		t.Fatal(err)
+	}
+	again, err := reloaded.Save()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(again, enc) {
+		t.Error("a reloaded chunked store saves a different container")
+	}
+
+	// The container is the same for both store modes: a chunked one loads
+	// into a plain store, and a plain one into a chunked store.
+	plain, err := Load(enc)
+	if err != nil {
+		t.Fatal(err)
+	}
+	checkAllVersions(t, plain, versions, "chunked container, plain Load")
+	plainEnc, err := buildStore(t, versions).Save()
+	if err != nil {
+		t.Fatal(err)
+	}
+	fromPlain, err := Load(plainEnc, WithChunking(nil))
+	if err != nil {
+		t.Fatal(err)
+	}
+	checkAllVersions(t, fromPlain, versions, "plain container, chunked Load")
+}
+
+// TestChunkedStoreHoldsRecipesOnly checks the representation of each
+// store mode after New, AppendVersion and Load: a chunked store's releases
+// hold a recipe and no delta, a plain store's a delta and no recipe.
+func TestChunkedStoreHoldsRecipesOnly(t *testing.T) {
+	versions := churnedVersions(5, 3, 64<<10)
+	check := func(s *Store, label string) {
+		t.Helper()
+		for k, r := range s.releases {
+			if s.chunked && (r.d != nil || len(r.recipe.Chunks) == 0) {
+				t.Fatalf("%s: chunked release %d holds delta %v, %d chunks", label, k, r.d != nil, len(r.recipe.Chunks))
+			}
+			if !s.chunked && (r.recipe.Chunks != nil || (k > 0) != (r.d != nil)) {
+				t.Fatalf("%s: plain release %d holds delta %v, %d chunks", label, k, r.d != nil, len(r.recipe.Chunks))
+			}
+		}
+	}
+	for _, opts := range [][]Option{{WithChunking(nil)}, nil} {
+		s := New(versions[0], opts...)
+		check(s, "New")
+		for _, v := range versions[1:] {
+			if _, err := s.AppendVersion(v); err != nil {
+				t.Fatal(err)
+			}
+			check(s, "AppendVersion")
+		}
+		enc, err := s.Save()
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, loadOpts := range [][]Option{{WithChunking(nil)}, nil} {
+			s2, err := Load(enc, loadOpts...)
+			if err != nil {
+				t.Fatal(err)
+			}
+			check(s2, "Load")
+		}
+	}
+}
+
+// TestChunkedStoreSaveDuringAppend races Save and StorageBytes against
+// AppendVersion and Version on a chunked store. Each container must load
+// to a prefix of the history, each size must match some prefix, and the
+// final container must be that of a store built without the race.
+func TestChunkedStoreSaveDuringAppend(t *testing.T) {
+	versions := churnedVersions(6, 6, 64<<10)
+	sizes := make([]int64, len(versions))
+	for n := 1; n <= len(versions); n++ {
+		var err error
+		if sizes[n-1], err = buildStore(t, versions[:n], WithChunking(nil)).StorageBytes(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	s := New(versions[0], WithChunking(nil))
+	var wg sync.WaitGroup
+	errs := make(chan error, 3)
+	wg.Add(3)
+	go func() {
+		defer wg.Done()
+		for _, v := range versions[1:] {
+			if _, err := s.AppendVersion(v); err != nil {
+				errs <- err
+				return
+			}
+		}
+	}()
+	go func() {
+		defer wg.Done()
+		for {
+			enc, err := s.Save()
+			if err != nil {
+				errs <- err
+				return
+			}
+			got, err := Load(enc)
+			if err != nil {
+				errs <- err
+				return
+			}
+			for i := 0; i < got.NumVersions(); i++ {
+				if img, err := got.Version(i); err != nil || !bytes.Equal(img, versions[i]) {
+					errs <- fmt.Errorf("a container saved during appends has a wrong version %d (%v)", i, err)
+					return
+				}
+			}
+			n, err := s.StorageBytes()
+			if err != nil {
+				errs <- err
+				return
+			}
+			if !slices.Contains(sizes, n) {
+				errs <- fmt.Errorf("StorageBytes = %d during appends, not the size of any prefix %v", n, sizes)
+				return
+			}
+			if s.NumVersions() == len(versions) {
+				return
+			}
+		}
+	}()
+	go func() {
+		defer wg.Done()
+		for {
+			i := s.NumVersions() - 1
+			if img, err := s.Version(i); err != nil || !bytes.Equal(img, versions[i]) {
+				errs <- fmt.Errorf("Version(%d) during appends is wrong (%v)", i, err)
+				return
+			}
+			if i == len(versions)-1 {
+				return
+			}
+		}
+	}()
+	wg.Wait()
+	close(errs)
+	for err := range errs {
+		t.Error(err)
+	}
+	got, err := s.Save()
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, err := buildStore(t, versions, WithChunking(nil)).Save()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(got, want) {
+		t.Error("the store saves a different container after the race")
 	}
 }

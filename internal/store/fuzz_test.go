@@ -142,7 +142,8 @@ func mustVersions(t testing.TB, blob []byte) [][]byte {
 
 // FuzzStoreLoad feeds hostile containers to Load: it must never panic,
 // over-allocate against a small input, or accept a container whose
-// replayed versions contradict the stored identities.
+// replayed versions contradict the stored identities. Whatever a plain
+// Load accepts, a chunked Load must accept too and hold the same versions.
 func FuzzStoreLoad(f *testing.F) {
 	valid := smallContainer(f)
 	f.Add(valid)
@@ -157,17 +158,43 @@ func FuzzStoreLoad(f *testing.F) {
 		if err != nil {
 			return
 		}
-		// Whatever loads must be internally consistent: every version
-		// materializes and matches its recorded identity.
-		for i := 0; i < s.NumVersions(); i++ {
-			img, err := s.Version(i)
-			if err != nil {
-				t.Fatalf("loaded container cannot materialize version %d: %v", i, err)
-			}
-			crc, length, err := s.CRC(i)
-			if err != nil || int64(len(img)) != length || crc32.ChecksumIEEE(img) != crc {
-				t.Fatalf("version %d contradicts its recorded identity (%v)", i, err)
+		versions := checkLoadedIdentities(t, s)
+		cs, err := Load(data, WithChunking(nil))
+		if err != nil {
+			t.Fatalf("a container a plain Load accepts fails a chunked Load: %v", err)
+		}
+		for i, img := range checkLoadedIdentities(t, cs) {
+			if !bytes.Equal(img, versions[i]) {
+				t.Fatalf("chunked Load holds a different version %d", i)
 			}
 		}
+		head := len(versions) - 1
+		d, err := cs.DeltaBetween(0, head)
+		if err != nil {
+			t.Fatalf("chunked DeltaBetween(0, %d): %v", head, err)
+		}
+		if got, err := d.Apply(versions[0]); err != nil || !bytes.Equal(got, versions[head]) {
+			t.Fatalf("chunked DeltaBetween(0, %d) does not rebuild the head (%v)", head, err)
+		}
 	})
+}
+
+// checkLoadedIdentities checks that a loaded store is internally
+// consistent — every version materializes and matches its recorded
+// identity — and returns the versions.
+func checkLoadedIdentities(t *testing.T, s *Store) [][]byte {
+	t.Helper()
+	versions := make([][]byte, s.NumVersions())
+	for i := range versions {
+		img, err := s.Version(i)
+		if err != nil {
+			t.Fatalf("loaded container cannot materialize version %d: %v", i, err)
+		}
+		crc, length, err := s.CRC(i)
+		if err != nil || int64(len(img)) != length || crc32.ChecksumIEEE(img) != crc {
+			t.Fatalf("version %d contradicts its recorded identity (%v)", i, err)
+		}
+		versions[i] = img
+	}
+	return versions
 }

@@ -2,6 +2,7 @@ package store
 
 import (
 	"bytes"
+	"errors"
 	"fmt"
 	"testing"
 
@@ -14,7 +15,9 @@ import (
 // WithArchive combine coherently, before and after a Save/Load round
 // trip: every combination serves the same version bytes, deltas that
 // rebuild their targets, and in-place deltas that are safe, rebuild the
-// head in place, and encode the same with and without the cache.
+// head in place, and encode the same with and without the cache. A
+// chunked store has no chain to archive: its Archive reports
+// ErrNoArchive and the store serves as before.
 func TestStoreOptionMatrix(t *testing.T) {
 	versions := corpus.RecordChain(9, 64<<10, 6)
 	const segSize, archiveUpTo = 2, 3
@@ -56,7 +59,12 @@ func TestStoreOptionMatrix(t *testing.T) {
 								t.Fatal(err)
 							}
 						}
-						if archived {
+						switch {
+						case archived && chunked:
+							if _, err := s.Archive(archiveUpTo); !errors.Is(err, ErrNoArchive) {
+								t.Fatalf("Archive(%d) on a chunked store: %v, want ErrNoArchive", archiveUpTo, err)
+							}
+						case archived:
 							if got, err := s.Archive(archiveUpTo); err != nil || got != archiveUpTo {
 								t.Fatalf("Archive(%d) = %d, %v", archiveUpTo, got, err)
 							}

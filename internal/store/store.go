@@ -39,12 +39,14 @@ var (
 	ErrCorrupt       = errors.New("store: corrupt container")
 )
 
-// release is one stored version: its identity and the delta from the
-// previous version (nil for the base).
+// release is one stored version: its identity and how the store holds
+// it. A plain store keeps the delta from the previous version (nil for the
+// base); a chunked store keeps the version's chunk recipe and no delta.
 type release struct {
 	crc    uint32
 	length int64
-	d      *delta.Delta // from release k-1 to k; nil for k == 0
+	d      *delta.Delta // plain: from release k-1 to k; nil for k == 0
+	recipe chunk.Recipe // chunked: the version's chunks in order
 }
 
 // storeMetrics holds the pre-resolved stage handles of an observed Store
@@ -76,7 +78,8 @@ func resolveStoreMetrics(r *obs.Registry) *storeMetrics {
 	}
 }
 
-// Store holds a release history as base + delta chain. It is safe for
+// Store holds a release history as base + delta chain, or — with
+// WithChunking — as one chunk recipe per version. It is safe for
 // concurrent use: any number of readers may overlap with appends.
 type Store struct {
 	mu       sync.RWMutex // guards releases (append-only; elements immutable)
@@ -95,19 +98,16 @@ type Store struct {
 	archUpTo int    // highest archived version, -1 when none
 	anchor   []byte // full image of version archUpTo (skip anchor)
 
-	// Chunked recipe tier (WithChunking): every version is also described
-	// as an ordered chunk recipe over a content-addressed dedup store.
-	// Appends then diff recipes instead of replaying the chain to
-	// materialize the head, DeltaBetween diffs the two endpoint recipes
-	// directly instead of composing the chain, and Version materializes
-	// from chunks without chain replay. recipes parallels releases and is
-	// guarded by mu; the chunk store may be shared across Stores (tenants),
-	// in which case identical content is held once.
+	// Chunked store (WithChunking): every version is an ordered chunk
+	// recipe over a content-addressed dedup store, and there is no delta
+	// chain. Appends ingest the version against the head's recipe,
+	// DeltaBetween diffs the two endpoint recipes, and Version
+	// materializes from chunks. The chunk store may be shared across
+	// Stores (tenants), in which case identical content is held once.
 	chunked bool
 	ck      *chunk.Chunker
 	cs      *chunk.Store
 	rd      *diff.RecipeDiffer
-	recipes []chunk.Recipe
 
 	// Construction-time knobs recorded by options, consumed by finish.
 	cacheBytes int64
@@ -117,19 +117,20 @@ type Store struct {
 // Option customizes a Store.
 type Option func(*Store)
 
-// WithAlgorithm selects the differencing algorithm used by AppendVersion
-// (default linear).
+// WithAlgorithm selects the differencing algorithm a plain store's
+// AppendVersion and Archive use (default linear). A chunked store diffs
+// recipes and does not use it.
 func WithAlgorithm(a diff.Algorithm) Option {
 	return func(s *Store) { s.algo = a }
 }
 
-// WithChunking enables the chunked recipe tier: versions are split by a
-// content-defined chunker into a content-addressed store, appends and
-// DeltaBetween run over recipes (whole-chunk copies plus byte diffs of
-// the unmatched runs, in bounded memory), and Version materializes from
-// chunks instead of replaying the delta chain. Pass a shared chunk store
-// to dedup identical content across Stores — different tenants' versions
-// that share chunks are held once — or nil for a private store.
+// WithChunking makes a chunked store: versions are split by a
+// content-defined chunker into a content-addressed store and held as
+// recipes, not as a delta chain. DeltaBetween diffs recipes (whole-chunk
+// copies plus byte diffs of the unmatched runs, in bounded memory), and
+// Version materializes from chunks. Pass a shared chunk store to dedup
+// identical content across Stores — different tenants' versions that
+// share chunks are held once — or nil for a private store.
 func WithChunking(shared *chunk.Store) Option {
 	return func(s *Store) {
 		s.chunked = true
@@ -193,9 +194,11 @@ func New(base []byte, opts ...Option) *Store {
 			rdOpts = append(rdOpts, diff.WithRecipeObserver(s.obsReg))
 		}
 		s.rd = diff.NewRecipeDiffer(rdOpts...)
-		s.recipes = []chunk.Recipe{s.cs.IngestAll(s.ck, base)}
 	}
 	s.releases = []release{{crc: crc32.ChecksumIEEE(base), length: int64(len(base))}}
+	if s.chunked {
+		s.releases[0].recipe = s.cs.IngestAll(s.ck, base)
+	}
 	return s
 }
 
@@ -206,62 +209,34 @@ func (s *Store) NumVersions() int {
 	return len(s.releases)
 }
 
-// AppendVersion stores a new head version as a delta against the current
-// head and returns its index. Appends are serialized with each other but
-// overlap freely with readers; existing versions and cached artifacts are
-// never invalidated (the history is append-only).
+// AppendVersion stores a new head version and returns its index. A plain
+// store diffs it against the materialized head; a chunked store ingests
+// it against the head's recipe and runs no diff. Appends are serialized
+// with each other but overlap freely with readers; existing versions and
+// cached artifacts are never invalidated (the history is append-only).
 func (s *Store) AppendVersion(version []byte) (int, error) {
 	s.appendMu.Lock()
 	defer s.appendMu.Unlock()
-	if s.chunked {
-		return s.appendChunked(version)
-	}
-	head, err := s.Version(s.NumVersions() - 1)
-	if err != nil {
-		return 0, err
-	}
-	d, err := s.algo.Diff(head, version)
-	if err != nil {
-		return 0, fmt.Errorf("store append: %w", err)
-	}
-	rel := release{
-		crc:    crc32.ChecksumIEEE(version),
-		length: int64(len(version)),
-		d:      d,
-	}
-	s.mu.Lock()
-	s.releases = append(s.releases, rel)
-	n := len(s.releases)
-	s.mu.Unlock()
-	return n - 1, nil
-}
-
-// appendChunked is the recipe append path (appendMu held): the new
-// version is chunked into the dedup store against the head's recipe and
-// diffed recipe-against-recipe with the head — no head materialization,
-// no full-file scan, and working memory bounded by the diff window rather
-// than the image size.
-func (s *Store) appendChunked(version []byte) (int, error) {
 	s.mu.RLock()
-	ro := s.recipes[len(s.recipes)-1]
+	n := len(s.releases)
+	like := s.releases[n-1].recipe
 	s.mu.RUnlock()
-	rn := s.cs.IngestLike(s.ck, version, ro)
-	d, err := s.rd.DiffRecipes(ro, rn, s.cs)
-	if err != nil {
-		s.cs.ReleaseRecipe(rn)
-		return 0, fmt.Errorf("store append: %w", err)
-	}
-	rel := release{
-		crc:    crc32.ChecksumIEEE(version),
-		length: int64(len(version)),
-		d:      d,
+	rel := release{crc: crc32.ChecksumIEEE(version), length: int64(len(version))}
+	if s.chunked {
+		rel.recipe = s.cs.IngestLike(s.ck, version, like)
+	} else {
+		head, err := s.Version(n - 1)
+		if err != nil {
+			return 0, err
+		}
+		if rel.d, err = s.algo.Diff(head, version); err != nil {
+			return 0, fmt.Errorf("store append: %w", err)
+		}
 	}
 	s.mu.Lock()
 	s.releases = append(s.releases, rel)
-	s.recipes = append(s.recipes, rn)
-	n := len(s.releases)
 	s.mu.Unlock()
-	return n - 1, nil
+	return n, nil
 }
 
 // ChunkStats reports the chunk store's resident-set summary; ok is false
@@ -311,7 +286,7 @@ func (s *Store) materialize(i int, c *matCache) ([]byte, error) {
 			span = s.met.materialize.Start()
 		}
 		s.mu.RLock()
-		r := s.recipes[i]
+		r := s.releases[i].recipe
 		s.mu.RUnlock()
 		img, err := chunk.Materialize(nil, r, s.cs)
 		if s.met != nil {
@@ -418,33 +393,32 @@ func (s *Store) DeltaBetween(i, j int) (*delta.Delta, error) {
 	return v.(*delta.Delta), nil
 }
 
-// compose folds the stored chain (i, j] into one delta. On a chunked
-// store it instead diffs the endpoint recipes directly: the result is
-// independent of the chain length between i and j, and typically tighter
-// than a composition (composition can only intersect stored commands;
-// the recipe diff rediscovers every chunk i and j still share).
+// compose folds the stored chain (i, j] into one delta; for j = i+1 on a
+// plain store that is the stored delta itself. On a chunked store it
+// instead diffs the endpoint recipes directly: the result is independent
+// of the chain length between i and j, and typically tighter than a
+// composition (composition can only intersect stored commands; the
+// recipe diff rediscovers every chunk i and j still share). The releases
+// snapshot is immutable, so no lock is held across the diff.
 func (s *Store) compose(i, j int) (*delta.Delta, error) {
 	var span obs.Span
 	if s.met != nil {
 		span = s.met.compose.Start()
 	}
-	if s.chunked {
-		s.mu.RLock()
-		ri, rj := s.recipes[i], s.recipes[j]
-		s.mu.RUnlock()
-		d, err := s.rd.DiffRecipes(ri, rj, s.cs)
-		if s.met != nil {
-			span.End()
-		}
-		return d, err
-	}
 	s.mu.RLock()
-	chain := make([]*delta.Delta, 0, j-i)
-	for k := i + 1; k <= j; k++ {
-		chain = append(chain, s.releases[k].d)
-	}
+	rels := s.releases[i : j+1]
 	s.mu.RUnlock()
-	d, err := delta.ComposeChain(chain...)
+	var d *delta.Delta
+	var err error
+	if s.chunked {
+		d, err = s.rd.DiffRecipes(rels[0].recipe, rels[j-i].recipe, s.cs)
+	} else {
+		chain := make([]*delta.Delta, 0, j-i)
+		for _, r := range rels[1:] {
+			chain = append(chain, r.d)
+		}
+		d, err = delta.ComposeChain(chain...)
+	}
 	if s.met != nil {
 		span.End()
 	}
@@ -495,7 +469,7 @@ func (s *Store) refReader(i int) inplace.RefReader {
 	s.mu.RLock()
 	defer s.mu.RUnlock()
 	if s.chunked {
-		return chunk.NewReader(s.recipes[i], s.cs)
+		return chunk.NewReader(s.releases[i].recipe, s.cs)
 	}
 	return &lazyVersion{s: s, i: i, size: s.releases[i].length}
 }
@@ -524,19 +498,22 @@ func (v *lazyVersion) ReadAt(p []byte, off int64) (int, error) {
 	return v.r.ReadAt(p, off)
 }
 
-// StorageBytes returns the encoded size of the container: the base plus
-// every stored delta in the ordered wire format — the space a delta-chain
-// store saves over full copies.
+// StorageBytes returns the encoded size of the container Save writes: the
+// base plus one delta per release in the ordered wire format — the space
+// a delta-chain store saves over full copies. On a chunked store this
+// costs one recipe diff per release.
 func (s *Store) StorageBytes() (int64, error) {
-	s.mu.RLock()
-	defer s.mu.RUnlock()
 	total := int64(len(s.base))
-	for _, r := range s.releases[1:] {
-		n, err := codec.EncodedSize(r.d, codec.FormatOrdered)
+	for k, n := 1, s.NumVersions(); k < n; k++ {
+		d, err := s.compose(k-1, k)
 		if err != nil {
 			return 0, err
 		}
-		total += n
+		size, err := codec.EncodedSize(d, codec.FormatOrdered)
+		if err != nil {
+			return 0, err
+		}
+		total += size
 	}
 	return total, nil
 }
@@ -564,28 +541,34 @@ var storeMagic = [4]byte{'I', 'P', 'S', 'T'}
 const storeFormatVersion = 2
 
 // Save serializes the store: magic, format version, version count, base
-// image, the identity frame (CRC32 + length of every release), then each
-// delta in the ordered wire format.
+// image, the identity frame (CRC32 + length of every release), then the
+// delta from each version to the next in the ordered wire format — the
+// same container for a plain and a chunked store of the same versions.
 func (s *Store) Save() ([]byte, error) {
 	s.mu.RLock()
-	defer s.mu.RUnlock()
+	rels := s.releases // immutable elements: valid after the lock drops
+	s.mu.RUnlock()
 	var buf bytes.Buffer
 	buf.Write(storeMagic[:])
 	buf.WriteByte(storeFormatVersion)
-	writeUvarint(&buf, uint64(len(s.releases)))
+	writeUvarint(&buf, uint64(len(rels)))
 	writeUvarint(&buf, uint64(len(s.base)))
 	buf.Write(s.base)
 	var id [4]byte
-	for _, r := range s.releases {
+	for _, r := range rels {
 		binary.LittleEndian.PutUint32(id[:], r.crc)
 		buf.Write(id[:])
 		writeUvarint(&buf, uint64(r.length))
 	}
-	for _, r := range s.releases[1:] {
+	for k := 1; k < len(rels); k++ {
+		d, err := s.compose(k-1, k)
+		if err != nil {
+			return nil, err
+		}
 		// Length-prefix each delta: the codec decoder buffers its reader,
 		// so deltas must be isolated when decoding from one stream.
 		var enc bytes.Buffer
-		if _, err := codec.Encode(&enc, r.d, codec.FormatOrdered); err != nil {
+		if _, err := codec.Encode(&enc, d, codec.FormatOrdered); err != nil {
 			return nil, err
 		}
 		writeUvarint(&buf, uint64(enc.Len()))
@@ -595,9 +578,11 @@ func (s *Store) Save() ([]byte, error) {
 }
 
 // Load restores a store serialized by Save, verifying every replayed
-// version against the identity frame recorded by Save. All length fields
-// are checked against the remaining input before allocation, so a hostile
-// few-byte container cannot demand gigabytes.
+// version against the identity frame recorded by Save. A plain store keeps
+// the decoded deltas as its chain; a chunked one ingests each replayed
+// version against its predecessor's recipe and keeps no delta. All length
+// fields are checked against the remaining input before allocation, so a
+// hostile few-byte container cannot demand gigabytes.
 func Load(data []byte, opts ...Option) (*Store, error) {
 	r := bytes.NewReader(data)
 	var m [4]byte
@@ -661,17 +646,13 @@ func Load(data []byte, opts ...Option) (*Store, error) {
 		if crc32.ChecksumIEEE(next) != crcs[k] || int64(len(next)) != lengths[k] {
 			return nil, fmt.Errorf("%w: version %d fails its stored CRC", ErrCorrupt, k)
 		}
-		s.releases = append(s.releases, release{
-			crc:    crcs[k],
-			length: lengths[k],
-			d:      d,
-		})
+		rel := release{crc: crcs[k], length: lengths[k]}
 		if s.chunked {
-			// Rebuild the recipe tier: recipes are derived state, not part
-			// of the container, so a chunked Load re-ingests each replayed
-			// version against its predecessor's recipe.
-			s.recipes = append(s.recipes, s.cs.IngestLike(s.ck, next, s.recipes[len(s.recipes)-1]))
+			rel.recipe = s.cs.IngestLike(s.ck, next, s.releases[k-1].recipe)
+		} else {
+			rel.d = d
 		}
+		s.releases = append(s.releases, rel)
 		cur = next
 	}
 	return s, nil
