@@ -50,6 +50,40 @@ func TestEncodeCompactAllocs(t *testing.T) {
 	}
 }
 
+// growRecorder is a bytes.Buffer that records each Grow and the
+// capacity it left.
+type growRecorder struct {
+	bytes.Buffer
+	grows, caps []int
+}
+
+func (g *growRecorder) Grow(n int) {
+	g.Buffer.Grow(n)
+	g.grows = append(g.grows, n)
+	g.caps = append(g.caps, g.Cap())
+}
+
+// TestEncodeGrowsBufferOnce checks the size hint: Encode grows a writer
+// that can grow once, by exactly the encoding's size, and the encoding
+// then fits without the buffer growing again.
+func TestEncodeGrowsBufferOnce(t *testing.T) {
+	d := scatteredDelta(4500)
+	for _, f := range []Format{FormatCompact, FormatOffsets, FormatScratch} {
+		want, err := Size(d, f)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var g growRecorder
+		if _, err := Encode(&g, d, f); err != nil {
+			t.Fatalf("format %d: encode: %v", f, err)
+		}
+		if len(g.grows) != 1 || int64(g.grows[0]) != want || int64(g.Len()) != want || g.Cap() != g.caps[0] {
+			t.Errorf("format %d: grows %v to capacities %v, then encodes %d bytes at capacity %d; want one grow by %d",
+				f, g.grows, g.caps, g.Len(), g.Cap(), want)
+		}
+	}
+}
+
 // TestDecodeStreamingAllocs is the allocation gate for the device's decode
 // path: streaming a whole compact delta through NextStreaming, payloads
 // included, costs the decoder's fixed set-up and nothing per command.

@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"hash/crc32"
 	"io"
+	"math"
 
 	"ipdelta/internal/delta"
 )
@@ -29,8 +30,13 @@ const legacyMaxAdd = 255
 // written, including header and trailing CRC32. Ordered formats require the
 // commands to appear in contiguous write order ([0, VersionLen) with no
 // gaps); ErrNotOrdered is returned otherwise.
+//
+// In the compact, offsets and scratch formats, a writer with a Grow(int)
+// method, such as a bytes.Buffer, is grown once by the encoding's size
+// before anything is written, so a large delta does not regrow and
+// recopy the buffer as it is encoded.
 func Encode(w io.Writer, d *delta.Delta, f Format) (int64, error) {
-	e := &encoder{w: newCRCWriter(w)}
+	e := &encoder{w: newCRCWriter(w), dst: w}
 	err := e.encode(d, f)
 	if m := observer.Load(); m != nil {
 		if err != nil {
@@ -100,7 +106,24 @@ func (c *crcWriter) finish() error {
 }
 
 type encoder struct {
-	w *crcWriter
+	w   *crcWriter
+	dst io.Writer // the caller's writer, which grow may size up front
+}
+
+// grow gives a growable destination room for the whole encoding. Size is
+// exact for the formats it covers; the legacy formats get no hint. It
+// runs after validation, so every add's Length is its data's length and
+// the hint is bounded by the memory d already holds.
+func (e *encoder) grow(d *delta.Delta, f Format) {
+	g, ok := e.dst.(interface{ Grow(int) })
+	if !ok {
+		return
+	}
+	n, err := Size(d, f)
+	if err != nil || n <= 0 || n > math.MaxInt {
+		return
+	}
+	g.Grow(int(n))
 }
 
 func (e *encoder) encode(d *delta.Delta, f Format) error {
@@ -111,6 +134,7 @@ func (e *encoder) encode(d *delta.Delta, f Format) error {
 	if err != nil {
 		return err
 	}
+	e.grow(d, f)
 	if err := e.header(d, f, len(cmds)); err != nil {
 		return err
 	}

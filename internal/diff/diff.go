@@ -18,7 +18,9 @@
 package diff
 
 import (
+	"encoding/binary"
 	"fmt"
+	"math/bits"
 
 	"ipdelta/internal/delta"
 )
@@ -168,36 +170,47 @@ func resolveAdds(cmds []delta.Command, arena []byte) {
 }
 
 // matchForward returns the length of the common prefix of ref[r:] and
-// version[v:].
+// version[v:]. It compares eight bytes at a time: the first differing
+// byte of two little-endian words is the lowest set byte of their XOR.
 //
 //ipvet:allocfree
 func matchForward(ref, version []byte, r, v int) int {
-	n := 0
-	for r+n < len(ref) && v+n < len(version) && ref[r+n] == version[v+n] {
-		n++
+	a, b := ref[r:], version[v:]
+	if len(a) > len(b) {
+		a = a[:len(b)]
 	}
-	return n
-}
-
-// matchForwardN is matchForward capped at max bytes, for extensions that
-// must not run past a neighbouring command's range.
-//
-//ipvet:allocfree
-func matchForwardN(ref, version []byte, r, v, max int) int {
+	b = b[:len(a)]
 	n := 0
-	for n < max && r+n < len(ref) && v+n < len(version) && ref[r+n] == version[v+n] {
+	for ; n+8 <= len(a); n += 8 {
+		if x := binary.LittleEndian.Uint64(a[n:]) ^ binary.LittleEndian.Uint64(b[n:]); x != 0 {
+			return n + bits.TrailingZeros64(x)/8
+		}
+	}
+	for n < len(a) && a[n] == b[n] {
 		n++
 	}
 	return n
 }
 
 // matchBackward returns how many bytes before ref[r] and version[v] agree,
-// looking back at most maxBack bytes.
+// looking back at most maxBack bytes. Like matchForward it compares
+// words; walking backwards, the first difference is the highest set byte
+// of the XOR.
 //
 //ipvet:allocfree
 func matchBackward(ref, version []byte, r, v, maxBack int) int {
+	lim := min(maxBack, r, v)
+	if lim <= 0 {
+		return 0
+	}
+	a, b := ref[r-lim:r], version[v-lim:v]
 	n := 0
-	for n < maxBack && r-n-1 >= 0 && v-n-1 >= 0 && ref[r-n-1] == version[v-n-1] {
+	for ; n+8 <= lim; n += 8 {
+		if x := binary.LittleEndian.Uint64(a[lim-n-8:]) ^ binary.LittleEndian.Uint64(b[lim-n-8:]); x != 0 {
+			return n + bits.LeadingZeros64(x)/8
+		}
+	}
+	for n < lim && a[lim-n-1] == b[lim-n-1] {
 		n++
 	}
 	return n

@@ -160,7 +160,7 @@ func krHash(b []byte) uint64 {
 // skipped bytes, so only matches within stride-1 bytes of the minimum
 // seed length can be lost (the alignment-robustness argument of
 // arXiv:1502.07830). In exchange the table build does 1/stride of the
-// inserts and the table itself shrinks by the same factor, which is what
+// stores and the table itself shrinks by the same factor, which is what
 // keeps it cache-resident (see tableBitsFor).
 //
 //ipvet:allocfree
@@ -219,11 +219,7 @@ type krHasher struct {
 
 //ipvet:allocfree
 func newKRHasher(p int) krHasher {
-	pow := uint64(1)
-	for k := 0; k < p-1; k++ {
-		pow *= krBase
-	}
-	return krHasher{p: p, pow: pow}
+	return krHasher{p: p, pow: krPowP(p - 1)}
 }
 
 // init computes the hash of window b (len must be p).
@@ -250,28 +246,25 @@ func (h *krHasher) roll(out, in byte) uint64 {
 //	bits 47..32  tag: the top 16 bits of the seed's full fingerprint
 //	bits 31..0   reference offset plus one
 //
-// The generation makes reusing the table for a new diff a counter bump,
-// not a multi-megabyte clear. The tag lets lookup reject a probe whose
-// bucket holds a different seed without reading the reference: different
-// tags mean different fingerprints, hence different seed bytes, so the
-// byte comparison the tag skips could only have failed. Output is
-// therefore identical to an untagged table; only the wasted compares (a
-// cache miss each once the reference outgrows the cache) are gone.
+// Buckets use the low tableBits (at most 26) bits of the fingerprint, so
+// the tag is independent of the bucket. The generation makes reusing the
+// table for a new diff a counter bump, not a multi-megabyte clear. The
+// tag lets a probe reject a bucket that holds a different seed without
+// reading the reference: different tags mean different fingerprints,
+// hence different seed bytes, so the byte comparison the tag skips could
+// only have failed. Output is therefore identical to an untagged table;
+// only the wasted compares (a cache miss each once the reference outgrows
+// the cache) are gone.
 //
 // A table belongs to one pooled state and is only touched by the diff that
-// holds that state, so entries are plain loads and stores.
+// holds that state, so entries are plain loads and stores. fp is the
+// block of fingerprints buildTable and scanRange fill with krFill.
 type krTable struct {
 	entries []uint64
 	gen     uint16
 	mask    uint64
+	fp      [krBlock]uint64
 }
-
-// key returns the high word of an entry for fingerprint h in the current
-// generation: the generation above the tag. Buckets use the low tableBits
-// (at most 26) bits of h, so the tag is independent of the bucket.
-//
-//ipvet:allocfree
-func (t *krTable) key(h uint64) uint64 { return uint64(t.gen)<<16 | h>>48 }
 
 // prepare sizes the table for 2^bits entries and advances the generation,
 // invalidating all previous entries without touching them. A table that
@@ -294,31 +287,6 @@ func (t *krTable) prepare(bits uint) {
 		clear(t.entries[:cap(t.entries)])
 		t.gen = 1
 	}
-}
-
-// insert records offset r for the seed with fingerprint h if its bucket
-// is empty this generation (first occurrence wins, matching the
-// left-to-right scan).
-//
-//ipvet:allocfree
-func (t *krTable) insert(h uint64, r int) {
-	b := h & t.mask
-	if uint16(t.entries[b]>>48) != t.gen {
-		t.entries[b] = t.key(h)<<32 | uint64(uint32(r+1))
-	}
-}
-
-// lookup returns the stored offset for fingerprint h if its bucket is
-// current and holds a seed with the same tag. A hit is still only a
-// probable match; the caller compares bytes.
-//
-//ipvet:allocfree
-func (t *krTable) lookup(h uint64) (int, bool) {
-	e := t.entries[h&t.mask]
-	if e>>32 != t.key(h) {
-		return 0, false
-	}
-	return int(uint32(e)) - 1, true
 }
 
 // linearState is one diff's working memory: the fingerprint table and the
@@ -401,12 +369,75 @@ func (l *Linear) scan(st *linearState, ref, version []byte) {
 	}
 }
 
+// krBlock is the most fingerprints krFill computes at once: the block
+// buildTable stores from and scanRange probes from.
+const krBlock = 2048
+
+// krFill sets fp[i] to krHash(b[i:i+p]) for every i < len(fp); b holds
+// the len(fp)+p-1 bytes those windows span and powP is krBase^p. The
+// block is split into two lanes, each hashed once and then rolled byte by
+// byte. A roll's multiply by krBase is its only step that waits on the
+// previous fingerprint, so with two independent lanes in flight the loop
+// runs at the multiplier's throughput rather than its latency. Rolling is
+// exact in arithmetic modulo 2^64, so every fingerprint equals krHash's.
+//
+//ipvet:allocfree
+func krFill(fp []uint64, b []byte, p int, powP uint64) {
+	n := len(fp)
+	if n == 0 {
+		return
+	}
+	b = b[:n+p-1]
+	h := krHash(b[:p])
+	fp[0] = h
+	k := 1
+	if q := n / 2; q >= 16 {
+		h1 := krHash(b[q : q+p])
+		fp[q] = h1
+		// Lane j rolls fp[j*q+1 : (j+1)*q], dropping out[k] and taking
+		// in[k]; reslicing every lane to one length lets the compiler
+		// drop the bounds checks.
+		m := q - 1
+		f0, f1 := fp[1:][:m], fp[q+1:][:m]
+		o0, o1 := b[:m], b[q:][:m]
+		i0, i1 := b[p:][:m], b[q+p:][:m]
+		for k := range f0 {
+			d0 := uint64(i0[k]) - uint64(o0[k])*powP
+			d1 := uint64(i1[k]) - uint64(o1[k])*powP
+			h, h1 = h*krBase+d0, h1*krBase+d1
+			f0[k], f1[k] = h, h1
+		}
+		h, k = h1, 2*q
+	}
+	// The position after the second lane, or the whole of a short block.
+	for ; k < n; k++ {
+		h = h*krBase + uint64(b[k+p-1]) - uint64(b[k-1])*powP
+		fp[k] = h
+	}
+}
+
+// krPowP returns krBase^p: a roll of a p-byte window multiplies the
+// hash by krBase and drops the oldest byte at this weight.
+//
+//ipvet:allocfree
+func krPowP(p int) uint64 {
+	pw := uint64(1)
+	for k := 0; k < p; k++ {
+		pw *= krBase
+	}
+	return pw
+}
+
 // buildTable indexes the reference seeds whose start offsets are multiples
 // of stride: table[h] maps the fingerprint bucket h to the anchor's first
-// occurrence. Below strideJump the hash rolls across every position (one
-// cheap step per skipped byte); at or above it each anchor is hashed from
-// scratch with the unrolled kernel and the skipped bytes are never
-// touched.
+// occurrence. The anchors are stored from last to first, each store
+// overwriting its bucket unconditionally, so the last store to a bucket —
+// the one that stays — is its first occurrence: the same table as
+// inserting front to back and keeping each bucket's first entry, without
+// reading the bucket. Below strideJump the fingerprints come from krFill,
+// krBlock positions at a time, blocks taken from the end of the reference
+// backwards; at or above it each anchor is hashed from scratch with the
+// unrolled kernel and the skipped bytes are never touched.
 //
 //ipvet:allocfree
 func buildTable(t *krTable, ref []byte, p, stride int) {
@@ -414,31 +445,38 @@ func buildTable(t *krTable, ref []byte, p, stride int) {
 	if n <= 0 {
 		return
 	}
+	entries, mask, gen := t.entries, t.mask, uint64(t.gen)<<16
 	if stride >= strideJump {
-		for r := 0; r < n; r += stride {
-			t.insert(krHash(ref[r:r+p]), r)
+		for r := (n - 1) / stride * stride; r >= 0; r -= stride {
+			h := krHash(ref[r : r+p])
+			entries[h&mask] = (gen|h>>48)<<32 | uint64(uint32(r+1))
 		}
 		return
 	}
-	rh := newKRHasher(p)
-	rh.init(ref[:p])
-	next := 0 // the next anchor
-	for r := 0; ; r++ {
-		if r == next {
-			t.insert(rh.hash, r)
-			next += stride
+	powP := krPowP(p)
+	// krBlock is a multiple of every stride below strideJump, so each
+	// block starts on an anchor.
+	for lo := (n - 1) / krBlock * krBlock; lo >= 0; lo -= krBlock {
+		fp := t.fp[:min(krBlock, n-lo)]
+		krFill(fp, ref[lo:lo+len(fp)+p-1], p, powP)
+		for i := (len(fp) - 1) / stride * stride; i >= 0; i -= stride {
+			h := fp[i]
+			entries[h&mask] = (gen|h>>48)<<32 | uint64(uint32(lo+i+1))
 		}
-		if r+1 >= n {
-			break
-		}
-		rh.roll(ref[r], ref[r+p])
 	}
 }
+
+// scanMinBlock is the block scanRange fingerprints after a match. Matches
+// tend to follow each other within a few bytes, so the block starts small
+// and doubles, up to krBlock, each time it is probed to the end without a
+// match.
+const scanMinBlock = 64
 
 // scanRange scans version against the indexed reference, emitting
 // commands into e that cover exactly its bytes: each verified seed match
 // is extended forward as far as the files agree and backward into the
-// pending literal run.
+// pending literal run. The fingerprints of the positions ahead come from
+// krFill a block at a time; a match refills the block from where it ends.
 //
 //ipvet:allocfree
 func scanRange(t *krTable, e *emitter, ref, version []byte, p int) {
@@ -446,31 +484,38 @@ func scanRange(t *krTable, e *emitter, ref, version []byte, p int) {
 		e.literal(version)
 		return
 	}
+	entries, mask, gen := t.entries, t.mask, uint64(t.gen)<<16
+	powP := krPowP(p)
+	last := len(version) - p // the last seed position
 	v := 0
 	lit := 0 // start of the current unmatched literal run
-	vh := newKRHasher(p)
-	vh.init(version[:p])
-	for {
-		// Verify: fingerprints collide, bytes decide.
-		if r, ok := t.lookup(vh.hash); ok && bytes.Equal(ref[r:r+p], version[v:v+p]) {
-			fwd := p + matchForward(ref, version, r+p, v+p)
-			back := matchBackward(ref, version, r, v, v-lit)
-			// Emit literals preceding the (extended) match.
-			e.literal(version[lit : v-back])
-			e.copyCmd(int64(r-back), int64(fwd+back))
-			v += fwd
-			lit = v
-			if v+p > len(version) {
-				break
+	block := scanMinBlock
+	for v <= last {
+		fp := t.fp[:min(block, last+1-v)]
+		krFill(fp, version[v:v+len(fp)+p-1], p, powP)
+		at := v
+		v += len(fp) // where the scan resumes if nothing in fp matches
+		block = min(2*block, krBlock)
+		for i, h := range fp {
+			ent := entries[h&mask]
+			if ent>>32 != gen|h>>48 {
+				continue
 			}
-			vh.init(version[v : v+p])
-			continue
-		}
-		if v+1+p > len(version) {
+			// Verify: fingerprints collide, bytes decide.
+			r, w := int(uint32(ent))-1, at+i
+			if !bytes.Equal(ref[r:r+p], version[w:w+p]) {
+				continue
+			}
+			fwd := p + matchForward(ref, version, r+p, w+p)
+			back := matchBackward(ref, version, r, w, w-lit)
+			// Emit literals preceding the (extended) match.
+			e.literal(version[lit : w-back])
+			e.copyCmd(int64(r-back), int64(fwd+back))
+			v = w + fwd
+			lit = v
+			block = scanMinBlock
 			break
 		}
-		vh.roll(version[v], version[v+p])
-		v++
 	}
 	e.literal(version[lit:])
 }

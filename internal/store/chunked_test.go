@@ -3,9 +3,11 @@ package store
 import (
 	"bytes"
 	"crypto/sha256"
+	"errors"
 	"fmt"
 	"math/rand"
 	"slices"
+	"strings"
 	"sync"
 	"testing"
 
@@ -110,6 +112,38 @@ func TestChunkedStoreCrossTenantDedup(t *testing.T) {
 		if err != nil || !bytes.Equal(got, want) {
 			t.Fatalf("tenant b version %d wrong (%v)", i, err)
 		}
+	}
+}
+
+// TestChunkedLoadFailureReleasesRecipes loads a container whose last
+// delta is corrupt into a store sharing its chunk store with another
+// tenant: Load must fail and leave the shared store's pinned bytes as
+// they were, unpinning the recipes it ingested before the failure and
+// the base's.
+func TestChunkedLoadFailureReleasesRecipes(t *testing.T) {
+	versions := churnedVersions(4, 4, 128<<10)
+	plain := New(versions[0])
+	for _, v := range versions[1:] {
+		if _, err := plain.AppendVersion(v); err != nil {
+			t.Fatal(err)
+		}
+	}
+	enc, err := plain.Save()
+	if err != nil {
+		t.Fatal(err)
+	}
+	enc[len(enc)-1] ^= 1 // the last delta's CRC
+	shared := chunk.NewStore()
+	tenant := New(versions[0], WithChunking(shared))
+	before := shared.Stats().PinnedBytes
+	if _, err := Load(enc, WithChunking(shared)); !errors.Is(err, ErrCorrupt) || !strings.Contains(err.Error(), "delta 3") {
+		t.Fatalf("Load of a container with a corrupt last delta: %v, want ErrCorrupt at delta 3", err)
+	}
+	if after := shared.Stats().PinnedBytes; after != before {
+		t.Fatalf("failed Load left %d bytes pinned, %d before it", after, before)
+	}
+	if got, err := tenant.Version(0); err != nil || !bytes.Equal(got, versions[0]) {
+		t.Fatalf("the other tenant's base after the failed Load: %v", err)
 	}
 }
 

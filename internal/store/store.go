@@ -625,26 +625,44 @@ func Load(data []byte, opts ...Option) (*Store, error) {
 		return nil, fmt.Errorf("%w: base image fails its stored CRC", ErrCorrupt)
 	}
 	s := New(base, opts...)
+	if err := replay(s, r, base, crcs, lengths); err != nil {
+		// A chunked store's recipes pin their chunks, maybe in a shared
+		// chunk.Store that outlives this call: unpin every one the failed
+		// load ingested, the base's included.
+		if s.chunked {
+			for _, rel := range s.releases {
+				s.cs.ReleaseRecipe(rel.recipe)
+			}
+		}
+		return nil, err
+	}
+	return s, nil
+}
+
+// replay appends the container's versions to s, which holds only the base
+// and is not yet shared: each delta in r is decoded, applied to the
+// version before it and checked against its recorded identity.
+func replay(s *Store, r *bytes.Reader, base []byte, crcs []uint32, lengths []int64) error {
 	cur := base
-	for k := uint64(1); k < count; k++ {
+	for k := 1; k < len(crcs); k++ {
 		encLen, err := binary.ReadUvarint(r)
 		if err != nil || encLen > uint64(r.Len()) {
-			return nil, fmt.Errorf("%w: delta %d length", ErrCorrupt, k)
+			return fmt.Errorf("%w: delta %d length", ErrCorrupt, k)
 		}
 		enc := make([]byte, encLen)
 		if _, err := io.ReadFull(r, enc); err != nil {
-			return nil, fmt.Errorf("%w: delta %d truncated", ErrCorrupt, k)
+			return fmt.Errorf("%w: delta %d truncated", ErrCorrupt, k)
 		}
 		d, _, err := codec.Decode(bytes.NewReader(enc))
 		if err != nil {
-			return nil, fmt.Errorf("%w: delta %d: %v", ErrCorrupt, k, err)
+			return fmt.Errorf("%w: delta %d: %v", ErrCorrupt, k, err)
 		}
 		next, err := d.Apply(cur)
 		if err != nil {
-			return nil, fmt.Errorf("%w: delta %d does not apply: %v", ErrCorrupt, k, err)
+			return fmt.Errorf("%w: delta %d does not apply: %v", ErrCorrupt, k, err)
 		}
 		if crc32.ChecksumIEEE(next) != crcs[k] || int64(len(next)) != lengths[k] {
-			return nil, fmt.Errorf("%w: version %d fails its stored CRC", ErrCorrupt, k)
+			return fmt.Errorf("%w: version %d fails its stored CRC", ErrCorrupt, k)
 		}
 		rel := release{crc: crcs[k], length: lengths[k]}
 		if s.chunked {
@@ -655,7 +673,7 @@ func Load(data []byte, opts ...Option) (*Store, error) {
 		s.releases = append(s.releases, rel)
 		cur = next
 	}
-	return s, nil
+	return nil
 }
 
 func writeUvarint(buf *bytes.Buffer, v uint64) {
