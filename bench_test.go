@@ -558,37 +558,11 @@ func BenchmarkConvertScratchBudget(b *testing.B) {
 	}
 }
 
-// BenchmarkConvertBatch measures the concurrent batch converter against
-// the sequential loop (compare with GOMAXPROCS × BenchmarkConvertVsDiffConvertLM).
-func BenchmarkConvertBatch(b *testing.B) {
-	b.ReportAllocs()
-	const n = 16
-	jobs := make([]inplace.Job, 0, n)
-	for k := 0; k < n; k++ {
-		p := corpus.Generate(corpus.PairSpec{
-			Profile: corpus.Binary, Size: 64 << 10, ChangeRate: 0.08, Seed: int64(k),
-		})
-		d, err := diff.NewLinear().Diff(p.Ref, p.Version)
-		if err != nil {
-			b.Fatal(err)
-		}
-		jobs = append(jobs, inplace.Job{Delta: d, Ref: p.Ref})
-	}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		for _, r := range inplace.ConvertBatch(jobs, 0) {
-			if r.Err != nil {
-				b.Fatal(r.Err)
-			}
-		}
-	}
-}
-
 // --- zero-allocation pipeline benchmarks ---
 //
-// These pair with the one-shot benchmarks above: the same work through the
-// reusable Converter/Differ, whose steady-state allocation counts are
-// gated by AllocsPerRun tests in internal/inplace and internal/diff.
+// These pair with the one-shot benchmarks above: the same work through a
+// reusable Converter, whose steady-state allocation count is gated by
+// AllocsPerRun tests in internal/inplace.
 
 // BenchmarkConverterReuse measures conversion through a pooled Converter
 // (compare with BenchmarkConvertVsDiffConvertLM, the one-shot path).
@@ -604,21 +578,6 @@ func BenchmarkConverterReuse(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		if _, _, err := cv.Convert(d, p.Ref); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-// BenchmarkDifferReuse measures differencing through a reusable Differ
-// (compare with BenchmarkDiffLinear, the one-shot path).
-func BenchmarkDifferReuse(b *testing.B) {
-	b.ReportAllocs()
-	p := benchPair(256 << 10)
-	dr := diff.NewDiffer()
-	b.SetBytes(int64(len(p.Version)))
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := dr.Diff(p.Ref, p.Version); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -340,10 +340,8 @@ func runBaseline(out io.Writer, outPath string, quick bool, seed int64) error {
 	}
 	defer f.Close()
 	size := 256 << 10
-	batchJobs := 16
 	if quick {
 		size = 64 << 10
-		batchJobs = 4
 	}
 	p := corpus.Generate(corpus.PairSpec{
 		Profile:    corpus.Binary,
@@ -402,16 +400,10 @@ func runBaseline(out io.Writer, outPath string, quick bool, seed int64) error {
 	}); err != nil {
 		return err
 	}
-	dr := diff.NewDiffer()
-	if err := doc.measureDiff("diff/reuse", p.Ref, p.Version, func() (*delta.Delta, error) {
-		return dr.Diff(p.Ref, p.Version)
-	}); err != nil {
-		return err
-	}
 
 	// Chunked dedup tier: content-defined split, ingest and materialize
 	// throughput, then the recipe-diff fast path against the full-image
-	// reuse differ on the same 5%-blocky-churn input at growing sizes.
+	// linear differ on the same 5%-blocky-churn input at growing sizes.
 	// Recipes are pre-ingested — the recipe rows measure diffing versions
 	// the store already holds, the serving steady state; ingest cost is
 	// its own row. The chunk store and recipe differ share the metrics
@@ -463,7 +455,7 @@ func runBaseline(out io.Writer, outPath string, quick bool, seed int64) error {
 			return err
 		}
 		if err := doc.measureDiff("diff/full/"+label, oldImg, newImg, func() (*delta.Delta, error) {
-			return dr.Diff(oldImg, newImg)
+			return l.Diff(oldImg, newImg)
 		}); err != nil {
 			return err
 		}
@@ -507,32 +499,6 @@ func runBaseline(out io.Writer, outPath string, quick bool, seed int64) error {
 		for i := 0; i < b.N; i++ {
 			if _, err := cached.Version(head); err != nil {
 				b.Fatal(err)
-			}
-		}
-	})
-
-	jobs := make([]inplace.Job, 0, batchJobs)
-	var batchBytes int64
-	for k := 0; k < batchJobs; k++ {
-		jp := corpus.Generate(corpus.PairSpec{
-			Profile:    corpus.Binary,
-			Size:       size / 4,
-			ChangeRate: 0.08,
-			Seed:       seed + int64(k),
-		})
-		jd, err := l.Diff(jp.Ref, jp.Version)
-		if err != nil {
-			return fmt.Errorf("bench-baseline: batch diff %d: %w", k, err)
-		}
-		jobs = append(jobs, inplace.Job{Delta: jd, Ref: jp.Ref})
-		batchBytes += int64(len(jp.Version))
-	}
-	doc.measure(fmt.Sprintf("batch/%d", batchJobs), batchBytes, func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			for _, r := range inplace.ConvertBatch(jobs, 0) {
-				if r.Err != nil {
-					b.Fatal(r.Err)
-				}
 			}
 		}
 	})

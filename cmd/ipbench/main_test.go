@@ -70,8 +70,7 @@ func TestRunBenchBaseline(t *testing.T) {
 	checkStageUnits(t, &doc)
 	want := map[string]bool{
 		"convert/one-shot": false, "convert/reuse": false, "crwi/build": false,
-		"diff/one-shot": false, "diff/reuse": false, "batch/4": false,
-		"store/inplace/chunked/16MiB": false,
+		"diff/one-shot": false, "store/inplace/chunked/16MiB": false,
 	}
 	for _, label := range []string{"1MiB", "16MiB"} {
 		for _, row := range []string{"chunk/split/", "chunk/ingest/", "chunk/ingest/repeat/", "chunk/ingest/like/", "chunk/materialize/", "recipe/diff/", "diff/full/"} {

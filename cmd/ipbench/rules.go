@@ -45,21 +45,22 @@ func (r rule) String() string {
 // pay for itself; the like bound, what predicting the unchanged 95% of a
 // churned version from its predecessor's recipe must win over cutting
 // and hashing it all. The zero-alloc rows are the steady-state reuse paths;
-// the codec and materialize rows allocate a fixed few buffers per call,
-// the same count at GOMAXPROCS 1 and 2. chunk/ingest, recipe/diff and
-// batch allocate per worker, so their counts follow GOMAXPROCS and get
-// no rule. The add_pct bound catches a differencer whose compression
-// collapses as the image grows.
+// the diff, codec and materialize rows allocate a fixed few buffers per
+// call, the same count at GOMAXPROCS 1 and 2: a pooled diff allocates
+// only its caller-owned Delta, command slice and literal arena.
+// chunk/ingest and recipe/diff allocate per worker, so their counts
+// follow GOMAXPROCS and get no rule. The add_pct bound catches a
+// differencer whose compression collapses as the image grows.
 var baselineRules = []rule{
 	{kind: minSpeedup, row: "recipe/diff/16MiB", base: "diff/full/16MiB", bound: 2},
 	{kind: minSpeedup, row: "chunk/ingest/like/16MiB", base: "chunk/ingest/repeat/16MiB", bound: 2},
 	{kind: maxAllocs, row: "convert/reuse"},
 	{kind: maxAllocs, row: "crwi/build"},
-	{kind: maxAllocs, row: "diff/reuse"},
 	{kind: maxAllocs, row: "chunk/split/1MiB"},
 	{kind: maxAllocs, row: "chunk/split/16MiB"},
-	{kind: maxAllocs, row: "diff/full/1MiB"},
-	{kind: maxAllocs, row: "diff/full/16MiB"},
+	{kind: maxAllocs, row: "diff/one-shot", bound: 3},
+	{kind: maxAllocs, row: "diff/full/1MiB", bound: 3},
+	{kind: maxAllocs, row: "diff/full/16MiB", bound: 3},
 	{kind: maxAllocs, row: "codec/encode/compact", bound: 4},
 	{kind: maxAllocs, row: "codec/decode/stream", bound: 6},
 	{kind: maxAllocs, row: "chunk/materialize/1MiB", bound: 2},

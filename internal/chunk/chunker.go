@@ -1,5 +1,5 @@
-// Package chunk implements streaming content-defined chunking and a
-// bounded, content-addressed chunk store — the substrate for diffing
+// Package chunk implements content-defined chunking and a bounded,
+// content-addressed chunk store — the substrate for diffing
 // multi-GB images in bounded memory and deduplicating identical content
 // across versions and tenants (ROADMAP "Content-defined chunking").
 //
@@ -124,17 +124,14 @@ func maskTop(n uint) uint64 {
 // Params returns the effective bounds.
 func (c *Chunker) Params() Params { return c.p }
 
-// Cut returns the length of the first chunk of data and whether that
-// boundary is final. found is true when the boundary is content-defined
-// or forced at Max — more input cannot move it. found is false when data
-// ran out first (len(data) < Max with no cut): a streaming caller should
-// buffer and retry with more bytes, or take the remainder as the last
-// chunk at end of input.
+// Cut returns the length of the first chunk of data: the first
+// content-defined boundary, the forced cut at Max, or all of data when it
+// runs out first.
 //
 //ipvet:allocfree
-func (c *Chunker) Cut(data []byte) (n int, found bool) {
+func (c *Chunker) Cut(data []byte) int {
 	if len(data) <= c.p.Min {
-		return len(data), false
+		return len(data)
 	}
 	end := len(data)
 	if end >= c.p.Max {
@@ -149,19 +146,16 @@ func (c *Chunker) Cut(data []byte) (n int, found bool) {
 	for ; i < mid; i++ {
 		h = h<<1 + gear[data[i]]
 		if h&c.maskHard == 0 {
-			return i + 1, true
+			return i + 1
 		}
 	}
 	for ; i < end; i++ {
 		h = h<<1 + gear[data[i]]
 		if h&c.maskEasy == 0 {
-			return i + 1, true
+			return i + 1
 		}
 	}
-	if len(data) >= c.p.Max {
-		return c.p.Max, true
-	}
-	return len(data), false
+	return end
 }
 
 // Split cuts data into consecutive chunks and calls emit for each one, in
@@ -169,73 +163,8 @@ func (c *Chunker) Cut(data []byte) (n int, found bool) {
 // callback. Split itself performs no allocations.
 func (c *Chunker) Split(data []byte, emit func(chunk []byte)) {
 	for len(data) > 0 {
-		n, _ := c.Cut(data)
+		n := c.Cut(data)
 		emit(data[:n:n])
 		data = data[n:]
-	}
-}
-
-// Splitter feeds a byte stream through a Chunker, emitting complete
-// chunks as they are recognized. Memory is bounded by one Max-size
-// carry buffer no matter how large the stream: this is the streaming
-// face of the chunker — multi-GB inputs never need to be resident.
-//
-// Emitted slices alias either the Write input or the internal carry
-// buffer and are valid only during the callback. A Splitter is not safe
-// for concurrent use.
-type Splitter struct {
-	c    *Chunker
-	emit func(chunk []byte)
-	buf  []byte // pending bytes of an incomplete chunk; cap <= Max+1
-}
-
-// NewSplitter returns a streaming splitter delivering chunks to emit.
-func NewSplitter(c *Chunker, emit func(chunk []byte)) *Splitter {
-	return &Splitter{c: c, emit: emit}
-}
-
-// Write feeds the next bytes of the stream. It implements io.Writer, so
-// an io.Copy from any reader chunks the stream in one bounded buffer.
-func (s *Splitter) Write(p []byte) (int, error) {
-	total := len(p)
-	for len(p) > 0 {
-		if len(s.buf) == 0 {
-			n, ok := s.c.Cut(p)
-			if ok {
-				s.emit(p[:n:n])
-				p = p[n:]
-				continue
-			}
-			// No boundary is final yet; Cut guarantees n == len(p) < Max.
-			s.buf = append(s.buf, p...)
-			break
-		}
-		// Top the carry buffer up to one byte past Max: Cut always
-		// decides (possibly the forced Max cut) once that much is
-		// visible, so the carry can never grow past Max+1.
-		need := s.c.p.Max + 1 - len(s.buf)
-		if need > len(p) {
-			need = len(p)
-		}
-		s.buf = append(s.buf, p[:need]...)
-		p = p[need:]
-		for {
-			n, ok := s.c.Cut(s.buf)
-			if !ok {
-				break
-			}
-			s.emit(s.buf[:n:n])
-			s.buf = s.buf[:copy(s.buf, s.buf[n:])]
-		}
-	}
-	return total, nil
-}
-
-// Flush emits any pending bytes as the stream's final chunk and resets
-// the splitter for a new stream.
-func (s *Splitter) Flush() {
-	if len(s.buf) > 0 {
-		s.emit(s.buf)
-		s.buf = s.buf[:0]
 	}
 }

@@ -87,41 +87,6 @@ func TestChunkerParamValidation(t *testing.T) {
 	}
 }
 
-// TestSplitterMatchesSplit drives the streaming splitter with every
-// awkward write size and asserts byte-identical chunking with the
-// in-memory Split — the streaming face must not change cut points.
-func TestSplitterMatchesSplit(t *testing.T) {
-	c, _ := NewChunker(Params{Min: 256, Avg: 1024, Max: 4096})
-	data := make([]byte, 300<<10)
-	rand.New(rand.NewSource(3)).Read(data)
-	wantCuts, wantChunks := splitAll(t, c, data)
-
-	for _, writeSize := range []int{1, 7, 255, 256, 4096, 4097, 64 << 10, len(data)} {
-		var got [][]byte
-		s := NewSplitter(c, func(ch []byte) {
-			got = append(got, append([]byte(nil), ch...))
-		})
-		for off := 0; off < len(data); off += writeSize {
-			end := off + writeSize
-			if end > len(data) {
-				end = len(data)
-			}
-			if _, err := s.Write(data[off:end]); err != nil {
-				t.Fatal(err)
-			}
-		}
-		s.Flush()
-		if len(got) != len(wantCuts) {
-			t.Fatalf("write size %d: %d chunks, want %d", writeSize, len(got), len(wantCuts))
-		}
-		for k := range got {
-			if !bytes.Equal(got[k], wantChunks[k]) {
-				t.Fatalf("write size %d: chunk %d differs", writeSize, k)
-			}
-		}
-	}
-}
-
 // TestChunkerLocality is the property the whole dedup win rests on: for
 // a random insert, delete, or overwrite at a random offset, every cut
 // point outside a bounded window around the edit is byte-identical

@@ -165,13 +165,13 @@ func FuzzRecipeDecode(f *testing.F) {
 }
 
 // FuzzChunkerSplit feeds arbitrary bytes through both chunking faces:
-// chunks must cover the input exactly, respect bounds, and the streaming
-// splitter must agree with the in-memory splitter.
+// chunks must cover the input exactly, respect bounds, and the store's
+// batched ingest must cut where Split does.
 func FuzzChunkerSplit(f *testing.F) {
-	f.Add([]byte("hello"), uint16(64))
-	f.Add(bytes.Repeat([]byte{0}, 5000), uint16(1))
-	f.Add(randBytes(1, 20000), uint16(700))
-	f.Fuzz(func(t *testing.T, data []byte, writeSize uint16) {
+	f.Add([]byte("hello"))
+	f.Add(bytes.Repeat([]byte{0}, 5000))
+	f.Add(randBytes(1, 20000))
+	f.Fuzz(func(t *testing.T, data []byte) {
 		c, err := NewChunker(Params{Min: 64, Avg: 256, Max: 1024})
 		if err != nil {
 			t.Fatal(err)
@@ -188,32 +188,14 @@ func FuzzChunkerSplit(f *testing.F) {
 		if !bytes.Equal(rejoined, data) {
 			t.Fatal("chunks do not reproduce input")
 		}
-		ws := int(writeSize)
-		if ws == 0 {
-			ws = 1
+		r := NewStore().IngestAll(c, data)
+		if len(r.Chunks) != len(cuts) {
+			t.Fatalf("ingest produced %d chunks, Split %d", len(r.Chunks), len(cuts))
 		}
-		var streamed []int
 		var off int
-		s := NewSplitter(c, func(ch []byte) {
-			off += len(ch)
-			streamed = append(streamed, off)
-		})
-		for lo := 0; lo < len(data); lo += ws {
-			hi := lo + ws
-			if hi > len(data) {
-				hi = len(data)
-			}
-			if _, err := s.Write(data[lo:hi]); err != nil {
-				t.Fatal(err)
-			}
-		}
-		s.Flush()
-		if len(streamed) != len(cuts) {
-			t.Fatalf("streaming produced %d chunks, in-memory %d", len(streamed), len(cuts))
-		}
-		for k := range cuts {
-			if streamed[k] != cuts[k] {
-				t.Fatalf("cut %d: streaming %d vs in-memory %d", k, streamed[k], cuts[k])
+		for k, ch := range r.Chunks {
+			if off += int(ch.Length); off != cuts[k] {
+				t.Fatalf("cut %d: ingest %d vs Split %d", k, off, cuts[k])
 			}
 		}
 	})

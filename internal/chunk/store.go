@@ -384,7 +384,7 @@ func (b *ingestBatch) cut(ck *Chunker, p *predictor, data []byte) []byte {
 		if b.refs[b.n], b.known[b.n] = p.predict(data[end:]); b.known[b.n] {
 			n = int(b.refs[b.n].Length)
 		} else {
-			n, _ = ck.Cut(data[end:])
+			n = ck.Cut(data[end:])
 		}
 		end += n
 		b.ends[b.n] = end

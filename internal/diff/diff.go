@@ -143,17 +143,6 @@ func (e *emitter) finish() []delta.Command {
 	return cmds
 }
 
-// finishReuse flushes trailing literals and returns the emitter's own
-// command list, with add data aliasing the emitter's literal arena. The
-// result is valid only until the emitter's next reset.
-//
-//ipvet:allocfree
-func (e *emitter) finishReuse() []delta.Command {
-	e.flushAdd()
-	resolveAdds(e.cmds, e.lits)
-	return e.cmds
-}
-
 // resolveAdds rewrites each add's stashed arena offset (in From) into a
 // capacity-bounded sub-slice of the arena.
 //

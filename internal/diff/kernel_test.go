@@ -284,7 +284,7 @@ func TestMatchHelpersMatchByteLoops(t *testing.T) {
 }
 
 // TestLinearMatchesOracle runs Linear.Diff against the oracle at sizes
-// that pick each indexing stride: 1, 2, 4 and the stride-8 jump path.
+// that pick each indexing stride: 1, 2, 4 and 8.
 func TestLinearMatchesOracle(t *testing.T) {
 	rng := rand.New(rand.NewSource(10))
 	for _, size := range []int{5000, 80 << 10, 300 << 10, 1100 << 10} {
@@ -348,7 +348,7 @@ func FuzzKernelMatchesReference(f *testing.F) {
 
 // BenchmarkKernelBuildTable measures the fingerprint-table build alone, at
 // the stride tableParams picks for each size: 1 at 64 KiB, 4 at 1 MiB and
-// the stride-8 jump path at 4 MiB.
+// 8 at 4 MiB.
 func BenchmarkKernelBuildTable(b *testing.B) {
 	l := NewLinear()
 	for _, size := range []int{64 << 10, 1 << 20, 4 << 20} {

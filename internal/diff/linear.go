@@ -10,8 +10,8 @@ import (
 
 // diffMetrics holds the pre-resolved metric handles of an observed
 // differencer (DESIGN.md §9). Resolved once at construction; per-diff
-// updates are atomic adds and stage spans only, so an observed Differ
-// keeps its zero-allocation steady state.
+// updates are atomic adds and stage spans only, so observing a
+// differencer adds no allocation to a diff.
 type diffMetrics struct {
 	diffs        *obs.Counter
 	refBytes     *obs.Counter
@@ -48,8 +48,7 @@ func resolveDiffMetrics(r *obs.Registry) *diffMetrics {
 // Diff's working memory (the fingerprint table and the emitter) is pooled
 // per instance, so repeated and concurrent calls reuse it instead of
 // reallocating the table — at the default 18 table bits, a 1 MiB
-// allocation per call. Callers in a single-threaded steady state can do
-// better still with a Differ.
+// allocation per call.
 type Linear struct {
 	seedLen   int
 	tableBits uint
@@ -175,12 +174,6 @@ func strideFor(nseeds int) int {
 	}
 	return 1
 }
-
-// strideJump is the stride at or above which the build abandons rolling
-// and hashes each anchor from scratch: re-initializing costs ~p/8
-// unrolled steps per anchor, rolling costs one step per skipped byte, so
-// the jump wins once stride reaches a chunk width.
-const strideJump = 8
 
 // tableBitsFor sizes the fingerprint table for the number of indexed
 // anchors: the smallest power of two holding one slot per anchor (load
@@ -434,10 +427,9 @@ func krPowP(p int) uint64 {
 // overwriting its bucket unconditionally, so the last store to a bucket —
 // the one that stays — is its first occurrence: the same table as
 // inserting front to back and keeping each bucket's first entry, without
-// reading the bucket. Below strideJump the fingerprints come from krFill,
-// krBlock positions at a time, blocks taken from the end of the reference
-// backwards; at or above it each anchor is hashed from scratch with the
-// unrolled kernel and the skipped bytes are never touched.
+// reading the bucket. The fingerprints come from krFill, krBlock
+// positions at a time, blocks taken from the end of the reference
+// backwards.
 //
 //ipvet:allocfree
 func buildTable(t *krTable, ref []byte, p, stride int) {
@@ -446,15 +438,8 @@ func buildTable(t *krTable, ref []byte, p, stride int) {
 		return
 	}
 	entries, mask, gen := t.entries, t.mask, uint64(t.gen)<<16
-	if stride >= strideJump {
-		for r := (n - 1) / stride * stride; r >= 0; r -= stride {
-			h := krHash(ref[r : r+p])
-			entries[h&mask] = (gen|h>>48)<<32 | uint64(uint32(r+1))
-		}
-		return
-	}
 	powP := krPowP(p)
-	// krBlock is a multiple of every stride below strideJump, so each
+	// krBlock is a multiple of every stride strideFor returns, so each
 	// block starts on an anchor.
 	for lo := (n - 1) / krBlock * krBlock; lo >= 0; lo -= krBlock {
 		fp := t.fp[:min(krBlock, n-lo)]
@@ -518,39 +503,4 @@ func scanRange(t *krTable, e *emitter, ref, version []byte, p int) {
 		}
 	}
 	e.literal(version[lit:])
-}
-
-// Differ is a reusable linear differencer for single-threaded steady-state
-// pipelines: one instance owns the fingerprint table, the emitter, and the
-// output delta, so repeated Diff calls perform no heap allocations at all.
-// The returned delta is owned by the Differ and valid only until its next
-// call; callers that retain results across calls should use (*Linear).Diff
-// (whose output is detached) or clone. A Differ is not safe for concurrent
-// use — (*Linear).Diff pools its state internally and is.
-type Differ struct {
-	l   *Linear
-	st  linearState
-	out delta.Delta
-}
-
-// NewDiffer returns a reusable differencer with the given options applied.
-func NewDiffer(opts ...LinearOption) *Differ {
-	return &Differ{l: NewLinear(opts...)}
-}
-
-// Name identifies the algorithm in reports.
-func (dr *Differ) Name() string { return dr.l.Name() }
-
-// Diff computes the delta like (*Linear).Diff, into differ-owned storage
-// that is reused by — and valid only until — the next call.
-func (dr *Differ) Diff(ref, version []byte) (*delta.Delta, error) {
-	dr.st.prepare()
-	dr.l.scan(&dr.st, ref, version)
-	dr.out = delta.Delta{
-		RefLen:     int64(len(ref)),
-		VersionLen: int64(len(version)),
-		Commands:   dr.st.e.finishReuse(),
-	}
-	dr.l.record(ref, version, len(dr.out.Commands))
-	return &dr.out, nil
 }

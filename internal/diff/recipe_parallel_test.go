@@ -174,6 +174,7 @@ func TestDiffRecipesAllocs(t *testing.T) {
 	if raceEnabled {
 		t.Skip("race instrumentation inflates allocation counts")
 	}
+	defer debug.SetGCPercent(debug.SetGCPercent(-1)) // a GC empties the pool of recipeStates
 	rd := NewRecipeDiffer()
 	var one, many [2]uint64
 	var runs [2]int

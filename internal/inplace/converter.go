@@ -64,13 +64,12 @@ func resolveConverterMetrics(r *obs.Registry, policy string) *converterMetrics {
 // Converter performs in-place conversions over one reusable set of working
 // memory: the copy/add partition, the CRWI digraph in CSR form, the
 // topological-sort state, and the output buffers. A steady-state server
-// (batch prewarm, per-connection conversion loop) converts thousands of
-// deltas; with the free Convert function every call rebuilt all of that
-// state from the heap, which cost more than the O(|C| log |C| + |E|)
-// algorithm itself. A Converter amortizes it to zero allocations per call.
+// converts thousands of deltas; rebuilding all of that state from the heap
+// on every call cost more than the O(|C| log |C| + |E|) algorithm itself.
+// A Converter amortizes it to zero allocations per call, and the free
+// Convert function draws Converters from a pool for the same reason.
 //
-// A Converter is not safe for concurrent use; use one per worker (see
-// ConvertBatch).
+// A Converter is not safe for concurrent use; use one per goroutine.
 type Converter struct {
 	o      Options
 	costFn graph.CostFunc
@@ -142,22 +141,13 @@ func (cv *Converter) init() {
 // Convert function, but reuses the converter's working memory: in steady
 // state it performs no heap allocations. The returned delta and stats are
 // owned by the Converter and remain valid only until its next call;
-// callers that retain results across calls must use ConvertNew or clone.
+// callers that retain results across calls must clone them, or use the
+// free Convert function, whose output is caller-owned.
 // The input delta is not modified; the output's unconverted add commands
 // share data slices with the input.
 func (cv *Converter) Convert(d *delta.Delta, ref []byte) (*delta.Delta, *Stats, error) {
 	cv.bref.Reset(ref)
 	return cv.convert(d, &cv.bref, false)
-}
-
-// ConvertNew is Convert with freshly allocated, caller-owned output: the
-// returned delta and stats may be retained indefinitely. The converter's
-// internal working memory (partition, digraph, sort state) is still
-// reused, so a loop of ConvertNew calls allocates only what the results
-// themselves need.
-func (cv *Converter) ConvertNew(d *delta.Delta, ref []byte) (*delta.Delta, *Stats, error) {
-	cv.bref.Reset(ref)
-	return cv.convert(d, &cv.bref, true)
 }
 
 // release drops the converter's references to caller memory — the

@@ -200,29 +200,29 @@ func TestConverterReuseWithOptions(t *testing.T) {
 	}
 }
 
-// TestConvertNewDetaches proves ConvertNew results survive later calls on
-// the same converter, while Convert results are converter-owned.
-func TestConvertNewDetaches(t *testing.T) {
+// TestConvertPooledDetaches proves the free Convert function's results
+// survive later calls, which reuse the same pooled converters, while
+// Converter.Convert results are converter-owned.
+func TestConvertPooledDetaches(t *testing.T) {
 	rng := rand.New(rand.NewSource(3))
-	cv := NewConverter()
 
 	refLen := int64(1200)
 	d := randomDelta(rng, refLen)
 	ref := make([]byte, refLen)
 	rng.Read(ref)
 
-	kept, _, err := cv.ConvertNew(d, ref)
+	kept, _, err := Convert(d, ref)
 	if err != nil {
-		t.Fatalf("ConvertNew: %v", err)
+		t.Fatalf("Convert: %v", err)
 	}
 	snapshot := kept.Clone()
 
-	// Churn the converter with other work.
+	// Churn the pooled converters with other work.
 	for i := 0; i < 10; i++ {
 		d2 := randomDelta(rng, 700)
 		ref2 := make([]byte, 700)
 		rng.Read(ref2)
-		if _, _, err := cv.Convert(d2, ref2); err != nil {
+		if _, _, err := Convert(d2, ref2); err != nil {
 			t.Fatalf("churn %d: %v", i, err)
 		}
 	}
@@ -390,10 +390,11 @@ func TestConvertPooledStartsFresh(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	want, wantSt, err := NewConverter().ConvertNew(d, chain[0])
+	out, outSt, err := NewConverter().Convert(d, chain[0])
 	if err != nil {
 		t.Fatal(err)
 	}
+	want, wantSt := out.Clone(), *outSt
 	reg := obs.NewRegistry()
 	for i := 0; i < 3; i++ {
 		if _, _, err := Convert(d, chain[0], WithScratchBudget(4096), WithPolicy(graph.ConstantTime{}),
@@ -404,8 +405,8 @@ func TestConvertPooledStartsFresh(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if !reflect.DeepEqual(got, want) || *st != *wantSt {
-			t.Fatalf("round %d: pooled Convert differs from a fresh converter: stats %+v, want %+v", i, *st, *wantSt)
+		if !reflect.DeepEqual(got, want) || *st != wantSt {
+			t.Fatalf("round %d: pooled Convert differs from a fresh converter: stats %+v, want %+v", i, *st, wantSt)
 		}
 	}
 	if n := reg.Snapshot().Counters["ipdelta_convert_total"]; n != 3 {
@@ -459,11 +460,11 @@ func TestConvertPooledConcurrent(t *testing.T) {
 			t.Fatal(err)
 		}
 		for _, opts := range [][]Option{nil, {WithStrategy(StrategyDFS)}, {WithScratchBudget(2048)}} {
-			want, _, err := NewConverter(opts...).ConvertNew(d, chain[3-back])
+			out, _, err := NewConverter(opts...).Convert(d, chain[3-back])
 			if err != nil {
 				t.Fatal(err)
 			}
-			jobs = append(jobs, job{d, chain[3-back], opts, want})
+			jobs = append(jobs, job{d, chain[3-back], opts, out.Clone()})
 		}
 	}
 	var wg sync.WaitGroup

@@ -168,10 +168,10 @@ type RefReader interface {
 // The returned delta applies correctly both with scratch space (Apply) and
 // in place (ApplyInPlace), and always satisfies CheckInPlace.
 //
-// Convert converts as ConvertNew does, on a Converter drawn from a
-// process-wide pool, so callers that convert one delta at a time (servers building a release
-// on demand) reuse working memory too. Callers converting many deltas in
-// one loop should still hold their own Converter.
+// Convert runs on a Converter drawn from a process-wide pool, so callers
+// that convert one delta at a time (servers building a release on demand)
+// reuse working memory too; unlike Converter.Convert, its output is
+// freshly allocated and caller-owned, so it may be retained indefinitely.
 func Convert(d *delta.Delta, ref []byte, opts ...Option) (*delta.Delta, *Stats, error) {
 	cv := converters.Get().(*Converter)
 	cv.bref.Reset(ref)
