@@ -98,9 +98,6 @@ func run(args []string) error {
 		if err != nil {
 			return err
 		}
-		if err := srv.Prewarm(0); err != nil {
-			return err
-		}
 		l, err := net.Listen("tcp", "127.0.0.1:0")
 		if err != nil {
 			return err

@@ -16,7 +16,8 @@
 // server worker; -failure-budget turns away clients (by remote host) after
 // N consecutive failed sessions; -diff names the differencing algorithm
 // for per-release deltas (default linear, the paper's linear-time
-// differencer).
+// differencer). Each release's delta is built by the first session that
+// needs it and cached for every later device on that release.
 //
 // -metrics-addr starts an HTTP listener serving the server's metrics
 // registry on /metrics (Prometheus-style text, or JSON with
@@ -55,7 +56,7 @@ func run(args []string) error {
 	nf.RegisterServer(fs)
 	nf.RegisterTransport(fs)
 	metricsAddr := fs.String("metrics-addr", "", "serve /metrics on this HTTP address (empty = disabled)")
-	diffName := fs.String("diff", "linear", "differencing algorithm by name (linear, greedy, recipe, ...)")
+	diffName := fs.String("diff", "linear", "differencing algorithm by name (linear, greedy, blockwise, suffix, correcting, null)")
 	verbose := fs.Bool("v", false, "log each session (structured, stderr)")
 	if err := fs.Parse(args); err != nil {
 		return err
@@ -88,10 +89,6 @@ func run(args []string) error {
 		netupdate.WithAlgorithm(algo),
 	)...)
 	if err != nil {
-		return err
-	}
-	// Build every per-release delta before accepting connections.
-	if err := srv.Prewarm(0); err != nil {
 		return err
 	}
 	if *metricsAddr != "" {

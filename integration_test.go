@@ -116,7 +116,7 @@ func TestGrandIntegration(t *testing.T) {
 	}
 
 	// 4. A second device updates from an intermediate release over TCP.
-	srv, err := netupdate.NewServer(releases, netupdate.WithScratchBudget(8<<10))
+	srv, err := netupdate.NewServer(releases)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -165,18 +165,6 @@ func (d *Device) PendingUpdate() (Pending, bool) {
 	}, true
 }
 
-// AbandonUpdate discards any pending update state. The flash may hold a
-// partially applied update afterwards, so the caller must follow up with a
-// transfer that does not depend on the installed image — InstallFull is
-// the intended successor.
-func (d *Device) AbandonUpdate() {
-	if !d.nv.active {
-		return
-	}
-	d.nv = progress{}
-	d.persist()
-}
-
 // Apply streams an in-place reconstructible delta from r and applies it to
 // the flash. If a previous Apply was interrupted (e.g. by ErrPowerCut), the
 // same delta may be streamed again and application resumes where it

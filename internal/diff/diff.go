@@ -47,8 +47,6 @@ func ByName(name string) (Algorithm, error) {
 		return NewSuffix(), nil
 	case "correcting":
 		return NewCorrecting(nil), nil
-	case "recipe":
-		return NewRecipeAlgo(), nil
 	case "null":
 		return Null{}, nil
 	default:

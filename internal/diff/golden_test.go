@@ -6,6 +6,7 @@ import (
 	"math/rand"
 	"testing"
 
+	"ipdelta/internal/chunk"
 	"ipdelta/internal/codec"
 	"ipdelta/internal/corpus"
 	"ipdelta/internal/delta"
@@ -58,9 +59,10 @@ func blockChurn(seed int64, size int) (ref, version []byte) {
 	return ref, version
 }
 
-// TestGoldenDeltas pins the exact output of Linear.Diff and DiffRecipes:
-// the SHA-256 of their ordered encodings over the standard corpus, a
-// record-release chain and a table-saturating 4 MiB block-churn pair.
+// TestGoldenDeltas pins the exact output of Linear.Diff and DiffRecipes
+// (over default-chunked recipes): the SHA-256 of their ordered encodings
+// over the standard corpus, a record-release chain and a
+// table-saturating 4 MiB block-churn pair.
 // Changes to the fingerprint table or the scan that are meant to be pure
 // speedups must leave every one of these hashes unchanged.
 func TestGoldenDeltas(t *testing.T) {
@@ -79,10 +81,16 @@ func TestGoldenDeltas(t *testing.T) {
 		g.add(l.Diff(old, head))
 	}
 	g.check("linear/records", "4715cf8d5ab6510d6ec0a5240692e03ee382bfd32bdeed93c7f4dd30de16008d")
-	ra := NewRecipeAlgo()
+	ck, err := chunk.NewChunker(chunk.Params{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	cs := chunk.NewStore()
+	rd := NewRecipeDiffer()
+	rhead := cs.IngestAll(ck, head)
 	g = goldenDigest{t: t}
 	for _, old := range chain[:len(chain)-1] {
-		g.add(ra.Diff(old, head))
+		g.add(rd.DiffRecipes(cs.IngestAll(ck, old), rhead, cs))
 	}
 	g.check("recipe/records", "32d6d1a22b4639bb7d0f60cbb98609b3ef82c52da000855e6735da16b7f093c4")
 
@@ -91,6 +99,7 @@ func TestGoldenDeltas(t *testing.T) {
 	g.add(l.Diff(ref, version))
 	g.check("linear/block-churn-4MiB", "437ac1ca818944c7d19f1e298d757d52b5a364203b291971043c510b4b338489")
 	g = goldenDigest{t: t}
-	g.add(NewRecipeAlgo().Diff(ref, version))
+	cs = chunk.NewStore()
+	g.add(rd.DiffRecipes(cs.IngestAll(ck, ref), cs.IngestAll(ck, version), cs))
 	g.check("recipe/block-churn-4MiB", "aaf1d973006ae17252ea72567aa380b4813a54fd296dbbdfd6d1dedb79517d37")
 }

@@ -1,7 +1,6 @@
 package diff
 
 import (
-	"crypto/sha256"
 	"fmt"
 	"runtime"
 	"sort"
@@ -10,7 +9,6 @@ import (
 
 	"ipdelta/internal/chunk"
 	"ipdelta/internal/delta"
-	"ipdelta/internal/lru"
 	"ipdelta/internal/obs"
 )
 
@@ -416,60 +414,4 @@ func appendRecipeRange(dst []byte, r chunk.Recipe, starts []int64, src chunk.Sou
 		dst = append(dst, data[a:b]...)
 	}
 	return dst, nil
-}
-
-// RecipeAlgo adapts the recipe differ to the byte-level Algorithm
-// interface: inputs are chunked into a private dedup store on first
-// sight and subsequent diffs run over recipes. It is the "recipe" entry
-// in ByName, which is how netupdate sessions source their deltas from
-// chunk recipes.
-//
-// Recipes are cached by whole-input SHA-256 in an lru.Cache of
-// recipeCacheEntries, so a server diffing many clients against the same
-// image ingests it once; concurrent diffs of one new input ingest it
-// once too. A cached recipe pins its chunks, and eviction releases them
-// to the chunk store's own LRU.
-type RecipeAlgo struct {
-	ck      *chunk.Chunker
-	cs      *chunk.Store
-	rd      *RecipeDiffer
-	recipes *lru.Cache[[sha256.Size]byte, chunk.Recipe]
-}
-
-// recipeCacheEntries bounds how many distinct inputs stay pinned as
-// recipes.
-const recipeCacheEntries = 8
-
-// NewRecipeAlgo returns a recipe-backed Algorithm with default chunking
-// parameters and a private bounded chunk store.
-func NewRecipeAlgo() *RecipeAlgo {
-	ck, err := chunk.NewChunker(chunk.Params{})
-	if err != nil {
-		panic(err) // defaults are statically valid
-	}
-	a := &RecipeAlgo{ck: ck, cs: chunk.NewStore(), rd: NewRecipeDiffer()}
-	a.recipes = lru.New(recipeCacheEntries, nil, func(_ [sha256.Size]byte, r chunk.Recipe) {
-		a.cs.ReleaseRecipe(r)
-	}, nil)
-	return a
-}
-
-// Name implements Algorithm.
-func (a *RecipeAlgo) Name() string { return "recipe" }
-
-// Diff implements Algorithm: chunk (or recall) both inputs, the version
-// against the reference's recipe, then diff their recipes.
-func (a *RecipeAlgo) Diff(ref, version []byte) (*delta.Delta, error) {
-	ro := a.recipeFor(ref, chunk.Recipe{})
-	rn := a.recipeFor(version, ro)
-	return a.rd.DiffRecipes(ro, rn, a.cs)
-}
-
-// recipeFor returns the cached recipe of data, ingesting it against like
-// on a miss.
-func (a *RecipeAlgo) recipeFor(data []byte, like chunk.Recipe) chunk.Recipe {
-	r, _, _ := a.recipes.Do(sha256.Sum256(data), func() (chunk.Recipe, error) {
-		return a.cs.IngestLike(a.ck, data, like), nil
-	})
-	return r
 }

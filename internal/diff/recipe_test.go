@@ -214,88 +214,3 @@ func TestRecipeDiffCompressesChurn(t *testing.T) {
 		t.Fatal("run differ saw far more bytes than the churn")
 	}
 }
-
-func TestRecipeAlgoByName(t *testing.T) {
-	algo, err := ByName("recipe")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if algo.Name() != "recipe" {
-		t.Fatalf("name = %q", algo.Name())
-	}
-	rng := rand.New(rand.NewSource(6))
-	old := make([]byte, 512<<10)
-	rng.Read(old)
-	new := append([]byte(nil), old...)
-	rng.Read(new[100<<10 : 120<<10])
-	for round := 0; round < 3; round++ { // repeated diffs hit the recipe cache
-		d, err := algo.Diff(old, new)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if err := d.Validate(); err != nil {
-			t.Fatal(err)
-		}
-		got, err := d.Apply(old)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !bytes.Equal(got, new) {
-			t.Fatalf("round %d: recipe algorithm reconstruction mismatch", round)
-		}
-	}
-}
-
-func TestRecipeAlgoCacheEviction(t *testing.T) {
-	a := NewRecipeAlgo()
-	rng := rand.New(rand.NewSource(7))
-	inputs := make([][]byte, recipeCacheEntries+4)
-	for k := range inputs {
-		inputs[k] = make([]byte, 64<<10)
-		rng.Read(inputs[k])
-	}
-	for k := 1; k < len(inputs); k++ {
-		if _, err := a.Diff(inputs[k-1], inputs[k]); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if cached := a.recipes.Len(); cached > recipeCacheEntries {
-		t.Fatalf("recipe cache holds %d entries, bound is %d", cached, recipeCacheEntries)
-	}
-	if st := a.cs.Stats(); st.PinnedBytes > recipeCacheEntries*64<<10+16<<10 {
-		t.Fatalf("evicted recipes did not release their pins: %+v", st)
-	}
-}
-
-// TestRecipeAlgoKeepsSharedVersion: a server diffs one version against
-// many references. The version is used by every diff, so it stays cached
-// however many references pass through, and each diff after the first
-// ingests only its reference's chunks.
-func TestRecipeAlgoKeepsSharedVersion(t *testing.T) {
-	reg := obs.NewRegistry()
-	a := NewRecipeAlgo()
-	a.cs = chunk.NewStore(chunk.WithObserver(reg))
-	ingests := func() int64 {
-		snap := reg.Snapshot()
-		return snap.Counter("ipdelta_chunk_dedup_hits_total") + snap.Counter("ipdelta_chunk_dedup_misses_total")
-	}
-	rng := rand.New(rand.NewSource(8))
-	version := make([]byte, 256<<10)
-	rng.Read(version)
-	for k := range recipeCacheEntries + 4 {
-		ref := make([]byte, 256<<10)
-		rng.Read(ref)
-		before := ingests()
-		if _, err := a.Diff(ref, version); err != nil {
-			t.Fatal(err)
-		}
-		if k == 0 {
-			continue
-		}
-		var want int64
-		a.ck.Split(ref, func([]byte) { want++ })
-		if got := ingests() - before; got != want {
-			t.Fatalf("diff %d ingested %d chunks, want the reference's %d", k, got, want)
-		}
-	}
-}

@@ -24,7 +24,6 @@ import (
 	"ipdelta/internal/codec"
 	"ipdelta/internal/device"
 	"ipdelta/internal/diff"
-	"ipdelta/internal/inplace"
 	"ipdelta/internal/netupdate"
 )
 
@@ -100,10 +99,13 @@ func Simulate(cfg Config, mode Mode) (*Outcome, error) {
 	newLen := int64(len(newImage))
 	out := &Outcome{Mode: mode}
 
-	// Per-source-release delta caches.
-	scratchDeltas := map[int]int64{}  // encoded size only; applied via Apply
-	inplaceDeltas := map[int][]byte{} // encoded compact in-place deltas
+	scratchDeltas := map[int]int64{} // encoded size per source release
 	algo := diff.NewLinear()
+	// The update server builds and caches the in-place deltas.
+	srv, err := netupdate.NewServer(cfg.Releases)
+	if err != nil {
+		return nil, err
+	}
 
 	for di, spec := range cfg.Devices {
 		if spec.Release < 0 || spec.Release >= len(cfg.Releases) {
@@ -138,22 +140,9 @@ func Simulate(cfg Config, mode Mode) (*Outcome, error) {
 				out.BytesOnWire += newLen
 			}
 		case ModeDeltaInPlace:
-			enc, ok := inplaceDeltas[spec.Release]
-			if !ok {
-				d, err := algo.Diff(oldImage, newImage)
-				if err != nil {
-					return nil, err
-				}
-				ip, _, err := inplace.Convert(d, oldImage)
-				if err != nil {
-					return nil, err
-				}
-				var buf bytes.Buffer
-				if _, err := codec.Encode(&buf, ip, codec.FormatCompact); err != nil {
-					return nil, err
-				}
-				enc = buf.Bytes()
-				inplaceDeltas[spec.Release] = enc
+			enc, err := srv.Delta(spec.Release)
+			if err != nil {
+				return nil, err
 			}
 			// Actually drive the device substrate: flash + streaming apply.
 			flash, err := device.NewFlash(oldImage, capacity)

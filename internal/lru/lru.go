@@ -1,10 +1,9 @@
 // Package lru is the one build cache: an LRU map with singleflight,
 // bounded by a budget of cost units. The store's materialization cache
-// (charged in bytes), the update server's per-release deltas and the
-// recipe differ's chunked inputs (charged one unit each) are each a
-// Cache with their own key, budget, cost and hooks. The package counts
-// nothing: Do reports each call's Outcome and the caller bumps its own
-// metrics.
+// (charged in bytes) and the update server's per-release deltas (charged
+// one unit each) are each a Cache with their own key, budget, cost and
+// hooks. The package counts nothing: Do reports each call's Outcome and
+// the caller bumps its own metrics.
 package lru
 
 import (

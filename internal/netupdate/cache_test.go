@@ -199,7 +199,7 @@ func TestServerFailedBuildNotCached(t *testing.T) {
 			t.Errorf("session %d succeeded on a failed build", i)
 		}
 	}
-	if n := cachedDeltas(srv, false); n != 0 {
+	if n := srv.cache.Len(); n != 0 {
 		t.Fatalf("failed build left %d cached deltas", n)
 	}
 

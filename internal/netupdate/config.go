@@ -5,7 +5,6 @@ import (
 	"log/slog"
 	"time"
 
-	"ipdelta/internal/codec"
 	"ipdelta/internal/diff"
 	"ipdelta/internal/netupdate/mux"
 	"ipdelta/internal/obs"
@@ -21,12 +20,8 @@ import (
 type Config struct {
 	// --- server-side delta production ---
 
-	// Format is the wire format for deltas (must be in-place capable).
-	Format codec.Format
 	// Algorithm is the differencing algorithm.
 	Algorithm diff.Algorithm
-	// ScratchBudget enables bounded-scratch deltas when positive.
-	ScratchBudget int64
 	// FailureBudget rejects clients after that many consecutive failed
 	// sessions; zero disables.
 	FailureBudget int
@@ -51,18 +46,14 @@ type Config struct {
 	InitialWindow int
 	// MaxFrame is the largest DATA frame payload accepted.
 	MaxFrame int
-	// AcceptBacklog bounds accepted-but-unclaimed streams server-side.
-	AcceptBacklog int
 
 	// --- client retry ladder ---
 
 	// MaxAttempts bounds total session attempts (default 8).
 	MaxAttempts int
 	// BaseBackoff is the delay before the first retry, doubling per
-	// attempt (default 100ms).
+	// attempt up to 5s (default 100ms).
 	BaseBackoff time.Duration
-	// MaxBackoff caps the exponential backoff (default 5s).
-	MaxBackoff time.Duration
 	// FullFallbackAfter is how many consecutive failed delta sessions the
 	// client tolerates before degrading to a full-image transfer; zero
 	// uses the default (3), negative disables the fallback.
@@ -91,7 +82,6 @@ func (c *Config) muxSettings() mux.Settings {
 		MaxStreams:    c.StreamLimit,
 		InitialWindow: c.InitialWindow,
 		MaxFrame:      c.MaxFrame,
-		AcceptBacklog: c.AcceptBacklog,
 	}
 }
 
@@ -103,9 +93,6 @@ func (c Config) withClientDefaults() Config {
 	if c.BaseBackoff <= 0 {
 		c.BaseBackoff = 100 * time.Millisecond
 	}
-	if c.MaxBackoff <= 0 {
-		c.MaxBackoff = 5 * time.Second
-	}
 	if c.FullFallbackAfter == 0 {
 		c.FullFallbackAfter = 3
 	}
@@ -115,29 +102,9 @@ func (c Config) withClientDefaults() Config {
 	return c
 }
 
-// WithFormat selects the wire format for deltas (must be in-place
-// capable; default compact).
-func WithFormat(f codec.Format) Option {
-	return func(c *Config) { c.Format = f }
-}
-
 // WithAlgorithm selects the differencing algorithm (default linear).
 func WithAlgorithm(a diff.Algorithm) Option {
 	return func(c *Config) { c.Algorithm = a }
-}
-
-// WithScratchBudget makes the server prepare bounded-scratch deltas (the
-// stash/unstash extension) for devices whose flash has room for the new
-// image plus the scratch area; other devices receive the plain in-place
-// delta. A little durable scratch recovers most of the compression lost
-// to cycle breaking.
-func WithScratchBudget(n int64) Option {
-	return func(c *Config) {
-		if n < 0 {
-			n = 0
-		}
-		c.ScratchBudget = n
-	}
 }
 
 // WithMessageTimeout arms a fresh read/write deadline before every I/O
@@ -189,12 +156,6 @@ func WithMaxFrame(n int) Option {
 	return func(c *Config) { c.MaxFrame = n }
 }
 
-// WithAcceptBacklog bounds accepted-but-unclaimed streams on the
-// serving side of a v2 connection (default 128).
-func WithAcceptBacklog(n int) Option {
-	return func(c *Config) { c.AcceptBacklog = n }
-}
-
 // WithRequestFull asks the server for the complete current image
 // instead of a delta. Any pending delta update is abandoned.
 func WithRequestFull(full bool) Option {
@@ -207,14 +168,9 @@ func WithMaxAttempts(n int) Option {
 }
 
 // WithBaseBackoff sets the delay before the first retry; it doubles per
-// attempt (default 100ms).
+// attempt up to 5s (default 100ms).
 func WithBaseBackoff(d time.Duration) Option {
 	return func(c *Config) { c.BaseBackoff = d }
-}
-
-// WithMaxBackoff caps the exponential backoff (default 5s).
-func WithMaxBackoff(d time.Duration) Option {
-	return func(c *Config) { c.MaxBackoff = d }
 }
 
 // WithFullFallbackAfter sets how many consecutive failed delta sessions

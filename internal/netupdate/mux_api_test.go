@@ -394,11 +394,9 @@ func TestOptionSurfaceCovers(t *testing.T) {
 		WithStreamLimit(9),
 		WithInitialWindow(1 << 20),
 		WithMaxFrame(2 << 10),
-		WithAcceptBacklog(5),
 		WithRequestFull(true),
 		WithMaxAttempts(2),
 		WithBaseBackoff(time.Millisecond),
-		WithMaxBackoff(time.Minute),
 		WithFullFallbackAfter(7),
 		WithSeed(42),
 	})
@@ -408,11 +406,9 @@ func TestOptionSurfaceCovers(t *testing.T) {
 		StreamLimit:       9,
 		InitialWindow:     1 << 20,
 		MaxFrame:          2 << 10,
-		AcceptBacklog:     5,
 		RequestFull:       true,
 		MaxAttempts:       2,
 		BaseBackoff:       time.Millisecond,
-		MaxBackoff:        time.Minute,
 		FullFallbackAfter: 7,
 		Seed:              42,
 	})
@@ -420,7 +416,7 @@ func TestOptionSurfaceCovers(t *testing.T) {
 		t.Fatalf("options applied %s, want %s", got, want)
 	}
 	st := c.muxSettings()
-	if st.MaxStreams != 9 || st.InitialWindow != 1<<20 || st.MaxFrame != 2<<10 || st.AcceptBacklog != 5 {
+	if st.MaxStreams != 9 || st.InitialWindow != 1<<20 || st.MaxFrame != 2<<10 || st.AcceptBacklog != 0 {
 		t.Fatalf("muxSettings projection wrong: %+v", st)
 	}
 }

@@ -12,6 +12,7 @@ import (
 	"ipdelta/internal/codec"
 	"ipdelta/internal/corpus"
 	"ipdelta/internal/device"
+	"ipdelta/internal/obs"
 )
 
 // makeHistory builds a release history of n successive versions.
@@ -89,7 +90,7 @@ func TestSessionReadsImageTwice(t *testing.T) {
 		t.Fatal(err)
 	}
 	dev := device.New(flash, int64(len(history[0])), 1024)
-	enc, err := s.deltaFor(0, flash.Capacity())
+	enc, err := s.Delta(0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -256,9 +257,6 @@ func TestNewServerValidation(t *testing.T) {
 	if _, err := NewServer(nil); err == nil {
 		t.Fatal("accepted empty history")
 	}
-	if _, err := NewServer([][]byte{{1}}, WithFormat(codec.FormatOrdered)); err == nil {
-		t.Fatal("accepted non-in-place format")
-	}
 }
 
 func TestCapacityTooSmall(t *testing.T) {
@@ -394,103 +392,67 @@ func TestConcurrentFleetOverTCP(t *testing.T) {
 	}
 }
 
-func TestServerScratchDeltas(t *testing.T) {
-	// Build a history whose update has cycles (block swap).
-	base := corpus.Generate(corpus.PairSpec{Profile: corpus.Binary, Size: 32 << 10, ChangeRate: 0, Seed: 9})
-	v2 := append([]byte(nil), base.Ref...)
-	tmp := append([]byte(nil), v2[0:8<<10]...)
-	copy(v2[0:8<<10], v2[16<<10:24<<10])
-	copy(v2[16<<10:24<<10], tmp)
-	history := [][]byte{base.Ref, v2}
-
-	srv, err := NewServer(history, WithScratchBudget(16<<10))
+// TestServerOneBuildPerRelease: sessions from every old release, run
+// twice, build each release's delta exactly once; the second round is
+// served from the cache. Every cached payload is a compact in-place delta
+// that brings a device on its release to the current version.
+func TestServerOneBuildPerRelease(t *testing.T) {
+	releases := makeHistory(5, 16<<10, 10)
+	history := releases[:len(releases)-1] // the releases devices update from
+	reg := obs.NewRegistry()
+	s, err := NewServer(releases, WithObserver(reg))
 	if err != nil {
 		t.Fatal(err)
 	}
-	plainSrv, err := NewServer(history)
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	// A roomy device gets the scratch delta, which is smaller than the
-	// plain one (the swap cycle is stashed, not carried as an add).
-	roomy := deviceFor(t, history[0], 64<<10)
-	res, err := runSession(t, srv, roomy)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(roomy.Image(), v2) {
-		t.Fatal("roomy device image wrong")
-	}
-	plainDev := deviceFor(t, history[0], 64<<10)
-	plainRes, err := runSession(t, plainSrv, plainDev)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.DeltaBytes >= plainRes.DeltaBytes {
-		t.Fatalf("scratch delta (%d) not smaller than plain (%d)", res.DeltaBytes, plainRes.DeltaBytes)
-	}
-
-	// A tight device (no scratch headroom) falls back to the plain delta
-	// and still updates.
-	tight := deviceFor(t, history[0], 32<<10)
-	tightRes, err := runSession(t, srv, tight)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(tight.Image(), v2) {
-		t.Fatal("tight device image wrong")
-	}
-	if tightRes.DeltaBytes != plainRes.DeltaBytes {
-		t.Fatalf("tight device got %d bytes, want plain %d", tightRes.DeltaBytes, plainRes.DeltaBytes)
-	}
-}
-
-func TestServerPrewarm(t *testing.T) {
-	history := makeHistory(4, 16<<10, 10)
-	s, err := NewServer(history)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := s.Prewarm(4); err != nil {
-		t.Fatal(err)
-	}
-	// Every non-head release is cached.
-	cached := cachedDeltas(s, false)
-	if cached != len(history)-1 {
-		t.Fatalf("prewarmed %d of %d releases", cached, len(history)-1)
-	}
-	// Sessions still work and serve the cached bytes.
-	dev := deviceFor(t, history[0], 64<<10)
-	if _, err := runSession(t, s, dev); err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(dev.Image(), s.Current()) {
-		t.Fatal("device image wrong after prewarm")
-	}
-
-	// Scratch-enabled servers prewarm the scratch cache.
-	s2, err := NewServer(history, WithScratchBudget(8<<10))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := s2.Prewarm(0); err != nil {
-		t.Fatal(err)
-	}
-	cached = cachedDeltas(s2, true)
-	if cached != len(history)-1 {
-		t.Fatalf("scratch prewarm cached %d", cached)
-	}
-}
-
-// cachedDeltas counts the server's cached deltas of one variant.
-func cachedDeltas(s *Server, scratch bool) int {
-	n := 0
-	s.cache.Max(func(key deltaKey) (int, bool) {
-		if key.scratch == scratch {
-			n++
+	for round := 0; round < 2; round++ {
+		for i, img := range history {
+			dev := deviceFor(t, img, 64<<10)
+			if _, err := runSession(t, s, dev); err != nil {
+				t.Fatalf("round %d, release %d: %v", round, i, err)
+			}
+			if !bytes.Equal(dev.Image(), s.Current()) {
+				t.Fatalf("round %d, release %d: device image wrong", round, i)
+			}
 		}
-		return 0, false // count only; select no entry
-	})
-	return n
+	}
+	snap := reg.Snapshot()
+	n := int64(len(history))
+	for name, want := range map[string]int64{
+		"ipdelta_server_delta_cache_misses_total": n,
+		"ipdelta_server_delta_cache_hits_total":   n,
+	} {
+		if got := snap.Counter(name); got != want {
+			t.Errorf("%s = %d, want %d", name, got, want)
+		}
+	}
+	if got := snap.Gauges["ipdelta_server_cached_deltas"]; got != n {
+		t.Errorf("ipdelta_server_cached_deltas = %d, want %d", got, n)
+	}
+
+	for i, img := range history {
+		enc, err := s.Delta(i)
+		if err != nil {
+			t.Fatal(err)
+		}
+		d, f, err := codec.Decode(bytes.NewReader(enc))
+		if err != nil {
+			t.Fatalf("release %d: %v", i, err)
+		}
+		if f != codec.FormatCompact {
+			t.Errorf("release %d: payload format %v, want %v", i, f, codec.FormatCompact)
+		}
+		if err := d.CheckInPlace(); err != nil {
+			t.Errorf("release %d: %v", i, err)
+		}
+		dev := deviceFor(t, img, 64<<10)
+		if err := dev.Apply(bytes.NewReader(enc)); err != nil {
+			t.Fatalf("release %d: apply: %v", i, err)
+		}
+		if !bytes.Equal(dev.Image(), s.Current()) {
+			t.Errorf("release %d: payload does not rebuild the current version", i)
+		}
+	}
+	if _, err := s.Delta(len(releases)); err == nil {
+		t.Error("Delta accepted a release index outside the history")
+	}
 }

@@ -8,7 +8,6 @@ import (
 	"hash/crc32"
 	"log/slog"
 	"net"
-	"runtime"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -31,21 +30,18 @@ var ErrBudgetExhausted = errors.New("netupdate: client exceeded its failure budg
 type Server struct {
 	history [][]byte // oldest first; last entry is current
 	crcs    []uint32
-	format  codec.Format
 	algo    diff.Algorithm
 
-	scratchBudget int64
-	msgTimeout    time.Duration
-	failBudget    int
-	muxSet        mux.Settings
+	msgTimeout time.Duration
+	failBudget int
+	muxSet     mux.Settings
 
-	obsReg *obs.Registry
-	met    *serverMetrics
-	log    *slog.Logger
+	met *serverMetrics
+	log *slog.Logger
 
-	cache    *lru.Cache[deltaKey, deltaEntry] // built deltas
-	mu       sync.Mutex                       // guards failures
-	failures map[string]int                   // consecutive failed sessions per client
+	cache    *lru.Cache[int, []byte] // encoded delta per source release index
+	mu       sync.Mutex              // guards failures
+	failures map[string]int          // consecutive failed sessions per client
 
 	// served counts delta payload bytes sent, for transfer accounting.
 	served atomic.Int64
@@ -58,35 +54,25 @@ func NewServer(history [][]byte, opts ...Option) (*Server, error) {
 	if len(history) == 0 {
 		return nil, fmt.Errorf("netupdate: empty release history")
 	}
-	cfg := Config{
-		Format:    codec.FormatCompact,
-		Algorithm: diff.NewLinear(),
-	}
+	cfg := Config{Algorithm: diff.NewLinear()}
 	cfg.apply(opts)
 	s := &Server{
-		history:       history,
-		format:        cfg.Format,
-		algo:          cfg.Algorithm,
-		scratchBudget: cfg.ScratchBudget,
-		msgTimeout:    cfg.MessageTimeout,
-		failBudget:    cfg.FailureBudget,
-		obsReg:        cfg.Observer,
-		log:           cfg.Logger,
-		muxSet:        cfg.muxSettings(),
-		failures:      make(map[string]int),
+		history:    history,
+		algo:       cfg.Algorithm,
+		msgTimeout: cfg.MessageTimeout,
+		failBudget: cfg.FailureBudget,
+		log:        obs.OrNop(cfg.Logger),
+		muxSet:     cfg.muxSettings(),
+		failures:   make(map[string]int),
 	}
-	var onWait func(deltaKey)
-	if s.obsReg != nil {
-		s.met = resolveServerMetrics(s.obsReg)
-		onWait = func(deltaKey) { s.met.buildWaits.Inc() }
+	var onWait func(int)
+	if cfg.Observer != nil {
+		s.met = resolveServerMetrics(cfg.Observer)
+		onWait = func(int) { s.met.buildWaits.Inc() }
 	}
-	// A nil cost counts entries: one plain and one scratch delta per
-	// release, so the budget never evicts.
-	s.cache = lru.New[deltaKey, deltaEntry](2*int64(len(history)), nil, nil, onWait)
-	s.log = obs.OrNop(s.log)
-	if !s.format.InPlaceCapable() {
-		return nil, fmt.Errorf("netupdate: format %v cannot carry in-place deltas", s.format)
-	}
+	// A nil cost counts entries: one delta per release, so the budget
+	// never evicts.
+	s.cache = lru.New[int, []byte](int64(len(history)), nil, nil, onWait)
 	s.crcs = make([]uint32, len(history))
 	for k, v := range history {
 		s.crcs[k] = crc32.ChecksumIEEE(v)
@@ -110,51 +96,21 @@ func (s *Server) findVersion(crc uint32, length int64) (int, bool) {
 	return 0, false
 }
 
-// deltaKey identifies one cached delta: the source release's CRC and
-// whether it is the scratch-format variant.
-type deltaKey struct {
-	crc     uint32
-	scratch bool
-}
-
-// deltaEntry is one built delta: its encoded bytes and the device
-// footprint applying it needs, max(RefLen, VersionLen) + ScratchLen.
-type deltaEntry struct {
-	enc       []byte
-	footprint int64
-}
-
-// deltaFor returns (building and caching if needed) the encoded in-place
-// delta from history[idx] to the current version. With scratch enabled,
-// the scratch-format variant is built too and preferred for devices whose
-// capacity accommodates it.
-func (s *Server) deltaFor(idx int, deviceCapacity int64) ([]byte, error) {
-	crc := s.crcs[idx]
-	if s.scratchBudget > 0 {
-		e, err := s.entry(idx, deltaKey{crc: crc, scratch: true})
-		if err != nil {
-			return nil, err
-		}
-		if e.footprint <= deviceCapacity {
-			return e.enc, nil
-		}
-		// Fall through to the plain delta for tight devices.
+// Delta returns the encoded in-place delta from release i of the history
+// to the current version, building and caching it on the first call.
+// Concurrent callers for one cold release share one build, and no lock is
+// held across it, so callers for other releases proceed. A failed build
+// is not cached: its waiters get the error and the next call rebuilds.
+// The returned bytes are shared between callers and must not be modified.
+func (s *Server) Delta(i int) ([]byte, error) {
+	if i < 0 || i >= len(s.history) {
+		return nil, fmt.Errorf("netupdate: release %d outside a history of %d", i, len(s.history))
 	}
-	e, err := s.entry(idx, deltaKey{crc: crc})
-	return e.enc, err
-}
-
-// entry returns the delta for key, building it from history[idx] on a
-// miss. Concurrent callers for the same cold key share one build, and no
-// lock is held across it, so callers for other keys proceed. A failed
-// build is not cached: its waiters get the error and the next call
-// rebuilds.
-func (s *Server) entry(idx int, key deltaKey) (deltaEntry, error) {
-	e, o, err := s.cache.Do(key, func() (deltaEntry, error) {
+	enc, o, err := s.cache.Do(i, func() ([]byte, error) {
 		if s.met != nil {
 			s.met.cacheMisses.Inc()
 		}
-		return s.build(idx, key.scratch)
+		return s.build(i)
 	})
 	if s.met != nil {
 		switch {
@@ -164,75 +120,30 @@ func (s *Server) entry(idx int, key deltaKey) (deltaEntry, error) {
 			s.met.cachedDeltas.Set(int64(s.cache.Len()))
 		}
 	}
-	return e, err
+	return enc, err
 }
 
-// build runs diff → in-place convert → encode for history[idx] against
-// the current version, in the scratch format when scratch is set. Cycles
-// are broken under the locally-minimum policy, the paper's default.
-func (s *Server) build(idx int, scratch bool) (deltaEntry, error) {
+// build runs diff → in-place convert → compact encode for history[i]
+// against the current version. Cycles are broken under the
+// locally-minimum policy, the paper's default.
+func (s *Server) build(i int) ([]byte, error) {
 	if s.met != nil {
 		defer s.met.buildStage.Start().End()
 	}
-	opts := []inplace.Option{inplace.WithPolicy(graph.LocallyMinimum{})}
-	format := s.format
-	if scratch {
-		opts = append(opts, inplace.WithScratchBudget(s.scratchBudget))
-		format = codec.FormatScratch
-	}
-	ref := s.history[idx]
+	ref := s.history[i]
 	d, err := s.algo.Diff(ref, s.Current())
 	if err != nil {
-		return deltaEntry{}, fmt.Errorf("netupdate diff: %w", err)
+		return nil, fmt.Errorf("netupdate diff: %w", err)
 	}
-	ip, _, err := inplace.Convert(d, ref, opts...)
+	ip, _, err := inplace.Convert(d, ref, inplace.WithPolicy(graph.LocallyMinimum{}))
 	if err != nil {
-		return deltaEntry{}, fmt.Errorf("netupdate convert: %w", err)
+		return nil, fmt.Errorf("netupdate convert: %w", err)
 	}
 	var buf bytes.Buffer
-	if _, err := codec.Encode(&buf, ip, format); err != nil {
-		return deltaEntry{}, fmt.Errorf("netupdate encode: %w", err)
+	if _, err := codec.Encode(&buf, ip, codec.FormatCompact); err != nil {
+		return nil, fmt.Errorf("netupdate encode: %w", err)
 	}
-	return deltaEntry{
-		enc:       buf.Bytes(),
-		footprint: max(ip.RefLen, ip.VersionLen) + ip.ScratchRequired(),
-	}, nil
-}
-
-// Prewarm builds every per-release delta ahead of time on a bounded
-// fan-out of workers goroutines (GOMAXPROCS when workers <= 0), through
-// the same cache path sessions use, so the first device of each release
-// is not stalled behind a build. With a scratch budget it fills the
-// scratch variant. It returns the first error, after attempting every
-// release.
-func (s *Server) Prewarm(workers int) error {
-	n := len(s.history) - 1
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
-	idxs := make(chan int, n) // sized to the number of sends
-	for k := range n {
-		idxs <- k
-	}
-	close(idxs)
-	errs := make([]error, n)
-	var wg sync.WaitGroup
-	for range min(workers, n) {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for k := range idxs {
-				_, errs[k] = s.entry(k, deltaKey{crc: s.crcs[k], scratch: s.scratchBudget > 0})
-			}
-		}()
-	}
-	wg.Wait()
-	for _, err := range errs {
-		if err != nil {
-			return err
-		}
-	}
-	return nil
+	return buf.Bytes(), nil
 }
 
 // Serve accepts connections until the listener is closed, handling each in
@@ -475,7 +386,7 @@ func (s *Server) session(conn net.Conn) error {
 		_ = s.writeTimed(w, msgError, []byte(ErrUnknownVersion.Error()))
 		return ErrUnknownVersion
 	}
-	enc, err := s.deltaFor(idx, h.Capacity)
+	enc, err := s.Delta(idx)
 	if err != nil {
 		_ = s.writeTimed(w, msgError, []byte("internal error"))
 		return err

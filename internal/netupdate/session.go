@@ -206,13 +206,16 @@ func (ru *Client) attempt(ctx context.Context, dial DialFunc, dev *device.Device
 		WithMessageTimeout(ru.cfg.MessageTimeout), WithRequestFull(full))
 }
 
+// maxBackoff caps the exponential retry delay.
+const maxBackoff = 5 * time.Second
+
 // backoff returns the capped exponential delay for the given (1-based)
 // attempt, jittered to a uniform value in [d/2, d) so a fleet knocked over
 // together does not reconnect in lockstep.
 func (ru *Client) backoff(attempt int) time.Duration {
 	d := ru.cfg.BaseBackoff << (attempt - 1)
-	if d <= 0 || d > ru.cfg.MaxBackoff {
-		d = ru.cfg.MaxBackoff
+	if d <= 0 || d > maxBackoff {
+		d = maxBackoff
 	}
 	ru.mu.Lock()
 	jitter := ru.rng.Float64()
