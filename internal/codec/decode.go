@@ -1,8 +1,8 @@
 package codec
 
 import (
-	"bufio"
 	"encoding/binary"
+	"errors"
 	"fmt"
 	"hash/crc32"
 	"io"
@@ -28,7 +28,7 @@ type Header struct {
 // trailing CRC32 is verified when the last command has been read; Next
 // reports io.EOF only after a successful verification.
 type Decoder struct {
-	r    *crcReader
+	r    crcReader
 	hdr  Header
 	left int   // commands still to be read
 	next int64 // implicit write offset for ordered formats / compact adds
@@ -44,15 +44,16 @@ type Decoder struct {
 
 // NewDecoder reads and validates the header.
 func NewDecoder(r io.Reader) (*Decoder, error) {
-	cr := newCRCReader(r)
-	var m [4]byte
-	if err := cr.readFull(m[:]); err != nil {
+	d := &Decoder{r: crcReader{rd: r}}
+	cr := &d.r
+	m, err := cr.take(len(magic))
+	if err != nil {
 		return nil, fmt.Errorf("%w: %v", ErrTruncated, err)
 	}
-	if m != magic {
+	if [4]byte(m) != magic {
 		return nil, ErrBadMagic
 	}
-	fb, err := cr.ReadByte()
+	fb, err := cr.readByte()
 	if err != nil {
 		return nil, fmt.Errorf("%w: %v", ErrTruncated, err)
 	}
@@ -83,16 +84,13 @@ func NewDecoder(r io.Reader) (*Decoder, error) {
 	if err != nil {
 		return nil, err
 	}
-	d := &Decoder{
-		r: cr,
-		hdr: Header{
-			Format:      f,
-			RefLen:      int64(refLen),
-			VersionLen:  int64(versionLen),
-			NumCommands: nc,
-		},
-		left: nc,
+	d.hdr = Header{
+		Format:      f,
+		RefLen:      int64(refLen),
+		VersionLen:  int64(versionLen),
+		NumCommands: nc,
 	}
+	d.left = nc
 	if f == FormatScratch {
 		n, err := cr.readUvarint()
 		if err != nil {
@@ -125,102 +123,113 @@ func (d *Decoder) Header() Header { return d.hdr }
 // Next returns the next command, or io.EOF once all commands have been read
 // and the checksum verified.
 func (d *Decoder) Next() (delta.Command, error) {
+	var c delta.Command
+	if err := d.decodeNext(&c); err != nil {
+		return delta.Command{}, err
+	}
+	return c, nil
+}
+
+// decodeNext decodes the next command into the zero command c: the
+// command decoders fill it in place rather than return it by value.
+func (d *Decoder) decodeNext(c *delta.Command) error {
 	if d.pending > 0 && !d.streaming {
-		return delta.Command{}, fmt.Errorf("codec: previous add payload not consumed (%d bytes left)", d.pending)
+		return fmt.Errorf("codec: previous add payload not consumed (%d bytes left)", d.pending)
 	}
 	if d.left == 0 {
 		if d.done {
-			return delta.Command{}, io.EOF
+			return io.EOF
 		}
 		// A compact file with no adds still carries the add-section count.
 		if d.hdr.Format == FormatCompact && d.addsLeft < 0 {
 			n, err := d.r.readUvarint()
 			if err != nil {
-				return delta.Command{}, fmt.Errorf("%w: compact add count", ErrTruncated)
+				return fmt.Errorf("%w: compact add count", ErrTruncated)
 			}
 			if n != 0 {
-				return delta.Command{}, fmt.Errorf("%w: command count disagrees with sections", ErrTruncated)
+				return fmt.Errorf("%w: command count disagrees with sections", ErrTruncated)
 			}
 			d.addsLeft = 0
 		}
 		if err := d.verify(); err != nil {
-			return delta.Command{}, err
+			return err
 		}
 		d.done = true
-		return delta.Command{}, io.EOF
+		return io.EOF
 	}
 	d.left--
 	switch d.hdr.Format {
 	case FormatOrdered, FormatOffsets:
-		return d.varintCommand(d.hdr.Format == FormatOffsets)
+		return d.varintCommand(c, d.hdr.Format == FormatOffsets)
 	case FormatLegacyOrdered, FormatLegacyOffsets:
-		return d.legacyCommand(d.hdr.Format == FormatLegacyOffsets)
+		return d.legacyCommand(c, d.hdr.Format == FormatLegacyOffsets)
 	case FormatCompact:
-		return d.compactCommand()
+		return d.compactCommand(c)
 	case FormatScratch:
-		return d.scratchCommand()
+		return d.scratchCommand(c)
 	default:
-		return delta.Command{}, ErrBadFormat
+		return ErrBadFormat
 	}
 }
 
 // scratchCommand decodes one command of the scratch format.
-func (d *Decoder) scratchCommand() (delta.Command, error) {
-	op, err := d.r.ReadByte()
+func (d *Decoder) scratchCommand(c *delta.Command) error {
+	op, err := d.r.readByte()
 	if err != nil {
-		return delta.Command{}, fmt.Errorf("%w: opcode", ErrTruncated)
+		return fmt.Errorf("%w: opcode", ErrTruncated)
 	}
-	var c delta.Command
 	c.Op = delta.Op(op)
 	switch c.Op {
 	case delta.OpCopy, delta.OpStash:
 		f, err := d.r.readUvarint()
 		if err != nil {
-			return delta.Command{}, fmt.Errorf("%w: from offset", ErrTruncated)
+			return fmt.Errorf("%w: from offset", ErrTruncated)
 		}
 		c.From = int64(f)
 	case delta.OpAdd, delta.OpUnstash:
 		// write offset read below
 	default:
-		return delta.Command{}, fmt.Errorf("decode scratch: %w", delta.ErrBadOp)
+		return fmt.Errorf("decode scratch: %w", delta.ErrBadOp)
 	}
 	if c.Op == delta.OpCopy || c.Op == delta.OpAdd || c.Op == delta.OpUnstash {
 		t, err := d.r.readUvarint()
 		if err != nil {
-			return delta.Command{}, fmt.Errorf("%w: write offset", ErrTruncated)
+			return fmt.Errorf("%w: write offset", ErrTruncated)
 		}
 		c.To = int64(t)
 	}
 	l, err := d.r.readUvarint()
 	if err != nil {
-		return delta.Command{}, fmt.Errorf("%w: length", ErrTruncated)
+		return fmt.Errorf("%w: length", ErrTruncated)
 	}
 	c.Length = int64(l)
 	if c.Op == delta.OpStash {
 		// Stash lengths are bounded by the declared scratch requirement.
 		if c.Length <= 0 || c.Length > d.hdr.ScratchLen {
-			return delta.Command{}, ErrHugeCommand
+			return ErrHugeCommand
 		}
 	} else if err := d.checkLen(c.Length); err != nil {
-		return delta.Command{}, err
+		return err
 	}
 	if c.Op == delta.OpAdd && !d.streaming {
 		data, err := d.readData(c.Length)
 		if err != nil {
-			return delta.Command{}, err
+			return err
 		}
 		c.Data = data
 	}
-	return c, nil
+	return nil
 }
 
+// verify checks the trailing checksum against the sum of the bytes before
+// it; whatever the trailer adds to the running hash afterwards is unused.
 func (d *Decoder) verify() error {
 	want := d.r.sum()
-	var buf [4]byte
-	if err := d.r.readRaw(buf[:]); err != nil {
+	b, err := d.r.take(4)
+	if err != nil {
 		return fmt.Errorf("%w: checksum", ErrTruncated)
 	}
-	if binary.BigEndian.Uint32(buf[:]) != want {
+	if binary.BigEndian.Uint32(b) != want {
 		return ErrChecksum
 	}
 	return nil
@@ -266,27 +275,26 @@ func min64(a, b int64) int64 {
 	return b
 }
 
-func (d *Decoder) varintCommand(offsets bool) (delta.Command, error) {
-	op, err := d.r.ReadByte()
+func (d *Decoder) varintCommand(c *delta.Command, offsets bool) error {
+	op, err := d.r.readByte()
 	if err != nil {
-		return delta.Command{}, fmt.Errorf("%w: opcode", ErrTruncated)
+		return fmt.Errorf("%w: opcode", ErrTruncated)
 	}
-	var c delta.Command
 	c.Op = delta.Op(op)
 	if c.Op != delta.OpCopy && c.Op != delta.OpAdd {
-		return delta.Command{}, fmt.Errorf("decode: %w", delta.ErrBadOp)
+		return fmt.Errorf("decode: %w", delta.ErrBadOp)
 	}
 	if c.Op == delta.OpCopy {
 		f, err := d.r.readUvarint()
 		if err != nil {
-			return delta.Command{}, fmt.Errorf("%w: copy from", ErrTruncated)
+			return fmt.Errorf("%w: copy from", ErrTruncated)
 		}
 		c.From = int64(f)
 	}
 	if offsets {
 		t, err := d.r.readUvarint()
 		if err != nil {
-			return delta.Command{}, fmt.Errorf("%w: write offset", ErrTruncated)
+			return fmt.Errorf("%w: write offset", ErrTruncated)
 		}
 		c.To = int64(t)
 	} else {
@@ -294,33 +302,32 @@ func (d *Decoder) varintCommand(offsets bool) (delta.Command, error) {
 	}
 	l, err := d.r.readUvarint()
 	if err != nil {
-		return delta.Command{}, fmt.Errorf("%w: length", ErrTruncated)
+		return fmt.Errorf("%w: length", ErrTruncated)
 	}
 	c.Length = int64(l)
 	if err := d.checkLen(c.Length); err != nil {
-		return delta.Command{}, err
+		return err
 	}
 	if c.Op == delta.OpAdd && !d.streaming {
 		data, err := d.readData(c.Length)
 		if err != nil {
-			return delta.Command{}, err
+			return err
 		}
 		c.Data = data
 	}
 	d.next = c.To + c.Length
-	return c, nil
+	return nil
 }
 
-func (d *Decoder) legacyCommand(offsets bool) (delta.Command, error) {
-	op, err := d.r.ReadByte()
+func (d *Decoder) legacyCommand(c *delta.Command, offsets bool) error {
+	op, err := d.r.readByte()
 	if err != nil {
-		return delta.Command{}, fmt.Errorf("%w: opcode", ErrTruncated)
+		return fmt.Errorf("%w: opcode", ErrTruncated)
 	}
-	var c delta.Command
 	if offsets {
 		t, err := d.r.readUint(8)
 		if err != nil {
-			return delta.Command{}, fmt.Errorf("%w: write offset", ErrTruncated)
+			return fmt.Errorf("%w: write offset", ErrTruncated)
 		}
 		c.To = int64(t)
 	} else {
@@ -328,19 +335,19 @@ func (d *Decoder) legacyCommand(offsets bool) (delta.Command, error) {
 	}
 	switch op {
 	case legacyOpAdd:
-		l, err := d.r.ReadByte()
+		l, err := d.r.readByte()
 		if err != nil {
-			return delta.Command{}, fmt.Errorf("%w: add length", ErrTruncated)
+			return fmt.Errorf("%w: add length", ErrTruncated)
 		}
 		c.Op = delta.OpAdd
 		c.Length = int64(l)
 		if err := d.checkLen(c.Length); err != nil {
-			return delta.Command{}, err
+			return err
 		}
 		if !d.streaming {
 			data, err := d.readData(c.Length)
 			if err != nil {
-				return delta.Command{}, err
+				return err
 			}
 			c.Data = data
 		}
@@ -353,83 +360,83 @@ func (d *Decoder) legacyCommand(offsets bool) (delta.Command, error) {
 		}
 		f, err := d.r.readUint(fw)
 		if err != nil {
-			return delta.Command{}, fmt.Errorf("%w: copy from", ErrTruncated)
+			return fmt.Errorf("%w: copy from", ErrTruncated)
 		}
 		l, err := d.r.readUint(lw)
 		if err != nil {
-			return delta.Command{}, fmt.Errorf("%w: copy length", ErrTruncated)
+			return fmt.Errorf("%w: copy length", ErrTruncated)
 		}
 		c.Op = delta.OpCopy
 		c.From = int64(f)
 		c.Length = int64(l)
 		if err := d.checkLen(c.Length); err != nil {
-			return delta.Command{}, err
+			return err
 		}
 	default:
-		return delta.Command{}, fmt.Errorf("decode legacy: %w", delta.ErrBadOp)
+		return fmt.Errorf("decode legacy: %w", delta.ErrBadOp)
 	}
 	d.next = c.To + c.Length
-	return c, nil
+	return nil
 }
 
-func (d *Decoder) compactCommand() (delta.Command, error) {
+func (d *Decoder) compactCommand(c *delta.Command) error {
 	if d.copiesLeft > 0 {
 		d.copiesLeft--
 		t, err := d.r.readUvarint()
 		if err != nil {
-			return delta.Command{}, fmt.Errorf("%w: compact copy to", ErrTruncated)
+			return fmt.Errorf("%w: compact copy to", ErrTruncated)
 		}
 		l, err := d.r.readUvarint()
 		if err != nil {
-			return delta.Command{}, fmt.Errorf("%w: compact copy length", ErrTruncated)
+			return fmt.Errorf("%w: compact copy length", ErrTruncated)
 		}
 		disp, err := d.r.readVarint()
 		if err != nil {
-			return delta.Command{}, fmt.Errorf("%w: compact copy displacement", ErrTruncated)
+			return fmt.Errorf("%w: compact copy displacement", ErrTruncated)
 		}
-		c := delta.NewCopy(int64(t)+disp, int64(t), int64(l))
+		*c = delta.NewCopy(int64(t)+disp, int64(t), int64(l))
 		if err := d.checkLen(c.Length); err != nil {
-			return delta.Command{}, err
+			return err
 		}
-		return c, nil
+		return nil
 	}
 	if d.addsLeft < 0 {
 		n, err := d.r.readUvarint()
 		if err != nil {
-			return delta.Command{}, fmt.Errorf("%w: compact add count", ErrTruncated)
+			return fmt.Errorf("%w: compact add count", ErrTruncated)
 		}
 		nAdds, err := intCount(n, "compact add count")
 		if err != nil {
-			return delta.Command{}, err
+			return err
 		}
 		d.addsLeft = nAdds
 		d.next = 0
 	}
 	if d.addsLeft == 0 {
-		return delta.Command{}, fmt.Errorf("%w: command count disagrees with sections", ErrTruncated)
+		return fmt.Errorf("%w: command count disagrees with sections", ErrTruncated)
 	}
 	d.addsLeft--
 	gap, err := d.r.readVarint()
 	if err != nil {
-		return delta.Command{}, fmt.Errorf("%w: compact add gap", ErrTruncated)
+		return fmt.Errorf("%w: compact add gap", ErrTruncated)
 	}
 	l, err := d.r.readUvarint()
 	if err != nil {
-		return delta.Command{}, fmt.Errorf("%w: compact add length", ErrTruncated)
+		return fmt.Errorf("%w: compact add length", ErrTruncated)
 	}
 	if err := d.checkLen(int64(l)); err != nil {
-		return delta.Command{}, err
+		return err
 	}
-	c := delta.Command{Op: delta.OpAdd, To: d.next + gap, Length: int64(l)}
+	*c = delta.Command{Op: delta.OpAdd, To: d.next + gap, Length: int64(l)}
 	if !d.streaming {
 		data, err := d.readData(c.Length)
 		if err != nil {
-			return delta.Command{}, err
+			return err
 		}
 		c.Data = data
 	}
 	d.next = c.To + c.Length
-	return c, nil
+	return nil
 }
 
 // Decode reads a whole delta file. The returned delta's command order is
@@ -472,77 +479,179 @@ func decode(r io.Reader) (*delta.Delta, Format, int64, error) {
 	return out, hdr.Format, dec.r.n, nil
 }
 
-// crcReader tracks the CRC32 and count of all bytes read through it.
-// Single bytes (opcodes, varint bytes) are staged in a fixed array and
-// hashed in bulk with crc32.Update, so the per-byte cost is a store
-// instead of a hash call; the stage is flushed before any bulk read and
-// before the checksum is compared, so the hash always covers exactly the
-// bytes read, in order. *crcReader is itself the io.ByteReader the varint
-// readers consume.
+// readBufSize is the decoder's read-ahead: the underlying reader is asked
+// for up to this many bytes at a time, as bufio.Reader's default would.
+const readBufSize = 4096
+
+// maxEmptyReads bounds the consecutive (0, nil) reads tolerated from the
+// underlying reader before giving up with io.ErrNoProgress, as bufio does.
+const maxEmptyReads = 100
+
+// crcReader buffers the underlying reader and tracks the CRC32 and count
+// of the bytes consumed through it. Varints are parsed in place from the
+// buffer and payloads copied out of it; the consumed span buf[hashed:pos]
+// is hashed with one crc32.Update when the buffer is refilled, in sum, and
+// before a payload tail large enough to bypass the buffer lands in the
+// caller's slice. The hash therefore covers exactly the consumed bytes, in
+// order, at a per-command cost of a few loads instead of an interface call
+// per byte.
 type crcReader struct {
-	r     *bufio.Reader
-	crc   uint32
-	n     int64
-	stage [64]byte
-	ns    int // staged bytes not yet hashed
+	rd       io.Reader
+	buf      [readBufSize]byte
+	pos, end int   // buf[pos:end] is buffered, not yet consumed
+	hashed   int   // buf[hashed:pos] is consumed, not yet hashed
+	err      error // from rd, held until the bytes read with it are used
+	crc      uint32
+	n        int64 // bytes consumed
 }
 
-func newCRCReader(r io.Reader) *crcReader {
-	return &crcReader{r: bufio.NewReader(r)}
-}
-
-// ReadByte implements io.ByteReader, hashing the byte through the stage.
-func (c *crcReader) ReadByte() (byte, error) {
-	b, err := c.r.ReadByte()
-	if err != nil {
-		return 0, err
-	}
-	if c.ns == len(c.stage) {
-		c.flush()
-	}
-	c.stage[c.ns] = b
-	c.ns++
-	c.n++
-	return b, nil
-}
-
-// flush hashes the staged bytes.
+// flush hashes the consumed bytes not yet hashed.
 func (c *crcReader) flush() {
-	c.crc = crc32.Update(c.crc, crc32.IEEETable, c.stage[:c.ns])
-	c.ns = 0
+	c.crc = crc32.Update(c.crc, crc32.IEEETable, c.buf[c.hashed:c.pos])
+	c.hashed = c.pos
 }
 
-// sum returns the CRC32 of every hashed byte read so far.
+// sum returns the CRC32 of every byte consumed so far.
 func (c *crcReader) sum() uint32 {
 	c.flush()
 	return c.crc
 }
 
-func (c *crcReader) readFull(p []byte) error {
-	if _, err := io.ReadFull(c.r, p); err != nil {
-		return err
+// read makes one read of the underlying reader into p, retrying empty
+// reads as bufio does. Bytes read with an error are returned first and
+// the error on the next call.
+func (c *crcReader) read(p []byte) (int, error) {
+	if err := c.err; err != nil {
+		c.err = nil
+		return 0, err
 	}
-	c.flush()
-	c.crc = crc32.Update(c.crc, crc32.IEEETable, p)
-	c.n += int64(len(p))
-	return nil
+	for i := 0; i < maxEmptyReads; i++ {
+		n, err := c.rd.Read(p)
+		if n < 0 || n > len(p) {
+			return 0, errBadRead
+		}
+		if n > 0 {
+			c.err = err
+			return n, nil
+		}
+		if err != nil {
+			return 0, err
+		}
+	}
+	return 0, io.ErrNoProgress
 }
 
-// readRaw reads without hashing; used for the trailing checksum itself.
-func (c *crcReader) readRaw(p []byte) error {
-	n, err := io.ReadFull(c.r, p)
-	c.n += int64(n)
+// errBadRead reports an underlying reader that broke the io.Reader
+// contract by returning a negative or oversized count.
+var errBadRead = errors.New("codec: reader returned an invalid count")
+
+// fill hashes the consumed bytes, moves the unconsumed ones to the front
+// of the buffer and reads once more behind them.
+func (c *crcReader) fill() error {
+	c.flush()
+	c.end = copy(c.buf[:], c.buf[c.pos:c.end])
+	c.pos, c.hashed = 0, 0
+	n, err := c.read(c.buf[c.end:])
+	c.end += n
 	return err
 }
 
-func (c *crcReader) readUvarint() (uint64, error) { return binary.ReadUvarint(c) }
+// readByte consumes one byte.
+func (c *crcReader) readByte() (byte, error) {
+	if c.pos == c.end {
+		if err := c.fill(); err != nil {
+			return 0, err
+		}
+	}
+	b := c.buf[c.pos]
+	c.pos++
+	c.n++
+	return b, nil
+}
 
-func (c *crcReader) readVarint() (int64, error) { return binary.ReadVarint(c) }
+// readFull consumes len(p) bytes into p. Once the buffer is drained, a
+// tail of at least a buffer's length is read straight into p.
+func (c *crcReader) readFull(p []byte) error {
+	for len(p) > 0 {
+		if c.pos == c.end {
+			if len(p) >= len(c.buf) {
+				c.flush()
+				n, err := c.read(p)
+				if err != nil {
+					return err
+				}
+				c.crc = crc32.Update(c.crc, crc32.IEEETable, p[:n])
+				c.n += int64(n)
+				p = p[n:]
+				continue
+			}
+			if err := c.fill(); err != nil {
+				return err
+			}
+		}
+		n := copy(p, c.buf[c.pos:c.end])
+		c.pos += n
+		c.n += int64(n)
+		p = p[n:]
+	}
+	return nil
+}
 
+// take consumes the next n bytes, n <= readBufSize, and returns them in
+// place: the slice is valid until the next read.
+func (c *crcReader) take(n int) ([]byte, error) {
+	for c.end-c.pos < n {
+		if err := c.fill(); err != nil {
+			return nil, err
+		}
+	}
+	b := c.buf[c.pos : c.pos+n]
+	c.pos += n
+	c.n += int64(n)
+	return b, nil
+}
+
+// readUvarint consumes one unsigned varint, parsed in place; the buffer
+// is topped up only while the bytes buffered end inside the varint. At
+// the end of the input it parses what is left and reports the reader's
+// error when that is not a whole varint.
+func (c *crcReader) readUvarint() (uint64, error) {
+	for {
+		v, n := binary.Uvarint(c.buf[c.pos:c.end])
+		if n > 0 {
+			c.pos += n
+			c.n += int64(n)
+			return v, nil
+		}
+		if n < 0 {
+			return 0, errVarintOverflow
+		}
+		if err := c.fill(); err != nil {
+			return 0, err
+		}
+	}
+}
+
+// errVarintOverflow reports a varint longer than a uint64 holds.
+var errVarintOverflow = errors.New("codec: varint overflows a 64-bit integer")
+
+// readVarint consumes one zig-zag signed varint, as binary.ReadVarint.
+func (c *crcReader) readVarint() (int64, error) {
+	u, err := c.readUvarint()
+	x := int64(u >> 1)
+	if u&1 != 0 {
+		x = ^x
+	}
+	return x, err
+}
+
+// readUint consumes a big-endian unsigned integer of width bytes, width <= 8.
 func (c *crcReader) readUint(width int) (uint64, error) {
-	var buf [8]byte
-	if err := c.readFull(buf[8-width:]); err != nil {
+	b, err := c.take(width)
+	if err != nil {
 		return 0, err
 	}
+	var buf [8]byte
+	copy(buf[8-width:], b)
 	return binary.BigEndian.Uint64(buf[:]), nil
 }

@@ -2,8 +2,9 @@ package codec
 
 import (
 	"bytes"
-	"io"
+	"reflect"
 	"testing"
+	"testing/iotest"
 
 	"ipdelta/internal/delta"
 )
@@ -49,8 +50,17 @@ func FuzzDecode(f *testing.F) {
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		got, format, err := Decode(bytes.NewReader(data))
+		// The decoder's buffering must not show: a reader that hands out
+		// one byte per Read gives the same result.
+		slow, slowFormat, slowErr := Decode(iotest.OneByteReader(bytes.NewReader(data)))
+		if (err == nil) != (slowErr == nil) {
+			t.Fatalf("bytes.Reader: %v, one-byte reader: %v", err, slowErr)
+		}
 		if err != nil {
 			return // rejection is fine; panics are not
+		}
+		if slowFormat != format || !reflect.DeepEqual(slow, got) {
+			t.Fatalf("one-byte reader decoded %v %d commands, bytes.Reader %v %d", slowFormat, len(slow.Commands), format, len(got.Commands))
 		}
 		// Accepted input: the delta must re-encode and decode to the same
 		// commands (when it validates; decoding does not enforce command
@@ -86,20 +96,11 @@ func FuzzDecoderStreaming(f *testing.F) {
 	}
 	f.Add(buf.Bytes())
 	f.Fuzz(func(t *testing.T, data []byte) {
-		dec, err := NewDecoder(bytes.NewReader(data))
-		if err != nil {
-			return
-		}
-		for {
-			_, payload, err := dec.NextStreaming()
-			if err != nil {
-				return
-			}
-			if payload != nil {
-				if _, err := io.Copy(io.Discard, payload); err != nil {
-					return
-				}
-			}
+		got := streamAll(bytes.NewReader(data))
+		slow := streamAll(iotest.OneByteReader(bytes.NewReader(data)))
+		if (got.err == "") != (slow.err == "") || got.hdr.Format != slow.hdr.Format || !reflect.DeepEqual(got.cmds, slow.cmds) {
+			t.Fatalf("one-byte reader decoded %v %d commands (err %q), bytes.Reader %v %d (err %q)",
+				slow.hdr.Format, len(slow.cmds), slow.err, got.hdr.Format, len(got.cmds), got.err)
 		}
 	})
 }

@@ -20,8 +20,9 @@ func (d *Decoder) NextStreaming() (delta.Command, io.Reader, error) {
 	if d.pending > 0 {
 		return delta.Command{}, nil, fmt.Errorf("codec: previous add payload not consumed (%d bytes left)", d.pending)
 	}
+	var c delta.Command
 	d.streaming = true
-	c, err := d.Next()
+	err := d.decodeNext(&c)
 	d.streaming = false
 	if err != nil {
 		return delta.Command{}, nil, err

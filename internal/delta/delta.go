@@ -18,10 +18,8 @@ package delta
 
 import (
 	"bytes"
-	"cmp"
 	"errors"
 	"fmt"
-	"slices"
 
 	"ipdelta/internal/interval"
 )
@@ -236,12 +234,14 @@ func (d *Delta) Validate() error {
 // not be used concurrently. Validate on a Validator checks exactly what
 // (*Delta).Validate checks and reports the same error.
 //
-// The write intervals are collected as spans, sorted only when they arrive
-// out of order (an in-place delta lists its copies in dependency order),
-// and checked to tile [0, VersionLen): O(n log n) where inserting each
-// interval into a sorted set cost O(n) per command.
+// The write intervals are collected as spans and checked to tile
+// [0, VersionLen) in start order. Spans that arrive out of order (an
+// in-place delta lists its copies in dependency order) are put in order by
+// a stable radix sort on their start into the validator's second buffer:
+// one linear pass per byte of the largest start, at most eight, and no
+// comparisons.
 type Validator struct {
-	spans, prefix []writeSpan
+	spans, tmp, prefix []writeSpan
 }
 
 // writeSpan is one command's write interval [lo, hi) and its position.
@@ -257,8 +257,10 @@ func (v *Validator) Validate(d *Delta) error {
 	// overlapped a write before it.
 	bad := len(d.Commands)
 	var badErr error
-	if cap(v.spans) < len(d.Commands) {
-		v.spans = make([]writeSpan, 0, len(d.Commands))
+	if n := len(d.Commands); cap(v.spans) < n {
+		// One allocation holds the spans and the radix sort's buffer.
+		buf := make([]writeSpan, 2*n)
+		v.spans, v.tmp = buf[:0:n], buf[n:]
 	}
 	v.spans = v.spans[:0]
 	for k, c := range d.Commands {
@@ -270,7 +272,7 @@ func (v *Validator) Validate(d *Delta) error {
 			v.spans = append(v.spans, writeSpan{lo: c.To, hi: c.To + c.Length, index: k})
 		}
 	}
-	sortSpans(v.spans)
+	v.sortSpans()
 	if !disjoint(v.spans) {
 		k := v.firstOverlap()
 		return &ValidationError{Index: k, Cmd: d.Commands[k], Cause: ErrOverlap}
@@ -293,13 +295,42 @@ func (v *Validator) Validate(d *Delta) error {
 	return d.validateScratch()
 }
 
-// sortSpans orders spans by start, skipping the sort when they already are.
-func sortSpans(spans []writeSpan) {
-	for i := 1; i < len(spans); i++ {
-		if spans[i].lo < spans[i-1].lo {
-			slices.SortFunc(spans, func(a, b writeSpan) int { return cmp.Compare(a.lo, b.lo) })
-			return
+// sortSpans orders the spans by start, unless they already are, with a
+// stable LSD radix sort: one counting pass per 8-bit digit, for as many
+// digits as the largest start has. Starts are never negative, since every
+// span's command passed validateCommand.
+func (v *Validator) sortSpans() {
+	spans := v.spans
+	var bits int64 // the union of the starts' bits
+	sorted := true
+	for i, sp := range spans {
+		if i > 0 && sp.lo < spans[i-1].lo {
+			sorted = false
 		}
+		bits |= sp.lo
+	}
+	if sorted {
+		return
+	}
+	src, dst := spans, v.tmp[:len(spans)]
+	for shift := 0; bits>>shift != 0; shift += 8 {
+		var at [256]int
+		for _, sp := range src {
+			at[sp.lo>>shift&0xff]++
+		}
+		next := 0
+		for digit, k := range at {
+			at[digit], next = next, next+k
+		}
+		for _, sp := range src {
+			digit := sp.lo >> shift & 0xff
+			dst[at[digit]] = sp
+			at[digit]++
+		}
+		src, dst = dst, src
+	}
+	if &src[0] != &spans[0] {
+		copy(spans, src)
 	}
 }
 
@@ -317,8 +348,8 @@ func disjoint(spans []writeSpan) bool {
 // firstOverlap returns the smallest command index k whose write overlaps
 // the write of some command before it — the command an in-order check
 // reports. Whether commands [0, k] overlap is monotone in k, so a binary
-// search over prefixes finds it in O(n log² n); it runs only on the
-// error path.
+// search over prefixes, each filtered from the sorted spans and so already
+// in start order, finds it in O(n log n); it runs only on the error path.
 func (v *Validator) firstOverlap() int {
 	overlaps := func(k int) bool {
 		v.prefix = v.prefix[:0]
@@ -327,7 +358,6 @@ func (v *Validator) firstOverlap() int {
 				v.prefix = append(v.prefix, sp)
 			}
 		}
-		sortSpans(v.prefix)
 		return !disjoint(v.prefix)
 	}
 	lo, hi := 0, 0
