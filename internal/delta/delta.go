@@ -20,6 +20,7 @@ import (
 	"bytes"
 	"errors"
 	"fmt"
+	"sync"
 
 	"ipdelta/internal/interval"
 )
@@ -222,11 +223,18 @@ func (e *ValidationError) Unwrap() error { return e.Cause }
 // Validate checks that the delta is well formed: every command has a valid
 // opcode, positive length, in-bounds read and write intervals, add data
 // lengths agree, the write intervals are pairwise disjoint, and together
-// they cover [0, VersionLen-1] exactly.
+// they cover [0, VersionLen-1] exactly. It runs on a Validator drawn
+// from a process-wide pool, so a steady stream of validations (every
+// encode validates) reuses the span buffers instead of allocating them.
 func (d *Delta) Validate() error {
-	var v Validator
-	return v.Validate(d)
+	v := validators.Get().(*Validator)
+	err := v.Validate(d)
+	validators.Put(v)
+	return err
 }
+
+// validators pools idle Validators for (*Delta).Validate.
+var validators = sync.Pool{New: func() any { return new(Validator) }}
 
 // Validator runs delta validation over reusable scratch, so a steady-state
 // pipeline (one converter validating every incoming delta) performs no

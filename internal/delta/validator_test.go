@@ -3,6 +3,7 @@ package delta
 import (
 	"errors"
 	"math/rand"
+	"runtime/debug"
 	"slices"
 	"testing"
 
@@ -119,16 +120,24 @@ func TestValidatorMatchesInOrderReference(t *testing.T) {
 	}
 }
 
-// TestValidatorAllocs checks that a reused Validator sorts and checks an
-// out-of-order delta in the scratch it already holds.
-func TestValidatorAllocs(t *testing.T) {
+// shuffledCopies returns a valid copy-only delta of n 128-byte copies
+// listed out of write order, as an in-place delta lists them.
+func shuffledCopies(n int) *Delta {
 	rng := rand.New(rand.NewSource(30))
-	const n, rec = 4500, 128
-	d := &Delta{RefLen: n * rec, VersionLen: n * rec}
-	for k := int64(0); k < n; k++ {
+	const rec = 128
+	d := &Delta{RefLen: int64(n) * rec, VersionLen: int64(n) * rec}
+	for k := int64(0); k < int64(n); k++ {
 		d.Commands = append(d.Commands, NewCopy(rng.Int63n(d.RefLen-rec+1), k*rec, rec))
 	}
 	rng.Shuffle(n, func(a, b int) { d.Commands[a], d.Commands[b] = d.Commands[b], d.Commands[a] })
+	return d
+}
+
+// TestValidatorAllocs checks that a reused Validator sorts and checks an
+// out-of-order delta in the scratch it already holds.
+func TestValidatorAllocs(t *testing.T) {
+	const n = 4500
+	d := shuffledCopies(n)
 	var v Validator
 	if err := v.Validate(d); err != nil {
 		t.Fatal(err)
@@ -140,5 +149,28 @@ func TestValidatorAllocs(t *testing.T) {
 	})
 	if allocs != 0 {
 		t.Fatalf("reused Validator allocates %.1f times per %d-command delta, want 0", allocs, n)
+	}
+}
+
+// TestDeltaValidateAllocs: (*Delta).Validate draws its Validator from a
+// pool, so once warmed it validates without allocating, where it used to
+// allocate 2n spans per call.
+func TestDeltaValidateAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race detector drops sync.Pool items at random")
+	}
+	defer debug.SetGCPercent(debug.SetGCPercent(-1)) // a GC empties the pool
+	const n = 4500
+	d := shuffledCopies(n)
+	if err := d.Validate(); err != nil {
+		t.Fatal(err)
+	}
+	allocs := testing.AllocsPerRun(20, func() {
+		if err := d.Validate(); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if allocs != 0 {
+		t.Fatalf("warmed (*Delta).Validate allocates %.1f times per %d-command delta, want 0", allocs, n)
 	}
 }

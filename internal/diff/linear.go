@@ -45,16 +45,16 @@ func resolveDiffMetrics(r *obs.Registry) *diffMetrics {
 // Time is O(L_R + L_V); space is the fixed table regardless of input size,
 // matching the O(1)-space claim the paper cites for its delta generator.
 //
-// Diff's working memory (the fingerprint table and the emitter) is pooled
-// per instance, so repeated and concurrent calls reuse it instead of
-// reallocating the table — at the default 18 table bits, a 1 MiB
-// allocation per call.
+// Diff's working memory (the fingerprint table and the emitter) comes
+// from one process-wide pool, so repeated and concurrent calls reuse it
+// instead of reallocating the table (at the default 18 table bits, up to
+// 2 MiB per call) and regrowing the emitter. A fresh Linear, such as each
+// new update server's, starts on the scratch earlier instances left.
 type Linear struct {
 	seedLen   int
 	tableBits uint
 	obs       *obs.Registry
 	met       *diffMetrics // resolved from obs at construction
-	pool      sync.Pool    // of *linearState
 }
 
 // LinearOption customizes a Linear differencer.
@@ -283,12 +283,16 @@ func (t *krTable) prepare(bits uint) {
 }
 
 // linearState is one diff's working memory: the fingerprint table and the
-// emitter. States are pooled per Linear instance. The table is sized per
-// diff by tableParams, so scan prepares it; only the emitter resets here.
+// emitter. States are shared by every Linear through linearStates; the
+// table is sized per diff by tableParams, so scan prepares it, and only
+// the emitter resets here.
 type linearState struct {
 	table krTable
 	e     emitter
 }
+
+// linearStates pools idle linearStates for every Linear in the process.
+var linearStates = sync.Pool{New: func() any { return new(linearState) }}
 
 // prepare resets the emitter for a fresh diff.
 //
@@ -299,10 +303,7 @@ func (st *linearState) prepare() {
 
 // Diff implements Algorithm.
 func (l *Linear) Diff(ref, version []byte) (*delta.Delta, error) {
-	st, _ := l.pool.Get().(*linearState)
-	if st == nil {
-		st = &linearState{}
-	}
+	st := linearStates.Get().(*linearState)
 	st.prepare()
 	l.scan(st, ref, version)
 	d := &delta.Delta{
@@ -310,7 +311,7 @@ func (l *Linear) Diff(ref, version []byte) (*delta.Delta, error) {
 		VersionLen: int64(len(version)),
 		Commands:   st.e.finish(),
 	}
-	l.pool.Put(st)
+	linearStates.Put(st)
 	l.record(ref, version, len(d.Commands))
 	return d, nil
 }

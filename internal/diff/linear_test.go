@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"fmt"
 	"math/rand"
+	"runtime/debug"
 	"sync"
 	"testing"
 
@@ -42,6 +43,36 @@ func TestLinearDiffAllocs(t *testing.T) {
 	})
 	if allocs > 4 {
 		t.Fatalf("steady-state (*Linear).Diff allocates %.1f times per call, want <= 4", allocs)
+	}
+}
+
+// TestLinearFreshInstanceAllocs: every Linear draws its table and emitter
+// from one process-wide pool, so the first diff on a fresh instance (each
+// new update server makes one) allocates only its caller-owned output,
+// the 3 of the diff/one-shot bench row.
+func TestLinearFreshInstanceAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("race instrumentation inflates allocation counts")
+	}
+	defer debug.SetGCPercent(debug.SetGCPercent(-1)) // a GC empties the pool
+	ref, version := allocBenchPair()
+	if _, err := NewLinear().Diff(ref, version); err != nil { // warm the pool
+		t.Fatalf("warm-up diff: %v", err)
+	}
+	const runs = 20
+	fresh := make([]*Linear, runs+1) // AllocsPerRun calls once more to warm up
+	for k := range fresh {
+		fresh[k] = NewLinear()
+	}
+	next := 0
+	allocs := testing.AllocsPerRun(runs, func() {
+		if _, err := fresh[next].Diff(ref, version); err != nil {
+			t.Fatalf("diff: %v", err)
+		}
+		next++
+	})
+	if allocs > 3 {
+		t.Fatalf("a fresh Linear's first Diff allocates %.1f times, want <= 3", allocs)
 	}
 }
 

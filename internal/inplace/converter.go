@@ -150,13 +150,13 @@ func (cv *Converter) Convert(d *delta.Delta, ref []byte) (*delta.Delta, *Stats, 
 	return cv.convert(d, &cv.bref, false)
 }
 
-// release drops the converter's references to caller memory — the
-// observer, and the input's add data held by its command buffers — so a
-// pooled converter pins nothing but its own scratch. Every call fills
-// these buffers from index 0, so clearing what this call used clears
-// everything ever written.
-func (cv *Converter) release() {
-	cv.o.obs, cv.met = nil, nil
+// Reset drops the converter's references to caller memory (the
+// reference and the input's add data held by its command buffers) so a
+// converter kept for reuse, in a pool or a long-lived worker, pins
+// nothing but its own scratch. The output of the last Convert is invalid
+// after Reset. Every call fills these buffers from index 0, so clearing
+// what the last call used clears everything ever written.
+func (cv *Converter) Reset() {
 	cv.bref.Reset(nil)
 	clear(cv.adds)
 	clear(cv.out.Commands)

@@ -169,9 +169,11 @@ type RefReader interface {
 // in place (ApplyInPlace), and always satisfies CheckInPlace.
 //
 // Convert runs on a Converter drawn from a process-wide pool, so callers
-// that convert one delta at a time (servers building a release on demand)
+// that convert one delta at a time (a store building a release on demand)
 // reuse working memory too; unlike Converter.Convert, its output is
 // freshly allocated and caller-owned, so it may be retained indefinitely.
+// A caller that only encodes the result and drops it is better served by
+// its own pooled Converter and Reset.
 func Convert(d *delta.Delta, ref []byte, opts ...Option) (*delta.Delta, *Stats, error) {
 	cv := converters.Get().(*Converter)
 	cv.bref.Reset(ref)
@@ -193,7 +195,8 @@ func (cv *Converter) convertPooled(d *delta.Delta, ref RefReader, opts []Option)
 		opt(&cv.o)
 	}
 	out, st, err := cv.convert(d, ref, true)
-	cv.release()
+	cv.Reset()
+	cv.o.obs, cv.met = nil, nil // pin no observer; init resolves the next caller's
 	converters.Put(cv)
 	return out, st, err
 }

@@ -5,10 +5,13 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"runtime/debug"
+	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
 
+	"ipdelta/internal/corpus"
 	"ipdelta/internal/delta"
 	"ipdelta/internal/diff"
 	"ipdelta/internal/obs"
@@ -213,4 +216,88 @@ func TestServerFailedBuildNotCached(t *testing.T) {
 		t.Fatalf("Diff calls = %d, want 2 (failed build, then rebuild)", got)
 	}
 	waitCounter(t, reg, "ipdelta_server_session_failures_total", sessions)
+}
+
+// TestServerBuildAllocs: every Server diffs on the process-wide pool of
+// differencer state and converts on a pooled Converter, so the first
+// build of a second Server over the same history allocates 8 times: the
+// caller-owned diff output (the Delta, its commands and literal arena),
+// the encoder's writer (its CRC stage, bufio.Writer and buffer) and the
+// encoded bytes (the bytes.Buffer and its one-shot growth). No
+// fingerprint table, emitter, conversion scratch or validator spans.
+func TestServerBuildAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race detector drops sync.Pool items at random")
+	}
+	defer debug.SetGCPercent(debug.SetGCPercent(-1)) // a GC empties the pools
+	history := corpus.RecordChain(1, 256<<10, 5)
+	const runs = 10
+	servers := make([]*Server, runs+2) // one warms the pools; AllocsPerRun warms once more
+	for k := range servers {
+		srv, err := NewServer(history)
+		if err != nil {
+			t.Fatal(err)
+		}
+		servers[k] = srv
+	}
+	want, err := servers[0].build(0)
+	if err != nil {
+		t.Fatalf("warm-up build: %v", err)
+	}
+	next := 1
+	allocs := testing.AllocsPerRun(runs, func() {
+		got, err := servers[next].build(0)
+		if err != nil {
+			t.Fatalf("build: %v", err)
+		}
+		if !bytes.Equal(got, want) {
+			t.Fatal("a second server built different delta bytes")
+		}
+		next++
+	})
+	if allocs > 8 {
+		t.Fatalf("first build on a fresh Server allocates %.1f times, want <= 8", allocs)
+	}
+}
+
+// TestConcurrentServerBuilds: several servers over one history build
+// every release at once, so builds on different goroutines share the
+// differencer-state, converter and validator pools. Each must equal a
+// serial build byte for byte; under -race this also shows no pooled
+// scratch is shared between two builds.
+func TestConcurrentServerBuilds(t *testing.T) {
+	history := corpus.RecordChain(2, 128<<10, 5)
+	serial, err := NewServer(history)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := make([][]byte, len(history))
+	for i := range history {
+		if want[i], err = serial.Delta(i); err != nil {
+			t.Fatalf("serial build %d: %v", i, err)
+		}
+	}
+	const servers = 4
+	var wg sync.WaitGroup
+	for k := 0; k < servers; k++ {
+		srv, err := NewServer(history)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i := range history {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				got, err := srv.Delta(i)
+				if err != nil {
+					t.Errorf("server %d release %d: %v", k, i, err)
+					return
+				}
+				if !bytes.Equal(got, want[i]) {
+					t.Errorf("server %d release %d: %d bytes differ from the serial build's %d", k, i, len(got), len(want[i]))
+				}
+			}()
+		}
+	}
+	wg.Wait()
 }

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/binary"
 	"errors"
+	"fmt"
 	"io"
 	"net"
 	"os"
@@ -604,6 +605,114 @@ func TestLateFramesForRetiredStreamDiscarded(t *testing.T) {
 	case err := <-srvErr:
 		t.Fatalf("server failed on late frames for a retired stream: %v", err)
 	case <-time.After(200 * time.Millisecond):
+	}
+}
+
+// TestCloseReleasesRetiredRing: an update session finishes both
+// directions before either end closes, so the stream retires while its
+// ring is still readable. Close must then return the ring to the slab
+// pool; afterwards Read fails with ErrClosed and late DATA for the id is
+// discarded without failing the connection.
+func TestCloseReleasesRetiredRing(t *testing.T) {
+	cli, srv := pair(t, Settings{}, Settings{})
+	msg := bytes.Repeat([]byte("in-place delta "), 700)
+	srvErr := make(chan error, 1)
+	go func() {
+		s, err := srv.Accept()
+		if err != nil {
+			srvErr <- err
+			return
+		}
+		got := make([]byte, len(msg))
+		if _, err := io.ReadFull(s, got); err != nil {
+			srvErr <- err
+			return
+		}
+		if _, err := s.Write(got); err != nil {
+			srvErr <- err
+			return
+		}
+		srvErr <- s.CloseWrite()
+	}()
+
+	s, err := cli.Open()
+	if err != nil {
+		t.Fatalf("Open: %v", err)
+	}
+	if _, err := s.Write(msg); err != nil {
+		t.Fatalf("Write: %v", err)
+	}
+	// Read the echo but not the EOF: a Read that reaches EOF releases the
+	// ring itself.
+	back := make([]byte, len(msg))
+	if _, err := io.ReadFull(s, back); err != nil {
+		t.Fatalf("ReadFull: %v", err)
+	}
+	if err := <-srvErr; err != nil {
+		t.Fatalf("server side: %v", err)
+	}
+	if err := s.CloseWrite(); err != nil {
+		t.Fatalf("CloseWrite: %v", err)
+	}
+	live := func() bool {
+		cli.mu.Lock()
+		defer cli.mu.Unlock()
+		_, ok := cli.streams[s.ID()]
+		return ok
+	}
+	for deadline := time.Now().Add(5 * time.Second); live(); time.Sleep(time.Millisecond) {
+		if time.Now().After(deadline) {
+			t.Fatal("stream did not retire after both FINs")
+		}
+	}
+	s.mu.Lock()
+	held := s.rq.buf != nil
+	s.mu.Unlock()
+	if !held {
+		t.Fatal("the retired stream holds no ring before Close")
+	}
+
+	if err := s.Close(); err != nil {
+		t.Fatalf("Close: %v", err)
+	}
+	s.mu.Lock()
+	kept := cap(s.rq.buf)
+	s.mu.Unlock()
+	if kept != 0 {
+		t.Fatalf("Close kept the retired stream's %d-byte ring", kept)
+	}
+	if _, err := s.Read(make([]byte, 1)); !errors.Is(err, ErrClosed) {
+		t.Fatalf("Read after Close: %v, want ErrClosed", err)
+	}
+
+	if err := srv.writeFrame(FrameData, s.ID(), []byte("straggler")); err != nil {
+		t.Fatalf("late DATA: %v", err)
+	}
+	// The connection survived the late frame: a fresh stream still works.
+	go func() {
+		s2, err := srv.Accept()
+		if err != nil {
+			srvErr <- err
+			return
+		}
+		got, err := io.ReadAll(s2)
+		if err == nil && string(got) != "alive" {
+			err = fmt.Errorf("server read %q, want %q", got, "alive")
+		}
+		srvErr <- err
+	}()
+	s2, err := cli.Open()
+	if err != nil {
+		t.Fatalf("Open after late DATA: %v", err)
+	}
+	if _, err := s2.Write([]byte("alive")); err != nil {
+		t.Fatalf("Write after late DATA: %v", err)
+	}
+	if err := s2.CloseWrite(); err != nil {
+		t.Fatalf("CloseWrite after late DATA: %v", err)
+	}
+	if err := <-srvErr; err != nil {
+		t.Fatalf("server side after late DATA: %v", err)
 	}
 }
 

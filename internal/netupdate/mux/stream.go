@@ -33,7 +33,6 @@ type Stream struct {
 	sentFin  bool
 	consumed int  // bytes read since the last WINDOW grant
 	closed   bool // local Close: reads fail, late frames are discarded
-	retired  bool // removed from the transport's stream table
 
 	rdl, wdl       time.Time
 	rtimer, wtimer *time.Timer
@@ -155,9 +154,11 @@ func (s *Stream) CloseWrite() error {
 	return err
 }
 
-// Close releases the stream. If the peer has not finished sending, an
-// RST tells it to stop; late frames for the retired id are discarded
-// rather than failing the connection.
+// Close releases the stream and returns its receive ring to the slab
+// pool: no Read can reach the ring after Close, and deliver discards
+// late data. If the peer has not finished sending, an RST tells it to
+// stop; late frames for the retired id are discarded rather than failing
+// the connection.
 func (s *Stream) Close() error {
 	s.mu.Lock()
 	if s.closed {
@@ -165,6 +166,7 @@ func (s *Stream) Close() error {
 		return nil
 	}
 	s.closed = true
+	s.rq.release()
 	needFin := !s.sentFin && s.rst == nil
 	needRst := !s.recvFin && s.rst == nil
 	s.sentFin = true

@@ -328,29 +328,21 @@ func (t *Transport) writeRst(stream uint32, code uint32) error {
 	return t.writeFrame(FrameRst, stream, p[:])
 }
 
-// retire removes a stream from the table, releasing its open slot and
-// its buffer. Late frames addressed to a retired id are discarded by the
-// read loop (the id is provably below the SYN watermark), so a FIN or
-// straggling DATA crossing our Close on the wire is not an error.
+// retire removes a stream from the table, releasing its open slot. Late
+// frames addressed to a retired id are discarded by the read loop (the
+// id is provably below the SYN watermark), so a FIN or straggling DATA
+// crossing our Close on the wire is not an error. Buffered data stays
+// readable after retirement (like TCP after FIN); the stream's ring goes
+// back to the slab pool when a Read drains it to EOF, on Close, or when
+// the stream dies.
 func (t *Transport) retire(s *Stream) {
 	t.mu.Lock()
 	_, live := t.streams[s.id]
 	delete(t.streams, s.id)
 	t.mu.Unlock()
-	if live {
-		if t.client == (s.id%2 == 1) {
-			// We opened it; free the limit slot.
-			<-t.slots
-		}
-		s.mu.Lock()
-		s.retired = true
-		// Buffered data stays readable after retirement (like TCP after
-		// FIN); the ring is released once the reader drains to EOF, or
-		// immediately when nobody can read it anymore.
-		if s.closed || s.rst != nil {
-			s.rq.release()
-		}
-		s.mu.Unlock()
+	if live && t.client == (s.id%2 == 1) {
+		// We opened it; free the limit slot.
+		<-t.slots
 	}
 }
 

@@ -123,6 +123,13 @@ func (s *Server) Delta(i int) ([]byte, error) {
 	return enc, err
 }
 
+// converters pools the Converters every Server builds on. A build keeps
+// only the encoded bytes, so it converts into a converter's own buffers,
+// encodes from them and puts the converter back.
+var converters = sync.Pool{New: func() any {
+	return inplace.NewConverter(inplace.WithPolicy(graph.LocallyMinimum{}))
+}}
+
 // build runs diff → in-place convert → compact encode for history[i]
 // against the current version. Cycles are broken under the
 // locally-minimum policy, the paper's default.
@@ -135,7 +142,12 @@ func (s *Server) build(i int) ([]byte, error) {
 	if err != nil {
 		return nil, fmt.Errorf("netupdate diff: %w", err)
 	}
-	ip, _, err := inplace.Convert(d, ref, inplace.WithPolicy(graph.LocallyMinimum{}))
+	cv := converters.Get().(*inplace.Converter)
+	defer func() {
+		cv.Reset()
+		converters.Put(cv)
+	}()
+	ip, _, err := cv.Convert(d, ref)
 	if err != nil {
 		return nil, fmt.Errorf("netupdate convert: %w", err)
 	}
