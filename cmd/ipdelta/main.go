@@ -4,7 +4,7 @@
 //
 // Usage:
 //
-//	ipdelta diff    -ref OLD -version NEW -out FILE [-algo linear|greedy|...] [-format F] [-inplace] [-policy P]
+//	ipdelta diff    -ref OLD -version NEW -out FILE [-algo A] [-format F] [-inplace] [-policy P] [-scratch N]
 //	ipdelta convert -ref OLD -delta IN -out FILE [-policy P] [-format F] [-metrics]
 //	ipdelta patch   -ref OLD -delta FILE -out NEW [-inplace]
 //	ipdelta info    -delta FILE
@@ -13,7 +13,8 @@
 //	ipdelta invert  -ref OLD -delta FILE -out FILE [-format F]
 //	ipdelta chunk   [-min N] [-avg N] [-max N] [-out RECIPE] FILE...
 //
-// Formats: ordered, offsets, legacy-ordered, legacy-offsets, compact.
+// Algorithms: linear (default), greedy, blockwise, suffix, correcting, null.
+// Formats: ordered, offsets, legacy-ordered, legacy-offsets, compact, scratch.
 // Policies: locally-minimum (default), constant-time.
 package main
 
@@ -71,7 +72,7 @@ func cmdDiff(args []string) error {
 	refPath := fs.String("ref", "", "reference (old) file")
 	versionPath := fs.String("version", "", "version (new) file")
 	outPath := fs.String("out", "", "output delta file")
-	algoName := fs.String("algo", "linear", "differencing algorithm: linear, greedy, null")
+	algoName := fs.String("algo", "linear", "differencing algorithm: linear, greedy, blockwise, suffix, correcting, null")
 	formatName := fs.String("format", "", "wire format (default: ordered, or compact with -inplace)")
 	inPlace := fs.Bool("inplace", false, "convert the delta for in-place reconstruction")
 	policyName := fs.String("policy", "locally-minimum", "cycle-breaking policy")
@@ -253,7 +254,12 @@ func cmdInfo(args []string) error {
 	fmt.Printf("format:      %s (in-place capable: %v)\n", format, format.InPlaceCapable())
 	fmt.Printf("reference:   %s\n", stats.Bytes(d.RefLen))
 	fmt.Printf("version:     %s\n", stats.Bytes(d.VersionLen))
-	fmt.Printf("commands:    %d (%d copies, %d adds)\n", len(d.Commands), d.NumCopies(), d.NumAdds())
+	copies, adds := d.NumCopies(), d.NumAdds()
+	fmt.Printf("commands:    %d (%d copies, %d adds", len(d.Commands), copies, adds)
+	if n := len(d.Commands) - copies - adds; n > 0 {
+		fmt.Printf(", %d stash/unstash", n)
+	}
+	fmt.Println(")")
 	fmt.Printf("copy bytes:  %s\n", stats.Bytes(d.CopiedBytes()))
 	fmt.Printf("add bytes:   %s\n", stats.Bytes(d.AddedBytes()))
 	if err := d.Summarize().Render(os.Stdout); err != nil {

@@ -5,7 +5,7 @@
 //
 //	updated -listen 127.0.0.1:7070 [-timeout D] [-failure-budget N]
 //	        [-stream-limit N] [-stream-window N] [-max-frame N]
-//	        [-metrics-addr ADDR] [-diff NAME] [-v] v1.img v2.img v3.img
+//	        [-metrics-addr ADDR] [-v] v1.img v2.img v3.img
 //
 // Images are the release history, oldest first; devices running any of them
 // are upgraded to the last one. The server speaks protocol v2: each framed
@@ -14,10 +14,10 @@
 // bytes and frames capped at -max-frame). -timeout arms a per-message I/O
 // deadline, the handshake included, so a stalled client cannot pin a
 // server worker; -failure-budget turns away clients (by remote host) after
-// N consecutive failed sessions; -diff names the differencing algorithm
-// for per-release deltas (default linear, the paper's linear-time
-// differencer). Each release's delta is built by the first session that
-// needs it and cached for every later device on that release.
+// N consecutive failed sessions. Each release's delta is built with the
+// paper's linear-time differencer and converted in place by the first
+// session that needs it, then cached for every later device on that
+// release.
 //
 // -metrics-addr starts an HTTP listener serving the server's metrics
 // registry on /metrics (Prometheus-style text, or JSON with
@@ -37,7 +37,6 @@ import (
 	"os"
 
 	"ipdelta/internal/codec"
-	"ipdelta/internal/diff"
 	"ipdelta/internal/netupdate"
 	"ipdelta/internal/obs"
 )
@@ -56,7 +55,6 @@ func run(args []string) error {
 	nf.RegisterServer(fs)
 	nf.RegisterTransport(fs)
 	metricsAddr := fs.String("metrics-addr", "", "serve /metrics on this HTTP address (empty = disabled)")
-	diffName := fs.String("diff", "linear", "differencing algorithm by name (linear, greedy, blockwise, suffix, correcting, null)")
 	verbose := fs.Bool("v", false, "log each session (structured, stderr)")
 	if err := fs.Parse(args); err != nil {
 		return err
@@ -77,16 +75,11 @@ func run(args []string) error {
 	if *verbose {
 		logger = slog.New(slog.NewTextHandler(os.Stderr, nil))
 	}
-	algo, err := diff.ByName(*diffName)
-	if err != nil {
-		return err
-	}
 	reg := obs.NewRegistry()
 	codec.SetObserver(reg)
 	srv, err := netupdate.NewServer(history, append(nf.Options(),
 		netupdate.WithObserver(reg),
 		netupdate.WithLogger(logger),
-		netupdate.WithAlgorithm(algo),
 	)...)
 	if err != nil {
 		return err

@@ -151,18 +151,21 @@ func (d *Delta) Clone() *Delta {
 }
 
 // NumCopies returns the number of copy commands in the delta.
-func (d *Delta) NumCopies() int {
+func (d *Delta) NumCopies() int { return d.count(OpCopy) }
+
+// NumAdds returns the number of add commands in the delta. Stash and
+// unstash commands are neither copies nor adds.
+func (d *Delta) NumAdds() int { return d.count(OpAdd) }
+
+func (d *Delta) count(op Op) int {
 	n := 0
 	for _, c := range d.Commands {
-		if c.Op == OpCopy {
+		if c.Op == op {
 			n++
 		}
 	}
 	return n
 }
-
-// NumAdds returns the number of add commands in the delta.
-func (d *Delta) NumAdds() int { return len(d.Commands) - d.NumCopies() }
 
 // AddedBytes returns the total number of literal bytes carried by add
 // commands — the incompressible part of the delta.

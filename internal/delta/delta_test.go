@@ -75,23 +75,50 @@ func TestCommandEqual(t *testing.T) {
 }
 
 func TestCounts(t *testing.T) {
-	d := &Delta{
-		RefLen:     10,
-		VersionLen: 10,
-		Commands: []Command{
-			NewCopy(0, 0, 4),
-			NewAdd(4, []byte("abc")),
-			NewCopy(7, 7, 3),
+	for _, tc := range []struct {
+		name                string
+		cmds                []Command
+		copies, adds        int
+		addBytes, copyBytes int64
+	}{
+		{
+			name:      "copies and adds",
+			cmds:      []Command{NewCopy(0, 0, 4), NewAdd(4, []byte("abc")), NewCopy(7, 7, 3)},
+			copies:    2,
+			adds:      1,
+			addBytes:  3,
+			copyBytes: 7,
 		},
-	}
-	if d.NumCopies() != 2 || d.NumAdds() != 1 {
-		t.Fatalf("counts = %d copies, %d adds", d.NumCopies(), d.NumAdds())
-	}
-	if d.AddedBytes() != 3 {
-		t.Errorf("AddedBytes() = %d", d.AddedBytes())
-	}
-	if d.CopiedBytes() != 7 {
-		t.Errorf("CopiedBytes() = %d", d.CopiedBytes())
+		{
+			// Stash and unstash commands count as neither copies nor adds.
+			name: "with stash and unstash",
+			cmds: []Command{
+				NewStash(0, 4),
+				NewCopy(4, 0, 3),
+				NewAdd(3, []byte("x")),
+				NewUnstash(4, 4),
+				NewCopy(8, 8, 2),
+			},
+			copies:    2,
+			adds:      1,
+			addBytes:  1,
+			copyBytes: 5,
+		},
+	} {
+		d := &Delta{RefLen: 10, VersionLen: 10, Commands: tc.cmds}
+		if err := d.Validate(); err != nil {
+			t.Fatalf("%s: %v", tc.name, err)
+		}
+		if d.NumCopies() != tc.copies || d.NumAdds() != tc.adds {
+			t.Errorf("%s: counts = %d copies, %d adds; want %d, %d",
+				tc.name, d.NumCopies(), d.NumAdds(), tc.copies, tc.adds)
+		}
+		if d.AddedBytes() != tc.addBytes {
+			t.Errorf("%s: AddedBytes() = %d, want %d", tc.name, d.AddedBytes(), tc.addBytes)
+		}
+		if d.CopiedBytes() != tc.copyBytes {
+			t.Errorf("%s: CopiedBytes() = %d, want %d", tc.name, d.CopiedBytes(), tc.copyBytes)
+		}
 	}
 }
 

@@ -228,6 +228,87 @@ func TestDevicePowerCutResume(t *testing.T) {
 	}
 }
 
+// TestDevicePowerCutAtEveryWrite cuts power once at each write of an
+// update, for every write index of an uncut apply, and resumes with a
+// clean Apply: whatever write the cut lands on, the device must converge to
+// the image the delta's scratch apply produces.
+func TestDevicePowerCutAtEveryWrite(t *testing.T) {
+	pair := scratchPair(t, 16<<10)
+	// An insertion shifts the tail, so its copies overlap their own
+	// sources and a resume must continue them in the same direction.
+	pair.Version = append(append(pair.Version[:64:64], "inserted"...), pair.Version[64:]...)
+	raw, err := diff.NewLinear().Diff(pair.Ref, pair.Version)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, tc := range []struct {
+		format codec.Format
+		budget int64
+	}{
+		{codec.FormatCompact, 0},
+		{codec.FormatOffsets, 0},
+		{codec.FormatScratch, 4 << 10},
+	} {
+		t.Run(tc.format.String(), func(t *testing.T) {
+			d, st, err := inplace.Convert(raw, pair.Ref, inplace.WithScratchBudget(tc.budget))
+			if err != nil {
+				t.Fatal(err)
+			}
+			if st.CyclesBroken == 0 {
+				t.Fatal("test input has no cycles")
+			}
+			if tc.budget > 0 && st.ScratchUsed == 0 {
+				t.Fatal("scratch budget produced no stashes")
+			}
+			want, err := d.Apply(pair.Ref)
+			if err != nil {
+				t.Fatal(err)
+			}
+			var buf bytes.Buffer
+			if _, err := codec.Encode(&buf, d, tc.format); err != nil {
+				t.Fatal(err)
+			}
+			enc := buf.Bytes()
+			fresh := func() (*Flash, *Device) {
+				flash, err := NewFlash(pair.Ref, int64(max(len(pair.Ref), len(pair.Version)))+st.ScratchUsed)
+				if err != nil {
+					t.Fatal(err)
+				}
+				// A small work buffer splits each command into many
+				// writes, so cuts also land mid-command.
+				return flash, New(flash, int64(len(pair.Ref)), 128)
+			}
+
+			flash, dev := fresh()
+			if err := dev.Apply(bytes.NewReader(enc)); err != nil {
+				t.Fatal(err)
+			}
+			writes := flash.Stats().WriteOps
+			for k := int64(0); k <= writes; k++ {
+				flash, dev := fresh()
+				flash.FailAfterWrites(k)
+				switch err := dev.Apply(bytes.NewReader(enc)); {
+				case errors.Is(err, ErrPowerCut):
+					if !dev.Updating() {
+						t.Fatalf("cut at write %d: device lost its pending-update state", k)
+					}
+					flash.FailAfterWrites(-1)
+					if err := dev.Apply(bytes.NewReader(enc)); err != nil {
+						t.Fatalf("resume after cut at write %d: %v", k, err)
+					}
+				case err != nil:
+					t.Fatalf("cut at write %d: %v", k, err)
+				case k < writes:
+					t.Fatalf("cut at write %d of %d never fired", k, writes)
+				}
+				if !bytes.Equal(dev.Image(), want) {
+					t.Fatalf("image corrupt after a cut at write %d of %d", k, writes)
+				}
+			}
+		})
+	}
+}
+
 // TestDeviceImageCRCMemo: ImageCRC reads the image once and then answers
 // from memory until the next flash write. A power cut mid-Apply or
 // mid-InstallFull leaves no stale value: the next ImageCRC is the CRC of

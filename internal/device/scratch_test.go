@@ -29,22 +29,23 @@ func buildScratchDelta(t testing.TB, ref, version []byte, budget int64) ([]byte,
 	return buf.Bytes(), st.ScratchUsed
 }
 
-// scratchPair generates a pair whose conversion needs conversions (block
-// moves create cycles).
-func scratchPair(t testing.TB) corpus.Pair {
+// scratchPair generates a pair of the given size whose conversion needs
+// conversions (block moves create cycles).
+func scratchPair(t testing.TB, size int) corpus.Pair {
 	t.Helper()
-	pair := corpus.Generate(corpus.PairSpec{Profile: corpus.Binary, Size: 48 << 10, ChangeRate: 0.15, Seed: 55})
-	// Swap two large blocks to guarantee cycles.
+	pair := corpus.Generate(corpus.PairSpec{Profile: corpus.Binary, Size: size, ChangeRate: 0.15, Seed: 55})
+	// Swap two large blocks, each a sixth of the file, to guarantee cycles.
+	b := size / 6
 	v := append([]byte(nil), pair.Ref...)
-	tmp := append([]byte(nil), v[0:8<<10]...)
-	copy(v[0:8<<10], v[16<<10:24<<10])
-	copy(v[16<<10:24<<10], tmp)
+	tmp := append([]byte(nil), v[0:b]...)
+	copy(v[0:b], v[2*b:3*b])
+	copy(v[2*b:3*b], tmp)
 	pair.Version = v
 	return pair
 }
 
 func TestDeviceScratchApply(t *testing.T) {
-	pair := scratchPair(t)
+	pair := scratchPair(t, 48<<10)
 	enc, used := buildScratchDelta(t, pair.Ref, pair.Version, 32<<10)
 	if used == 0 {
 		t.Fatal("test input produced no stashes; cycles missing")
@@ -67,7 +68,7 @@ func TestDeviceScratchApply(t *testing.T) {
 }
 
 func TestDeviceScratchCapacityEnforced(t *testing.T) {
-	pair := scratchPair(t)
+	pair := scratchPair(t, 48<<10)
 	enc, used := buildScratchDelta(t, pair.Ref, pair.Version, 32<<10)
 	if used == 0 {
 		t.Skip("no stashes")
@@ -88,7 +89,7 @@ func TestDeviceScratchCapacityEnforced(t *testing.T) {
 }
 
 func TestDeviceScratchPowerCutResume(t *testing.T) {
-	pair := scratchPair(t)
+	pair := scratchPair(t, 48<<10)
 	enc, used := buildScratchDelta(t, pair.Ref, pair.Version, 32<<10)
 	if used == 0 {
 		t.Skip("no stashes")

@@ -1,6 +1,5 @@
 // Test package for the locksafe analyzer, mirroring the server shapes in
-// internal/netupdate and internal/httpdelta: counters and caches guarded
-// by a struct mutex.
+// internal/netupdate: counters and caches guarded by a struct mutex.
 package netupdate
 
 import "sync"
