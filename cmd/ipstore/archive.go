@@ -18,9 +18,9 @@ import (
 // MANIFEST.json at the root of the archive directory, next to one
 // nodeNN/ directory per shard index.
 type archiveManifest struct {
-	SegmentSize  int               `json:"segment_size"`
-	ArchivedUpTo int               `json:"archived_up_to"`
-	Archive      *archive.Manifest `json:"archive"`
+	SegmentSize int               `json:"segment_size"`
+	UpTo        int               `json:"archived_up_to"`
+	Archive     *archive.Manifest `json:"archive"`
 }
 
 const manifestName = "MANIFEST.json"
@@ -119,7 +119,7 @@ func cmdArchive(args []string) error {
 	upTo := fs.Int("up-to", -1, "archive versions [0..N] (default: all)")
 	data := fs.Int("data", 4, "data shards (k)")
 	parity := fs.Int("parity", 2, "parity shards (m)")
-	segment := fs.Int("segment", store.DefaultArchiveSegment, "versions per archived segment")
+	segment := fs.Int("segment", store.DefaultArchiveSegment, "versions per archived segment (> 0)")
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
@@ -130,7 +130,7 @@ func cmdArchive(args []string) error {
 	if err != nil {
 		return err
 	}
-	s, err := loadStore(*storePath, store.WithArchive(a), store.WithArchiveSegment(*segment))
+	s, err := loadStore(*storePath)
 	if err != nil {
 		return err
 	}
@@ -138,7 +138,7 @@ func cmdArchive(args []string) error {
 	if target < 0 {
 		target = s.NumVersions() - 1
 	}
-	archived, err := s.Archive(target)
+	archived, err := s.Archive(a, target, *segment)
 	if err != nil {
 		return err
 	}
@@ -152,9 +152,9 @@ func cmdArchive(args []string) error {
 		return err
 	}
 	man := archiveManifest{
-		SegmentSize:  *segment,
-		ArchivedUpTo: archived,
-		Archive:      a.Manifest(),
+		SegmentSize: *segment,
+		UpTo:        archived,
+		Archive:     a.Manifest(),
 	}
 	raw, err := json.MarshalIndent(&man, "", "  ")
 	if err != nil {
@@ -225,7 +225,7 @@ func cmdScrub(args []string) error {
 				versions++
 			}
 		}
-		fmt.Printf("verified %d archived versions (up to v%d)\n", versions, man.ArchivedUpTo)
+		fmt.Printf("verified %d archived versions (up to v%d)\n", versions, man.UpTo)
 	}
 	if !*repair && !rep.Clean() {
 		return fmt.Errorf("scrub: %d bad shards (run with -repair)", rep.Missing+rep.Corrupt)
@@ -254,18 +254,10 @@ func cmdRestore(args []string) error {
 	if err != nil {
 		return err
 	}
-	if *index > man.ArchivedUpTo {
-		return fmt.Errorf("restore: version %d beyond archived history (up to %d)", *index, man.ArchivedUpTo)
+	if *index > man.UpTo {
+		return fmt.Errorf("restore: version %d beyond archived history (up to %d)", *index, man.UpTo)
 	}
-	blob, err := a.Get(uint64(*index / man.SegmentSize))
-	if err != nil {
-		return err
-	}
-	seg, err := store.DecodeArchiveSegment(blob)
-	if err != nil {
-		return err
-	}
-	img, err := seg.Version(*index)
+	img, replays, err := store.ReadArchived(a, man.SegmentSize, *index)
 	if err != nil {
 		return err
 	}
@@ -273,6 +265,6 @@ func cmdRestore(args []string) error {
 		return err
 	}
 	fmt.Printf("restored version %d to %s (%s, %d reverse deltas)\n",
-		*index, *outPath, stats.Bytes(int64(len(img))), seg.Replays(*index))
+		*index, *outPath, stats.Bytes(int64(len(img))), replays)
 	return nil
 }

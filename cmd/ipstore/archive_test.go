@@ -12,6 +12,21 @@ import (
 // dir with the given coding shape, returning the versions.
 func buildArchivedStore(t *testing.T, dir string, n, k, m, segment int) [][]byte {
 	t.Helper()
+	versions, storePath := buildStoreFile(t, dir, n)
+	if err := run([]string{
+		"archive", "-store", storePath, "-dir", filepath.Join(dir, "arch"),
+		"-data", strconv.Itoa(k), "-parity", strconv.Itoa(m),
+		"-segment", strconv.Itoa(segment),
+	}); err != nil {
+		t.Fatal(err)
+	}
+	return versions
+}
+
+// buildStoreFile inits dir/releases.ipst with n versions and returns the
+// versions and the store's path.
+func buildStoreFile(t *testing.T, dir string, n int) ([][]byte, string) {
+	t.Helper()
 	versions := makeVersions(t, n)
 	storePath := filepath.Join(dir, "releases.ipst")
 	basePath := writeTemp(t, dir, "v0.img", versions[0])
@@ -24,14 +39,7 @@ func buildArchivedStore(t *testing.T, dir string, n, k, m, segment int) [][]byte
 			t.Fatal(err)
 		}
 	}
-	if err := run([]string{
-		"archive", "-store", storePath, "-dir", filepath.Join(dir, "arch"),
-		"-data", strconv.Itoa(k), "-parity", strconv.Itoa(m),
-		"-segment", strconv.Itoa(segment),
-	}); err != nil {
-		t.Fatal(err)
-	}
-	return versions
+	return versions, storePath
 }
 
 // restoreAndCompare restores version i from the archive dir and checks it
@@ -146,9 +154,12 @@ func TestArchiveScrubRepairsBitRot(t *testing.T) {
 
 func TestArchiveUsageErrors(t *testing.T) {
 	dir := t.TempDir()
+	_, storePath := buildStoreFile(t, dir, 9)
 	for _, args := range [][]string{
 		{"archive"},
 		{"archive", "-store", "missing.ipst", "-dir", filepath.Join(dir, "a")},
+		{"archive", "-store", storePath, "-dir", filepath.Join(dir, "a"), "-segment", "0"},
+		{"archive", "-store", storePath, "-dir", filepath.Join(dir, "a"), "-segment", "-4"},
 		{"scrub"},
 		{"scrub", "-dir", filepath.Join(dir, "nope")},
 		{"restore"},

@@ -11,7 +11,7 @@
 //	ipstore extract -store FILE -index N -out IMAGE
 //	ipstore delta   -store FILE -from N [-to M] -out DELTA [-inplace] [-policy P]
 //	ipstore rollback -store FILE -to N -out DELTA [-policy P]
-//	ipstore serve   -store FILE [-listen ADDR] [-policy P] [-cache MIB] [-chunked] [-v]
+//	ipstore serve   -store FILE [-listen ADDR] [-cache MIB] [-chunked] [-v]
 //	ipstore archive -store FILE -dir DIR [-up-to N] [-data K] [-parity M] [-segment S]
 //	ipstore scrub   -dir DIR [-repair] [-verify]
 //	ipstore restore -dir DIR -index N -out IMAGE

@@ -25,7 +25,6 @@ func cmdServe(args []string) error {
 	fs := flag.NewFlagSet("serve", flag.ContinueOnError)
 	storePath := fs.String("store", "", "store file")
 	listen := fs.String("listen", "127.0.0.1:7080", "listen address")
-	policyName := fs.String("policy", "locally-minimum", "cycle-breaking policy for served deltas")
 	cacheSize := fs.Int("cache", 64, "materialization cache budget in MiB (0 disables; versions and composed deltas are replayed per request)")
 	chunked := fs.Bool("chunked", false, "hold the store as chunk recipes: versions dedup into a content-addressed chunk store, and served deltas and /info sizes come from recipe diffs")
 	verbose := fs.Bool("v", false, "log each request (structured, stderr)")
@@ -38,18 +37,11 @@ func cmdServe(args []string) error {
 	reg := obs.NewRegistry()
 	// The cache and its hit/miss/dedup counters attach at load time, so
 	// /metrics shows the serving hot path from the first request.
-	storeOpts := []store.Option{store.WithObserver(reg)}
-	if *cacheSize > 0 {
-		storeOpts = append(storeOpts, store.WithCache(*cacheSize))
-	}
+	storeOpts := []store.Option{store.WithObserver(reg), store.WithCache(*cacheSize)}
 	if *chunked {
 		storeOpts = append(storeOpts, store.WithChunking(nil))
 	}
 	s, err := loadStore(*storePath, storeOpts...)
-	if err != nil {
-		return err
-	}
-	policy, err := graph.PolicyByName(*policyName)
 	if err != nil {
 		return err
 	}
@@ -64,15 +56,14 @@ func cmdServe(args []string) error {
 	}
 	fmt.Printf("ipstore: serving %d versions on http://%s (metrics on /metrics)\n",
 		s.NumVersions(), l.Addr())
-	return http.Serve(l, newServeHandler(s, policy, reg, logger))
+	return http.Serve(l, newServeHandler(s, reg, logger))
 }
 
 // storeServer answers the serve subcommand's HTTP API. It is factored out
 // of cmdServe so tests can drive it through httptest.
 type storeServer struct {
-	store  *store.Store
-	policy graph.Policy
-	log    *slog.Logger
+	store *store.Store
+	log   *slog.Logger
 
 	requests  *obs.Counter
 	errs      *obs.Counter
@@ -83,10 +74,9 @@ type storeServer struct {
 
 // newServeHandler mounts the store API: /info, /version/{n},
 // /delta?from=N, and /metrics.
-func newServeHandler(s *store.Store, policy graph.Policy, reg *obs.Registry, logger *slog.Logger) http.Handler {
+func newServeHandler(s *store.Store, reg *obs.Registry, logger *slog.Logger) http.Handler {
 	sv := &storeServer{
 		store:     s,
-		policy:    policy,
 		log:       obs.OrNop(logger),
 		requests:  reg.Counter("ipdelta_store_requests_total"),
 		errs:      reg.Counter("ipdelta_store_request_errors_total"),
@@ -187,7 +177,7 @@ func (sv *storeServer) delta(w http.ResponseWriter, req *http.Request) (int, int
 	if err != nil {
 		return http.StatusBadRequest, 0, fmt.Errorf("bad or missing from index %q", req.URL.Query().Get("from"))
 	}
-	d, _, err := sv.store.InPlaceDeltaTo(from, sv.policy)
+	d, _, err := sv.store.InPlaceDeltaTo(from, graph.LocallyMinimum{})
 	if err != nil {
 		return http.StatusNotFound, 0, err
 	}

@@ -11,7 +11,6 @@ import (
 	"testing"
 
 	"ipdelta/internal/codec"
-	"ipdelta/internal/graph"
 	"ipdelta/internal/obs"
 	"ipdelta/internal/store"
 )
@@ -38,7 +37,7 @@ func testStore(t *testing.T) *store.Store {
 func TestServeHandlerEndpoints(t *testing.T) {
 	s := testStore(t)
 	reg := obs.NewRegistry()
-	srv := httptest.NewServer(newServeHandler(s, graph.LocallyMinimum{}, reg, nil))
+	srv := httptest.NewServer(newServeHandler(s, reg, nil))
 	defer srv.Close()
 
 	get := func(path string, wantStatus int) []byte {

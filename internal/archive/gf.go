@@ -1,5 +1,5 @@
-// Package archive implements the store's durable archival tier: cold
-// delta-chain segments are striped as systematic Reed–Solomon code words
+// Package archive implements the durable archive that store.Store.Archive
+// exports a version history into: delta-chain segments are striped as systematic Reed–Solomon code words
 // over GF(2^8) across simulated storage nodes, so every archived version
 // survives up to m node losses and silent shard corruption. The package
 // follows Harshan/Datta/Oggier's compressed differential erasure coding

@@ -63,9 +63,9 @@ type ChaosConfig struct {
 	// device.DefaultWorkBufSize).
 	WorkBufSize int
 	// ArchiveTier, when non-nil, first routes the release history through
-	// an erasure-coded archive tier under seeded node-level faults: the
-	// images the server distributes are re-materialized through degraded
-	// k-of-n reads after scrub/repair and node kills.
+	// an erasure-coded archive under seeded node-level faults: the
+	// archived images the server distributes are read back through
+	// degraded k-of-n reads after scrub/repair and node kills.
 	ArchiveTier *ArchiveTierConfig
 	// Observer, when non-nil, receives the whole run's metrics: the shared
 	// server's session counters, every device runner's attempt/retry/
@@ -142,7 +142,7 @@ func RunChaos(ctx context.Context, cfg ChaosConfig) (*ChaosOutcome, error) {
 			return nil, err
 		}
 		// Every image below — device baselines and server content alike —
-		// now comes from degraded tier reads, not the original history.
+		// now comes from degraded archive reads, not the original history.
 		cfg.Releases = served
 		archRep = rep
 		obs.OrNop(cfg.Logger).Info("archive tier",

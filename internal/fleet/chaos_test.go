@@ -153,7 +153,7 @@ func TestChaosArchiveTier(t *testing.T) {
 	if ar == nil {
 		t.Fatal("no archive tier report")
 	}
-	if ar.Stripes == 0 || ar.ArchivedUpTo != len(cfg.Releases)-1 {
+	if ar.Stripes == 0 || ar.UpTo != len(cfg.Releases)-1 {
 		t.Fatalf("history not archived: %s", ar)
 	}
 	if ar.ScrubMissing+ar.ScrubCorrupt == 0 {

@@ -1,20 +1,19 @@
-// Archival tier: cold delta-chain segments are compacted into
-// skip-anchor + reverse-delta blobs and striped across an erasure-coded
-// node group (internal/archive), so the version history survives node
-// loss and silent shard corruption while hot-head materialization stays
-// shallow (DESIGN.md §12).
+// Archive export: Store.Archive compacts a plain store's delta chain into
+// segment blobs and stripes them across an erasure-coded node group
+// (internal/archive), so the version history survives node loss and
+// silent shard corruption apart from the store (DESIGN.md §12). The store
+// keeps no archive state: the caller holds the archive, the boundary and
+// the segment size (ipstore records both in MANIFEST.json), and
+// ReadArchived reads a version back from the shards alone.
 //
 // Layout: the history [0..upTo] is cut into fixed segments of segSize
 // versions. Segment g covers [g·segSize, (g+1)·segSize−1] and is encoded
-// as one blob — the segment's newest image (the "skip anchor": any read
-// jumps straight there without replaying the forward chain) plus reverse
+// as one blob — the segment's newest image (the anchor) plus reverse
 // deltas walking down to the segment's oldest version, with the identity
 // (CRC32 + length) of every covered version. The blob becomes stripe g of
 // the archive: k data + m parity shards across k+m nodes. Reading an
 // archived version therefore costs one (possibly degraded) stripe read
-// plus at most segSize−1 reverse delta applications, and the store keeps
-// a copy of the image at the archive boundary so head materializations
-// replay only the hot tail.
+// plus at most segSize−1 reverse delta applications.
 package store
 
 import (
@@ -31,119 +30,86 @@ import (
 	"ipdelta/internal/obs"
 )
 
-// ErrNoArchive reports Store.Archive on a store without an attached tier,
-// or on a chunked store, which has no delta chain to archive.
-var ErrNoArchive = errors.New("store: no archive tier attached")
-
-// DefaultArchiveSegment is the number of versions compacted into one
-// archive stripe when WithArchiveSegment is not given.
+// DefaultArchiveSegment is the number of versions one archive stripe
+// covers unless the caller picks another size.
 const DefaultArchiveSegment = 8
 
-// WithArchive attaches an archival tier to a plain store: Store.Archive
-// stripes cold chain segments into a, and reads of archived versions are
-// served from it — transparently reconstructing from any k of n shards —
-// through the store's cache. A chunked store has no chain, so its Archive
-// reports ErrNoArchive.
-func WithArchive(a *archive.Archive) Option {
-	return func(s *Store) { s.arch = a }
-}
-
-// WithArchiveSegment sets how many versions one archive stripe of a
-// plain store covers (default DefaultArchiveSegment). Smaller segments
-// mean shallower reverse replays per read; larger ones amortize the
-// stripe overhead over more versions. n <= 0 keeps the default.
-func WithArchiveSegment(n int) Option {
-	return func(s *Store) {
-		if n > 0 {
-			s.segSize = n
-		}
-	}
-}
-
-// ArchivedUpTo returns the highest version currently served by the
-// archival tier, or -1 when nothing is archived.
-func (s *Store) ArchivedUpTo() int {
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	return s.archUpTo
-}
-
-// ArchiveTier returns the attached archive (nil without WithArchive), for
-// scrub/repair passes and fault injection by chaos harnesses.
-func (s *Store) ArchiveTier() *archive.Archive { return s.arch }
-
-// Archive stripes every complete cold segment up to version upTo into the
-// archival tier and advances the archive boundary, keeping the image at
-// the boundary as the hot chain's skip anchor. Only whole segments are
-// archived, so the effective boundary is upTo rounded down to segment
-// granularity; it is returned (and is -1 when not even one segment
-// fits). Archiving is incremental — segments below an earlier boundary
-// are not rebuilt — and idempotent per segment. The forward chain is
-// retained for Save and delta composition; what Archive adds is
-// durability (any version survives up to m lost or corrupted shards per
-// stripe) and the shallow read path. A chunked store has no chain to
-// archive and reports ErrNoArchive.
-func (s *Store) Archive(upTo int) (int, error) {
-	if s.arch == nil {
-		return -1, ErrNoArchive
-	}
+// Archive exports versions [0..upTo] of a plain store into a, one stripe
+// per whole segment of segSize versions: segment g becomes stripe g. Only
+// whole segments are archived, so the boundary is upTo rounded down to
+// segment granularity; Archive returns it (-1 when not even one segment
+// fits). The store is left as it was, and reads never consult a — the
+// archive is a separate, durable copy of the history (any version
+// survives up to m lost or corrupted shards per stripe), read back with
+// ReadArchived at the same segSize. A chunked store has no delta chain to
+// export; it, segSize <= 0 and an out-of-range upTo are rejected before
+// anything is written.
+func (s *Store) Archive(a *archive.Archive, upTo, segSize int) (int, error) {
 	if s.chunked {
-		return -1, fmt.Errorf("%w: a chunked store holds recipes, not a delta chain", ErrNoArchive)
+		return -1, errors.New("store archive: a chunked store holds recipes, not a delta chain")
 	}
-	// appendMu serializes archiving with appends (and other archivings):
-	// the chain snapshot below upTo is immutable either way, but the
-	// boundary/anchor pair must move atomically with respect to both.
-	s.appendMu.Lock()
-	defer s.appendMu.Unlock()
+	if segSize <= 0 {
+		return -1, fmt.Errorf("store archive: segment size %d, want > 0", segSize)
+	}
 	if n := s.NumVersions(); upTo < 0 || upTo >= n {
-		return s.ArchivedUpTo(), fmt.Errorf("%w: %d of %d", ErrNoSuchVersion, upTo, n)
+		return -1, fmt.Errorf("%w: %d of %d", ErrNoSuchVersion, upTo, n)
 	}
-	fullSegs := (upTo + 1) / s.segSize
-	newUpTo := fullSegs*s.segSize - 1
-	cur := s.ArchivedUpTo()
-	if newUpTo <= cur {
-		return cur, nil
-	}
+	segs := (upTo + 1) / segSize
 	var span obs.Span
 	if s.met != nil {
 		span = s.met.archiveBuild.Start()
 	}
-	var anchor []byte
-	for seg := (cur + 1) / s.segSize; seg < fullSegs; seg++ {
-		lo, hi := seg*s.segSize, (seg+1)*s.segSize-1
-		blob, segAnchor, err := s.buildSegment(lo, hi)
+	for g := 0; g < segs; g++ {
+		blob, err := s.buildSegment(g*segSize, (g+1)*segSize-1)
 		if err != nil {
-			return s.ArchivedUpTo(), err
+			return -1, err
 		}
-		if err := s.arch.Put(uint64(seg), blob); err != nil {
-			return s.ArchivedUpTo(), err
+		if err := a.Put(uint64(g), blob); err != nil {
+			return -1, err
 		}
 		if s.met != nil {
 			s.met.archivedSegs.Inc()
 		}
-		if hi == newUpTo {
-			anchor = segAnchor
-		}
 	}
-	s.mu.Lock()
-	s.archUpTo = newUpTo
-	s.anchor = anchor
-	s.mu.Unlock()
 	if s.met != nil {
 		span.End()
 	}
-	return newUpTo, nil
+	return segs*segSize - 1, nil
+}
+
+// ReadArchived reads version i back from an archive that Store.Archive
+// wrote with segment size segSize: it fetches stripe i/segSize
+// (reconstructing through the erasure code as needed), decodes the
+// segment and replays its reverse deltas down to i, checking the result
+// against the version's recorded identity. It also returns how many
+// reverse deltas it applied.
+func ReadArchived(a *archive.Archive, segSize, i int) ([]byte, int, error) {
+	if segSize <= 0 || i < 0 {
+		return nil, 0, fmt.Errorf("%w: %d at segment size %d", ErrNoSuchVersion, i, segSize)
+	}
+	blob, err := a.Get(uint64(i / segSize))
+	if err != nil {
+		return nil, 0, err
+	}
+	g, err := DecodeArchiveSegment(blob)
+	if err != nil {
+		return nil, 0, err
+	}
+	img, err := g.Version(i)
+	if err != nil {
+		return nil, 0, err
+	}
+	return img, g.Replays(i), nil
 }
 
 // buildSegment materializes versions [lo..hi] and encodes the segment
-// blob: skip anchor (image hi), per-version identities, and reverse
-// deltas hi→hi−1 … lo+1→lo. Returns the blob and the anchor image (which
-// the caller may keep; it aliases nothing).
-func (s *Store) buildSegment(lo, hi int) ([]byte, []byte, error) {
+// blob: anchor (image hi), per-version identities, and reverse deltas
+// hi→hi−1 … lo+1→lo.
+func (s *Store) buildSegment(lo, hi int) ([]byte, error) {
 	imgs := make([][]byte, hi-lo+1)
 	first, err := s.Version(lo)
 	if err != nil {
-		return nil, nil, err
+		return nil, err
 	}
 	imgs[0] = first
 	s.mu.RLock()
@@ -154,11 +120,11 @@ func (s *Store) buildSegment(lo, hi int) ([]byte, []byte, error) {
 	for v := range chain {
 		next, err := chain[v].d.Apply(imgs[v])
 		if err != nil {
-			return nil, nil, fmt.Errorf("store archive segment [%d..%d]: %w", lo, hi, err)
+			return nil, fmt.Errorf("store archive segment [%d..%d]: %w", lo, hi, err)
 		}
 		imgs[v+1] = next
 	}
-	anchor := append([]byte(nil), imgs[len(imgs)-1]...)
+	anchor := imgs[len(imgs)-1]
 
 	var buf bytes.Buffer
 	writeUvarint(&buf, uint64(lo))
@@ -174,16 +140,16 @@ func (s *Store) buildSegment(lo, hi int) ([]byte, []byte, error) {
 	for v := len(imgs) - 1; v > 0; v-- {
 		rd, err := s.algo.Diff(imgs[v], imgs[v-1])
 		if err != nil {
-			return nil, nil, fmt.Errorf("store archive segment [%d..%d]: %w", lo, hi, err)
+			return nil, fmt.Errorf("store archive segment [%d..%d]: %w", lo, hi, err)
 		}
 		var enc bytes.Buffer
 		if _, err := codec.Encode(&enc, rd, codec.FormatOrdered); err != nil {
-			return nil, nil, err
+			return nil, err
 		}
 		writeUvarint(&buf, uint64(enc.Len()))
 		buf.Write(enc.Bytes())
 	}
-	return buf.Bytes(), anchor, nil
+	return buf.Bytes(), nil
 }
 
 // releaseID is one version's identity inside a segment blob.
@@ -192,8 +158,8 @@ type releaseID struct {
 	length int64
 }
 
-// ArchiveSegment is one decoded cold-chain segment: the skip anchor
-// (image of version Hi) plus reverse deltas walking down to Lo.
+// ArchiveSegment is one decoded segment: the anchor (image of version
+// Hi) plus reverse deltas walking down to Lo.
 type ArchiveSegment struct {
 	Lo, Hi  int
 	anchor  []byte
@@ -290,63 +256,3 @@ func (g *ArchiveSegment) Version(i int) ([]byte, error) {
 
 // Replays reports how many reverse deltas a read of version i applies.
 func (g *ArchiveSegment) Replays(i int) int { return g.Hi - i }
-
-// tierRead serves version i from the archival tier when i is at or below
-// the archive boundary. A tier that cannot serve (too many shards lost,
-// or a decode failure) falls back to the retained chain — counted, so
-// operators see the archive failing even while reads keep succeeding.
-func (s *Store) tierRead(i int) ([]byte, bool) {
-	if s.arch == nil {
-		return nil, false
-	}
-	s.mu.RLock()
-	upTo := s.archUpTo
-	s.mu.RUnlock()
-	if i > upTo {
-		return nil, false
-	}
-	var span obs.Span
-	if s.met != nil {
-		span = s.met.archiveRead.Start()
-	}
-	img, replays, err := s.readFromArchive(i)
-	if s.met != nil {
-		span.End()
-	}
-	if err != nil {
-		if s.met != nil {
-			s.met.archiveFalls.Inc()
-		}
-		return nil, false
-	}
-	if s.met != nil {
-		s.met.archiveReads.Inc()
-		s.met.archiveRDepth.Add(int64(replays))
-	}
-	return img, true
-}
-
-// readFromArchive fetches version i's stripe (reconstructing through the
-// erasure code as needed), decodes the segment, and replays down to i,
-// cross-checking the result against the store's own identity record.
-func (s *Store) readFromArchive(i int) ([]byte, int, error) {
-	blob, err := s.arch.Get(uint64(i / s.segSize))
-	if err != nil {
-		return nil, 0, err
-	}
-	g, err := DecodeArchiveSegment(blob)
-	if err != nil {
-		return nil, 0, err
-	}
-	img, err := g.Version(i)
-	if err != nil {
-		return nil, 0, err
-	}
-	s.mu.RLock()
-	rel := s.releases[i]
-	s.mu.RUnlock()
-	if crc32.ChecksumIEEE(img) != rel.crc || int64(len(img)) != rel.length {
-		return nil, 0, fmt.Errorf("%w: archived version %d disagrees with the store", ErrCorrupt, i)
-	}
-	return img, g.Replays(i), nil
-}

@@ -11,27 +11,19 @@ import (
 	"ipdelta/internal/obs"
 )
 
-// buildTierStore creates a store over an erasure-coded archive tier with
-// count small, related versions.
-func buildTierStore(t testing.TB, k, m, count, segSize int, opts ...Option) (*Store, []*archive.Node, [][]byte) {
-	t.Helper()
-	return buildSizedTierStore(t, k, m, count, segSize, 512, opts...)
-}
-
-// buildSizedTierStore is buildTierStore with a base of size to size+511
-// bytes.
-func buildSizedTierStore(t testing.TB, k, m, count, segSize, size int, opts ...Option) (*Store, []*archive.Node, [][]byte) {
+// buildTierStore creates a plain store of count small, related versions
+// and an empty erasure-coded archive of k data and m parity shards.
+func buildTierStore(t testing.TB, k, m, count int, opts ...Option) (*Store, *archive.Archive, []*archive.Node, [][]byte) {
 	t.Helper()
 	a, nodes, err := archive.NewWithNodes(k, m)
 	if err != nil {
 		t.Fatal(err)
 	}
 	rng := rand.New(rand.NewPCG(uint64(count)*31+uint64(k)*7+uint64(m), 9))
-	base := make([]byte, size+rng.IntN(512))
+	base := make([]byte, 512+rng.IntN(512))
 	for i := range base {
 		base[i] = byte(rng.IntN(256))
 	}
-	opts = append([]Option{WithArchive(a), WithArchiveSegment(segSize)}, opts...)
 	s := New(base, opts...)
 	versions := [][]byte{append([]byte(nil), base...)}
 	cur := base
@@ -53,164 +45,150 @@ func buildSizedTierStore(t testing.TB, k, m, count, segSize, size int, opts ...O
 		versions = append(versions, next)
 		cur = next
 	}
-	return s, nodes, versions
+	return s, a, nodes, versions
 }
 
-func checkAllVersions(t *testing.T, s *Store, versions [][]byte, label string) {
+// checkArchived reads every version up to upTo back from a with
+// ReadArchived and checks its bytes and its reverse replay count: a read
+// of version i replays down from the newest version of i's segment.
+func checkArchived(t *testing.T, a *archive.Archive, segSize, upTo int, versions [][]byte, label string) {
 	t.Helper()
-	for i, want := range versions {
-		got, err := s.Version(i)
+	for i := 0; i <= upTo; i++ {
+		got, replays, err := ReadArchived(a, segSize, i)
 		if err != nil {
-			t.Fatalf("%s: Version(%d): %v", label, i, err)
+			t.Fatalf("%s: ReadArchived(%d): %v", label, i, err)
 		}
-		if !bytes.Equal(got, want) {
-			t.Fatalf("%s: Version(%d) differs", label, i)
+		if !bytes.Equal(got, versions[i]) {
+			t.Fatalf("%s: ReadArchived(%d) differs", label, i)
+		}
+		if want := (i/segSize+1)*segSize - 1 - i; replays != want {
+			t.Fatalf("%s: ReadArchived(%d) applied %d reverse deltas, want %d", label, i, replays, want)
 		}
 	}
 }
 
 func TestStoreArchiveTierRoundTrip(t *testing.T) {
 	reg := obs.NewRegistry()
-	s, _, versions := buildTierStore(t, 3, 2, 20, 4, WithObserver(reg))
-	upTo, err := s.Archive(len(versions) - 1)
+	s, a, _, versions := buildTierStore(t, 3, 2, 20, WithObserver(reg))
+	upTo, err := s.Archive(a, len(versions)-1, 4)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if upTo != 19 {
 		t.Fatalf("archived up to %d, want 19", upTo)
 	}
-	if got := s.ArchivedUpTo(); got != upTo {
-		t.Fatalf("ArchivedUpTo = %d", got)
-	}
-	if got := len(s.ArchiveTier().Stripes()); got != 5 {
+	if got := len(a.Stripes()); got != 5 {
 		t.Fatalf("%d stripes, want 5", got)
 	}
-	checkAllVersions(t, s, versions, "healthy tier")
-	snap := reg.Snapshot()
-	if snap.Counter("ipdelta_store_archive_reads_total") == 0 {
-		t.Error("archived reads did not go through the tier")
-	}
-	if snap.Counter("ipdelta_store_archive_segments_total") != 5 {
-		t.Errorf("segments counter = %d", snap.Counter("ipdelta_store_archive_segments_total"))
-	}
-	if snap.Counter("ipdelta_store_archive_fallbacks_total") != 0 {
-		t.Error("healthy tier fell back to the chain")
+	checkArchived(t, a, 4, upTo, versions, "healthy archive")
+	// The export leaves the store as it was.
+	checkAllVersions(t, s, versions, "exported store")
+	if got := reg.Snapshot().Counter("ipdelta_store_archive_segments_total"); got != 5 {
+		t.Errorf("segments counter = %d", got)
 	}
 }
 
 func TestStoreArchiveRoundsDownToSegments(t *testing.T) {
-	s, _, versions := buildTierStore(t, 2, 1, 11, 4)
-	upTo, err := s.Archive(10)
+	s, a, _, versions := buildTierStore(t, 2, 1, 11)
+	upTo, err := s.Archive(a, 10, 4)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if upTo != 7 {
 		t.Fatalf("archived up to %d, want 7 (two full segments of 4)", upTo)
 	}
-	checkAllVersions(t, s, versions, "partial archive")
-	// Not even one full segment: boundary stays.
-	s2, _, _ := buildTierStore(t, 2, 1, 3, 4)
-	if upTo, err := s2.Archive(2); err != nil || upTo != -1 {
+	checkArchived(t, a, 4, upTo, versions, "partial archive")
+	if _, _, err := ReadArchived(a, 4, 8); err == nil {
+		t.Fatal("ReadArchived(8) succeeded beyond the boundary")
+	}
+	// Not even one full segment: nothing is striped.
+	s2, a2, _, _ := buildTierStore(t, 2, 1, 3)
+	if upTo, err := s2.Archive(a2, 2, 4); err != nil || upTo != -1 {
 		t.Fatalf("short chain archived to %d (%v), want -1", upTo, err)
 	}
+	if got := len(a2.Stripes()); got != 0 {
+		t.Fatalf("short chain wrote %d stripes", got)
+	}
 }
 
+// TestStoreArchiveErrors: a chunked store, a non-positive segment size and
+// an out-of-range boundary are rejected before any stripe is written.
 func TestStoreArchiveErrors(t *testing.T) {
-	s := New([]byte("no tier"))
-	if _, err := s.Archive(0); !errors.Is(err, ErrNoArchive) {
-		t.Fatalf("want ErrNoArchive, got %v", err)
-	}
-	st, _, _ := buildTierStore(t, 2, 1, 5, 2)
-	if _, err := st.Archive(5); !errors.Is(err, ErrNoSuchVersion) {
-		t.Fatalf("want ErrNoSuchVersion, got %v", err)
-	}
-	if _, err := st.Archive(-1); !errors.Is(err, ErrNoSuchVersion) {
-		t.Fatalf("want ErrNoSuchVersion, got %v", err)
-	}
-}
-
-func TestStoreArchiveIncremental(t *testing.T) {
-	s, _, versions := buildTierStore(t, 2, 2, 8, 4)
-	if _, err := s.Archive(7); err != nil {
-		t.Fatal(err)
-	}
-	// Growing the history archives only the new segments.
-	cur := versions[len(versions)-1]
-	for v := 0; v < 8; v++ {
-		next := append([]byte(nil), cur...)
-		next[v] ^= 0xFF
-		if _, err := s.AppendVersion(next); err != nil {
-			t.Fatal(err)
+	st, a, _, _ := buildTierStore(t, 2, 1, 5)
+	chunked := New([]byte("recipes only"), WithChunking(nil))
+	for _, tc := range []struct {
+		name      string
+		s         *Store
+		upTo, seg int
+		noVersion bool
+	}{
+		{"chunked", chunked, 0, 1, false},
+		{"segment 0", st, 4, 0, false},
+		{"segment -4", st, 4, -4, false},
+		{"upTo beyond head", st, 5, 2, true},
+		{"upTo negative", st, -1, 2, true},
+	} {
+		upTo, err := tc.s.Archive(a, tc.upTo, tc.seg)
+		if err == nil || upTo != -1 {
+			t.Errorf("%s: Archive = %d, %v, want -1 and an error", tc.name, upTo, err)
 		}
-		versions = append(versions, next)
-		cur = next
+		if tc.noVersion != errors.Is(err, ErrNoSuchVersion) {
+			t.Errorf("%s: errors.Is(%v, ErrNoSuchVersion) = %v", tc.name, err, !tc.noVersion)
+		}
+		if got := len(a.Stripes()); got != 0 {
+			t.Fatalf("%s: rejected export wrote %d stripes", tc.name, got)
+		}
 	}
-	upTo, err := s.Archive(15)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if upTo != 15 {
-		t.Fatalf("archived up to %d, want 15", upTo)
-	}
-	if got := len(s.ArchiveTier().Stripes()); got != 4 {
-		t.Fatalf("%d stripes, want 4", got)
-	}
-	checkAllVersions(t, s, versions, "incremental")
-	// Re-archiving the same boundary is a no-op.
-	if upTo, err := s.Archive(15); err != nil || upTo != 15 {
-		t.Fatalf("idempotent archive: %d, %v", upTo, err)
+	if _, _, err := ReadArchived(a, 0, 0); !errors.Is(err, ErrNoSuchVersion) {
+		t.Fatalf("ReadArchived at segment size 0: %v, want ErrNoSuchVersion", err)
 	}
 }
 
 // TestStoreArchiveDegradedGrid is the store-level acceptance property:
 // across the (k, m) grid with k+m <= 16, with up to m seeded node kills
-// the archival tier still serves every archived version byte-for-byte.
+// the archive still serves every archived version byte-for-byte.
 func TestStoreArchiveDegradedGrid(t *testing.T) {
 	rng := rand.New(rand.NewPCG(20260808, 10))
 	for k := 1; k <= 15; k++ {
 		for m := 1; k+m <= 16; m++ {
-			reg := obs.NewRegistry()
-			s, nodes, versions := buildTierStore(t, k, m, 6, 3, WithObserver(reg))
-			if _, err := s.Archive(5); err != nil {
+			s, a, nodes, versions := buildTierStore(t, k, m, 6)
+			if _, err := s.Archive(a, 5, 3); err != nil {
 				t.Fatalf("k=%d m=%d: %v", k, m, err)
 			}
 			f := 1 + rng.IntN(m)
 			for _, j := range rng.Perm(k + m)[:f] {
 				nodes[j].Kill()
 			}
-			checkAllVersions(t, s, versions, fmt.Sprintf("k=%d m=%d f=%d", k, m, f))
-			if reg.Snapshot().Counter("ipdelta_store_archive_fallbacks_total") != 0 {
-				t.Fatalf("k=%d m=%d f=%d: degraded read fell back to the chain", k, m, f)
-			}
+			checkArchived(t, a, 3, 5, versions, fmt.Sprintf("k=%d m=%d f=%d", k, m, f))
 		}
 	}
 }
 
-func TestStoreArchiveFallbackBeyondParity(t *testing.T) {
-	reg := obs.NewRegistry()
-	s, nodes, versions := buildTierStore(t, 3, 2, 6, 3, WithObserver(reg))
-	if _, err := s.Archive(5); err != nil {
+// TestStoreArchiveBeyondParity: with m+1 nodes dead the archive cannot
+// serve, and the store, which never reads it, still serves every version.
+func TestStoreArchiveBeyondParity(t *testing.T) {
+	s, a, nodes, versions := buildTierStore(t, 3, 2, 6)
+	if _, err := s.Archive(a, 5, 3); err != nil {
 		t.Fatal(err)
 	}
 	for _, j := range []int{0, 2, 4} { // m+1 = 3 dead nodes
 		nodes[j].Kill()
 	}
-	// The tier is unrecoverable, but the store retains the chain: reads
-	// stay correct and the fallback is counted.
-	checkAllVersions(t, s, versions, "fallback")
-	if reg.Snapshot().Counter("ipdelta_store_archive_fallbacks_total") == 0 {
-		t.Error("fallback not counted")
+	for i := range versions {
+		if _, _, err := ReadArchived(a, 3, i); !errors.Is(err, archive.ErrUnrecoverable) {
+			t.Fatalf("ReadArchived(%d): %v, want archive.ErrUnrecoverable", i, err)
+		}
 	}
+	checkAllVersions(t, s, versions, "store beside a lost archive")
 }
 
 func TestStoreArchiveScrubRepairEndToEnd(t *testing.T) {
 	seed := uint64(20260808)
 	rng := rand.New(rand.NewPCG(seed, 11))
-	s, nodes, versions := buildTierStore(t, 4, 3, 12, 4)
-	if _, err := s.Archive(11); err != nil {
+	s, a, nodes, versions := buildTierStore(t, 4, 3, 12)
+	if _, err := s.Archive(a, 11, 4); err != nil {
 		t.Fatal(err)
 	}
-	a := s.ArchiveTier()
 	// Silent damage on three distinct nodes, then one node replaced.
 	nodes[1].CorruptShard(rng)
 	nodes[2].TruncateShard(rng)
@@ -226,72 +204,15 @@ func TestStoreArchiveScrubRepairEndToEnd(t *testing.T) {
 	if rep := a.Scrub(); !rep.Clean() {
 		t.Fatalf("seed %d: post-repair scrub = %v", seed, rep)
 	}
-	checkAllVersions(t, s, versions, "post-repair")
-}
-
-func TestStoreArchiveWithCache(t *testing.T) {
-	reg := obs.NewRegistry()
-	s, nodes, versions := buildTierStore(t, 3, 2, 8, 4, WithCache(16), WithObserver(reg))
-	if _, err := s.Archive(7); err != nil {
-		t.Fatal(err)
-	}
-	nodes[0].Kill() // degraded reconstructs populate the cache too
-	checkAllVersions(t, s, versions, "first pass")
-	firstReads := reg.Snapshot().Counter("ipdelta_store_archive_reads_total")
-	checkAllVersions(t, s, versions, "cached pass")
-	snap := reg.Snapshot()
-	if got := snap.Counter("ipdelta_store_archive_reads_total"); got != firstReads {
-		t.Errorf("cached pass hit the archive again: %d -> %d reads", firstReads, got)
-	}
-	if snap.Counter("ipdelta_store_cache_version_hits_total") == 0 {
-		t.Error("no cache hits recorded")
-	}
-}
-
-// TestStoreArchiveConcurrentReaders: degraded tier reads race cache
-// evictions. Twelve versions of about 160 KiB overflow the 1 MiB budget.
-func TestStoreArchiveConcurrentReaders(t *testing.T) {
-	reg := obs.NewRegistry()
-	s, nodes, versions := buildSizedTierStore(t, 3, 2, 12, 4, 160<<10, WithCache(1), WithObserver(reg))
-	if _, err := s.Archive(11); err != nil {
-		t.Fatal(err)
-	}
-	nodes[4].Kill()
-	done := make(chan error, 8)
-	for w := 0; w < 8; w++ {
-		go func(w int) {
-			rng := rand.New(rand.NewPCG(uint64(w), 12))
-			for n := 0; n < 40; n++ {
-				i := rng.IntN(len(versions))
-				got, err := s.Version(i)
-				if err != nil {
-					done <- err
-					return
-				}
-				if !bytes.Equal(got, versions[i]) {
-					done <- fmt.Errorf("worker %d: version %d differs", w, i)
-					return
-				}
-			}
-			done <- nil
-		}(w)
-	}
-	for w := 0; w < 8; w++ {
-		if err := <-done; err != nil {
-			t.Fatal(err)
-		}
-	}
-	if ev := reg.Snapshot().Counter("ipdelta_store_cache_evictions_total"); ev == 0 {
-		t.Fatal("no evictions: the budget held every version")
-	}
+	checkArchived(t, a, 4, 11, versions, "post-repair")
 }
 
 func TestArchiveSegmentDecodeHostile(t *testing.T) {
-	s, _, _ := buildTierStore(t, 2, 1, 4, 4)
-	if _, err := s.Archive(3); err != nil {
+	s, a, _, _ := buildTierStore(t, 2, 1, 4)
+	if _, err := s.Archive(a, 3, 4); err != nil {
 		t.Fatal(err)
 	}
-	blob, err := s.ArchiveTier().Get(0)
+	blob, err := a.Get(0)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -42,10 +42,6 @@ type matCache struct {
 	inflight, bytes *obs.Gauge
 }
 
-// defaultCacheMiB is the budget WithCache gives the cache for a
-// non-positive size.
-const defaultCacheMiB = 64
-
 // commandBytes is what one delta command costs the cache, its add data
 // aside.
 const commandBytes = int64(unsafe.Sizeof(delta.Command{}))

@@ -96,6 +96,17 @@ func TestCacheHitAndAncestorReplay(t *testing.T) {
 	if after-before > 1 {
 		t.Fatalf("ancestor replay applied %d links, want <= 1", after-before)
 	}
+	// WithCache(0) is no cache: a repeat read is no hit.
+	reg0 := obs.NewRegistry()
+	s0, _ := buildCachedStore(t, 8, 12, WithCache(0), WithObserver(reg0))
+	for range 2 {
+		if _, err := s0.Version(7); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if hits := reg0.Snapshot().Counter("ipdelta_store_cache_version_hits_total"); hits != 0 {
+		t.Fatalf("WithCache(0): version hits = %d, want 0", hits)
+	}
 }
 
 // TestCacheLRUEviction: six 400 KiB versions through a 1 MiB budget,

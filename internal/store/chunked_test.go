@@ -17,6 +17,20 @@ import (
 	"ipdelta/internal/obs"
 )
 
+// checkAllVersions checks that s serves every one of versions.
+func checkAllVersions(t *testing.T, s *Store, versions [][]byte, label string) {
+	t.Helper()
+	for i, want := range versions {
+		got, err := s.Version(i)
+		if err != nil {
+			t.Fatalf("%s: Version(%d): %v", label, i, err)
+		}
+		if !bytes.Equal(got, want) {
+			t.Fatalf("%s: Version(%d) differs", label, i)
+		}
+	}
+}
+
 // churnedVersions builds a version history with blocky churn: each
 // version overwrites a region and appends a little, so consecutive
 // versions share most of their chunks.

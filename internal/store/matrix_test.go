@@ -2,7 +2,6 @@ package store
 
 import (
 	"bytes"
-	"errors"
 	"fmt"
 	"testing"
 
@@ -11,16 +10,17 @@ import (
 	"ipdelta/internal/graph"
 )
 
-// TestStoreOptionMatrix checks that WithCache, WithChunking and
-// WithArchive combine coherently, before and after a Save/Load round
-// trip: every combination serves the same version bytes, deltas that
-// rebuild their targets, and in-place deltas that are safe, rebuild the
-// head in place, and encode the same with and without the cache. A
-// chunked store has no chain to archive: its Archive reports
-// ErrNoArchive and the store serves as before.
+// TestStoreOptionMatrix checks that WithCache and WithChunking combine
+// coherently, before and after a Save/Load round trip, and with or
+// without an archive export: every combination serves the same version
+// bytes, deltas that rebuild their targets, and in-place deltas that are
+// safe, rebuild the head in place, and encode the same with and without
+// the cache. An exported plain store reads its archived versions back
+// from the shards, and the export changes nothing the store serves; a
+// chunked store has no chain to export, so its Archive is rejected and
+// writes nothing.
 func TestStoreOptionMatrix(t *testing.T) {
 	versions := corpus.RecordChain(9, 64<<10, 6)
-	const segSize, archiveUpTo = 2, 3
 
 	// inPlace[cfg] holds the compact encodings of InPlaceDeltaTo(0..head-1)
 	// of a cache-off combination, for its cache-on twin to match.
@@ -40,13 +40,6 @@ func TestStoreOptionMatrix(t *testing.T) {
 							if chunked {
 								o = append(o, WithChunking(nil))
 							}
-							if archived {
-								a, _, err := archive.NewWithNodes(3, 2)
-								if err != nil {
-									t.Fatal(err)
-								}
-								o = append(o, WithArchive(a), WithArchiveSegment(segSize))
-							}
 							return o
 						}
 						s := buildStore(t, versions, opts()...)
@@ -59,15 +52,8 @@ func TestStoreOptionMatrix(t *testing.T) {
 								t.Fatal(err)
 							}
 						}
-						switch {
-						case archived && chunked:
-							if _, err := s.Archive(archiveUpTo); !errors.Is(err, ErrNoArchive) {
-								t.Fatalf("Archive(%d) on a chunked store: %v, want ErrNoArchive", archiveUpTo, err)
-							}
-						case archived:
-							if got, err := s.Archive(archiveUpTo); err != nil || got != archiveUpTo {
-								t.Fatalf("Archive(%d) = %d, %v", archiveUpTo, got, err)
-							}
+						if archived {
+							exportAndRead(t, s, chunked, versions)
 						}
 						encodings := checkStoreServes(t, s, versions)
 						if !cache {
@@ -86,6 +72,37 @@ func TestStoreOptionMatrix(t *testing.T) {
 					})
 				}
 			}
+		}
+	}
+}
+
+// exportAndRead exports s up to version 3 in segments of 2 and reads
+// every archived version back from the shards; a chunked store must
+// reject the export and write no stripe.
+func exportAndRead(t *testing.T, s *Store, chunked bool, versions [][]byte) {
+	t.Helper()
+	const segSize, upTo = 2, 3
+	a, _, err := archive.NewWithNodes(3, 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	got, err := s.Archive(a, upTo, segSize)
+	if chunked {
+		if err == nil || len(a.Stripes()) != 0 {
+			t.Fatalf("Archive on a chunked store = %d, %v with %d stripes, want an error and none", got, err, len(a.Stripes()))
+		}
+		return
+	}
+	if err != nil || got != upTo {
+		t.Fatalf("Archive(%d) = %d, %v", upTo, got, err)
+	}
+	for i := 0; i <= upTo; i++ {
+		img, _, err := ReadArchived(a, segSize, i)
+		if err != nil {
+			t.Fatalf("ReadArchived(%d): %v", i, err)
+		}
+		if !bytes.Equal(img, versions[i]) {
+			t.Fatalf("ReadArchived(%d) differs", i)
 		}
 	}
 }

@@ -23,7 +23,6 @@ import (
 	"io"
 	"sync"
 
-	"ipdelta/internal/archive"
 	"ipdelta/internal/chunk"
 	"ipdelta/internal/codec"
 	"ipdelta/internal/delta"
@@ -56,25 +55,17 @@ type storeMetrics struct {
 	compose     obs.Stage    // cold delta compositions
 	replays     *obs.Counter // chain links applied by materializations
 
-	archiveBuild  obs.Stage    // Store.Archive segment builds
-	archiveRead   obs.Stage    // archival-tier materializations
-	archiveReads  *obs.Counter // versions served from the archive tier
-	archiveFalls  *obs.Counter // tier reads that fell back to the chain
-	archivedSegs  *obs.Counter // segments striped into the archive
-	archiveRDepth *obs.Counter // reverse deltas applied by tier reads
+	archiveBuild obs.Stage    // Store.Archive exports
+	archivedSegs *obs.Counter // segments striped into an archive
 }
 
 func resolveStoreMetrics(r *obs.Registry) *storeMetrics {
 	return &storeMetrics{
-		materialize:   r.Stage("ipdelta_store_stage_materialize_nanos"),
-		compose:       r.Stage("ipdelta_store_stage_compose_nanos"),
-		replays:       r.Counter("ipdelta_store_chain_replays_total"),
-		archiveBuild:  r.Stage("ipdelta_store_stage_archive_build_nanos"),
-		archiveRead:   r.Stage("ipdelta_store_stage_archive_read_nanos"),
-		archiveReads:  r.Counter("ipdelta_store_archive_reads_total"),
-		archiveFalls:  r.Counter("ipdelta_store_archive_fallbacks_total"),
-		archivedSegs:  r.Counter("ipdelta_store_archive_segments_total"),
-		archiveRDepth: r.Counter("ipdelta_store_archive_reverse_replays_total"),
+		materialize:  r.Stage("ipdelta_store_stage_materialize_nanos"),
+		compose:      r.Stage("ipdelta_store_stage_compose_nanos"),
+		replays:      r.Counter("ipdelta_store_chain_replays_total"),
+		archiveBuild: r.Stage("ipdelta_store_stage_archive_build_nanos"),
+		archivedSegs: r.Counter("ipdelta_store_archive_segments_total"),
 	}
 }
 
@@ -90,14 +81,6 @@ type Store struct {
 	cache    *matCache
 	met      *storeMetrics
 
-	// Archival tier (archive.go): cold chain segments striped as erasure
-	// codes. archUpTo/anchor are guarded by mu; each anchor value is
-	// immutable once published.
-	arch     *archive.Archive
-	segSize  int
-	archUpTo int    // highest archived version, -1 when none
-	anchor   []byte // full image of version archUpTo (skip anchor)
-
 	// Chunked store (WithChunking): every version is an ordered chunk
 	// recipe over a content-addressed dedup store, and there is no delta
 	// chain. Appends ingest the version against the head's recipe,
@@ -109,7 +92,7 @@ type Store struct {
 	cs      *chunk.Store
 	rd      *diff.RecipeDiffer
 
-	// Construction-time knobs recorded by options, consumed by finish.
+	// Construction-time knobs recorded by options, consumed by New.
 	cacheBytes int64
 	obsReg     *obs.Registry
 }
@@ -139,7 +122,7 @@ func WithChunking(shared *chunk.Store) Option {
 }
 
 // WithCache enables the materialization cache with a budget of mib MiB
-// (mib <= 0 means the default 64 MiB): recently used version images and
+// (mib <= 0 means no cache): recently used version images and
 // composed deltas are retained while their bytes fit the budget, and
 // concurrent requests for the same cold artifact share one computation.
 // An image is charged its length, a composed delta its commands and add
@@ -147,12 +130,7 @@ func WithChunking(shared *chunk.Store) Option {
 // not retained. Version and DeltaBetween then return shared values that
 // must be treated as read-only.
 func WithCache(mib int) Option {
-	return func(s *Store) {
-		if mib <= 0 {
-			mib = defaultCacheMiB
-		}
-		s.cacheBytes = int64(mib) << 20
-	}
+	return func(s *Store) { s.cacheBytes = int64(mib) << 20 }
 }
 
 // WithObserver attaches a metrics registry: materialization and
@@ -166,10 +144,8 @@ func WithObserver(r *obs.Registry) Option {
 // New creates a store whose first version is base.
 func New(base []byte, opts ...Option) *Store {
 	s := &Store{
-		base:     append([]byte(nil), base...),
-		algo:     diff.NewLinear(),
-		segSize:  DefaultArchiveSegment,
-		archUpTo: -1,
+		base: append([]byte(nil), base...),
+		algo: diff.NewLinear(),
 	}
 	for _, o := range opts {
 		o(s)
@@ -268,15 +244,11 @@ func (s *Store) Version(i int) ([]byte, error) {
 	return v.([]byte), nil
 }
 
-// materialize replays the delta chain up to version i, starting from the
-// deepest cached ancestor when a cache is available. Versions at or below
-// the archive boundary are served from the archival tier (reconstructing
-// through the erasure code when nodes are down), falling back to the
-// retained chain if the tier cannot serve; versions above it replay from
-// the skip anchor, so hot-head materialization stays O(head − archUpTo)
-// deltas deep no matter how long the cold history grows. The bounds of i
-// were checked by the caller; the chain below i is immutable, so the
-// releases snapshot stays valid after the lock is dropped.
+// materialize builds version i: a chunked store reads it from chunks, a
+// plain one replays the delta chain up to i, starting from the deepest
+// cached ancestor when a cache is available. The bounds of i were checked
+// by the caller; the chain below i is immutable, so the releases snapshot
+// stays valid after the lock is dropped.
 func (s *Store) materialize(i int, c *matCache) ([]byte, error) {
 	if s.chunked {
 		// Chunk-addressed materialization: no chain replay at any depth,
@@ -297,23 +269,13 @@ func (s *Store) materialize(i int, c *matCache) ([]byte, error) {
 		}
 		return img, nil
 	}
-	if img, ok := s.tierRead(i); ok {
-		// The image is freshly reconstructed from shards, so handing it
-		// out (or caching it as a shared artifact) aliases nothing.
-		return img, nil
-	}
 	var span obs.Span
 	if s.met != nil {
 		span = s.met.materialize.Start()
 	}
 	start, cur := 0, s.base
-	s.mu.RLock()
-	if s.archUpTo >= 0 && i >= s.archUpTo {
-		start, cur = s.archUpTo, s.anchor
-	}
-	s.mu.RUnlock()
 	if c != nil {
-		if k, img, ok := c.nearestVersion(i); ok && k >= start {
+		if k, img, ok := c.nearestVersion(i); ok {
 			start, cur = k, img
 		}
 	}
