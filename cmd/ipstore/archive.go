@@ -58,10 +58,14 @@ func saveNodes(dir string, nodes []*archive.Node) error {
 	return nil
 }
 
+// shardGlob matches every shard file of an archive directory.
+const shardGlob = "node[0-9][0-9]/s*-i*.shard"
+
 // loadArchiveDir reopens an archive directory: the manifest plus one node
 // per shard index. A missing node directory loads as an empty node — its
 // shards scrub as missing, reads degrade to k-of-n, and -repair rebuilds
-// the directory from the survivors.
+// the directory from the survivors. Only shards of stripes the manifest
+// lists are read.
 func loadArchiveDir(dir string) (*archiveManifest, *archive.Archive, []*archive.Node, error) {
 	raw, err := os.ReadFile(filepath.Join(dir, manifestName))
 	if err != nil {
@@ -78,6 +82,10 @@ func loadArchiveDir(dir string) (*archiveManifest, *archive.Archive, []*archive.
 	if n <= 0 || n > 128 {
 		return nil, nil, nil, errors.New("archive manifest: bad shard counts")
 	}
+	listed := make(map[uint64]bool, len(man.Archive.Stripes))
+	for _, si := range man.Archive.Stripes {
+		listed[si.ID] = true
+	}
 	nodes := make([]*archive.Node, n)
 	for i := range nodes {
 		nodes[i] = archive.NewNode(i)
@@ -91,7 +99,7 @@ func loadArchiveDir(dir string) (*archiveManifest, *archive.Archive, []*archive.
 		for _, e := range entries {
 			var stripeID uint64
 			var idx int
-			if _, err := fmt.Sscanf(e.Name(), "s%08d-i%02d.shard", &stripeID, &idx); err != nil || idx != i {
+			if _, err := fmt.Sscanf(e.Name(), "s%08d-i%02d.shard", &stripeID, &idx); err != nil || idx != i || !listed[stripeID] {
 				continue // foreign file; the shard stays missing
 			}
 			b, err := os.ReadFile(filepath.Join(nd, e.Name()))
@@ -115,7 +123,7 @@ func loadArchiveDir(dir string) (*archiveManifest, *archive.Archive, []*archive.
 func cmdArchive(args []string) error {
 	fs := flag.NewFlagSet("archive", flag.ContinueOnError)
 	storePath := fs.String("store", "", "store file")
-	dir := fs.String("dir", "", "archive directory to create")
+	dir := fs.String("dir", "", "archive directory to create (must hold no archive)")
 	upTo := fs.Int("up-to", -1, "archive versions [0..N] (default: all)")
 	data := fs.Int("data", 4, "data shards (k)")
 	parity := fs.Int("parity", 2, "parity shards (m)")
@@ -125,6 +133,15 @@ func cmdArchive(args []string) error {
 	}
 	if *storePath == "" || *dir == "" {
 		return errors.New("archive: -store and -dir are required")
+	}
+	// An archive never lands on another: its shards would mix with the
+	// old one's, which the new manifest does not list.
+	shards, err := filepath.Glob(filepath.Join(*dir, shardGlob))
+	if err != nil {
+		return err
+	}
+	if _, err := os.Stat(filepath.Join(*dir, manifestName)); err == nil || len(shards) > 0 {
+		return fmt.Errorf("archive: %s already holds an archive", *dir)
 	}
 	a, nodes, err := archive.NewWithNodes(*data, *parity)
 	if err != nil {

@@ -6,6 +6,8 @@ import (
 	"path/filepath"
 	"strconv"
 	"testing"
+
+	"ipdelta/internal/archive"
 )
 
 // buildArchivedStore inits a store with n versions and archives it into
@@ -155,7 +157,12 @@ func TestArchiveScrubRepairsBitRot(t *testing.T) {
 func TestArchiveUsageErrors(t *testing.T) {
 	dir := t.TempDir()
 	_, storePath := buildStoreFile(t, dir, 9)
+	taken := filepath.Join(dir, "taken")
+	if err := run([]string{"archive", "-store", storePath, "-dir", taken, "-segment", "2"}); err != nil {
+		t.Fatal(err)
+	}
 	for _, args := range [][]string{
+		{"archive", "-store", storePath, "-dir", taken},
 		{"archive"},
 		{"archive", "-store", "missing.ipst", "-dir", filepath.Join(dir, "a")},
 		{"archive", "-store", storePath, "-dir", filepath.Join(dir, "a"), "-segment", "0"},
@@ -177,5 +184,32 @@ func TestArchiveRestoreBeyondHistory(t *testing.T) {
 	err := run([]string{"restore", "-dir", filepath.Join(dir, "arch"), "-index", "99", "-out", filepath.Join(dir, "o")})
 	if err == nil {
 		t.Fatal("restore beyond archived history succeeded")
+	}
+}
+
+// TestArchiveLoadSkipsUnlistedStripes plants a shard of a stripe that
+// MANIFEST.json does not list: loading the directory leaves it on disk
+// unread, and scrub checks only the listed stripes' shards.
+func TestArchiveLoadSkipsUnlistedStripes(t *testing.T) {
+	dir := t.TempDir()
+	buildArchivedStore(t, dir, 6, 3, 2, 2)
+	arch := filepath.Join(dir, "arch")
+	planted := filepath.Join(nodeDir(arch, 0), shardFile(archive.ShardID{Stripe: 99, Index: 0}))
+	if err := os.WriteFile(planted, []byte("stale shard"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	man, a, nodes, err := loadArchiveDir(arch)
+	if err != nil {
+		t.Fatal(err)
+	}
+	stripes := len(man.Archive.Stripes)
+	if got := nodes[0].Len(); got != stripes {
+		t.Errorf("node 0 loaded %d shards, want the %d of the listed stripes", got, stripes)
+	}
+	if rep := a.Scrub(); rep.ShardsChecked != 5*stripes || !rep.Clean() {
+		t.Errorf("scrub = %s, want %d clean shards", rep, 5*stripes)
+	}
+	if err := run([]string{"scrub", "-dir", arch, "-verify"}); err != nil {
+		t.Fatal(err)
 	}
 }

@@ -6,6 +6,7 @@ import (
 	"errors"
 	"flag"
 	"fmt"
+	"io"
 	"log/slog"
 	"net"
 	"net/http"
@@ -25,7 +26,7 @@ func cmdServe(args []string) error {
 	fs := flag.NewFlagSet("serve", flag.ContinueOnError)
 	storePath := fs.String("store", "", "store file")
 	listen := fs.String("listen", "127.0.0.1:7080", "listen address")
-	cacheSize := fs.Int("cache", 64, "materialization cache budget in MiB (0 disables; versions and composed deltas are replayed per request)")
+	cacheSize := fs.Int("cache", 64, "materialization cache budget in MiB for version images and composed deltas; with -chunked, composed deltas only (0 disables: every request rebuilds)")
 	chunked := fs.Bool("chunked", false, "hold the store as chunk recipes: versions dedup into a content-addressed chunk store, and served deltas and /info sizes come from recipe diffs")
 	verbose := fs.Bool("v", false, "log each request (structured, stderr)")
 	if err := fs.Parse(args); err != nil {
@@ -163,13 +164,20 @@ func (sv *storeServer) version(w http.ResponseWriter, req *http.Request) (int, i
 	if err != nil {
 		return http.StatusBadRequest, 0, fmt.Errorf("bad version index %q", req.PathValue("n"))
 	}
-	img, err := sv.store.Version(idx)
+	ref, err := sv.store.VersionReader(idx)
 	if err != nil {
 		return http.StatusNotFound, 0, err
 	}
+	// Stream the version: a chunked store reads it chunk by chunk and never
+	// holds the whole image. A failure after the first byte truncates the
+	// body short of its Content-Length, which the client sees.
 	w.Header().Set("Content-Type", "application/octet-stream")
-	n, _ := w.Write(img)
-	return http.StatusOK, int64(n), nil
+	w.Header().Set("Content-Length", strconv.FormatInt(ref.Size(), 10))
+	n, err := io.Copy(w, io.NewSectionReader(ref, 0, ref.Size()))
+	if err != nil {
+		return http.StatusInternalServerError, n, err
+	}
+	return http.StatusOK, n, nil
 }
 
 func (sv *storeServer) delta(w http.ResponseWriter, req *http.Request) (int, int64, error) {

@@ -3,6 +3,7 @@ package main
 import (
 	"bytes"
 	"encoding/json"
+	"fmt"
 	"io"
 	"math/rand"
 	"net/http"
@@ -15,46 +16,52 @@ import (
 	"ipdelta/internal/store"
 )
 
-// testStore builds a three-version store of successively mutated images.
-func testStore(t *testing.T) *store.Store {
+// testStore builds a three-version store of successively mutated images
+// and returns it with the images.
+func testStore(t *testing.T, size int, opts ...store.Option) (*store.Store, [][]byte) {
 	t.Helper()
 	rng := rand.New(rand.NewSource(5))
-	base := make([]byte, 8<<10)
+	base := make([]byte, size)
 	rng.Read(base)
-	s := store.New(base)
-	cur := base
+	s := store.New(base, opts...)
+	versions := [][]byte{base}
 	for k := 0; k < 2; k++ {
-		next := append([]byte(nil), cur...)
+		next := append([]byte(nil), versions[k]...)
 		rng.Read(next[256*(k+1) : 256*(k+1)+512])
 		if _, err := s.AppendVersion(next); err != nil {
 			t.Fatal(err)
 		}
-		cur = next
+		versions = append(versions, next)
 	}
-	return s
+	return s, versions
+}
+
+// get fetches url and fails the test unless it answers wantStatus.
+func get(t *testing.T, url string, wantStatus int) []byte {
+	t.Helper()
+	resp, err := http.Get(url)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	body, err := io.ReadAll(resp.Body)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if resp.StatusCode != wantStatus {
+		t.Fatalf("GET %s = %d (%s), want %d", url, resp.StatusCode, strings.TrimSpace(string(body)), wantStatus)
+	}
+	return body
 }
 
 func TestServeHandlerEndpoints(t *testing.T) {
-	s := testStore(t)
+	s, _ := testStore(t, 8<<10)
 	reg := obs.NewRegistry()
 	srv := httptest.NewServer(newServeHandler(s, reg, nil))
 	defer srv.Close()
-
 	get := func(path string, wantStatus int) []byte {
 		t.Helper()
-		resp, err := http.Get(srv.URL + path)
-		if err != nil {
-			t.Fatal(err)
-		}
-		defer resp.Body.Close()
-		body, err := io.ReadAll(resp.Body)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if resp.StatusCode != wantStatus {
-			t.Fatalf("GET %s = %d (%s), want %d", path, resp.StatusCode, strings.TrimSpace(string(body)), wantStatus)
-		}
-		return body
+		return get(t, srv.URL+path, wantStatus)
 	}
 
 	// /info reports the census.
@@ -121,6 +128,28 @@ func TestServeHandlerEndpoints(t *testing.T) {
 	}
 	if got := snap.Counter("ipdelta_store_bytes_written_total"); got == 0 {
 		t.Error("bytes_written_total did not move")
+	}
+}
+
+// TestServeVersionStreamsChunked serves every version of a cached,
+// chunked store over /version/{n}: each body is the image, and none of
+// them lands in the store's cache, which holds composed deltas only.
+func TestServeVersionStreamsChunked(t *testing.T) {
+	reg := obs.NewRegistry()
+	s, versions := testStore(t, 256<<10, store.WithChunking(nil), store.WithCache(1), store.WithObserver(reg))
+	srv := httptest.NewServer(newServeHandler(s, reg, nil))
+	defer srv.Close()
+	for i, want := range versions {
+		if got := get(t, fmt.Sprintf("%s/version/%d", srv.URL, i), http.StatusOK); !bytes.Equal(got, want) {
+			t.Fatalf("/version/%d body differs from the stored image", i)
+		}
+	}
+	snap := reg.Snapshot()
+	if b := snap.Gauges["ipdelta_store_cache_bytes"]; b != 0 {
+		t.Errorf("ipdelta_store_cache_bytes = %d after /version, want 0", b)
+	}
+	if got, want := snap.Counter("ipdelta_store_bytes_written_total"), int64(3*len(versions[0])); got != want {
+		t.Errorf("bytes_written_total = %d, want %d", got, want)
 	}
 }
 

@@ -10,7 +10,7 @@ import (
 
 // Artifact kinds held by the materialization cache.
 const (
-	kindVersion = iota // a fully materialized version image ([]byte)
+	kindVersion = iota // a materialized version image of a plain store ([]byte)
 	kindDelta          // a composed delta between two versions (*delta.Delta)
 	numKinds
 )
@@ -26,7 +26,9 @@ type cacheKey struct {
 // version images and composed deltas, so N concurrent requests for the
 // same cold artifact perform exactly one chain replay or composition. It
 // is bounded in bytes (artifactCost): an artifact larger than the whole
-// budget is handed to its callers and not kept.
+// budget is handed to its callers and not kept. A chunked store puts
+// composed deltas only in it; its Version images come from the chunks
+// and belong to the caller.
 //
 // Coherence comes from the store's append-only shape: version i and the
 // composed delta (i, j) are immutable once their releases exist, so

@@ -362,6 +362,20 @@ func TestStoreCacheBudget(t *testing.T) {
 				}
 			}
 			wg.Wait()
+			// The composed deltas from version 0 add up to more than the
+			// budget, so a chunked store, which caches no image, evicts too.
+			for j := 1; j < len(versions); j++ {
+				d, err := s.DeltaBetween(0, j)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if got, err := d.Apply(versions[0]); err != nil || !bytes.Equal(got, versions[j]) {
+					t.Fatalf("DeltaBetween(0, %d) does not rebuild %d (err %v)", j, j, err)
+				}
+				if !within(fmt.Sprintf("DeltaBetween(0, %d)", j)) {
+					break
+				}
+			}
 			snap := reg.Snapshot()
 			if snap.Counter("ipdelta_store_cache_evictions_total") == 0 {
 				t.Error("no evictions: the budget held every artifact")

@@ -6,6 +6,7 @@ import (
 	"errors"
 	"fmt"
 	"math/rand"
+	"runtime"
 	"slices"
 	"strings"
 	"sync"
@@ -273,11 +274,15 @@ func TestChunkedStoreGoldenContainer(t *testing.T) {
 
 // TestChunkedStoreHoldsRecipesOnly checks the representation of each
 // store mode after New, AppendVersion and Load: a chunked store's releases
-// hold a recipe and no delta, a plain store's a delta and no recipe.
+// hold a recipe and no delta, and it keeps no base copy; a plain store's
+// releases hold a delta and no recipe.
 func TestChunkedStoreHoldsRecipesOnly(t *testing.T) {
 	versions := churnedVersions(5, 3, 64<<10)
 	check := func(s *Store, label string) {
 		t.Helper()
+		if (s.base == nil) != s.chunked {
+			t.Fatalf("%s: chunked %v store holds a %d-byte base copy", label, s.chunked, len(s.base))
+		}
 		for k, r := range s.releases {
 			if s.chunked && (r.d != nil || len(r.recipe.Chunks) == 0) {
 				t.Fatalf("%s: chunked release %d holds delta %v, %d chunks", label, k, r.d != nil, len(r.recipe.Chunks))
@@ -397,5 +402,55 @@ func TestChunkedStoreSaveDuringAppend(t *testing.T) {
 	}
 	if !bytes.Equal(got, want) {
 		t.Error("the store saves a different container after the race")
+	}
+}
+
+// TestChunkedVersionKeepsDeltaCached reads a version between two requests
+// for the same composed delta on a chunked store whose cache fits one
+// version image. The image is read from chunks and not cached, so it
+// cannot evict the delta: the second request hits.
+func TestChunkedVersionKeepsDeltaCached(t *testing.T) {
+	versions := budgetVersions(5, 36)
+	reg := obs.NewRegistry()
+	s := buildStore(t, versions, WithChunking(nil), WithCache(1), WithObserver(reg))
+	head := len(versions) - 1
+	if _, err := s.DeltaBetween(2, head); err != nil {
+		t.Fatal(err)
+	}
+	if got, err := s.Version(2); err != nil || !bytes.Equal(got, versions[2]) {
+		t.Fatalf("Version(2) differs (err %v)", err)
+	}
+	d, err := s.DeltaBetween(2, head)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got, err := d.Apply(versions[2]); err != nil || !bytes.Equal(got, versions[head]) {
+		t.Fatalf("DeltaBetween(2, %d) does not rebuild the head (err %v)", head, err)
+	}
+	if hits := reg.Snapshot().Counter("ipdelta_store_cache_delta_hits_total"); hits != 1 {
+		t.Errorf("delta hits = %d, want 1: reading the version evicted the delta", hits)
+	}
+}
+
+// TestChunkedStoreNewAllocBytes gates what New allocates on a chunked
+// store: the chunk copies of the base and their bookkeeping, and no copy
+// of the base beside them.
+func TestChunkedStoreNewAllocBytes(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation gates are meaningless under the race detector")
+	}
+	base := make([]byte, 4<<20)
+	rand.New(rand.NewSource(37)).Read(base)
+	best := ^uint64(0)
+	var before, after runtime.MemStats
+	for range 3 {
+		runtime.ReadMemStats(&before)
+		s := New(base, WithChunking(nil))
+		runtime.ReadMemStats(&after)
+		runtime.KeepAlive(s)
+		best = min(best, after.TotalAlloc-before.TotalAlloc)
+	}
+	if limit := uint64(len(base)) * 13 / 10; best > limit {
+		t.Fatalf("New allocates %d bytes for a %d-byte base, want at most %d (1.3x)", best, len(base), limit)
 	}
 }

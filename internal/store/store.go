@@ -11,7 +11,8 @@
 // by a budget in MiB, with singleflight deduplication, so a serving hot
 // path stops replaying the delta chain per request (see DESIGN.md §10);
 // cached artifacts are shared and must be treated as read-only by
-// callers.
+// callers. A chunked store caches composed deltas only: its versions
+// live in the chunk store, once.
 package store
 
 import (
@@ -75,7 +76,7 @@ func resolveStoreMetrics(r *obs.Registry) *storeMetrics {
 type Store struct {
 	mu       sync.RWMutex // guards releases (append-only; elements immutable)
 	appendMu sync.Mutex   // serializes AppendVersion end to end
-	base     []byte       // immutable after New/Load
+	base     []byte       // plain store only; immutable after New/Load
 	releases []release
 	algo     diff.Algorithm
 	cache    *matCache
@@ -83,10 +84,11 @@ type Store struct {
 
 	// Chunked store (WithChunking): every version is an ordered chunk
 	// recipe over a content-addressed dedup store, and there is no delta
-	// chain. Appends ingest the version against the head's recipe,
-	// DeltaBetween diffs the two endpoint recipes, and Version
-	// materializes from chunks. The chunk store may be shared across
-	// Stores (tenants), in which case identical content is held once.
+	// chain and no base copy: each version byte lives in a chunk. Appends
+	// ingest the version against the head's recipe, DeltaBetween diffs
+	// the two endpoint recipes, and Version materializes from chunks. The
+	// chunk store may be shared across Stores (tenants), in which case
+	// identical content is held once.
 	chunked bool
 	ck      *chunk.Chunker
 	cs      *chunk.Store
@@ -127,8 +129,10 @@ func WithChunking(shared *chunk.Store) Option {
 // concurrent requests for the same cold artifact share one computation.
 // An image is charged its length, a composed delta its commands and add
 // bytes; an artifact larger than the budget is computed and returned but
-// not retained. Version and DeltaBetween then return shared values that
-// must be treated as read-only.
+// not retained. DeltaBetween, and Version on a plain store, then return
+// shared values that must be treated as read-only. A chunked store
+// caches composed deltas only: its Version reads the chunks, and an
+// image cached beside them would hold every byte twice.
 func WithCache(mib int) Option {
 	return func(s *Store) { s.cacheBytes = int64(mib) << 20 }
 }
@@ -141,14 +145,15 @@ func WithObserver(r *obs.Registry) Option {
 	return func(s *Store) { s.obsReg = r }
 }
 
-// New creates a store whose first version is base.
+// New creates a store whose first version is base. A plain store keeps
+// a copy of base; a chunked one ingests it and keeps no copy.
 func New(base []byte, opts ...Option) *Store {
-	s := &Store{
-		base: append([]byte(nil), base...),
-		algo: diff.NewLinear(),
-	}
+	s := &Store{algo: diff.NewLinear()}
 	for _, o := range opts {
 		o(s)
+	}
+	if !s.chunked {
+		s.base = append([]byte(nil), base...)
 	}
 	if s.obsReg != nil {
 		s.met = resolveStoreMetrics(s.obsReg)
@@ -224,15 +229,17 @@ func (s *Store) ChunkStats() (chunk.Stats, bool) {
 	return s.cs.Stats(), true
 }
 
-// Version materializes version i by applying the delta chain. On a
-// cache-enabled store the result may be a shared cached image — treat it
-// as read-only — and a miss replays only the suffix of the chain below
-// the deepest cached ancestor.
+// Version materializes version i: a plain store applies the delta
+// chain, a chunked one reads the version's chunks. On a cache-enabled
+// plain store the result may be a shared cached image — treat it as
+// read-only — and a miss replays only the suffix of the chain below the
+// deepest cached ancestor. A chunked store never caches images, so its
+// Version returns a fresh image the caller owns.
 func (s *Store) Version(i int) ([]byte, error) {
 	if n := s.NumVersions(); i < 0 || i >= n {
 		return nil, fmt.Errorf("%w: %d of %d", ErrNoSuchVersion, i, n)
 	}
-	if s.cache == nil {
+	if s.cache == nil || s.chunked {
 		return s.materialize(i, nil)
 	}
 	v, err := s.cache.do(cacheKey{kind: kindVersion, to: i}, func() (any, error) {
@@ -390,15 +397,15 @@ func (s *Store) compose(i, j int) (*delta.Delta, error) {
 // InPlaceDeltaTo returns a direct, in-place reconstructible delta from
 // version i to the newest version, composed from the chain and converted
 // with the given policy. Conversion reads version i only for the copies
-// it converts to adds (refReader), so a conversion that converts none
-// never builds or caches that image.
+// it converts to adds (VersionReader), so a conversion that converts
+// none never builds or caches that image.
 func (s *Store) InPlaceDeltaTo(i int, policy graph.Policy) (*delta.Delta, *inplace.Stats, error) {
 	head := s.NumVersions() - 1
 	d, err := s.DeltaBetween(i, head)
 	if err != nil {
 		return nil, nil, err
 	}
-	return inplace.ConvertAt(d, s.refReader(i), inplace.WithPolicy(policy))
+	return inplace.ConvertAt(d, s.versionReader(i), inplace.WithPolicy(policy))
 }
 
 // RollbackDelta returns an in-place reconstructible delta from the newest
@@ -420,14 +427,22 @@ func (s *Store) RollbackDelta(i int, policy graph.Policy) (*delta.Delta, *inplac
 	if err != nil {
 		return nil, nil, err
 	}
-	return inplace.ConvertAt(backward, s.refReader(head), inplace.WithPolicy(policy))
+	return inplace.ConvertAt(backward, s.versionReader(head), inplace.WithPolicy(policy))
 }
 
-// refReader returns version i (which must exist) as a reference read by
-// byte range. On a chunked store it reads the chunks of i's recipe that a
-// read touches; otherwise it materializes i through Version on its first
-// read, and never when nothing is read.
-func (s *Store) refReader(i int) inplace.RefReader {
+// VersionReader returns version i read by byte range. On a chunked store
+// it reads the chunks of i's recipe that a read touches, and never builds
+// the whole image; on a plain store it materializes i through Version on
+// its first read, and never when nothing is read.
+func (s *Store) VersionReader(i int) (inplace.RefReader, error) {
+	if n := s.NumVersions(); i < 0 || i >= n {
+		return nil, fmt.Errorf("%w: %d of %d", ErrNoSuchVersion, i, n)
+	}
+	return s.versionReader(i), nil
+}
+
+// versionReader is VersionReader for an i the caller has checked.
+func (s *Store) versionReader(i int) inplace.RefReader {
 	s.mu.RLock()
 	defer s.mu.RUnlock()
 	if s.chunked {
@@ -465,8 +480,10 @@ func (v *lazyVersion) ReadAt(p []byte, off int64) (int, error) {
 // a delta-chain store saves over full copies. On a chunked store this
 // costs one recipe diff per release.
 func (s *Store) StorageBytes() (int64, error) {
-	total := int64(len(s.base))
-	for k, n := 1, s.NumVersions(); k < n; k++ {
+	s.mu.RLock()
+	total, n := s.releases[0].length, len(s.releases)
+	s.mu.RUnlock()
+	for k := 1; k < n; k++ {
 		d, err := s.compose(k-1, k)
 		if err != nil {
 			return 0, err
@@ -505,7 +522,8 @@ const storeFormatVersion = 2
 // Save serializes the store: magic, format version, version count, base
 // image, the identity frame (CRC32 + length of every release), then the
 // delta from each version to the next in the ordered wire format — the
-// same container for a plain and a chunked store of the same versions.
+// same container for a plain and a chunked store of the same versions. A
+// chunked store reads the base image back from its chunks.
 func (s *Store) Save() ([]byte, error) {
 	s.mu.RLock()
 	rels := s.releases // immutable elements: valid after the lock drops
@@ -514,8 +532,17 @@ func (s *Store) Save() ([]byte, error) {
 	buf.Write(storeMagic[:])
 	buf.WriteByte(storeFormatVersion)
 	writeUvarint(&buf, uint64(len(rels)))
-	writeUvarint(&buf, uint64(len(s.base)))
-	buf.Write(s.base)
+	writeUvarint(&buf, uint64(rels[0].length))
+	if s.chunked {
+		buf.Grow(int(rels[0].length))
+		base, err := chunk.Materialize(buf.AvailableBuffer(), rels[0].recipe, s.cs)
+		if err != nil {
+			return nil, fmt.Errorf("store version 0: %w", err)
+		}
+		buf.Write(base)
+	} else {
+		buf.Write(s.base)
+	}
 	var id [4]byte
 	for _, r := range rels {
 		binary.LittleEndian.PutUint32(id[:], r.crc)
