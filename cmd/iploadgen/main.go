@@ -183,10 +183,9 @@ func drive(addr string, conns, streams int, nf *netupdate.Flags, history [][]byt
 	reg *obs.Registry, logger *slog.Logger, seed int64) (*result, error) {
 
 	ctx := context.Background()
-	opts := append(nf.Options(), netupdate.WithObserver(reg), netupdate.WithLogger(logger))
 	ccs := make([]*netupdate.ClientConn, conns)
 	for i := range ccs {
-		cc, err := netupdate.Dial(ctx, addr, opts...)
+		cc, err := netupdate.Dial(ctx, addr, nf.ConnOptions()...)
 		if err != nil {
 			return nil, fmt.Errorf("dial conn %d: %w", i, err)
 		}
@@ -194,7 +193,8 @@ func drive(addr string, conns, streams int, nf *netupdate.Flags, history [][]byt
 		ccs[i] = cc
 	}
 
-	client := netupdate.NewClient(opts...)
+	client := netupdate.NewClient(append(nf.ClientOptions(),
+		netupdate.WithObserver(reg), netupdate.WithLogger(logger))...)
 	total := conns * streams
 	res := &result{latencies: make([]time.Duration, total)}
 
@@ -225,20 +225,6 @@ func drive(addr string, conns, streams int, nf *netupdate.Flags, history [][]byt
 			}
 			dev := device.New(flash, int64(len(baseline)), device.DefaultWorkBufSize)
 
-			attempt := uint64(0)
-			dial := func(ctx context.Context) (net.Conn, error) {
-				st, err := cc.OpenStream(ctx)
-				if err != nil {
-					return nil, err
-				}
-				if !nf.FaultsEnabled() {
-					return st, nil
-				}
-				attempt++
-				p := nf.FaultProfile(sseed + attempt)
-				return netupdate.NewFlakyConn(st, p), nil
-			}
-
 			cur := inflight.Add(1)
 			inflightG.Set(inflight.Load())
 			for {
@@ -249,7 +235,7 @@ func drive(addr string, conns, streams int, nf *netupdate.Flags, history [][]byt
 			}
 			sessions.Inc()
 			t0 := time.Now()
-			rep, err := client.Run(ctx, dial, dev)
+			rep, err := client.Run(ctx, nf.Dialer(cc, sseed), dev)
 			lat := time.Since(t0)
 			inflight.Add(-1)
 			inflightG.Set(inflight.Load())

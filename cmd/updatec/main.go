@@ -89,16 +89,15 @@ func run(args []string) error {
 	if *metrics {
 		reg = obs.NewRegistry()
 	}
-	opts := append(nf.Options(), netupdate.WithObserver(reg), netupdate.WithLogger(logger))
-
-	dial, cc, err := dialer(*server, *rate, &nf, opts)
+	cc, err := dial(*server, *rate, &nf)
 	if err != nil {
 		return err
 	}
 	defer cc.Close()
 
-	client := netupdate.NewClient(opts...)
-	rep, err := client.Run(context.Background(), dial, dev)
+	client := netupdate.NewClient(append(nf.ClientOptions(),
+		netupdate.WithObserver(reg), netupdate.WithLogger(logger))...)
+	rep, err := client.Run(context.Background(), nf.Dialer(cc, 0), dev)
 	for _, line := range rep.FailureLog {
 		fmt.Fprintln(os.Stderr, "updatec:", line)
 	}
@@ -127,35 +126,21 @@ func run(args []string) error {
 	return nil
 }
 
-// dialer dials one multiplexed connection to server and returns the
-// per-attempt DialFunc, which opens a fresh stream on it. Faults (if
-// configured) wrap each stream, with a per-attempt seed so retries get
-// fresh but reproducible weather.
-func dialer(server string, rate int64, nf *netupdate.Flags, opts []netupdate.Option) (netupdate.DialFunc, *netupdate.ClientConn, error) {
+// dial opens the one multiplexed connection to server that every
+// session attempt opens a fresh stream on.
+func dial(server string, rate int64, nf *netupdate.Flags) (*netupdate.ClientConn, error) {
 	conn, err := net.Dial("tcp", server)
 	if err != nil {
-		return nil, nil, err
+		return nil, err
 	}
 	c := net.Conn(conn)
 	if rate > 0 {
 		c = netupdate.NewThrottledConn(c, rate)
 	}
-	cc, err := netupdate.NewClientConn(c, opts...)
+	cc, err := netupdate.NewClientConn(c, nf.ConnOptions()...)
 	if err != nil {
 		conn.Close()
-		return nil, nil, err
+		return nil, err
 	}
-	attempts := uint64(0)
-	dial := func(ctx context.Context) (net.Conn, error) {
-		st, err := cc.OpenStream(ctx)
-		if err != nil {
-			return nil, err
-		}
-		if !nf.FaultsEnabled() {
-			return st, nil
-		}
-		attempts++
-		return netupdate.NewFlakyConn(st, nf.FaultProfile(attempts)), nil
-	}
-	return dial, cc, nil
+	return cc, nil
 }

@@ -77,7 +77,7 @@ func run(args []string) error {
 	}
 	reg := obs.NewRegistry()
 	codec.SetObserver(reg)
-	srv, err := netupdate.NewServer(history, append(nf.Options(),
+	srv, err := netupdate.NewServer(history, append(nf.ServerOptions(),
 		netupdate.WithObserver(reg),
 		netupdate.WithLogger(logger),
 	)...)

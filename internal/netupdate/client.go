@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"io"
 	"net"
+	"time"
 
 	"ipdelta/internal/device"
 )
@@ -24,29 +25,29 @@ type Result struct {
 	FullImage bool
 }
 
-// Run executes one update session for dev over conn — normally one v2
-// Stream (ClientConn.Update and the retry Client open one per session). On
-// success the device's flash holds the server's current version. If the
-// device had an interrupted update pending, the session asks for the
-// same delta again and resumes it; if the connection or power fails
-// mid-update, the device keeps its progress and a later Run completes
-// it. Cancelling the context aborts in-flight I/O on the connection.
-func Run(ctx context.Context, conn net.Conn, dev *device.Device, opts ...Option) (Result, error) {
-	var cfg Config
-	cfg.apply(opts)
+// clientSession executes one update session for dev over conn — normally
+// one v2 Stream (ClientConn.Update and the retry Client open one per
+// session) — arming timeout before every I/O and asking for the complete
+// image when full is set. On success the device's flash holds the
+// server's current version. If the device had an interrupted update
+// pending, the session asks for the same delta again and resumes it; if
+// the connection or power fails mid-update, the device keeps its
+// progress and a later session completes it. Cancelling the context
+// aborts in-flight I/O on the connection.
+func clientSession(ctx context.Context, conn net.Conn, dev *device.Device, timeout time.Duration, full bool) (Result, error) {
 	if err := ctx.Err(); err != nil {
 		return Result{}, err
 	}
 	stop := cancelOnCtx(ctx, conn)
 	defer stop()
-	c := withDeadlines(conn, cfg.MessageTimeout)
+	c := withDeadlines(conn, timeout)
 	r := bufio.NewReader(c)
 	w := bufio.NewWriter(c)
 
 	var h hello
 	p, pending := dev.PendingUpdate()
 	switch {
-	case pending && (p.Full || cfg.RequestFull):
+	case pending && (p.Full || full):
 		// Resuming (or forcing) a full install: the flash is partially
 		// overwritten, so there is no meaningful source CRC to report.
 		h = hello{Updating: p.Full, WantFull: true, Capacity: dev.FlashCapacity()}
@@ -63,7 +64,7 @@ func Run(ctx context.Context, conn net.Conn, dev *device.Device, opts ...Option)
 			return Result{}, err
 		}
 		h = hello{
-			WantFull: cfg.RequestFull,
+			WantFull: full,
 			ImageCRC: crc,
 			ImageLen: dev.ImageLen(),
 			Capacity: dev.FlashCapacity(),

@@ -10,115 +10,116 @@ import (
 	"ipdelta/internal/obs"
 )
 
-// Config collects every tunable of the update service — server, client
-// runner, per-session behavior, and the v2 transport — in one place.
-// Client, server, and load-generation tooling all build theirs from the
-// same Option list, so a knob never has to exist in three spellings.
-//
-// Construct one implicitly through NewServer / NewClient / Dial / Run
-// and the With* options; the zero Config means "all defaults".
-type Config struct {
-	// --- server-side delta production ---
+// config collects every tunable of the update service. Each constructor
+// reads only its own fields and accepts only the option types that set
+// them, so no option can be passed where it would do nothing.
+type config struct {
+	// NewServer: delta production and the failure budget.
+	algorithm     diff.Algorithm
+	failureBudget int
 
-	// Algorithm is the differencing algorithm.
-	Algorithm diff.Algorithm
-	// FailureBudget rejects clients after that many consecutive failed
-	// sessions; zero disables.
-	FailureBudget int
+	// NewServer and NewClient: the per-message session deadline and
+	// the telemetry sinks.
+	messageTimeout time.Duration
+	observer       *obs.Registry
+	logger         *slog.Logger
 
-	// --- shared session behavior ---
+	// NewServer, Dial and NewClientConn: the v2 transport limits.
+	mux mux.Settings
 
-	// MessageTimeout arms a fresh deadline before every session I/O.
-	MessageTimeout time.Duration
-	// RequestFull asks for the complete image instead of a delta.
-	RequestFull bool
-	// Observer receives metrics; nil disables.
-	Observer *obs.Registry
-	// Logger receives structured log lines; nil discards.
-	Logger *slog.Logger
-
-	// --- v2 transport (mux) limits ---
-
-	// StreamLimit caps concurrent streams per connection (both the
-	// server's advertised acceptance limit and the client's open limit).
-	StreamLimit int
-	// InitialWindow is the per-stream receive window in bytes.
-	InitialWindow int
-	// MaxFrame is the largest DATA frame payload accepted.
-	MaxFrame int
-
-	// --- client retry ladder ---
-
-	// MaxAttempts bounds total session attempts (default 8).
-	MaxAttempts int
-	// BaseBackoff is the delay before the first retry, doubling per
-	// attempt up to 5s (default 100ms).
-	BaseBackoff time.Duration
-	// FullFallbackAfter is how many consecutive failed delta sessions the
-	// client tolerates before degrading to a full-image transfer; zero
-	// uses the default (3), negative disables the fallback.
-	FullFallbackAfter int
-	// Seed feeds the backoff jitter RNG, for reproducible schedules.
-	Seed uint64
-	// Sleep overrides the inter-attempt wait (tests collapse backoff).
-	Sleep func(ctx context.Context, d time.Duration) error
+	// NewClient: the retry ladder.
+	maxAttempts       int
+	baseBackoff       time.Duration
+	fullFallbackAfter int
+	seed              uint64
+	sleep             func(ctx context.Context, d time.Duration) error
 }
 
-// Option customizes a Config. The same options configure NewServer,
-// NewClient, Dial, and Run; options irrelevant to a particular surface
-// are simply ignored by it.
-type Option func(*Config)
+// ServerOption configures NewServer.
+type ServerOption interface{ applyServer(*config) }
 
-// apply folds opts into a Config.
-func (c *Config) apply(opts []Option) {
+// ClientOption configures NewClient, the retry ladder.
+type ClientOption interface{ applyClient(*config) }
+
+// ConnOption configures Dial and NewClientConn.
+type ConnOption interface{ applyConn(*config) }
+
+// ServerClientOption is read by both NewServer and NewClient.
+type ServerClientOption func(*config)
+
+// ServerConnOption is read by NewServer and by Dial / NewClientConn.
+type ServerConnOption func(*config)
+
+// serverOpt and clientOpt are the options one constructor reads.
+type (
+	serverOpt func(*config)
+	clientOpt func(*config)
+)
+
+func (o serverOpt) applyServer(c *config)          { o(c) }
+func (o clientOpt) applyClient(c *config)          { o(c) }
+func (o ServerClientOption) applyServer(c *config) { o(c) }
+func (o ServerClientOption) applyClient(c *config) { o(c) }
+func (o ServerConnOption) applyServer(c *config)   { o(c) }
+func (o ServerConnOption) applyConn(c *config)     { o(c) }
+
+// serverConfig folds opts over the server defaults.
+func serverConfig(opts []ServerOption) config {
+	c := config{algorithm: diff.NewLinear()}
 	for _, o := range opts {
-		o(c)
+		o.applyServer(&c)
 	}
+	return c
 }
 
-// muxSettings projects the transport knobs into mux Settings.
-func (c *Config) muxSettings() mux.Settings {
-	return mux.Settings{
-		MaxStreams:    c.StreamLimit,
-		InitialWindow: c.InitialWindow,
-		MaxFrame:      c.MaxFrame,
+// clientConfig folds opts and fills the retry-ladder defaults.
+func clientConfig(opts []ClientOption) config {
+	var c config
+	for _, o := range opts {
+		o.applyClient(&c)
 	}
+	if c.maxAttempts <= 0 {
+		c.maxAttempts = 8
+	}
+	if c.baseBackoff <= 0 {
+		c.baseBackoff = 100 * time.Millisecond
+	}
+	if c.fullFallbackAfter == 0 {
+		c.fullFallbackAfter = 3
+	}
+	if c.sleep == nil {
+		c.sleep = sleepCtx
+	}
+	return c
 }
 
-// withClientDefaults fills the retry-ladder fields.
-func (c Config) withClientDefaults() Config {
-	if c.MaxAttempts <= 0 {
-		c.MaxAttempts = 8
-	}
-	if c.BaseBackoff <= 0 {
-		c.BaseBackoff = 100 * time.Millisecond
-	}
-	if c.FullFallbackAfter == 0 {
-		c.FullFallbackAfter = 3
-	}
-	if c.Sleep == nil {
-		c.Sleep = sleepCtx
+// connConfig folds opts for a client connection.
+func connConfig(opts []ConnOption) config {
+	var c config
+	for _, o := range opts {
+		o.applyConn(&c)
 	}
 	return c
 }
 
 // WithAlgorithm selects the differencing algorithm (default linear).
-func WithAlgorithm(a diff.Algorithm) Option {
-	return func(c *Config) { c.Algorithm = a }
-}
-
-// WithMessageTimeout arms a fresh read/write deadline before every I/O
-// operation of a session, so one stalled or byzantine peer cannot pin a
-// worker. Zero (the default) disables deadlines.
-func WithMessageTimeout(d time.Duration) Option {
-	return func(c *Config) { c.MessageTimeout = d }
+func WithAlgorithm(a diff.Algorithm) ServerOption {
+	return serverOpt(func(c *config) { c.algorithm = a })
 }
 
 // WithFailureBudget rejects further sessions from a client (keyed by its
 // remote host) after n consecutive failed sessions; a successful session
 // resets the counter. Zero (the default) disables the budget.
-func WithFailureBudget(n int) Option {
-	return func(c *Config) { c.FailureBudget = n }
+func WithFailureBudget(n int) ServerOption {
+	return serverOpt(func(c *config) { c.failureBudget = n })
+}
+
+// WithMessageTimeout arms a fresh read/write deadline before every I/O
+// operation of a session, so one stalled or byzantine peer cannot pin a
+// worker. The server applies it to every session it handles and a Client
+// to every attempt. Zero (the default) disables deadlines.
+func WithMessageTimeout(d time.Duration) ServerClientOption {
+	return ServerClientOption(func(c *config) { c.messageTimeout = d })
 }
 
 // WithObserver attaches a metrics registry. Servers record session
@@ -126,68 +127,62 @@ func WithFailureBudget(n int) Option {
 // latency histograms; clients record runs, attempts, retries,
 // degradations, and bytes received. Handles resolve once at
 // construction; hot paths only bump atomics.
-func WithObserver(r *obs.Registry) Option {
-	return func(c *Config) { c.Observer = r }
+func WithObserver(r *obs.Registry) ServerClientOption {
+	return ServerClientOption(func(c *config) { c.observer = r })
 }
 
 // WithLogger sets the structured logger for per-session outcome lines.
 // The default discards everything.
-func WithLogger(l *slog.Logger) Option {
-	return func(c *Config) { c.Logger = l }
+func WithLogger(l *slog.Logger) ServerClientOption {
+	return ServerClientOption(func(c *config) { c.logger = l })
 }
 
 // WithStreamLimit caps concurrent update streams per v2 connection: the
 // server advertises it as its acceptance limit, the client enforces it
 // when opening (default 1024).
-func WithStreamLimit(n int) Option {
-	return func(c *Config) { c.StreamLimit = n }
+func WithStreamLimit(n int) ServerConnOption {
+	return ServerConnOption(func(c *config) { c.mux.MaxStreams = n })
 }
 
 // WithInitialWindow sets the per-stream receive window in bytes — the
 // credit a sender starts with before backpressure engages (default
 // 256 KiB).
-func WithInitialWindow(n int) Option {
-	return func(c *Config) { c.InitialWindow = n }
+func WithInitialWindow(n int) ServerConnOption {
+	return ServerConnOption(func(c *config) { c.mux.InitialWindow = n })
 }
 
 // WithMaxFrame sets the largest DATA frame payload this side accepts
 // (default 16 KiB).
-func WithMaxFrame(n int) Option {
-	return func(c *Config) { c.MaxFrame = n }
-}
-
-// WithRequestFull asks the server for the complete current image
-// instead of a delta. Any pending delta update is abandoned.
-func WithRequestFull(full bool) Option {
-	return func(c *Config) { c.RequestFull = full }
+func WithMaxFrame(n int) ServerConnOption {
+	return ServerConnOption(func(c *config) { c.mux.MaxFrame = n })
 }
 
 // WithMaxAttempts bounds total session attempts per Run (default 8).
-func WithMaxAttempts(n int) Option {
-	return func(c *Config) { c.MaxAttempts = n }
+func WithMaxAttempts(n int) ClientOption {
+	return clientOpt(func(c *config) { c.maxAttempts = n })
 }
 
 // WithBaseBackoff sets the delay before the first retry; it doubles per
 // attempt up to 5s (default 100ms).
-func WithBaseBackoff(d time.Duration) Option {
-	return func(c *Config) { c.BaseBackoff = d }
+func WithBaseBackoff(d time.Duration) ClientOption {
+	return clientOpt(func(c *config) { c.baseBackoff = d })
 }
 
 // WithFullFallbackAfter sets how many consecutive failed delta sessions
 // the client tolerates before degrading to a full-image transfer.
 // Session-level rejections degrade immediately. Zero keeps the default
 // (3); negative disables the fallback entirely.
-func WithFullFallbackAfter(n int) Option {
-	return func(c *Config) { c.FullFallbackAfter = n }
+func WithFullFallbackAfter(n int) ClientOption {
+	return clientOpt(func(c *config) { c.fullFallbackAfter = n })
 }
 
 // WithSeed feeds the backoff jitter RNG, for reproducible schedules.
-func WithSeed(seed uint64) Option {
-	return func(c *Config) { c.Seed = seed }
+func WithSeed(seed uint64) ClientOption {
+	return clientOpt(func(c *config) { c.seed = seed })
 }
 
 // WithSleep overrides the inter-attempt wait, letting tests collapse the
 // backoff schedule. Nil uses a context-aware timer.
-func WithSleep(sleep func(ctx context.Context, d time.Duration) error) Option {
-	return func(c *Config) { c.Sleep = sleep }
+func WithSleep(sleep func(ctx context.Context, d time.Duration) error) ClientOption {
+	return clientOpt(func(c *config) { c.sleep = sleep })
 }

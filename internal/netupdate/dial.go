@@ -27,17 +27,14 @@ var (
 // for concurrent use; a fleet shares few ClientConns instead of dialing
 // one TCP connection per device.
 type ClientConn struct {
-	tr   *mux.Transport
-	conn net.Conn
-	cfg  Config
+	tr *mux.Transport
 }
 
 // Dial connects to an update server at addr over TCP and negotiates
-// protocol v2. Transport knobs (WithStreamLimit, WithInitialWindow,
-// WithMaxFrame) and session defaults (WithMessageTimeout, ...) come from
-// the shared Config options. Dialing a server that does not speak v2
-// fails with ErrVersionMismatch.
-func Dial(ctx context.Context, addr string, opts ...Option) (*ClientConn, error) {
+// protocol v2. The transport limits (WithStreamLimit, WithInitialWindow,
+// WithMaxFrame) shape the connection. Dialing a server that does not speak v2 fails with
+// ErrVersionMismatch.
+func Dial(ctx context.Context, addr string, opts ...ConnOption) (*ClientConn, error) {
 	var d net.Dialer
 	conn, err := d.DialContext(ctx, "tcp", addr)
 	if err != nil {
@@ -53,34 +50,32 @@ func Dial(ctx context.Context, addr string, opts ...Option) (*ClientConn, error)
 
 // NewClientConn negotiates protocol v2 on an already established
 // connection (any net.Conn: TCP, a pipe, a fault injector).
-func NewClientConn(conn net.Conn, opts ...Option) (*ClientConn, error) {
-	var cfg Config
-	cfg.apply(opts)
-	tr, err := mux.Client(conn, cfg.muxSettings())
+func NewClientConn(conn net.Conn, opts ...ConnOption) (*ClientConn, error) {
+	cfg := connConfig(opts)
+	tr, err := mux.Client(conn, cfg.mux)
 	if err != nil {
 		return nil, fmt.Errorf("netupdate: v2 handshake: %w", err)
 	}
-	return &ClientConn{tr: tr, conn: conn, cfg: cfg}, nil
+	return &ClientConn{tr: tr}, nil
 }
 
 // OpenStream opens one multiplexed stream, blocking while the
 // connection is at its negotiated stream limit. The stream is a
-// net.Conn; run a session over it with Run, or hand it to anything that
-// speaks the session protocol.
+// net.Conn; hand it to anything that speaks the session protocol.
 func (cc *ClientConn) OpenStream(ctx context.Context) (*mux.Stream, error) {
 	return cc.tr.OpenContext(ctx)
 }
 
-// Update runs one update session for dev on a fresh stream, applying the
-// connection's session defaults plus any per-call options.
-func (cc *ClientConn) Update(ctx context.Context, dev *device.Device, opts ...Option) (Result, error) {
+// Update runs exactly one update session for dev on a fresh stream: it
+// neither retries nor degrades to a full image, and returns the
+// session's error as is. For the retry ladder, hand Dialer to a Client.
+func (cc *ClientConn) Update(ctx context.Context, dev *device.Device) (Result, error) {
 	st, err := cc.OpenStream(ctx)
 	if err != nil {
 		return Result{}, err
 	}
 	defer st.Close()
-	merged := append([]Option{WithMessageTimeout(cc.cfg.MessageTimeout), WithRequestFull(cc.cfg.RequestFull)}, opts...)
-	return Run(ctx, st, dev, merged...)
+	return clientSession(ctx, st, dev, 0, false)
 }
 
 // Dialer returns a DialFunc for the retry Client: each session attempt

@@ -1,7 +1,9 @@
 package netupdate
 
 import (
+	"context"
 	"flag"
+	"net"
 	"time"
 )
 
@@ -9,8 +11,9 @@ import (
 // updatec, and iploadgen onto a standard flag.FlagSet, so each command
 // registers one helper instead of growing its own copy of the flag
 // sprawl. Commands call the Register* methods for the surfaces they
-// expose, parse, and then pass Options() to NewServer / NewClient /
-// Dial.
+// expose, parse, and then pass ServerOptions() to NewServer,
+// ClientOptions() to NewClient and ConnOptions() to Dial /
+// NewClientConn.
 type Flags struct {
 	// Shared session knobs.
 	Timeout       time.Duration
@@ -68,39 +71,60 @@ func (f *Flags) RegisterFaults(fs *flag.FlagSet) *Flags {
 	return f
 }
 
-// Options maps the parsed knobs onto the shared Config options.
-func (f *Flags) Options() []Option {
-	opts := []Option{
+// ServerOptions maps the parsed knobs onto NewServer's options. A
+// transport limit left at zero keeps the negotiated default.
+func (f *Flags) ServerOptions() []ServerOption {
+	return []ServerOption{
 		WithMessageTimeout(f.Timeout),
 		WithFailureBudget(f.FailureBudget),
+		WithStreamLimit(f.StreamLimit),
+		WithInitialWindow(f.InitialWindow),
+		WithMaxFrame(f.MaxFrame),
+	}
+}
+
+// ClientOptions maps the parsed knobs onto NewClient's retry ladder; the
+// fault seed also seeds the backoff jitter.
+func (f *Flags) ClientOptions() []ClientOption {
+	return []ClientOption{
+		WithMessageTimeout(f.Timeout),
 		WithMaxAttempts(f.Retries),
 		WithFullFallbackAfter(f.FallbackAfter),
 		WithSeed(f.FaultSeed),
 	}
-	if f.StreamLimit > 0 {
-		opts = append(opts, WithStreamLimit(f.StreamLimit))
-	}
-	if f.InitialWindow > 0 {
-		opts = append(opts, WithInitialWindow(f.InitialWindow))
-	}
-	if f.MaxFrame > 0 {
-		opts = append(opts, WithMaxFrame(f.MaxFrame))
-	}
-	return opts
 }
 
-// FaultsEnabled reports whether any fault-injection knob is armed.
-func (f *Flags) FaultsEnabled() bool {
-	return f.FaultRate > 0 || f.FaultCorrupt > 0 || f.FaultDropAfter > 0
+// ConnOptions maps the parsed knobs onto Dial / NewClientConn's options.
+func (f *Flags) ConnOptions() []ConnOption {
+	return []ConnOption{
+		WithStreamLimit(f.StreamLimit),
+		WithInitialWindow(f.InitialWindow),
+		WithMaxFrame(f.MaxFrame),
+	}
 }
 
-// FaultProfile derives the injector profile for one dial attempt, so
-// retries see fresh but reproducible network weather.
-func (f *Flags) FaultProfile(attempt uint64) FaultProfile {
-	return FaultProfile{
-		Seed:           f.FaultSeed + attempt,
-		DropAfterBytes: f.FaultDropAfter,
-		OpFaultRate:    f.FaultRate,
-		CorruptRate:    f.FaultCorrupt,
+// Dialer returns the DialFunc for one Client.Run: each attempt opens a
+// fresh stream on cc and, when a fault knob is armed, wraps it in a
+// FlakyConn seeded FaultSeed+base+attempt (attempts count from 1), so
+// retries see fresh but reproducible network weather. The attempt
+// counter is not synchronized: use one Dialer per Run.
+func (f *Flags) Dialer(cc *ClientConn, base uint64) DialFunc {
+	dial := cc.Dialer()
+	if f.FaultRate <= 0 && f.FaultCorrupt <= 0 && f.FaultDropAfter <= 0 {
+		return dial
+	}
+	attempt := uint64(0)
+	return func(ctx context.Context) (net.Conn, error) {
+		st, err := dial(ctx)
+		if err != nil {
+			return nil, err
+		}
+		attempt++
+		return NewFlakyConn(st, FaultProfile{
+			Seed:           f.FaultSeed + base + attempt,
+			DropAfterBytes: f.FaultDropAfter,
+			OpFaultRate:    f.FaultRate,
+			CorruptRate:    f.FaultCorrupt,
+		}), nil
 	}
 }

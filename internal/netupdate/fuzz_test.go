@@ -77,6 +77,6 @@ func FuzzSession(f *testing.F) {
 			t.Fatal(err)
 		}
 		dev := device.New(flash, int64(len(history[0])), 256)
-		_, _ = Run(context.Background(), newScriptConn(data), dev)
+		_, _ = clientSession(context.Background(), newScriptConn(data), dev, 0, false)
 	})
 }

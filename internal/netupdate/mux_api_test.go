@@ -4,7 +4,6 @@ import (
 	"bytes"
 	"context"
 	"errors"
-	"fmt"
 	"net"
 	"sync"
 	"testing"
@@ -138,7 +137,7 @@ func TestHandleConnRejectsV1Hello(t *testing.T) {
 	}()
 	runErr := make(chan error, 1)
 	go func() {
-		_, err := Run(context.Background(), client, deviceFor(t, history[0], 8<<10))
+		_, err := clientSession(context.Background(), client, deviceFor(t, history[0], 8<<10), 0, false)
 		runErr <- err
 	}()
 	select {
@@ -371,7 +370,7 @@ func TestV2ContextCancel(t *testing.T) {
 		dev := deviceFor(t, history[0], 32<<10)
 		// Block the hello from completing by cancelling mid-flight.
 		time.Sleep(10 * time.Millisecond)
-		_, err := Run(ctx, st, dev)
+		_, err := clientSession(ctx, st, dev, 0, false)
 		errc <- err
 	}()
 	time.Sleep(30 * time.Millisecond)
@@ -381,43 +380,6 @@ func TestV2ContextCancel(t *testing.T) {
 		_ = err // aborted or completed-before-cancel are both acceptable
 	case <-time.After(5 * time.Second):
 		t.Fatal("cancelled session never returned")
-	}
-}
-
-// TestOptionSurfaceCovers pins the option constructors to the Config
-// fields they set, so a renamed field cannot silently orphan an option.
-func TestOptionSurfaceCovers(t *testing.T) {
-	var c Config
-	c.apply([]Option{
-		WithMessageTimeout(time.Second),
-		WithFailureBudget(3),
-		WithStreamLimit(9),
-		WithInitialWindow(1 << 20),
-		WithMaxFrame(2 << 10),
-		WithRequestFull(true),
-		WithMaxAttempts(2),
-		WithBaseBackoff(time.Millisecond),
-		WithFullFallbackAfter(7),
-		WithSeed(42),
-	})
-	want := fmt.Sprintf("%v", Config{
-		MessageTimeout:    time.Second,
-		FailureBudget:     3,
-		StreamLimit:       9,
-		InitialWindow:     1 << 20,
-		MaxFrame:          2 << 10,
-		RequestFull:       true,
-		MaxAttempts:       2,
-		BaseBackoff:       time.Millisecond,
-		FullFallbackAfter: 7,
-		Seed:              42,
-	})
-	if got := fmt.Sprintf("%v", c); got != want {
-		t.Fatalf("options applied %s, want %s", got, want)
-	}
-	st := c.muxSettings()
-	if st.MaxStreams != 9 || st.InitialWindow != 1<<20 || st.MaxFrame != 2<<10 || st.AcceptBacklog != 0 {
-		t.Fatalf("muxSettings projection wrong: %+v", st)
 	}
 }
 

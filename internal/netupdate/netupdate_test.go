@@ -66,7 +66,7 @@ func runSession(t *testing.T, s *Server, dev *device.Device) (Result, error) {
 		defer server.Close()
 		serverErr = s.handleSession(server)
 	}()
-	res, err := Run(context.Background(), client, dev)
+	res, err := clientSession(context.Background(), client, dev, 0, false)
 	client.Close()
 	wg.Wait()
 	if err == nil && serverErr != nil {

@@ -48,26 +48,24 @@ type Server struct {
 }
 
 // NewServer creates a server for the given release history (oldest first).
-// The last entry is the version devices are upgraded to. Options are the
-// shared netupdate Config options; client-only knobs are ignored.
-func NewServer(history [][]byte, opts ...Option) (*Server, error) {
+// The last entry is the version devices are upgraded to.
+func NewServer(history [][]byte, opts ...ServerOption) (*Server, error) {
 	if len(history) == 0 {
 		return nil, fmt.Errorf("netupdate: empty release history")
 	}
-	cfg := Config{Algorithm: diff.NewLinear()}
-	cfg.apply(opts)
+	cfg := serverConfig(opts)
 	s := &Server{
 		history:    history,
-		algo:       cfg.Algorithm,
-		msgTimeout: cfg.MessageTimeout,
-		failBudget: cfg.FailureBudget,
-		log:        obs.OrNop(cfg.Logger),
-		muxSet:     cfg.muxSettings(),
+		algo:       cfg.algorithm,
+		msgTimeout: cfg.messageTimeout,
+		failBudget: cfg.failureBudget,
+		log:        obs.OrNop(cfg.logger),
+		muxSet:     cfg.mux,
 		failures:   make(map[string]int),
 	}
 	var onWait func(int)
-	if cfg.Observer != nil {
-		s.met = resolveServerMetrics(cfg.Observer)
+	if cfg.observer != nil {
+		s.met = resolveServerMetrics(cfg.observer)
 		onWait = func(int) { s.met.buildWaits.Inc() }
 	}
 	// A nil cost counts entries: one delta per release, so the budget

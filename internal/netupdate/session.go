@@ -37,7 +37,7 @@ type RunReport struct {
 // failures degrade to a full-image transfer. A Client may be shared by
 // concurrent Run calls.
 type Client struct {
-	cfg Config
+	cfg config
 	met *clientMetrics
 	log *slog.Logger
 
@@ -45,15 +45,13 @@ type Client struct {
 	rng *rand.Rand
 }
 
-// NewClient builds a retrying update client from the shared Config
-// options (unset knobs take defaults).
-func NewClient(opts ...Option) *Client {
-	var cfg Config
-	cfg.apply(opts)
-	cfg = cfg.withClientDefaults()
-	cl := &Client{cfg: cfg, log: obs.OrNop(cfg.Logger), rng: rand.New(rand.NewPCG(cfg.Seed, 1))}
-	if cfg.Observer != nil {
-		cl.met = resolveClientMetrics(cfg.Observer)
+// NewClient builds a retrying update client (unset knobs take
+// defaults).
+func NewClient(opts ...ClientOption) *Client {
+	cfg := clientConfig(opts)
+	cl := &Client{cfg: cfg, log: obs.OrNop(cfg.logger), rng: rand.New(rand.NewPCG(cfg.seed, 1))}
+	if cfg.observer != nil {
+		cl.met = resolveClientMetrics(cfg.observer)
 	}
 	return cl
 }
@@ -140,7 +138,7 @@ func (ru *Client) run(ctx context.Context, dial DialFunc, dev *device.Device) (R
 	}
 	deltaFailures := 0
 	var lastErr error
-	for attempt := 1; attempt <= ru.cfg.MaxAttempts; attempt++ {
+	for attempt := 1; attempt <= ru.cfg.maxAttempts; attempt++ {
 		if err := ctx.Err(); err != nil {
 			return rep, err
 		}
@@ -169,25 +167,25 @@ func (ru *Client) run(ctx context.Context, dial DialFunc, dev *device.Device) (R
 		case classFatal:
 			return rep, err
 		case classDegrade:
-			if !full && ru.cfg.FullFallbackAfter > 0 {
+			if !full && ru.cfg.fullFallbackAfter > 0 {
 				degrade()
 			}
 		case classTransient:
 			if !full {
 				deltaFailures++
-				if ru.cfg.FullFallbackAfter > 0 && deltaFailures >= ru.cfg.FullFallbackAfter {
+				if ru.cfg.fullFallbackAfter > 0 && deltaFailures >= ru.cfg.fullFallbackAfter {
 					degrade()
 				}
 			}
 		}
-		if attempt < ru.cfg.MaxAttempts {
-			if err := ru.cfg.Sleep(ctx, ru.backoff(attempt)); err != nil {
+		if attempt < ru.cfg.maxAttempts {
+			if err := ru.cfg.sleep(ctx, ru.backoff(attempt)); err != nil {
 				return rep, err
 			}
 		}
 	}
 	return rep, fmt.Errorf("netupdate: retry budget exhausted after %d attempts: last error: %w",
-		ru.cfg.MaxAttempts, lastErr)
+		ru.cfg.maxAttempts, lastErr)
 }
 
 // attempt runs one session on a fresh connection.
@@ -202,8 +200,7 @@ func (ru *Client) attempt(ctx context.Context, dial DialFunc, dev *device.Device
 		return Result{}, err
 	}
 	defer conn.Close()
-	return Run(ctx, conn, dev,
-		WithMessageTimeout(ru.cfg.MessageTimeout), WithRequestFull(full))
+	return clientSession(ctx, conn, dev, ru.cfg.messageTimeout, full)
 }
 
 // maxBackoff caps the exponential retry delay.
@@ -213,7 +210,7 @@ const maxBackoff = 5 * time.Second
 // attempt, jittered to a uniform value in [d/2, d) so a fleet knocked over
 // together does not reconnect in lockstep.
 func (ru *Client) backoff(attempt int) time.Duration {
-	d := ru.cfg.BaseBackoff << (attempt - 1)
+	d := ru.cfg.baseBackoff << (attempt - 1)
 	if d <= 0 || d > maxBackoff {
 		d = maxBackoff
 	}

@@ -158,7 +158,7 @@ func TestRunnerImageRejectionTriggersFullFallback(t *testing.T) {
 		defer srvConn.Close()
 		_ = s.handleSession(srvConn)
 	}()
-	_, err = Run(context.Background(), conn, dev)
+	_, err = clientSession(context.Background(), conn, dev, 0, false)
 	conn.Close()
 	if !errors.Is(err, ErrImageRejected) {
 		t.Fatalf("error = %v, want ErrImageRejected", err)
@@ -229,7 +229,7 @@ func TestSessionMessageTimeout(t *testing.T) {
 		_, _ = io.Copy(io.Discard, server)
 	}()
 	start := time.Now()
-	_, err := Run(context.Background(), client, dev, WithMessageTimeout(50*time.Millisecond))
+	_, err := clientSession(context.Background(), client, dev, 50*time.Millisecond, false)
 	client.Close()
 	if err == nil {
 		t.Fatal("stalled session succeeded")
@@ -261,7 +261,7 @@ func TestSessionContextCancelAbortsIO(t *testing.T) {
 	}()
 	done := make(chan error, 1)
 	go func() {
-		_, err := Run(ctx, client, dev)
+		_, err := clientSession(ctx, client, dev, 0, false)
 		done <- err
 	}()
 	select {
@@ -302,7 +302,7 @@ func TestServerFailureBudget(t *testing.T) {
 		handlerErr <- s.handleSession(server)
 	}()
 	dev := deviceFor(t, history[0], 64<<10)
-	_, err = Run(context.Background(), client, dev)
+	_, err = clientSession(context.Background(), client, dev, 0, false)
 	client.Close()
 	var se *ServerError
 	if !errors.As(err, &se) {
@@ -344,7 +344,7 @@ func TestServerFailureBudget(t *testing.T) {
 		_ = s2.handleSession(server2)
 	}()
 	dev2 := deviceFor(t, history[0], 64<<10)
-	_, err = Run(context.Background(), client2, dev2)
+	_, err = clientSession(context.Background(), client2, dev2, 0, false)
 	client2.Close()
 	if !errors.As(err, &se) {
 		t.Fatalf("client error = %v, want budget rejection", err)

@@ -24,7 +24,7 @@ func attemptThroughFlaky(t *testing.T, s *Server, dev *device.Device, p FaultPro
 		_ = s.handleSession(server)
 	}()
 	fc := NewFlakyConn(client, p)
-	res, err := Run(context.Background(), fc, dev)
+	res, err := clientSession(context.Background(), fc, dev, 0, false)
 	client.Close()
 	<-done
 	return res, fc.Transferred(), err
