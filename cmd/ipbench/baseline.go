@@ -529,5 +529,5 @@ func runBaseline(out io.Writer, outPath string, quick bool, seed int64) error {
 		fmt.Fprintln(out)
 	}
 	fmt.Fprintln(out)
-	return checkRules(out, doc, baselineRules)
+	return checkRules(out, doc, baselineRules, raceEnabled())
 }

@@ -77,7 +77,7 @@ func firstRule(t *testing.T, kind ruleKind) rule {
 // rule in broke.
 func expectBroken(t *testing.T, doc *baselineDoc, rules []rule, broke []rule) {
 	t.Helper()
-	err := checkRules(io.Discard, doc, rules)
+	err := checkRules(io.Discard, doc, rules, false)
 	if broke == nil {
 		if err != nil {
 			t.Fatalf("passing document failed: %v", err)
@@ -109,6 +109,36 @@ func TestCompareDetectsNewAllocations(t *testing.T) {
 	doc := passingDoc()
 	editRow(doc, allocs.row, func(r *baselineResult) { r.AllocsPerOp, r.NsPerOp = 3, 1 })
 	expectBroken(t, doc, baselineRules, []rule{allocs})
+}
+
+// TestRulesSkipAllocationsUnderRace: with allocation rules skipped, as a
+// race-instrumented run reports them, a document that breaks every
+// allocation rule passes, each allocation rule is reported as skipped,
+// and the other rules are still evaluated.
+func TestRulesSkipAllocationsUnderRace(t *testing.T) {
+	doc := passingDoc()
+	allocRules := 0
+	for _, r := range baselineRules {
+		if r.kind == maxAllocs {
+			allocRules++
+			editRow(doc, r.row, func(res *baselineResult) { res.AllocsPerOp = 1000 })
+		}
+	}
+	var out strings.Builder
+	if err := checkRules(&out, doc, baselineRules, true); err != nil {
+		t.Fatalf("allocation rules were evaluated: %v", err)
+	}
+	if got := strings.Count(out.String(), "skipped"); got != allocRules {
+		t.Fatalf("%d rules reported skipped, want the %d allocation rules:\n%s", got, allocRules, out.String())
+	}
+	if got := strings.Count(out.String(), " ok\n"); got != len(baselineRules)-allocRules {
+		t.Fatalf("%d rules evaluated, want %d:\n%s", got, len(baselineRules)-allocRules, out.String())
+	}
+	adds := firstRule(t, maxAddPct)
+	editRow(doc, adds.row, func(r *baselineResult) { r.AddPct = adds.bound + 1 })
+	if err := checkRules(io.Discard, doc, baselineRules, true); err == nil || !strings.Contains(err.Error(), adds.String()) {
+		t.Fatalf("broken add rule with allocation rules skipped: %v", err)
+	}
 }
 
 // TestRunRecipeGate: the chunked recipe differ must beat the full differ
@@ -165,7 +195,7 @@ func TestCommittedBaselinePassesRules(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := checkRules(io.Discard, doc, baselineRules); err != nil {
+	if err := checkRules(io.Discard, doc, baselineRules, false); err != nil {
 		t.Fatal(err)
 	}
 }

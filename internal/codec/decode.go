@@ -44,45 +44,58 @@ type Decoder struct {
 
 // NewDecoder reads and validates the header.
 func NewDecoder(r io.Reader) (*Decoder, error) {
-	d := &Decoder{r: crcReader{rd: r}}
+	d := new(Decoder)
+	if err := d.Reset(r); err != nil {
+		return nil, err
+	}
+	return d, nil
+}
+
+// Reset discards the decoder's state and reads and validates the header
+// of a new delta from r, so one Decoder, with its read buffer, decodes
+// delta after delta without allocating. It accepts and rejects exactly
+// what NewDecoder does; after an error the decoder must be Reset again
+// before use.
+func (d *Decoder) Reset(r io.Reader) error {
+	*d = Decoder{r: crcReader{rd: r}}
 	cr := &d.r
 	m, err := cr.take(len(magic))
 	if err != nil {
-		return nil, fmt.Errorf("%w: %v", ErrTruncated, err)
+		return fmt.Errorf("%w: %v", ErrTruncated, err)
 	}
 	if [4]byte(m) != magic {
-		return nil, ErrBadMagic
+		return ErrBadMagic
 	}
 	fb, err := cr.readByte()
 	if err != nil {
-		return nil, fmt.Errorf("%w: %v", ErrTruncated, err)
+		return fmt.Errorf("%w: %v", ErrTruncated, err)
 	}
 	f := Format(fb)
 	if _, err := ParseFormat(f.String()); err != nil {
-		return nil, ErrBadFormat
+		return ErrBadFormat
 	}
 	refLen, err := cr.readUvarint()
 	if err != nil {
-		return nil, fmt.Errorf("%w: header", ErrTruncated)
+		return fmt.Errorf("%w: header", ErrTruncated)
 	}
 	versionLen, err := cr.readUvarint()
 	if err != nil {
-		return nil, fmt.Errorf("%w: header", ErrTruncated)
+		return fmt.Errorf("%w: header", ErrTruncated)
 	}
 	ncmds, err := cr.readUvarint()
 	if err != nil {
-		return nil, fmt.Errorf("%w: header", ErrTruncated)
+		return fmt.Errorf("%w: header", ErrTruncated)
 	}
 	// Header fields are untrusted: reject values that cannot describe a
 	// real file before they reach any arithmetic or allocation.
 	const maxLen = int64(1) << 56
 	if int64(refLen) < 0 || int64(refLen) > maxLen ||
 		int64(versionLen) < 0 || int64(versionLen) > maxLen {
-		return nil, fmt.Errorf("%w: header lengths", ErrHugeCommand)
+		return fmt.Errorf("%w: header lengths", ErrHugeCommand)
 	}
 	nc, err := intCount(ncmds, "command count")
 	if err != nil {
-		return nil, err
+		return err
 	}
 	d.hdr = Header{
 		Format:      f,
@@ -94,27 +107,27 @@ func NewDecoder(r io.Reader) (*Decoder, error) {
 	if f == FormatScratch {
 		n, err := cr.readUvarint()
 		if err != nil {
-			return nil, fmt.Errorf("%w: scratch length", ErrTruncated)
+			return fmt.Errorf("%w: scratch length", ErrTruncated)
 		}
 		// Subtraction form: n + anything could overflow, n - RefLen cannot
 		// once both header lengths are known non-negative and bounded.
 		if int64(n) < 0 || int64(n)-d.hdr.RefLen > d.hdr.VersionLen {
-			return nil, fmt.Errorf("%w: scratch length", ErrHugeCommand)
+			return fmt.Errorf("%w: scratch length", ErrHugeCommand)
 		}
 		d.hdr.ScratchLen = int64(n)
 	}
 	if f == FormatCompact {
 		n, err := cr.readUvarint()
 		if err != nil {
-			return nil, fmt.Errorf("%w: compact copy count", ErrTruncated)
+			return fmt.Errorf("%w: compact copy count", ErrTruncated)
 		}
 		if n > ncmds {
-			return nil, fmt.Errorf("%w: copy section larger than command count", ErrHugeCommand)
+			return fmt.Errorf("%w: copy section larger than command count", ErrHugeCommand)
 		}
 		d.copiesLeft = int(n) // n <= ncmds, already bounded by intCount
 		d.addsLeft = -1       // read lazily when the copy section is done
 	}
-	return d, nil
+	return nil
 }
 
 // Header returns the decoded framing information.

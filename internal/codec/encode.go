@@ -7,6 +7,7 @@ import (
 	"hash/crc32"
 	"io"
 	"math"
+	"sync"
 
 	"ipdelta/internal/delta"
 )
@@ -36,18 +37,20 @@ const legacyMaxAdd = 255
 // before anything is written, so a large delta does not regrow and
 // recopy the buffer as it is encoded.
 func Encode(w io.Writer, d *delta.Delta, f Format) (int64, error) {
-	e := &encoder{w: newCRCWriter(w), dst: w}
+	e := encoder{w: newCRCWriter(w), dst: w}
 	err := e.encode(d, f)
+	n := e.w.n
+	e.w.release()
 	if m := observer.Load(); m != nil {
 		if err != nil {
 			m.encodeErrors.Inc()
 		} else {
 			m.encodes.Inc()
-			m.encodeBytes.Add(e.w.n)
+			m.encodeBytes.Add(n)
 			m.encodeCommands.Add(int64(len(d.Commands)))
 		}
 	}
-	return e.w.n, err
+	return n, err
 }
 
 // EncodedSize returns the exact encoded size of d in format f without
@@ -69,8 +72,22 @@ type crcWriter struct {
 	hdr [1 + 3*binary.MaxVarintLen64]byte
 }
 
+// crcWriters pools Encode's writers with their 4 KiB buffers.
+var crcWriters = sync.Pool{New: func() any { return &crcWriter{w: bufio.NewWriter(nil)} }}
+
+// newCRCWriter returns a pooled writer over w; hand it back with release.
 func newCRCWriter(w io.Writer) *crcWriter {
-	return &crcWriter{w: bufio.NewWriter(w)}
+	c := crcWriters.Get().(*crcWriter)
+	c.w.Reset(w)
+	c.crc, c.n = 0, 0
+	return c
+}
+
+// release detaches c from its destination, so the pool keeps no writer
+// alive, and pools it.
+func (c *crcWriter) release() {
+	c.w.Reset(nil)
+	crcWriters.Put(c)
 }
 
 func (c *crcWriter) Write(p []byte) (int, error) {

@@ -84,23 +84,40 @@ func FuzzDecode(f *testing.F) {
 }
 
 // FuzzDecoderStreaming checks the streaming decoder path on arbitrary
-// input.
+// input: a one-byte reader, and a Decoder reused through Reset right after
+// a truncated stream and right after one abandoned inside its first
+// command, must decode exactly what a fresh Decoder over bytes.Reader does.
 func FuzzDecoderStreaming(f *testing.F) {
-	var buf bytes.Buffer
 	d := &delta.Delta{RefLen: 8, VersionLen: 10, Commands: []delta.Command{
-		delta.NewCopy(0, 0, 8),
-		delta.NewAdd(8, []byte("hi")),
+		delta.NewAdd(0, []byte("hi")),
+		delta.NewCopy(0, 2, 8),
 	}}
-	if _, err := Encode(&buf, d, FormatOffsets); err != nil {
-		f.Fatal(err)
+	for _, format := range allFormats {
+		var buf bytes.Buffer
+		if _, err := Encode(&buf, d, format); err != nil {
+			f.Fatal(err)
+		}
+		f.Add(buf.Bytes())
 	}
-	f.Add(buf.Bytes())
 	f.Fuzz(func(t *testing.T, data []byte) {
 		got := streamAll(bytes.NewReader(data))
 		slow := streamAll(iotest.OneByteReader(bytes.NewReader(data)))
 		if (got.err == "") != (slow.err == "") || got.hdr.Format != slow.hdr.Format || !reflect.DeepEqual(got.cmds, slow.cmds) {
 			t.Fatalf("one-byte reader decoded %v %d commands (err %q), bytes.Reader %v %d (err %q)",
 				slow.hdr.Format, len(slow.cmds), slow.err, got.hdr.Format, len(got.cmds), got.err)
+		}
+		var dec Decoder
+		streamReset(&dec, bytes.NewReader(data[:len(data)/2]))
+		if again := streamReset(&dec, bytes.NewReader(data)); !reflect.DeepEqual(again, got) {
+			t.Fatalf("after a truncated stream, a reused Decoder decoded %d commands (err %q), a fresh one %d (err %q)",
+				len(again.cmds), again.err, len(got.cmds), got.err)
+		}
+		if dec.Reset(bytes.NewReader(data)) == nil {
+			_, _, _ = dec.NextStreaming() // leaves an add payload unread
+		}
+		if again := streamReset(&dec, bytes.NewReader(data)); !reflect.DeepEqual(again, got) {
+			t.Fatalf("after an abandoned stream, a reused Decoder decoded %d commands (err %q), a fresh one %d (err %q)",
+				len(again.cmds), again.err, len(got.cmds), got.err)
 		}
 	})
 }

@@ -45,6 +45,19 @@ func streamAll(r io.Reader) decoded {
 	if err != nil {
 		return decoded{err: errClass(err)}
 	}
+	return drainStream(dec)
+}
+
+// streamReset decodes r like streamAll, on dec reused through Reset.
+func streamReset(dec *Decoder, r io.Reader) decoded {
+	if err := dec.Reset(r); err != nil {
+		return decoded{err: errClass(err)}
+	}
+	return drainStream(dec)
+}
+
+// drainStream reads every command and payload left in dec.
+func drainStream(dec *Decoder) decoded {
 	out := decoded{hdr: dec.Header()}
 	for {
 		c, payload, err := dec.NextStreaming()
@@ -205,8 +218,11 @@ func TestDecodeAcrossReaders(t *testing.T) {
 // TestDecodeErrorsAcrossReaders truncates a small delta of every format at
 // every length and flips each of its bytes in turn: whatever bytes.Reader
 // decodes, every other reader must decode to the same result, and a
-// truncated delta must always be refused.
+// truncated delta must always be refused. One Decoder, reused through
+// Reset across every input (so most often right after a refused one),
+// must decode each input exactly as a fresh one does.
 func TestDecodeErrorsAcrossReaders(t *testing.T) {
+	var reused Decoder
 	small := []*delta.Delta{
 		{RefLen: 300, VersionLen: 330, Commands: []delta.Command{
 			delta.NewCopy(0, 0, 200),
@@ -243,6 +259,10 @@ func TestDecodeErrorsAcrossReaders(t *testing.T) {
 				want := streamAll(bytes.NewReader(in))
 				if j < len(wire) && want.err == "" {
 					t.Fatalf("%v: %d-byte prefix of %d decoded", f, j, len(wire))
+				}
+				if got := streamReset(&reused, bytes.NewReader(in)); !reflect.DeepEqual(got, want) {
+					t.Fatalf("%v input %d on a reused Decoder: %q after %d bytes, a fresh one %q after %d",
+						f, j, got.err, got.n, want.err, want.n)
 				}
 				for _, rc := range readerCases()[1:] {
 					if got := streamAll(rc.new(in)); !reflect.DeepEqual(got, want) {

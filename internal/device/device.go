@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"hash/crc32"
 	"io"
+	"sync"
 
 	"ipdelta/internal/codec"
 	"ipdelta/internal/delta"
@@ -14,6 +15,26 @@ import (
 // buffer. It bounds the device's memory use regardless of file or delta
 // size.
 const DefaultWorkBufSize = 4096
+
+// workBufs pools working buffers across devices. Each operation that
+// reads or writes the store borrows one of the device's work-buffer size
+// for its duration, so a Device holds no buffer between operations and a
+// fresh Device per session costs only its struct.
+var workBufs sync.Pool
+
+// borrowWork returns a pooled buffer of exactly n bytes; hand it back to
+// workBufs when the operation ends.
+func borrowWork(n int) *[]byte {
+	if b, ok := workBufs.Get().(*[]byte); ok && cap(*b) >= n {
+		*b = (*b)[:n]
+		return b
+	}
+	b := make([]byte, n)
+	return &b
+}
+
+// decoders pools Apply's delta decoders with their read buffers.
+var decoders = sync.Pool{New: func() any { return new(codec.Decoder) }}
 
 // Errors reported by the device patcher.
 var (
@@ -58,10 +79,12 @@ type Store interface {
 // Device is a limited-memory network device: a storage part, a bounded
 // working buffer, and a tiny progress record. It applies in-place deltas
 // streamed from the network without ever allocating version-sized scratch.
+// The working buffer and Apply's decoder are borrowed from process-wide
+// pools for the duration of each operation.
 type Device struct {
 	store    Store
 	imageLen int64
-	work     []byte
+	workSize int // bytes of working buffer each operation borrows
 	nv       progress
 	nvWrites int64
 	crc      uint32 // CRC of the installed image, valid while crcOK
@@ -69,12 +92,13 @@ type Device struct {
 }
 
 // New returns a device whose storage currently holds an image of imageLen
-// bytes. workBufSize bounds the working buffer (minimum 16 bytes).
+// bytes. workBufSize bounds the working buffer (minimum 16 bytes). New
+// allocates only the Device: each operation borrows its working buffer.
 func New(store Store, imageLen int64, workBufSize int) *Device {
 	if workBufSize < 16 {
 		workBufSize = 16
 	}
-	return &Device{store: store, imageLen: imageLen, work: make([]byte, workBufSize)}
+	return &Device{store: store, imageLen: imageLen, workSize: workBufSize}
 }
 
 // ImageLen returns the length of the currently installed image.
@@ -87,7 +111,7 @@ func (d *Device) FlashCapacity() int64 { return d.store.Capacity() }
 func (d *Device) Image() []byte {
 	out := make([]byte, d.imageLen)
 	for at := int64(0); at < d.imageLen; {
-		n := int64(len(d.work))
+		n := int64(d.workSize)
 		if d.imageLen-at < n {
 			n = d.imageLen - at
 		}
@@ -117,19 +141,22 @@ func (d *Device) ImageCRC() (uint32, error) {
 	if d.crcOK {
 		return d.crc, nil
 	}
-	h := crc32.NewIEEE()
+	wb := borrowWork(d.workSize)
+	defer workBufs.Put(wb)
+	work := *wb
+	var crc uint32
 	for at := int64(0); at < d.imageLen; {
-		n := int64(len(d.work))
+		n := int64(len(work))
 		if d.imageLen-at < n {
 			n = d.imageLen - at
 		}
-		if err := d.store.ReadAt(d.work[:n], at); err != nil {
+		if err := d.store.ReadAt(work[:n], at); err != nil {
 			return 0, err
 		}
-		h.Write(d.work[:n])
+		crc = crc32.Update(crc, crc32.IEEETable, work[:n])
 		at += n
 	}
-	d.crc, d.crcOK = h.Sum32(), true
+	d.crc, d.crcOK = crc, true
 	return d.crc, nil
 }
 
@@ -178,8 +205,12 @@ func (d *Device) PendingUpdate() (Pending, bool) {
 // holds a partial update and the progress record allows resumption; any
 // other delta is rejected until the interrupted one completes.
 func (d *Device) Apply(r io.Reader) error {
-	dec, err := codec.NewDecoder(r)
-	if err != nil {
+	dec := decoders.Get().(*codec.Decoder)
+	defer func() {
+		*dec = codec.Decoder{} // keeps no reader alive in the pool
+		decoders.Put(dec)
+	}()
+	if err := dec.Reset(r); err != nil {
 		return err
 	}
 	hdr := dec.Header()
@@ -228,6 +259,8 @@ func (d *Device) Apply(r io.Reader) error {
 		d.persist()
 	}
 
+	wb := borrowWork(d.workSize)
+	defer workBufs.Put(wb)
 	// Scratch cursors are recomputed deterministically while streaming, so
 	// they need no NVRAM of their own: skipped commands advance them too.
 	var stashAt, unstashAt int64
@@ -262,7 +295,7 @@ func (d *Device) Apply(r io.Reader) error {
 		if idx == d.nv.cmd {
 			resume = d.nv.done
 		}
-		if err := d.applyCommand(c, payload, resume, scratchOff); err != nil {
+		if err := d.applyCommand(c, payload, resume, scratchOff, *wb); err != nil {
 			return err
 		}
 		d.nv.cmd = idx + 1
@@ -276,22 +309,23 @@ func (d *Device) Apply(r io.Reader) error {
 	return nil
 }
 
-// applyCommand executes one command chunk by chunk, starting from
-// `resume` completed bytes, persisting progress after every chunk. For
-// stash/unstash commands, scratchOff addresses the durable scratch region.
-func (d *Device) applyCommand(c delta.Command, payload io.Reader, resume, scratchOff int64) error {
+// applyCommand executes one command chunk by chunk through the working
+// buffer work, starting from `resume` completed bytes, persisting progress
+// after every chunk. For stash/unstash commands, scratchOff addresses the
+// durable scratch region.
+func (d *Device) applyCommand(c delta.Command, payload io.Reader, resume, scratchOff int64, work []byte) error {
 	switch c.Op {
 	case delta.OpCopy:
-		return d.applyCopy(c, resume)
+		return d.applyCopy(c, resume, work)
 	case delta.OpAdd:
-		return d.applyAdd(c, payload, resume)
+		return d.applyAdd(c, payload, resume, work)
 	case delta.OpStash:
 		// Copy buffer bytes into the scratch region; the regions are
 		// disjoint, so a plain left-to-right chunked copy is safe.
-		return d.applyCopy(delta.NewCopy(c.From, scratchOff, c.Length), resume)
+		return d.applyCopy(delta.NewCopy(c.From, scratchOff, c.Length), resume, work)
 	case delta.OpUnstash:
 		// Copy scratch bytes back into the version area.
-		return d.applyCopy(delta.NewCopy(scratchOff, c.To, c.Length), resume)
+		return d.applyCopy(delta.NewCopy(scratchOff, c.To, c.Length), resume, work)
 	default:
 		return fmt.Errorf("device: %v", delta.ErrBadOp)
 	}
@@ -302,8 +336,8 @@ func (d *Device) applyCommand(c delta.Command, payload io.Reader, resume, scratc
 // read and write intervals overlap never reads a byte it has already
 // overwritten — even across power cuts, since progress is persisted per
 // chunk and chunks are re-run only if their write never happened.
-func (d *Device) applyCopy(c delta.Command, done int64) error {
-	step := int64(len(d.work))
+func (d *Device) applyCopy(c delta.Command, done int64, work []byte) error {
+	step := int64(len(work))
 	for done < c.Length {
 		n := step
 		if c.Length-done < n {
@@ -315,10 +349,10 @@ func (d *Device) applyCopy(c delta.Command, done int64) error {
 		} else {
 			off = c.Length - done - n // right-to-left
 		}
-		if err := d.store.ReadAt(d.work[:n], c.From+off); err != nil {
+		if err := d.store.ReadAt(work[:n], c.From+off); err != nil {
 			return err
 		}
-		if err := d.write(d.work[:n], c.To+off); err != nil {
+		if err := d.write(work[:n], c.To+off); err != nil {
 			return err
 		}
 		done += n
@@ -351,15 +385,18 @@ func (d *Device) InstallFull(r io.Reader, length int64) error {
 			return err
 		}
 	}
+	wb := borrowWork(d.workSize)
+	defer workBufs.Put(wb)
+	work := *wb
 	for done < length {
-		n := int64(len(d.work))
+		n := int64(len(work))
 		if length-done < n {
 			n = length - done
 		}
-		if _, err := io.ReadFull(r, d.work[:n]); err != nil {
+		if _, err := io.ReadFull(r, work[:n]); err != nil {
 			return err
 		}
-		if err := d.write(d.work[:n], done); err != nil {
+		if err := d.write(work[:n], done); err != nil {
 			return err
 		}
 		done += n
@@ -374,21 +411,21 @@ func (d *Device) InstallFull(r io.Reader, length int64) error {
 
 // applyAdd streams the payload into flash. On resume, the bytes already
 // written are drained from the payload without rewriting them.
-func (d *Device) applyAdd(c delta.Command, payload io.Reader, done int64) error {
+func (d *Device) applyAdd(c delta.Command, payload io.Reader, done int64, work []byte) error {
 	if done > 0 {
 		if _, err := io.CopyN(io.Discard, payload, done); err != nil {
 			return err
 		}
 	}
 	for done < c.Length {
-		n := int64(len(d.work))
+		n := int64(len(work))
 		if c.Length-done < n {
 			n = c.Length - done
 		}
-		if _, err := io.ReadFull(payload, d.work[:n]); err != nil {
+		if _, err := io.ReadFull(payload, work[:n]); err != nil {
 			return err
 		}
-		if err := d.write(d.work[:n], c.To+done); err != nil {
+		if err := d.write(work[:n], c.To+done); err != nil {
 			return err
 		}
 		done += n

@@ -435,8 +435,8 @@ func TestDevicePendingUpdate(t *testing.T) {
 func TestDeviceWorkBufMinimum(t *testing.T) {
 	flash, _ := NewFlash(nil, 64)
 	dev := New(flash, 0, 1)
-	if len(dev.work) != 16 {
-		t.Fatalf("work buffer %d bytes, want clamped to 16", len(dev.work))
+	if dev.workSize != 16 {
+		t.Fatalf("work buffer %d bytes, want clamped to 16", dev.workSize)
 	}
 }
 

@@ -128,17 +128,40 @@ func (e *emitter) copyCmd(from int64, l int64) {
 	e.at += l
 }
 
-// finish flushes trailing literals and returns a detached command list:
-// the commands and one shared data arena are freshly allocated, so the
-// result stays valid after the emitter is reset or pooled.
-func (e *emitter) finish() []delta.Command {
+// commands flushes trailing literals and resolves every add's arena
+// offset into its Data, in place. The result aliases the emitter's
+// command list and arena, so it is valid until the emitter is reset; call
+// it once per diff.
+//
+//ipvet:allocfree
+func (e *emitter) commands() []delta.Command {
 	e.flushAdd()
-	cmds := make([]delta.Command, len(e.cmds))
-	copy(cmds, e.cmds)
-	arena := make([]byte, len(e.lits))
-	copy(arena, e.lits)
-	resolveAdds(cmds, arena)
-	return cmds
+	resolveAdds(e.cmds, e.lits)
+	return e.cmds
+}
+
+// finish returns the emitter's commands detached from it, so the result
+// stays valid after the emitter is reset or pooled.
+func (e *emitter) finish() []delta.Command {
+	return detach(e.commands(), len(e.lits))
+}
+
+// detach copies cmds into fresh memory: one command slice, and one arena
+// of nlits bytes (the sum of the add lengths) that every add's data is a
+// capacity-bounded sub-slice of, in command order.
+func detach(cmds []delta.Command, nlits int) []delta.Command {
+	out := make([]delta.Command, len(cmds))
+	copy(out, cmds)
+	arena := make([]byte, 0, nlits)
+	for k := range out {
+		if out[k].Op != delta.OpAdd {
+			continue
+		}
+		at := len(arena)
+		arena = append(arena, out[k].Data...)
+		out[k].Data = arena[at:len(arena):len(arena)]
+	}
+	return out
 }
 
 // resolveAdds rewrites each add's stashed arena offset (in From) into a

@@ -50,6 +50,8 @@ func resolveDiffMetrics(r *obs.Registry) *diffMetrics {
 // instead of reallocating the table (at the default 18 table bits, up to
 // 2 MiB per call) and regrowing the emitter. A fresh Linear, such as each
 // new update server's, starts on the scratch earlier instances left.
+// Diff copies its delta out of that memory; DiffBorrowed lends it instead,
+// until Release.
 type Linear struct {
 	seedLen   int
 	tableBits uint
@@ -282,13 +284,15 @@ func (t *krTable) prepare(bits uint) {
 	}
 }
 
-// linearState is one diff's working memory: the fingerprint table and the
-// emitter. States are shared by every Linear through linearStates; the
-// table is sized per diff by tableParams, so scan prepares it, and only
-// the emitter resets here.
+// linearState is one diff's working memory: the fingerprint table, the
+// emitter, and the delta the last scan left in the emitter. States are
+// shared by every Linear through linearStates; the table is sized per
+// diff by tableParams, so scan prepares it, and only the emitter resets
+// here.
 type linearState struct {
 	table krTable
 	e     emitter
+	out   delta.Delta
 }
 
 // linearStates pools idle linearStates for every Linear in the process.
@@ -301,18 +305,46 @@ func (st *linearState) prepare() {
 	st.e.reset()
 }
 
-// Diff implements Algorithm.
-func (l *Linear) Diff(ref, version []byte) (*delta.Delta, error) {
+// Borrowed is a delta that DiffBorrowed left in the differ's pooled
+// working memory. Its commands and add data alias that memory: read them
+// only until Release, which hands the memory to the next diff.
+type Borrowed struct{ st *linearState }
+
+// Delta returns the borrowed delta.
+func (b Borrowed) Delta() *delta.Delta { return &b.st.out }
+
+// Release ends the borrow; call it exactly once, after the last use of
+// the delta.
+func (b Borrowed) Release() { linearStates.Put(b.st) }
+
+// DiffBorrowed diffs version against ref as Diff does, but leaves the
+// delta in pooled working memory instead of copying it out, so a caller
+// that is done with the delta once it has converted and encoded it
+// allocates nothing for it. The delta is identical to Diff's.
+func (l *Linear) DiffBorrowed(ref, version []byte) Borrowed {
 	st := linearStates.Get().(*linearState)
 	st.prepare()
 	l.scan(st, ref, version)
-	d := &delta.Delta{
+	st.out = delta.Delta{
 		RefLen:     int64(len(ref)),
 		VersionLen: int64(len(version)),
-		Commands:   st.e.finish(),
+		Commands:   st.e.commands(),
 	}
-	linearStates.Put(st)
-	l.record(ref, version, len(d.Commands))
+	l.record(ref, version, len(st.out.Commands))
+	return Borrowed{st}
+}
+
+// Diff implements Algorithm: DiffBorrowed, with the delta copied out of
+// the pooled memory into a command slice and one literal arena the
+// caller owns.
+func (l *Linear) Diff(ref, version []byte) (*delta.Delta, error) {
+	b := l.DiffBorrowed(ref, version)
+	d := &delta.Delta{
+		RefLen:     b.st.out.RefLen,
+		VersionLen: b.st.out.VersionLen,
+		Commands:   detach(b.st.out.Commands, len(b.st.e.lits)),
+	}
+	b.Release()
 	return d, nil
 }
 

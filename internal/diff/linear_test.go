@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"fmt"
 	"math/rand"
+	"reflect"
 	"runtime/debug"
 	"sync"
 	"testing"
@@ -73,6 +74,47 @@ func TestLinearFreshInstanceAllocs(t *testing.T) {
 	})
 	if allocs > 3 {
 		t.Fatalf("a fresh Linear's first Diff allocates %.1f times, want <= 3", allocs)
+	}
+}
+
+// TestLinearDiffBorrowed: DiffBorrowed lends exactly the delta Diff
+// returns, with no allocation once the pool is warm, and a Diff result
+// shares no memory with the pool: borrows after it, of other pairs, leave
+// it intact.
+func TestLinearDiffBorrowed(t *testing.T) {
+	ref, version := allocBenchPair()
+	l := NewLinear()
+	got, err := l.Diff(ref, version)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := got.Clone()
+	b := l.DiffBorrowed(ref, version)
+	if !reflect.DeepEqual(b.Delta(), want) {
+		t.Fatal("borrowed delta differs from Diff's")
+	}
+	b.Release()
+	rng := rand.New(rand.NewSource(38))
+	for k := 0; k < 4; k++ {
+		other := mutate(rng, version, 40)
+		b := l.DiffBorrowed(version, other)
+		if out, err := b.Delta().Apply(version); err != nil || !bytes.Equal(out, other) {
+			t.Fatalf("borrowed delta %d does not rebuild its version: %v", k, err)
+		}
+		b.Release()
+	}
+	if !reflect.DeepEqual(got, want) {
+		t.Fatal("later borrows changed a Diff result")
+	}
+	if raceEnabled {
+		return // race instrumentation inflates allocation counts
+	}
+	defer debug.SetGCPercent(debug.SetGCPercent(-1)) // a GC empties the pool
+	allocs := testing.AllocsPerRun(20, func() {
+		l.DiffBorrowed(ref, version).Release()
+	})
+	if allocs != 0 {
+		t.Fatalf("steady-state DiffBorrowed allocates %.1f times per call, want 0", allocs)
 	}
 }
 

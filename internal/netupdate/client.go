@@ -41,8 +41,8 @@ func clientSession(ctx context.Context, conn net.Conn, dev *device.Device, timeo
 	stop := cancelOnCtx(ctx, conn)
 	defer stop()
 	c := withDeadlines(conn, timeout)
-	r := bufio.NewReader(c)
-	w := bufio.NewWriter(c)
+	r, w := sessionBufs(c)
+	defer putSessionBufs(r, w)
 
 	var h hello
 	p, pending := dev.PendingUpdate()

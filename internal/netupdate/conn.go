@@ -1,10 +1,40 @@
 package netupdate
 
 import (
+	"bufio"
 	"context"
+	"io"
 	"net"
+	"sync"
 	"time"
 )
+
+// readers and writers pool the 4 KiB buffers each end of a session reads
+// and writes its messages through. A session takes a pair when it starts
+// and resets both to nil before it puts them back, so a pooled buffer
+// keeps no connection alive.
+var (
+	readers = sync.Pool{New: func() any { return bufio.NewReader(nil) }}
+	writers = sync.Pool{New: func() any { return bufio.NewWriter(nil) }}
+)
+
+// sessionBufs returns a pooled reader and writer over c; the session hands
+// them back with putSessionBufs when it ends.
+func sessionBufs(c io.ReadWriter) (*bufio.Reader, *bufio.Writer) {
+	r := readers.Get().(*bufio.Reader)
+	r.Reset(c)
+	w := writers.Get().(*bufio.Writer)
+	w.Reset(c)
+	return r, w
+}
+
+// putSessionBufs detaches r and w from their connection and pools them.
+func putSessionBufs(r *bufio.Reader, w *bufio.Writer) {
+	r.Reset(nil)
+	readers.Put(r)
+	w.Reset(nil)
+	writers.Put(w)
+}
 
 // aLongTimeAgo is a non-zero instant in the distant past; setting it as a
 // connection deadline forces pending and future I/O to fail immediately.

@@ -87,11 +87,5 @@ func (cc *ClientConn) Dialer() DialFunc {
 	}
 }
 
-// NumStreams reports live streams on the connection.
-func (cc *ClientConn) NumStreams() int { return cc.tr.NumStreams() }
-
-// Err returns the connection's terminal error, or nil while healthy.
-func (cc *ClientConn) Err() error { return cc.tr.Err() }
-
 // Close tears the connection down; every open stream fails.
 func (cc *ClientConn) Close() error { return cc.tr.Close() }

@@ -13,8 +13,9 @@ import (
 // drains as data arrives.
 type ring struct {
 	buf  []byte
-	head int // index of the first unread byte
-	n    int // unread byte count
+	slab *[]byte // buf's pool entry, put back unchanged
+	head int     // index of the first unread byte
+	n    int     // unread byte count
 }
 
 // slab size classes for pooled ring storage. Sized so a 10k-session load
@@ -37,26 +38,29 @@ func classFor(n int) int {
 	return -1
 }
 
-// getSlab returns a slab with capacity ≥ n.
-func getSlab(n int) []byte {
+// getSlab returns a slab with capacity ≥ n. The pools hold the slabs'
+// pointers, so a slab moves in and out of its pool without allocating.
+func getSlab(n int) *[]byte {
 	k := classFor(n)
 	if k < 0 {
-		return make([]byte, n)
+		b := make([]byte, n)
+		return &b
 	}
 	if s, ok := slabPools[k].Get().(*[]byte); ok {
-		return *s
+		return s
 	}
-	return make([]byte, slabClasses[k])
+	b := make([]byte, slabClasses[k])
+	return &b
 }
 
 // putSlab returns slab storage to its pool, if it belongs to a class.
-func putSlab(b []byte) {
-	if len(b) == 0 {
+func putSlab(b *[]byte) {
+	if b == nil {
 		return
 	}
 	for k, c := range slabClasses {
-		if len(b) == c {
-			slabPools[k].Put(&b)
+		if len(*b) == c {
+			slabPools[k].Put(b)
 			return
 		}
 	}
@@ -74,7 +78,8 @@ func (q *ring) grow(need int) {
 	if q.free() >= need {
 		return
 	}
-	nb := getSlab(q.n + need)
+	ns := getSlab(q.n + need)
+	nb := *ns
 	// Unwrap into the new slab.
 	tail := len(q.buf) - q.head
 	if tail > q.n {
@@ -82,8 +87,8 @@ func (q *ring) grow(need int) {
 	}
 	copy(nb, q.buf[q.head:q.head+tail])
 	copy(nb[tail:], q.buf[:q.n-tail])
-	putSlab(q.buf)
-	q.buf = nb
+	putSlab(q.slab)
+	q.buf, q.slab = nb, ns
 	q.head = 0
 }
 
@@ -131,8 +136,8 @@ func (q *ring) read(p []byte) int {
 
 // release returns the ring's storage to the pool.
 func (q *ring) release() {
-	putSlab(q.buf)
-	q.buf = nil
+	putSlab(q.slab)
+	q.buf, q.slab = nil, nil
 	q.head = 0
 	q.n = 0
 }

@@ -238,8 +238,9 @@ func (s *Stream) addCredit(credit uint32) error {
 // resetReceived handles a peer RST. After a FIN, an RST only means the
 // peer stopped reading (its Close racing ours on the wire): everything
 // it sent — buffered data, the EOF — stays deliverable and only our
-// write side dies. Before a FIN it aborts the whole stream.
-func (s *Stream) resetReceived(err error) {
+// write side dies. Before a FIN it aborts the whole stream with an
+// ErrStreamReset carrying the RST's code.
+func (s *Stream) resetReceived(code uint32) {
 	s.mu.Lock()
 	if s.recvFin && s.rst == nil {
 		s.sentFin = true
@@ -248,7 +249,7 @@ func (s *Stream) resetReceived(err error) {
 		return
 	}
 	s.mu.Unlock()
-	s.kill(err)
+	s.kill(fmt.Errorf("%w (code %d)", ErrStreamReset, code))
 }
 
 // kill terminates both directions with err (peer RST, refusal, or

@@ -483,7 +483,7 @@ func (t *Transport) handleControl(h header) error {
 			s.kill(ErrStreamRefused)
 			t.retire(s)
 		} else {
-			s.resetReceived(fmt.Errorf("%w (code %d)", ErrStreamReset, c.code))
+			s.resetReceived(c.code)
 			t.maybeRetire(s)
 		}
 	case FrameWindow:

@@ -31,6 +31,7 @@
 package netupdate
 
 import (
+	"bufio"
 	"encoding/binary"
 	"errors"
 	"fmt"
@@ -92,12 +93,11 @@ type status struct {
 	ImageCRC uint32
 }
 
-// writeMsg frames one message.
-func writeMsg(w io.Writer, typ byte, payload []byte) error {
-	var hdr [1 + binary.MaxVarintLen64]byte
-	hdr[0] = typ
-	n := binary.PutUvarint(hdr[1:], uint64(len(payload)))
-	if _, err := w.Write(hdr[:1+n]); err != nil {
+// writeMsg frames one message into w. The header is appended to w's
+// free buffer space, so framing allocates nothing.
+func writeMsg(w *bufio.Writer, typ byte, payload []byte) error {
+	hdr := binary.AppendUvarint(append(w.AvailableBuffer(), typ), uint64(len(payload)))
+	if _, err := w.Write(hdr); err != nil {
 		return err
 	}
 	_, err := w.Write(payload)
@@ -118,12 +118,6 @@ func readMsgHeader(r io.ByteReader) (byte, int64, error) {
 		return 0, 0, fmt.Errorf("%w: %w: message of %d bytes (limit %d)", ErrProtocol, ErrMessageTooLarge, n, int64(maxMessage))
 	}
 	return typ, int64(n), nil
-}
-
-// byteAndStreamReader is the reader capability the protocol needs.
-type byteAndStreamReader interface {
-	io.Reader
-	io.ByteReader
 }
 
 // readPayload buffers n payload bytes, growing only as data actually
@@ -153,14 +147,22 @@ func readPayload(r io.Reader, n int64) ([]byte, error) {
 	return buf, nil
 }
 
-// readMsg reads a full message of an expected type.
-func readMsg(r byteAndStreamReader, wantType byte) ([]byte, error) {
+// readMsg reads a full message of an expected type. A payload that fits
+// r's buffer is returned in place, valid until the next read from r, so
+// the small control messages cost no allocation; a larger one is copied
+// out by readPayload.
+func readMsg(r *bufio.Reader, wantType byte) ([]byte, error) {
 	typ, n, err := readMsgHeader(r)
 	if err != nil {
 		return nil, err
 	}
-	payload, err := readPayload(r, n)
-	if err != nil {
+	var payload []byte
+	if n <= int64(r.Size()) {
+		if payload, err = r.Peek(int(n)); err != nil {
+			return nil, fmt.Errorf("%w: truncated payload: %v", ErrProtocol, err)
+		}
+		_, _ = r.Discard(int(n))
+	} else if payload, err = readPayload(r, n); err != nil {
 		return nil, err
 	}
 	if typ == msgError {

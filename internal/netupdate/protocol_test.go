@@ -12,7 +12,11 @@ import (
 // frame builds a wire message for tests.
 func frame(typ byte, payload []byte) []byte {
 	var buf bytes.Buffer
-	if err := writeMsg(&buf, typ, payload); err != nil {
+	w := bufio.NewWriter(&buf)
+	if err := writeMsg(w, typ, payload); err != nil {
+		panic(err)
+	}
+	if err := w.Flush(); err != nil {
 		panic(err)
 	}
 	return buf.Bytes()

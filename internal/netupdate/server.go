@@ -3,6 +3,7 @@ package netupdate
 import (
 	"bufio"
 	"bytes"
+	"context"
 	"errors"
 	"fmt"
 	"hash/crc32"
@@ -13,6 +14,7 @@ import (
 	"time"
 
 	"ipdelta/internal/codec"
+	"ipdelta/internal/delta"
 	"ipdelta/internal/diff"
 	"ipdelta/internal/graph"
 	"ipdelta/internal/inplace"
@@ -130,15 +132,25 @@ var converters = sync.Pool{New: func() any {
 
 // build runs diff → in-place convert → compact encode for history[i]
 // against the current version. Cycles are broken under the
-// locally-minimum policy, the paper's default.
+// locally-minimum policy, the paper's default. Only the encoded bytes
+// outlive the build, so a *diff.Linear differ lends its delta from its
+// pooled memory until the encode is done; any other Algorithm returns a
+// delta of its own.
 func (s *Server) build(i int) ([]byte, error) {
 	if s.met != nil {
 		defer s.met.buildStage.Start().End()
 	}
 	ref := s.history[i]
-	d, err := s.algo.Diff(ref, s.Current())
-	if err != nil {
-		return nil, fmt.Errorf("netupdate diff: %w", err)
+	var d *delta.Delta
+	if l, ok := s.algo.(*diff.Linear); ok {
+		b := l.DiffBorrowed(ref, s.Current())
+		defer b.Release()
+		d = b.Delta()
+	} else {
+		var err error
+		if d, err = s.algo.Diff(ref, s.Current()); err != nil {
+			return nil, fmt.Errorf("netupdate diff: %w", err)
+		}
 	}
 	cv := converters.Get().(*inplace.Converter)
 	defer func() {
@@ -275,7 +287,12 @@ func (s *Server) HandleConn(conn net.Conn) error {
 // net.Conn speaking the session protocol), enforcing the per-client
 // failure budget around it.
 func (s *Server) handleSession(conn net.Conn) error {
-	key := clientKey(conn.RemoteAddr())
+	// The key formats the remote address, which allocates; only the
+	// failure budget and an enabled logger read it.
+	var key string
+	if s.failBudget > 0 || s.log.Enabled(context.Background(), slog.LevelWarn) {
+		key = clientKey(conn.RemoteAddr())
+	}
 	if !s.admit(key) {
 		if s.met != nil {
 			s.met.budgetRejects.Inc()
@@ -285,9 +302,10 @@ func (s *Server) handleSession(conn net.Conn) error {
 		// Consume the client's hello first: over an unbuffered transport
 		// (net.Pipe) the client blocks writing it, and writing our rejection
 		// before reading would deadlock both sides.
-		c := withDeadlines(conn, s.msgTimeout)
-		if _, err := readMsg(bufio.NewReader(c), msgHello); err == nil {
-			_ = writeMsg(c, msgError, []byte("failure budget exhausted"))
+		r, w := sessionBufs(withDeadlines(conn, s.msgTimeout))
+		defer putSessionBufs(r, w)
+		if _, err := readMsg(r, msgHello); err == nil && writeMsg(w, msgError, []byte("failure budget exhausted")) == nil {
+			_ = w.Flush()
 		}
 		return ErrBudgetExhausted
 	}
@@ -308,7 +326,7 @@ func (s *Server) handleSession(conn net.Conn) error {
 		s.log.Warn("session failed",
 			"component", "server", "remote", key, "outcome", "error",
 			"duration_ms", time.Since(start).Milliseconds(), "err", err)
-	} else {
+	} else if s.log.Enabled(context.Background(), slog.LevelInfo) {
 		s.log.Info("session done",
 			"component", "server", "remote", key, "outcome", "ok",
 			"duration_ms", time.Since(start).Milliseconds())
@@ -349,8 +367,8 @@ func (s *Server) writeTimed(w *bufio.Writer, typ byte, payload []byte) error {
 // session runs the update protocol once on conn.
 func (s *Server) session(conn net.Conn) error {
 	c := withDeadlines(conn, s.msgTimeout)
-	r := bufio.NewReader(c)
-	w := bufio.NewWriter(c)
+	r, w := sessionBufs(c)
+	defer putSessionBufs(r, w)
 	defer w.Flush()
 
 	payload, err := s.readTimed(r, msgHello)
