@@ -357,24 +357,6 @@ func BenchmarkCompose(b *testing.B) {
 	}
 }
 
-// BenchmarkConvertSCCGreedy measures the alternative strategy's cost
-// against BenchmarkConvertVsDiffConvertLM.
-func BenchmarkConvertSCCGreedy(b *testing.B) {
-	b.ReportAllocs()
-	p := benchPair(256 << 10)
-	d, err := diff.NewLinear().Diff(p.Ref, p.Version)
-	if err != nil {
-		b.Fatal(err)
-	}
-	b.SetBytes(int64(len(p.Version)))
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, _, err := inplace.Convert(d, p.Ref, inplace.WithStrategy(inplace.StrategySCCGreedy)); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
 // BenchmarkStoreAppendAndServe measures delta-chain store operations.
 func BenchmarkStoreAppendAndServe(b *testing.B) {
 	b.ReportAllocs()

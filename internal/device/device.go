@@ -379,29 +379,10 @@ func (d *Device) InstallFull(r io.Reader, length int64) error {
 		d.nv = progress{active: true, full: true, versionLen: length}
 		d.persist()
 	}
-	done := d.nv.done
-	if done > 0 {
-		if _, err := io.CopyN(io.Discard, r, done); err != nil {
-			return err
-		}
-	}
 	wb := borrowWork(d.workSize)
 	defer workBufs.Put(wb)
-	work := *wb
-	for done < length {
-		n := int64(len(work))
-		if length-done < n {
-			n = length - done
-		}
-		if _, err := io.ReadFull(r, work[:n]); err != nil {
-			return err
-		}
-		if err := d.write(work[:n], done); err != nil {
-			return err
-		}
-		done += n
-		d.nv.done = done
-		d.persist()
+	if err := d.applyAdd(delta.Command{Op: delta.OpAdd, Length: length}, r, d.nv.done, *wb); err != nil {
+		return err
 	}
 	d.imageLen, d.crcOK = length, false
 	d.nv = progress{}

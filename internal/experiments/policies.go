@@ -45,16 +45,17 @@ func RunPolicies(instances, maxVertices int, seed int64) (*PolicyResult, error) 
 	cyclic := 0
 	for cyclic < instances {
 		n := rng.Intn(maxVertices-3) + 4
-		g := graph.New(n)
 		density := rng.Float64()*0.25 + 0.05
+		var edges [][2]int32
 		for u := 0; u < n; u++ {
 			for v := 0; v < n; v++ {
 				if u != v && rng.Float64() < density {
-					g.AddEdge(u, v)
+					edges = append(edges, [2]int32{int32(u), int32(v)})
 				}
 			}
 		}
-		if g.IsAcyclicWithout(nil) {
+		g := graph.FromEdges(n, edges)
+		if graph.TopoSort(g, graph.UnitCost, graph.LocallyMinimum{}).CyclesBroken == 0 {
 			continue
 		}
 		costs := make([]int64, n)

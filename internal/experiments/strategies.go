@@ -25,17 +25,15 @@ type StrategyRow struct {
 }
 
 // StrategyResult is the E8 ablation (beyond the paper): the paper's two
-// DFS-embedded policies against the SCC-scoped greedy feedback vertex set
-// and conflict-boundary splitting, on both the realistic corpus and the
-// adversarial tree. It shows the trade: SCC-greedy escapes the Figure 2
-// failure mode but does not beat locally-minimum on realistic inputs,
-// while splitting converts fewer bytes on both.
+// DFS-embedded policies against conflict-boundary splitting, on both the
+// realistic corpus and the adversarial tree. Splitting converts fewer
+// bytes on both; the tree's optimum is E3's.
 type StrategyResult struct {
 	Rows      []StrategyRow
 	TreeDepth int
 }
 
-// RunStrategies measures all four cycle-breaking configurations.
+// RunStrategies measures all three cycle-breaking configurations.
 func RunStrategies(pairs []corpus.Pair, algo diff.Algorithm, treeDepth, leafLen int) (*StrategyResult, error) {
 	configs := []struct {
 		name string
@@ -43,7 +41,6 @@ func RunStrategies(pairs []corpus.Pair, algo diff.Algorithm, treeDepth, leafLen 
 	}{
 		{"dfs/locally-minimum", []inplace.Option{inplace.WithStrategy(inplace.StrategyDFS), inplace.WithPolicy(graph.LocallyMinimum{})}},
 		{"dfs/constant-time", []inplace.Option{inplace.WithStrategy(inplace.StrategyDFS), inplace.WithPolicy(graph.ConstantTime{})}},
-		{"scc-greedy", []inplace.Option{inplace.WithStrategy(inplace.StrategySCCGreedy)}},
 		{"split/locally-minimum", []inplace.Option{inplace.WithStrategy(inplace.StrategySplit), inplace.WithPolicy(graph.LocallyMinimum{})}},
 	}
 	res := &StrategyResult{TreeDepth: treeDepth}

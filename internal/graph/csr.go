@@ -2,32 +2,11 @@ package graph
 
 import "fmt"
 
-// Graph is the read-only digraph view shared by the algorithms of this
-// package. Two implementations exist: the pointer-per-vertex adjacency
-// Digraph (convenient for incremental construction in tests and small
-// tools) and the CSR form (one contiguous edge array, built in two passes,
-// reusable across builds — the hot-path representation).
-type Graph interface {
-	// NumVertices returns the vertex count; vertices are 0..n-1.
-	NumVertices() int
-	// NumEdges returns the edge count, counting parallel edges.
-	NumEdges() int
-	// Succ returns the successor list of u. The returned slice is owned
-	// by the graph and must not be modified.
-	Succ(u int) []int32
-}
-
-// Interface compliance.
-var (
-	_ Graph = (*Digraph)(nil)
-	_ Graph = (*CSR)(nil)
-)
-
 // CSR is a digraph in compressed sparse row form: the successor lists of
 // all vertices live back to back in one edge array, delimited by a
-// row-start table. Construction goes through CSRBuilder; a built CSR is
-// immutable. Compared to Digraph it performs no per-vertex allocations and
-// walks edges with perfect locality, which is what the conversion hot path
+// row-start table. Construction goes through CSRBuilder or FromEdges; a
+// built CSR is immutable. It performs no per-vertex allocations and walks
+// edges with perfect locality, which is what the conversion hot path
 // wants for CRWI digraphs (up to one edge per version byte, Lemma 1).
 type CSR struct {
 	// row has NumVertices()+1 entries; the successors of u are
@@ -36,7 +15,7 @@ type CSR struct {
 	edges []int32
 }
 
-// NumVertices implements Graph.
+// NumVertices returns the vertex count; vertices are 0..n-1.
 func (g *CSR) NumVertices() int {
 	if len(g.row) == 0 {
 		return 0
@@ -44,11 +23,11 @@ func (g *CSR) NumVertices() int {
 	return len(g.row) - 1
 }
 
-// NumEdges implements Graph.
+// NumEdges returns the edge count, counting parallel edges.
 func (g *CSR) NumEdges() int { return len(g.edges) }
 
-// Succ implements Graph. The returned slice aliases the CSR's edge array
-// and must not be modified.
+// Succ returns the successor list of u. The returned slice aliases the
+// CSR's edge array and must not be modified.
 //
 //ipvet:allocfree
 func (g *CSR) Succ(u int) []int32 { return g.edges[g.row[u]:g.row[u+1]] }

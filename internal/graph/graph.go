@@ -1,5 +1,5 @@
 // Package graph provides the digraph machinery behind in-place conversion:
-// a compact adjacency-list digraph, a topological sort that detects and
+// a compressed-sparse-row digraph, a topological sort that detects and
 // breaks cycles as it runs, and the cycle-breaking policies analyzed in §5
 // of the paper (constant-time, locally-minimum, and — as an extension — an
 // exhaustive optimum for small graphs, usable to bound the policies
@@ -8,102 +8,24 @@ package graph
 
 import "fmt"
 
-// Digraph is a directed graph on vertices 0..n-1 with adjacency lists.
-type Digraph struct {
-	adj   [][]int32
-	edges int
-}
-
-// New returns a digraph with n vertices and no edges.
-func New(n int) *Digraph {
-	return &Digraph{adj: make([][]int32, n)}
-}
-
-// NumVertices returns the vertex count.
-func (g *Digraph) NumVertices() int { return len(g.adj) }
-
-// NumEdges returns the edge count, counting parallel edges.
-func (g *Digraph) NumEdges() int { return g.edges }
-
-// AddEdge inserts the directed edge u→v. Vertices must be in range; the
-// caller is responsible for not inserting self-loops (the paper defines WR
-// conflicts so a command never conflicts with itself).
-func (g *Digraph) AddEdge(u, v int) {
-	if u < 0 || u >= len(g.adj) || v < 0 || v >= len(g.adj) {
-		panic(fmt.Sprintf("graph: edge (%d,%d) out of range [0,%d)", u, v, len(g.adj)))
-	}
-	g.adj[u] = append(g.adj[u], int32(v))
-	g.edges++
-}
-
-// Succ returns the successor list of u. The returned slice is owned by the
-// digraph and must not be modified.
-//
-//ipvet:allocfree
-func (g *Digraph) Succ(u int) []int32 { return g.adj[u] }
-
-// HasEdge reports whether the edge u→v exists. It scans u's adjacency list
-// and is intended for tests and small graphs.
-func (g *Digraph) HasEdge(u, v int) bool {
-	for _, w := range g.adj[u] {
-		if int(w) == v {
-			return true
+// FromEdges returns the digraph on vertices 0..n-1 with the given edges
+// u→v, in freshly allocated memory. Each vertex's successors keep the
+// order in which their edges appear in the list; parallel edges are kept.
+// Every endpoint must be in range. The caller is responsible for not
+// inserting self-loops where they matter (the paper defines WR conflicts
+// so a command never conflicts with itself).
+func FromEdges(n int, edges [][2]int32) *CSR {
+	var b CSRBuilder
+	b.Reset(n)
+	for _, e := range edges {
+		if e[0] < 0 || int(e[0]) >= n || e[1] < 0 || int(e[1]) >= n {
+			panic(fmt.Sprintf("graph: edge (%d,%d) out of range [0,%d)", e[0], e[1], n))
 		}
+		b.CountEdge(int(e[0]))
 	}
-	return false
-}
-
-// Transpose returns the digraph with every edge reversed.
-func (g *Digraph) Transpose() *Digraph {
-	t := New(len(g.adj))
-	for u, succ := range g.adj {
-		for _, v := range succ {
-			t.AddEdge(int(v), u)
-		}
+	b.StartFill()
+	for _, e := range edges {
+		b.FillEdge(int(e[0]), int(e[1]))
 	}
-	return t
-}
-
-// IsAcyclicWithout reports whether the digraph restricted to vertices not
-// in removed is acyclic. A nil removed checks the whole digraph.
-func (g *Digraph) IsAcyclicWithout(removed []bool) bool {
-	const (
-		white = 0
-		gray  = 1
-		black = 2
-	)
-	color := make([]byte, len(g.adj))
-	type frame struct {
-		v    int32
-		edge int
-	}
-	var stack []frame
-	for root := range g.adj {
-		if color[root] != white || (removed != nil && removed[root]) {
-			continue
-		}
-		stack = append(stack[:0], frame{v: int32(root)})
-		color[root] = gray
-		for len(stack) > 0 {
-			top := &stack[len(stack)-1]
-			if top.edge < len(g.adj[top.v]) {
-				w := g.adj[top.v][top.edge]
-				top.edge++
-				if removed != nil && removed[w] {
-					continue
-				}
-				switch color[w] {
-				case white:
-					color[w] = gray
-					stack = append(stack, frame{v: w})
-				case gray:
-					return false
-				}
-				continue
-			}
-			color[top.v] = black
-			stack = stack[:len(stack)-1]
-		}
-	}
-	return true
+	return b.Finish()
 }

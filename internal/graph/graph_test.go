@@ -2,81 +2,70 @@ package graph
 
 import (
 	"math/rand"
+	"slices"
 	"testing"
 	"testing/quick"
 )
 
 func TestDigraphBasics(t *testing.T) {
-	g := New(4)
-	if g.NumVertices() != 4 || g.NumEdges() != 0 {
-		t.Fatal("fresh digraph wrong size")
+	if g := FromEdges(4, nil); g.NumVertices() != 4 || g.NumEdges() != 0 {
+		t.Fatal("edgeless digraph wrong size")
 	}
-	g.AddEdge(0, 1)
-	g.AddEdge(1, 2)
-	g.AddEdge(0, 1) // parallel edges are allowed and counted
-	if g.NumEdges() != 3 {
-		t.Fatalf("NumEdges() = %d, want 3", g.NumEdges())
+	// Parallel edges are allowed and counted; successors keep list order.
+	g := FromEdges(4, [][2]int32{{0, 3}, {1, 2}, {0, 1}, {0, 3}})
+	if g.NumVertices() != 4 || g.NumEdges() != 4 {
+		t.Fatalf("%d vertices, %d edges, want 4 and 4", g.NumVertices(), g.NumEdges())
 	}
-	if !g.HasEdge(0, 1) || g.HasEdge(1, 0) || g.HasEdge(2, 3) {
-		t.Fatal("HasEdge gave wrong answers")
-	}
-	if len(g.Succ(0)) != 2 || g.Succ(0)[0] != 1 {
-		t.Fatalf("Succ(0) = %v", g.Succ(0))
+	if !slices.Equal(g.Succ(0), []int32{3, 1, 3}) || !slices.Equal(g.Succ(1), []int32{2}) ||
+		len(g.Succ(2)) != 0 || len(g.Succ(3)) != 0 {
+		t.Fatalf("successors %v %v %v %v", g.Succ(0), g.Succ(1), g.Succ(2), g.Succ(3))
 	}
 }
 
 func TestAddEdgePanicsOutOfRange(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Fatal("expected panic")
-		}
-	}()
-	New(2).AddEdge(0, 5)
-}
-
-func TestTranspose(t *testing.T) {
-	g := New(3)
-	g.AddEdge(0, 1)
-	g.AddEdge(1, 2)
-	tr := g.Transpose()
-	if !tr.HasEdge(1, 0) || !tr.HasEdge(2, 1) || tr.HasEdge(0, 1) {
-		t.Fatal("Transpose wrong")
-	}
-	if tr.NumEdges() != 2 {
-		t.Fatalf("NumEdges() = %d", tr.NumEdges())
+	for _, e := range [][2]int32{{0, 5}, {2, 0}, {-1, 1}, {1, -1}} {
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Fatalf("edge %v: expected panic", e)
+				}
+			}()
+			FromEdges(2, [][2]int32{e})
+		}()
 	}
 }
 
+// acyclic reports whether g restricted to the vertices not in removed (nil
+// for none) has no cycle.
+func acyclic(g *CSR, removed []bool) bool {
+	if removed == nil {
+		removed = make([]bool, g.NumVertices())
+	}
+	return findCycle(g, removed) == nil
+}
+
+// TestIsAcyclic checks the two ways to test acyclicity over a CSR:
+// findCycle under a removal mask, and a sort that breaks no cycle.
 func TestIsAcyclic(t *testing.T) {
-	dag := New(4)
-	dag.AddEdge(0, 1)
-	dag.AddEdge(1, 2)
-	dag.AddEdge(0, 2)
-	dag.AddEdge(2, 3)
-	if !dag.IsAcyclicWithout(nil) {
+	dag := FromEdges(4, [][2]int32{{0, 1}, {1, 2}, {0, 2}, {2, 3}})
+	if !acyclic(dag, nil) || TopoSort(dag, UnitCost, LocallyMinimum{}).CyclesBroken != 0 {
 		t.Fatal("DAG reported cyclic")
 	}
-	cyc := New(3)
-	cyc.AddEdge(0, 1)
-	cyc.AddEdge(1, 2)
-	cyc.AddEdge(2, 0)
-	if cyc.IsAcyclicWithout(nil) {
+	cyc := FromEdges(3, [][2]int32{{0, 1}, {1, 2}, {2, 0}})
+	if acyclic(cyc, nil) || TopoSort(cyc, UnitCost, LocallyMinimum{}).CyclesBroken == 0 {
 		t.Fatal("cycle reported acyclic")
 	}
+	if c := findCycle(cyc, make([]bool, 3)); !slices.Equal(c, []int{0, 1, 2}) {
+		t.Fatalf("findCycle = %v, want the cycle in path order", c)
+	}
 	// Removing vertex 1 breaks the cycle.
-	if !cyc.IsAcyclicWithout([]bool{false, true, false}) {
+	if !acyclic(cyc, []bool{false, true, false}) {
 		t.Fatal("removal not honored")
 	}
 }
 
 func TestTopoSortDAG(t *testing.T) {
-	g := New(6)
-	g.AddEdge(5, 2)
-	g.AddEdge(5, 0)
-	g.AddEdge(4, 0)
-	g.AddEdge(4, 1)
-	g.AddEdge(2, 3)
-	g.AddEdge(3, 1)
+	g := FromEdges(6, [][2]int32{{5, 2}, {5, 0}, {4, 0}, {4, 1}, {2, 3}, {3, 1}})
 	res := TopoSort(g, UnitCost, ConstantTime{})
 	if len(res.Removed) != 0 || res.CyclesBroken != 0 {
 		t.Fatalf("DAG should need no removals: %+v", res)
@@ -90,9 +79,7 @@ func TestTopoSortDAG(t *testing.T) {
 }
 
 func TestTopoSortSimpleCycle(t *testing.T) {
-	g := New(2)
-	g.AddEdge(0, 1)
-	g.AddEdge(1, 0)
+	g := FromEdges(2, [][2]int32{{0, 1}, {1, 0}})
 	for _, p := range []Policy{ConstantTime{}, LocallyMinimum{}} {
 		res := TopoSort(g, UnitCost, p)
 		if res.CyclesBroken != 1 || len(res.Removed) != 1 {
@@ -105,10 +92,7 @@ func TestTopoSortSimpleCycle(t *testing.T) {
 }
 
 func TestTopoSortSelfContainedCostAccounting(t *testing.T) {
-	g := New(3)
-	g.AddEdge(0, 1)
-	g.AddEdge(1, 2)
-	g.AddEdge(2, 0)
+	g := FromEdges(3, [][2]int32{{0, 1}, {1, 2}, {2, 0}})
 	costs := []int64{10, 1, 5}
 	cost := func(v int) int64 { return costs[v] }
 
@@ -127,10 +111,7 @@ func TestTopoSortSelfContainedCostAccounting(t *testing.T) {
 func TestTopoSortConstantTimeRemovesDetectionPoint(t *testing.T) {
 	// 0→1→2→0: DFS from 0 detects the cycle at vertex 2 (edge 2→0), so the
 	// constant-time policy must delete vertex 2.
-	g := New(3)
-	g.AddEdge(0, 1)
-	g.AddEdge(1, 2)
-	g.AddEdge(2, 0)
+	g := FromEdges(3, [][2]int32{{0, 1}, {1, 2}, {2, 0}})
 	res := TopoSort(g, UnitCost, ConstantTime{})
 	if len(res.Removed) != 1 || res.Removed[0] != 2 {
 		t.Fatalf("constant-time removed %v, want vertex 2", res.Removed)
@@ -138,11 +119,7 @@ func TestTopoSortConstantTimeRemovesDetectionPoint(t *testing.T) {
 }
 
 func TestTopoSortTwoIndependentCycles(t *testing.T) {
-	g := New(4)
-	g.AddEdge(0, 1)
-	g.AddEdge(1, 0)
-	g.AddEdge(2, 3)
-	g.AddEdge(3, 2)
+	g := FromEdges(4, [][2]int32{{0, 1}, {1, 0}, {2, 3}, {3, 2}})
 	res := TopoSort(g, UnitCost, ConstantTime{})
 	if res.CyclesBroken != 2 || len(res.Removed) != 2 {
 		t.Fatalf("%+v", res)
@@ -154,11 +131,7 @@ func TestTopoSortTwoIndependentCycles(t *testing.T) {
 
 func TestTopoSortNestedCycles(t *testing.T) {
 	// Figure-eight: two cycles sharing vertex 0. Deleting 0 breaks both.
-	g := New(3)
-	g.AddEdge(0, 1)
-	g.AddEdge(1, 0)
-	g.AddEdge(0, 2)
-	g.AddEdge(2, 0)
+	g := FromEdges(3, [][2]int32{{0, 1}, {1, 0}, {0, 2}, {2, 0}})
 	costs := []int64{1, 100, 100}
 	res := TopoSort(g, func(v int) int64 { return costs[v] }, LocallyMinimum{})
 	if !VerifyTopological(g, res) {
@@ -169,78 +142,16 @@ func TestTopoSortNestedCycles(t *testing.T) {
 	}
 }
 
-func TestAdversarialTreeShape(t *testing.T) {
-	depth := 3
-	g, cost := AdversarialTree(depth, 5, 6, 50)
-	n := g.NumVertices()
-	if n != 15 {
-		t.Fatalf("vertices = %d, want 15", n)
-	}
-	if NumLeaves(depth) != 8 {
-		t.Fatalf("NumLeaves = %d", NumLeaves(depth))
-	}
-	// 2 edges per internal vertex + 1 per leaf.
-	if g.NumEdges() != 7*2+8 {
-		t.Fatalf("edges = %d", g.NumEdges())
-	}
-	if cost(0) != 6 || cost(7) != 5 || cost(1) != 50 {
-		t.Fatal("cost assignment wrong")
-	}
-	if g.IsAcyclicWithout(nil) {
-		t.Fatal("tree with back edges must be cyclic")
-	}
-	// Depth below 1 is clamped.
-	g2, _ := AdversarialTree(0, 1, 1, 1)
-	if g2.NumVertices() != 3 {
-		t.Fatalf("clamped tree has %d vertices", g2.NumVertices())
-	}
-}
-
-func TestAdversarialTreePolicyGap(t *testing.T) {
-	// The paper's Figure 2 claim: locally-minimum deletes every leaf while
-	// deleting the root alone is optimal.
-	depth := 4
-	leaves := NumLeaves(depth)
-	g, cost := AdversarialTree(depth, 10, 11, 1000)
-
-	lm := TopoSort(g, cost, LocallyMinimum{})
-	if !VerifyTopological(g, lm) {
-		t.Fatal("invalid LM result")
-	}
-	if len(lm.Removed) != leaves {
-		t.Fatalf("locally-minimum removed %d vertices, want %d leaves", len(lm.Removed), leaves)
-	}
-	if lm.RemovedCost != int64(leaves)*10 {
-		t.Fatalf("LM cost = %d", lm.RemovedCost)
-	}
-
-	opt, optCost, err := MinFeedbackVertexSet(g, cost, 64)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(opt) != 1 || opt[0] != 0 || optCost != 11 {
-		t.Fatalf("optimal = %v cost %d, want root at cost 11", opt, optCost)
-	}
-	if lm.RemovedCost <= optCost {
-		t.Fatal("adversarial example must make LM strictly worse than optimal")
-	}
-}
-
 func TestMinFeedbackVertexSet(t *testing.T) {
 	t.Run("acyclic needs nothing", func(t *testing.T) {
-		g := New(3)
-		g.AddEdge(0, 1)
-		g.AddEdge(1, 2)
+		g := FromEdges(3, [][2]int32{{0, 1}, {1, 2}})
 		set, cost, err := MinFeedbackVertexSet(g, UnitCost, 10)
 		if err != nil || len(set) != 0 || cost != 0 {
 			t.Fatalf("set=%v cost=%d err=%v", set, cost, err)
 		}
 	})
 	t.Run("single cycle removes cheapest", func(t *testing.T) {
-		g := New(3)
-		g.AddEdge(0, 1)
-		g.AddEdge(1, 2)
-		g.AddEdge(2, 0)
+		g := FromEdges(3, [][2]int32{{0, 1}, {1, 2}, {2, 0}})
 		costs := []int64{5, 2, 9}
 		set, cost, err := MinFeedbackVertexSet(g, func(v int) int64 { return costs[v] }, 10)
 		if err != nil || len(set) != 1 || set[0] != 1 || cost != 2 {
@@ -248,7 +159,7 @@ func TestMinFeedbackVertexSet(t *testing.T) {
 		}
 	})
 	t.Run("size limit enforced", func(t *testing.T) {
-		g := New(30)
+		g := FromEdges(30, nil)
 		if _, _, err := MinFeedbackVertexSet(g, UnitCost, 10); err == nil {
 			t.Fatal("expected ErrTooLarge")
 		}
@@ -257,16 +168,16 @@ func TestMinFeedbackVertexSet(t *testing.T) {
 
 // randomDigraph builds a digraph with n vertices and roughly density*n*n
 // edges, no self-loops.
-func randomDigraph(rng *rand.Rand, n int, density float64) *Digraph {
-	g := New(n)
+func randomDigraph(rng *rand.Rand, n int, density float64) *CSR {
+	var edges [][2]int32
 	for u := 0; u < n; u++ {
 		for v := 0; v < n; v++ {
 			if u != v && rng.Float64() < density {
-				g.AddEdge(u, v)
+				edges = append(edges, [2]int32{int32(u), int32(v)})
 			}
 		}
 	}
-	return g
+	return FromEdges(n, edges)
 }
 
 func TestQuickTopoSortValidOnRandomGraphs(t *testing.T) {
@@ -289,7 +200,7 @@ func TestQuickTopoSortValidOnRandomGraphs(t *testing.T) {
 			for _, v := range res.Removed {
 				removed[v] = true
 			}
-			if !g.IsAcyclicWithout(removed) {
+			if !acyclic(g, removed) {
 				return false
 			}
 		}
@@ -320,7 +231,7 @@ func TestQuickOptimalNeverWorseThanPolicies(t *testing.T) {
 		for _, v := range set {
 			removed[v] = true
 		}
-		if !g.IsAcyclicWithout(removed) {
+		if !acyclic(g, removed) {
 			return false
 		}
 		for _, p := range []Policy{ConstantTime{}, LocallyMinimum{}} {
@@ -378,13 +289,14 @@ func TestTopoSortLargeStress(t *testing.T) {
 	// 20k vertices, ~100k edges: the sort must stay fast and valid.
 	rng := rand.New(rand.NewSource(100))
 	const n = 20000
-	g := New(n)
+	var edges [][2]int32
 	for k := 0; k < 5*n; k++ {
 		u, v := rng.Intn(n), rng.Intn(n)
 		if u != v {
-			g.AddEdge(u, v)
+			edges = append(edges, [2]int32{int32(u), int32(v)})
 		}
 	}
+	g := FromEdges(n, edges)
 	res := TopoSort(g, UnitCost, ConstantTime{})
 	if !VerifyTopological(g, res) {
 		t.Fatal("invalid result on stress graph")
@@ -393,7 +305,7 @@ func TestTopoSortLargeStress(t *testing.T) {
 	for _, v := range res.Removed {
 		removed[v] = true
 	}
-	if !g.IsAcyclicWithout(removed) {
+	if !acyclic(g, removed) {
 		t.Fatal("cycles left on stress graph")
 	}
 }

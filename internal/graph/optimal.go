@@ -20,7 +20,7 @@ var ErrTooLarge = errors.New("graph too large for exhaustive search")
 // The search branches on the vertices of some cycle of the residual graph
 // (every feedback vertex set must contain one of them) with cost-based
 // pruning.
-func MinFeedbackVertexSet(g Graph, cost CostFunc, maxVertices int) ([]int, int64, error) {
+func MinFeedbackVertexSet(g *CSR, cost CostFunc, maxVertices int) ([]int, int64, error) {
 	if g.NumVertices() > maxVertices {
 		return nil, 0, fmt.Errorf("%w: %d vertices > limit %d", ErrTooLarge, g.NumVertices(), maxVertices)
 	}
@@ -38,7 +38,7 @@ func MinFeedbackVertexSet(g Graph, cost CostFunc, maxVertices int) ([]int, int64
 }
 
 type fvsSearch struct {
-	g        Graph
+	g        *CSR
 	cost     CostFunc
 	removed  []bool
 	current  []int
@@ -70,7 +70,7 @@ func (s *fvsSearch) search(depth int) {
 
 // findCycle returns some cycle of g restricted to non-removed vertices, in
 // path order, or nil if the restriction is acyclic.
-func findCycle(g Graph, removed []bool) []int {
+func findCycle(g *CSR, removed []bool) []int {
 	n := g.NumVertices()
 	color := make([]byte, n)
 	type frame struct {

@@ -21,7 +21,7 @@ type SCCScratch struct {
 // Components are produced in reverse topological order of the condensation
 // (Tarjan's natural output order). The returned slices are owned by the
 // scratch and remain valid only until the next Components call.
-func (s *SCCScratch) Components(g Graph) (verts, offs []int32) {
+func (s *SCCScratch) Components(g *CSR) (verts, offs []int32) {
 	n := g.NumVertices()
 	const unvisited = -1
 	s.index = growInt32(s.index, n)
@@ -97,7 +97,7 @@ func (s *SCCScratch) Components(g Graph) (verts, offs []int32) {
 //
 // The result is freshly allocated; hot paths that can tolerate flat,
 // scratch-owned output should use SCCScratch.Components directly.
-func StronglyConnectedComponents(g Graph) [][]int {
+func StronglyConnectedComponents(g *CSR) [][]int {
 	var s SCCScratch
 	verts, offs := s.Components(g)
 	sccs := make([][]int, len(offs)-1)
@@ -119,99 +119,4 @@ func growBools(s []bool, n int) []bool {
 	s = s[:n]
 	clear(s)
 	return s
-}
-
-// GreedyFeedbackVertexSet computes a feedback vertex set with an SCC-scoped
-// greedy heuristic: within every non-trivial strongly connected component,
-// repeatedly delete the vertex with the best (in·out degree)/cost score
-// until the component decomposes. This is an alternative cycle-breaking
-// strategy to the paper's DFS-embedded policies, included as an ablation:
-// it sees whole components rather than one cycle at a time, at the cost of
-// repeated SCC computations.
-func GreedyFeedbackVertexSet(g Graph, cost CostFunc) []int {
-	removed := make([]bool, g.NumVertices())
-	var out []int
-	// Work queue of vertex sets that may still contain cycles.
-	queue := [][]int{allVertices(g.NumVertices())}
-	for len(queue) > 0 {
-		verts := queue[len(queue)-1]
-		queue = queue[:len(queue)-1]
-		sub, fromSub := subgraph(g, verts, removed)
-		for _, comp := range StronglyConnectedComponents(sub) {
-			if len(comp) < 2 {
-				continue // no self-loops exist in CRWI digraphs
-			}
-			// Delete the best-scoring vertex of this component.
-			best, bestScore := -1, -1.0
-			inDeg, outDeg := degreesWithin(sub, comp)
-			for _, v := range comp {
-				score := float64(inDeg[v]*outDeg[v]+1) / float64(cost(fromSub[v])+1)
-				if score > bestScore {
-					best, bestScore = v, score
-				}
-			}
-			victim := fromSub[best]
-			removed[victim] = true
-			out = append(out, victim)
-			// The component minus the victim may still be cyclic.
-			rest := make([]int, 0, len(comp)-1)
-			for _, v := range comp {
-				if v != best {
-					rest = append(rest, fromSub[v])
-				}
-			}
-			queue = append(queue, rest)
-		}
-	}
-	return out
-}
-
-func allVertices(n int) []int {
-	out := make([]int, n)
-	for k := range out {
-		out[k] = k
-	}
-	return out
-}
-
-// subgraph builds the induced subgraph on verts minus removed vertices,
-// returning it and the mapping from subgraph index to original vertex.
-func subgraph(g Graph, verts []int, removed []bool) (*Digraph, []int) {
-	toSub := make(map[int]int, len(verts))
-	var fromSub []int
-	for _, v := range verts {
-		if removed[v] {
-			continue
-		}
-		toSub[v] = len(fromSub)
-		fromSub = append(fromSub, v)
-	}
-	sub := New(len(fromSub))
-	for _, v := range fromSub {
-		for _, w := range g.Succ(v) {
-			if sw, ok := toSub[int(w)]; ok {
-				sub.AddEdge(toSub[v], sw)
-			}
-		}
-	}
-	return sub, fromSub
-}
-
-// degreesWithin counts in/out degrees restricted to the component.
-func degreesWithin(g Graph, comp []int) (in, out map[int]int) {
-	member := make(map[int]bool, len(comp))
-	for _, v := range comp {
-		member[v] = true
-	}
-	in = make(map[int]int, len(comp))
-	out = make(map[int]int, len(comp))
-	for _, v := range comp {
-		for _, w := range g.Succ(v) {
-			if member[int(w)] {
-				out[v]++
-				in[int(w)]++
-			}
-		}
-	}
-	return in, out
 }

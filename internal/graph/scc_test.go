@@ -8,7 +8,7 @@ import (
 )
 
 // sccOf returns a canonical (sorted) form of the SCC decomposition.
-func sccOf(g *Digraph) [][]int {
+func sccOf(g *CSR) [][]int {
 	sccs := StronglyConnectedComponents(g)
 	for _, c := range sccs {
 		sort.Ints(c)
@@ -19,11 +19,7 @@ func sccOf(g *Digraph) [][]int {
 
 func TestSCCSimple(t *testing.T) {
 	// 0→1→2→0 is one SCC; 3 hangs off it; 4 isolated.
-	g := New(5)
-	g.AddEdge(0, 1)
-	g.AddEdge(1, 2)
-	g.AddEdge(2, 0)
-	g.AddEdge(2, 3)
+	g := FromEdges(5, [][2]int32{{0, 1}, {1, 2}, {2, 0}, {2, 3}})
 	sccs := sccOf(g)
 	if len(sccs) != 3 {
 		t.Fatalf("sccs = %v", sccs)
@@ -34,10 +30,7 @@ func TestSCCSimple(t *testing.T) {
 }
 
 func TestSCCDag(t *testing.T) {
-	g := New(4)
-	g.AddEdge(0, 1)
-	g.AddEdge(1, 2)
-	g.AddEdge(2, 3)
+	g := FromEdges(4, [][2]int32{{0, 1}, {1, 2}, {2, 3}})
 	sccs := sccOf(g)
 	if len(sccs) != 4 {
 		t.Fatalf("DAG should decompose into singletons: %v", sccs)
@@ -45,13 +38,7 @@ func TestSCCDag(t *testing.T) {
 }
 
 func TestSCCTwoComponents(t *testing.T) {
-	g := New(6)
-	g.AddEdge(0, 1)
-	g.AddEdge(1, 0)
-	g.AddEdge(2, 3)
-	g.AddEdge(3, 4)
-	g.AddEdge(4, 2)
-	g.AddEdge(1, 2) // bridge between the components
+	g := FromEdges(6, [][2]int32{{0, 1}, {1, 0}, {2, 3}, {3, 4}, {4, 2}, {1, 2}})
 	sccs := sccOf(g)
 	if len(sccs) != 3 { // {0,1}, {2,3,4}, {5}
 		t.Fatalf("sccs = %v", sccs)
@@ -86,11 +73,11 @@ func TestSCCEveryVertexOnce(t *testing.T) {
 
 // mutualReach reports whether u and v lie on a common cycle (reach each
 // other), by brute force.
-func mutualReach(g *Digraph, u, v int) bool {
+func mutualReach(g *CSR, u, v int) bool {
 	return reaches(g, u, v) && reaches(g, v, u)
 }
 
-func reaches(g *Digraph, from, to int) bool {
+func reaches(g *CSR, from, to int) bool {
 	if from == to {
 		return true
 	}
@@ -136,48 +123,4 @@ func TestSCCQuickAgainstMutualReachability(t *testing.T) {
 	if err := quick.Check(f, &quick.Config{MaxCount: 80}); err != nil {
 		t.Fatal(err)
 	}
-}
-
-func TestGreedyFeedbackVertexSet(t *testing.T) {
-	t.Run("acyclic removes nothing", func(t *testing.T) {
-		g := New(5)
-		g.AddEdge(0, 1)
-		g.AddEdge(1, 2)
-		if got := GreedyFeedbackVertexSet(g, UnitCost); len(got) != 0 {
-			t.Fatalf("removed %v", got)
-		}
-	})
-	t.Run("breaks all cycles", func(t *testing.T) {
-		f := func(seed int64) bool {
-			rng := rand.New(rand.NewSource(seed))
-			n := rng.Intn(40) + 2
-			g := randomDigraph(rng, n, rng.Float64()*0.2)
-			costs := make([]int64, n)
-			for k := range costs {
-				costs[k] = rng.Int63n(50) + 1
-			}
-			removed := GreedyFeedbackVertexSet(g, func(v int) int64 { return costs[v] })
-			mask := make([]bool, n)
-			for _, v := range removed {
-				if mask[v] {
-					return false // duplicate removal
-				}
-				mask[v] = true
-			}
-			return g.IsAcyclicWithout(mask)
-		}
-		if err := quick.Check(f, &quick.Config{MaxCount: 120}); err != nil {
-			t.Fatal(err)
-		}
-	})
-	t.Run("hub removal beats leaf removal on the tree", func(t *testing.T) {
-		// On the Figure 2 tree, the root has (in=leaves, out=2); the greedy
-		// degree/cost score picks it immediately, achieving the optimum
-		// where locally-minimum removes every leaf.
-		g, cost := AdversarialTree(5, 10, 11, 1000)
-		removed := GreedyFeedbackVertexSet(g, cost)
-		if len(removed) != 1 || removed[0] != 0 {
-			t.Fatalf("greedy removed %v, want just the root", removed)
-		}
-	})
 }

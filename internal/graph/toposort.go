@@ -57,7 +57,7 @@ type TopoScratch struct {
 // The surviving subgraph is totally ordered: for every edge u→v between
 // survivors, u appears before v in Order, satisfying Equation 2 when the
 // vertices are copy commands and edges are potential WR conflicts.
-func TopoSort(g Graph, cost CostFunc, policy Policy) *SortResult {
+func TopoSort(g *CSR, cost CostFunc, policy Policy) *SortResult {
 	var ts TopoScratch
 	return ts.Sort(g, cost, policy)
 }
@@ -65,7 +65,7 @@ func TopoSort(g Graph, cost CostFunc, policy Policy) *SortResult {
 // Sort is TopoSort over the scratch's reusable buffers. The returned
 // result is owned by the scratch and remains valid only until the next
 // Sort call.
-func (ts *TopoScratch) Sort(g Graph, cost CostFunc, policy Policy) *SortResult {
+func (ts *TopoScratch) Sort(g *CSR, cost CostFunc, policy Policy) *SortResult {
 	n := g.NumVertices()
 	ts.color = growBytes(ts.color, n)
 	// Paths, the postorder and the order hold at most n vertices: reserve
@@ -145,7 +145,7 @@ func (ts *TopoScratch) Sort(g Graph, cost CostFunc, policy Policy) *SortResult {
 // outcome for g: every vertex appears exactly once in order or removed,
 // and every edge between surviving vertices goes forward in order. It
 // returns false otherwise. Intended for tests and self-checks.
-func VerifyTopological(g Graph, res *SortResult) bool {
+func VerifyTopological(g *CSR, res *SortResult) bool {
 	n := g.NumVertices()
 	pos := make([]int, n)
 	for k := range pos {

@@ -32,7 +32,7 @@ type converterMetrics struct {
 
 	partitionStage obs.Stage
 	crwiStage      obs.Stage
-	sortStage      obs.Stage // toposort (DFS) or FVS+toposort (SCC greedy)
+	sortStage      obs.Stage // toposort, and the split pass under StrategySplit
 	emitStage      obs.Stage
 }
 
@@ -79,7 +79,6 @@ type Converter struct {
 	adds      []delta.Command
 	crwi      crwiScratch
 	topo      graph.TopoScratch
-	mask      []bool // StrategySCCGreedy removal mask
 
 	sp splitScratch // StrategySplit state
 
@@ -119,11 +118,7 @@ func (cv *Converter) init() {
 		cv.o.strategy = StrategySplit
 	}
 	if cv.met == nil && cv.o.obs != nil {
-		name := cv.o.policy.Name()
-		if cv.o.strategy == StrategySCCGreedy {
-			name = "scc-greedy"
-		}
-		cv.met = resolveConverterMetrics(cv.o.obs, name)
+		cv.met = resolveConverterMetrics(cv.o.obs, cv.o.policy.Name())
 	}
 	if cv.costFn == nil {
 		// The cost of deleting a vertex is the compression lost by
@@ -299,14 +294,10 @@ func (cv *Converter) resolve(d *delta.Delta) ([]delta.Command, error) {
 		cv.span = cv.met.partitionStage.Start()
 	}
 	cv.partition(d)
-	policyName := cv.o.policy.Name()
-	if cv.o.strategy == StrategySCCGreedy {
-		policyName = "scc-greedy"
-	}
 	cv.stats = Stats{
 		Copies: len(cv.copies),
 		Adds:   len(cv.adds),
-		Policy: policyName,
+		Policy: cv.o.policy.Name(),
 	}
 
 	// Step 2: sort copies by increasing write offset.
@@ -328,38 +319,12 @@ func (cv *Converter) resolve(d *delta.Delta) ([]delta.Command, error) {
 	}
 
 	// Step 4: topological sort with cycle breaking.
-	var order, removed []int
-	split := false
-	switch cv.o.strategy {
-	case StrategySCCGreedy:
-		removed = graph.GreedyFeedbackVertexSet(g, cv.costFn)
-		if cap(cv.mask) < len(cv.copies) {
-			cv.mask = make([]bool, len(cv.copies))
-		} else {
-			cv.mask = cv.mask[:len(cv.copies)]
-			clear(cv.mask)
-		}
-		for _, v := range removed {
-			cv.mask[v] = true
-			cv.stats.RemovedCost += cv.costFn(v)
-		}
-		var ok bool
-		order, ok = graph.TopoSortExcluding(g, cv.mask)
-		if !ok {
-			// The greedy set is acyclic by construction; this is a bug.
-			return nil, fmt.Errorf("convert: SCC strategy left a cycle")
-		}
-		cv.stats.CyclesBroken = len(removed)
-	default:
-		res := cv.topo.Sort(g, cv.costFn, cv.o.policy)
-		order, removed = res.Order, res.Removed
-		cv.stats.CyclesBroken = res.CyclesBroken
-		cv.stats.CycleVertices = res.CycleVertices
-		cv.stats.RemovedCost = res.RemovedCost
-		if cv.o.strategy == StrategySplit {
-			split = cv.sp.resolve(cv, g, res)
-		}
-	}
+	res := cv.topo.Sort(g, cv.costFn, cv.o.policy)
+	order, removed := res.Order, res.Removed
+	cv.stats.CyclesBroken = res.CyclesBroken
+	cv.stats.CycleVertices = res.CycleVertices
+	cv.stats.RemovedCost = res.RemovedCost
+	split := cv.o.strategy == StrategySplit && cv.sp.resolve(cv, g, res)
 	if cv.met != nil {
 		cv.span.End()
 		cv.span = cv.met.emitStage.Start()

@@ -66,7 +66,7 @@ func sortedCopies(t *testing.T, d *delta.Delta) []delta.Command {
 
 // requireSameGraph asserts two graphs have identical vertex counts and
 // per-vertex successor lists, in order.
-func requireSameGraph(t *testing.T, name string, want, got graph.Graph) {
+func requireSameGraph(t *testing.T, name string, want, got *graph.CSR) {
 	t.Helper()
 	if want.NumVertices() != got.NumVertices() {
 		t.Fatalf("%s: vertices: reference %d, sweep-line %d", name, want.NumVertices(), got.NumVertices())
@@ -164,12 +164,12 @@ func TestConverterReuseMatchesConvert(t *testing.T) {
 	}
 }
 
-// TestConverterReuseWithOptions checks reuse under the non-default
-// strategies and the scratch budget, where the converter exercises its
-// mask, stash, and unstash scratch.
+// TestConverterReuseWithOptions checks reuse under the paper's strategy,
+// the other policy and the scratch budget, where the converter exercises
+// its stash and unstash scratch.
 func TestConverterReuseWithOptions(t *testing.T) {
 	for _, opts := range [][]Option{
-		{WithStrategy(StrategySCCGreedy)},
+		{WithStrategy(StrategyDFS)},
 		{WithPolicy(graph.ConstantTime{})},
 		{WithScratchBudget(64)},
 	} {
@@ -365,15 +365,15 @@ func TestPieceGraphMatchesReference(t *testing.T) {
 		}
 		checked++
 		ref := buildCRWI(sp.pieces)
-		want := graph.New(len(sp.pieces))
+		var edges [][2]int32
 		for u := 0; u < ref.NumVertices(); u++ {
 			for _, v := range ref.Succ(u) {
 				if sp.label[u] == sp.label[v] {
-					want.AddEdge(u, int(v))
+					edges = append(edges, [2]int32{int32(u), v})
 				}
 			}
 		}
-		requireSameGraph(t, fmt.Sprintf("input-%d", k), want, sp.pieceGraph(cv))
+		requireSameGraph(t, fmt.Sprintf("input-%d", k), graph.FromEdges(len(sp.pieces), edges), sp.pieceGraph(cv))
 	}
 	if checked < 2 {
 		t.Fatalf("only %d inputs were cut into pieces", checked)

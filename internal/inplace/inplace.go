@@ -77,12 +77,6 @@ const (
 	// the victim chosen by the configured policy, and every victim's whole
 	// copy is converted to an add.
 	StrategyDFS Strategy = iota + 1
-	// StrategySCCGreedy is an ablation strategy beyond the paper: compute
-	// a feedback vertex set over whole strongly connected components with
-	// a degree/cost greedy score, then topologically sort the remainder.
-	// It can escape the locally-minimum policy's Figure 2 failure mode by
-	// seeing hub vertices, at the price of repeated SCC computations.
-	StrategySCCGreedy
 	// StrategySplit, the default, extends StrategyDFS beyond the paper:
 	// every copy of a cyclic strongly connected component is cut at the
 	// write boundaries of the same-component copies its read interval
@@ -138,7 +132,7 @@ func WithScratchBudget(n int64) Option {
 
 // WithObserver attaches a metrics registry: every conversion then
 // records per-stage timings (partition+sort, CRWI build, topological
-// sort / SCC, emit) and structural counters (edges, cycles broken per
+// sort and split, emit) and structural counters (edges, cycles broken per
 // policy, converted copies and bytes) into it. Handles are resolved once
 // per Converter, so an attached observer adds no allocations to the
 // steady-state convert path. A nil registry is accepted and means
@@ -214,10 +208,10 @@ var converters = sync.Pool{New: func() any { return new(Converter) }}
 // This is the reference builder: the conversion pipeline uses the
 // sweep-line CSR builder (crwiScratch.build), whose edge set is
 // property-tested to be identical to this one's.
-func buildCRWI(copies []delta.Command) *graph.Digraph {
-	g := graph.New(len(copies))
-	for i, c := range copies {
-		read := c.ReadInterval()
+func buildCRWI(copies []delta.Command) *graph.CSR {
+	var edges [][2]int32
+	for i := 0; i < len(copies); i++ {
+		read := copies[i].ReadInterval()
 		// First copy whose write interval ends at or after the read start.
 		j := sort.Search(len(copies), func(k int) bool {
 			w := copies[k].WriteInterval()
@@ -227,10 +221,10 @@ func buildCRWI(copies []delta.Command) *graph.Digraph {
 			if j == i {
 				continue // a command never conflicts with itself (§4.1)
 			}
-			g.AddEdge(i, j)
+			edges = append(edges, [2]int32{int32(i), int32(j)})
 		}
 	}
-	return g
+	return graph.FromEdges(len(copies), edges)
 }
 
 // EncodingLoss returns the size difference between encoding d with explicit

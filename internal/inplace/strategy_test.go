@@ -1,94 +1,117 @@
 package inplace
 
 import (
-	"bytes"
-	"math/rand"
+	"go/ast"
+	"go/parser"
+	"go/token"
+	"path/filepath"
+	"slices"
+	"strings"
 	"testing"
-	"testing/quick"
 
+	"ipdelta/internal/corpus"
 	"ipdelta/internal/diff"
 	"ipdelta/internal/graph"
 )
 
-func TestSCCStrategyCorrectness(t *testing.T) {
-	// The SCC strategy must produce correct in-place deltas on the same
-	// inputs as the DFS strategy.
-	f := func(seed int64) bool {
-		rng := rand.New(rand.NewSource(seed))
-		ref := make([]byte, rng.Intn(4<<10)+64)
-		rng.Read(ref)
-		version := mutateBytes(rng, ref)
-		d, err := diff.NewLinear(diff.WithSeedLen(8)).Diff(ref, version)
-		if err != nil {
-			return false
-		}
-		out, st, err := Convert(d, ref, WithStrategy(StrategySCCGreedy))
-		if err != nil {
-			return false
-		}
-		if st.Policy != "scc-greedy" {
-			return false
-		}
-		if out.Validate() != nil || out.CheckInPlace() != nil {
-			return false
-		}
-		buf := make([]byte, out.InPlaceBufLen())
-		copy(buf, ref)
-		if out.ApplyInPlace(buf) != nil {
-			return false
-		}
-		return bytes.Equal(buf[:out.VersionLen], version)
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 80}); err != nil {
+// strategyConstants returns the exported constants of type Strategy that
+// the package's source declares, so a test over every strategy cannot miss
+// one added later.
+func strategyConstants(t *testing.T) []string {
+	t.Helper()
+	files, err := filepath.Glob("*.go")
+	if err != nil {
 		t.Fatal(err)
 	}
+	var names []string
+	fset := token.NewFileSet()
+	for _, name := range files {
+		if strings.HasSuffix(name, "_test.go") {
+			continue
+		}
+		f, err := parser.ParseFile(fset, name, nil, 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, decl := range f.Decls {
+			gd, ok := decl.(*ast.GenDecl)
+			if !ok || gd.Tok != token.CONST {
+				continue
+			}
+			// A spec with neither type nor values repeats the previous
+			// spec's type, as iota blocks do.
+			typ := ""
+			for _, spec := range gd.Specs {
+				vs := spec.(*ast.ValueSpec)
+				if vs.Type != nil {
+					typ = identName(vs.Type)
+				} else if len(vs.Values) > 0 {
+					typ = ""
+				}
+				for _, id := range vs.Names {
+					if typ == "Strategy" && id.IsExported() {
+						names = append(names, id.Name)
+					}
+				}
+			}
+		}
+	}
+	slices.Sort(names)
+	return names
 }
 
-func TestSCCStrategyBeatsLMOnAdversarialTree(t *testing.T) {
-	// On the Figure 2 instance, the SCC-greedy strategy sees the root hub
-	// and converts only it, where locally-minimum converts every leaf.
-	depth, leafLen := 5, 32
-	d := AdversarialDelta(depth, leafLen)
-	ref := make([]byte, d.RefLen)
-	rand.New(rand.NewSource(1)).Read(ref)
-
-	_, lm, err := Convert(d, ref, WithPolicy(graph.LocallyMinimum{}))
-	if err != nil {
-		t.Fatal(err)
+// identName returns the name of an identifier expression, or "".
+func identName(e ast.Expr) string {
+	if id, ok := e.(*ast.Ident); ok {
+		return id.Name
 	}
-	outSCC, scc, err := Convert(d, ref, WithStrategy(StrategySCCGreedy))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if scc.ConvertedCopies != 1 {
-		t.Fatalf("scc-greedy converted %d copies, want 1 (the root)", scc.ConvertedCopies)
-	}
-	if scc.ConvertedBytes >= lm.ConvertedBytes {
-		t.Fatalf("scc-greedy (%d bytes) not better than LM (%d bytes)", scc.ConvertedBytes, lm.ConvertedBytes)
-	}
-	// And the result still reconstructs correctly in place.
-	want, err := d.Apply(ref)
-	if err != nil {
-		t.Fatal(err)
-	}
-	buf := make([]byte, outSCC.InPlaceBufLen())
-	copy(buf, ref)
-	if err := outSCC.ApplyInPlace(buf); err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(buf[:outSCC.VersionLen], want) {
-		t.Fatal("scc-greedy result reconstructs the wrong version")
-	}
+	return ""
 }
 
-func TestSCCStrategyNoCyclesNoConversions(t *testing.T) {
-	d := QuadraticDelta(16) // acyclic CRWI digraph
-	ref := make([]byte, d.RefLen)
-	_, st, err := Convert(d, ref, WithStrategy(StrategySCCGreedy))
+// TestConvertHonoursPolicyUnderEveryStrategy checks that no strategy
+// ignores the cycle-breaking policy: under every exported strategy and
+// both of the paper's policies, Stats.Policy names the policy in use, and
+// on a pair where the two policies convert different byte counts they do
+// so under each strategy.
+func TestConvertHonoursPolicyUnderEveryStrategy(t *testing.T) {
+	strategies := map[string]Strategy{
+		"StrategyDFS":   StrategyDFS,
+		"StrategySplit": StrategySplit,
+	}
+	declared := strategyConstants(t)
+	if len(declared) == 0 {
+		t.Fatal("found no Strategy constants in the package source")
+	}
+	for _, name := range declared {
+		if _, ok := strategies[name]; !ok {
+			t.Fatalf("strategy %s is not covered by this test", name)
+		}
+	}
+	if len(strategies) != len(declared) {
+		t.Fatalf("test covers %d strategies, the package declares %v", len(strategies), declared)
+	}
+
+	chain := corpus.RecordChain(3, 64<<10, 2)
+	ref := chain[0]
+	d, err := diff.NewLinear().Diff(ref, chain[1])
 	if err != nil {
 		t.Fatal(err)
 	}
-	if st.ConvertedCopies != 0 {
-		t.Fatalf("converted %d copies on an acyclic instance", st.ConvertedCopies)
+	for _, name := range declared {
+		converted := map[string]int64{}
+		for _, p := range []graph.Policy{graph.LocallyMinimum{}, graph.ConstantTime{}} {
+			_, st := convertAndCheck(t, d, ref, WithStrategy(strategies[name]), WithPolicy(p))
+			if st.Policy != p.Name() {
+				t.Errorf("%s/%s: Stats.Policy = %q", name, p.Name(), st.Policy)
+			}
+			if st.CyclesBroken == 0 {
+				t.Fatalf("%s/%s: the input has no cycle to break", name, p.Name())
+			}
+			converted[p.Name()] = st.ConvertedBytes
+		}
+		lm, ct := converted[graph.LocallyMinimum{}.Name()], converted[graph.ConstantTime{}.Name()]
+		if lm == ct {
+			t.Errorf("%s: both policies convert %d bytes; the policy is inert", name, lm)
+		}
 	}
 }

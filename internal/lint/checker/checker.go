@@ -212,21 +212,14 @@ func dependencyOrder(pkgs []*loader.Package) ([]*loader.Package, error) {
 		walk(p.Types)
 	}
 
-	// Two-pass CSR build: an edge dep → importer for every dependency.
-	var b graph.CSRBuilder
-	b.Reset(len(pkgs))
-	for _, ds := range deps {
-		for _, d := range ds {
-			b.CountEdge(d)
-		}
-	}
-	b.StartFill()
+	// An edge dep → importer for every dependency.
+	var edges [][2]int32
 	for i, ds := range deps {
 		for _, d := range ds {
-			b.FillEdge(d, i)
+			edges = append(edges, [2]int32{int32(d), int32(i)})
 		}
 	}
-	g := b.Finish()
+	g := graph.FromEdges(len(pkgs), edges)
 
 	res := graph.TopoSort(g, func(int) int64 { return 1 }, graph.LocallyMinimum{})
 	if res.CyclesBroken > 0 || len(res.Order) != len(pkgs) {

@@ -15,6 +15,7 @@ package loader
 import (
 	"fmt"
 	"go/ast"
+	"go/build"
 	"go/importer"
 	"go/parser"
 	"go/token"
@@ -235,13 +236,23 @@ func hasGoFiles(dir string) bool {
 		return false
 	}
 	for _, e := range ents {
-		name := e.Name()
-		if !e.IsDir() && strings.HasSuffix(name, ".go") &&
-			!strings.HasSuffix(name, "_test.go") && !strings.HasPrefix(name, ".") {
+		// A file that cannot be read counts, so LoadDir reports why.
+		if ok, err := isSource(dir, e); ok || err != nil {
 			return true
 		}
 	}
 	return false
+}
+
+// isSource reports whether e is a non-test Go file of the package in dir
+// that a default build compiles: its build constraints and its _GOOS and
+// _GOARCH name suffixes match, as go/build decides them.
+func isSource(dir string, e os.DirEntry) (bool, error) {
+	name := e.Name()
+	if e.IsDir() || !strings.HasSuffix(name, ".go") || strings.HasSuffix(name, "_test.go") {
+		return false, nil
+	}
+	return build.Default.MatchFile(dir, name)
 }
 
 // LoadDir parses and typechecks the single package in dir. importPath
@@ -273,12 +284,14 @@ func (l *Loader) LoadDir(dir, importPath string) (*Package, error) {
 	var files []*ast.File
 	srcs := map[string][]byte{}
 	for _, e := range ents {
-		name := e.Name()
-		if e.IsDir() || !strings.HasSuffix(name, ".go") ||
-			strings.HasSuffix(name, "_test.go") || strings.HasPrefix(name, ".") {
+		ok, err := isSource(abs, e)
+		if err != nil {
+			return nil, err
+		}
+		if !ok {
 			continue
 		}
-		filename := filepath.Join(abs, name)
+		filename := filepath.Join(abs, e.Name())
 		src, err := os.ReadFile(filename)
 		if err != nil {
 			return nil, err

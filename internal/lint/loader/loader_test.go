@@ -157,3 +157,27 @@ func samePackage(imports []*types.Package, want *types.Package) bool {
 	}
 	return false
 }
+
+// TestLoadDirHonoursBuildConstraints loads a package whose two files
+// declare the same constant under opposite race constraints: only the file
+// a default build compiles is parsed, so the package typechecks.
+func TestLoadDirHonoursBuildConstraints(t *testing.T) {
+	l, err := New(".")
+	if err != nil {
+		t.Fatalf("loader: %v", err)
+	}
+	pkg, err := l.LoadDir("testdata/src/buildtags", "buildtags")
+	if err != nil {
+		t.Fatalf("load fixture: %v", err)
+	}
+	var names []string
+	for _, f := range pkg.Files {
+		names = append(names, filepath.Base(pkg.Fset.File(f.Pos()).Name()))
+	}
+	if len(names) != 1 || names[0] != "race_off.go" {
+		t.Fatalf("loaded files %v, want [race_off.go]", names)
+	}
+	if !hasGoFiles("testdata/src/buildtags") {
+		t.Fatal("hasGoFiles: the package has a file a default build compiles")
+	}
+}

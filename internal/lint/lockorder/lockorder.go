@@ -154,16 +154,11 @@ func reportCycles(pass *analysis.Pass, all map[LockEdge]bool, own map[LockEdge]t
 		names = append(names, s)
 		return len(names) - 1
 	}
-	var edges []LockEdge
+	var edges [][2]int32
 	for e := range all {
-		edges = append(edges, e)
-		intern(e.From)
-		intern(e.To)
+		edges = append(edges, [2]int32{int32(intern(e.From)), int32(intern(e.To))})
 	}
-	g := graph.New(len(names))
-	for _, e := range edges {
-		g.AddEdge(ids[e.From], ids[e.To])
-	}
+	g := graph.FromEdges(len(names), edges)
 	var scratch graph.SCCScratch
 	verts, offs := scratch.Components(g)
 	comp := make([]int, len(names))

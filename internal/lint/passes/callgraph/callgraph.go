@@ -90,14 +90,15 @@ func run(pass *analysis.Pass) (any, error) {
 	for i, n := range order {
 		index[n.Obj] = i
 	}
-	g := graph.New(len(order))
+	var edges [][2]int32
 	for i, n := range order {
 		for _, c := range n.Static {
 			if j, ok := index[c.Callee]; ok && j != i {
-				g.AddEdge(i, j)
+				edges = append(edges, [2]int32{int32(i), int32(j)})
 			}
 		}
 	}
+	g := graph.FromEdges(len(order), edges)
 	// Edges point caller → callee, so Tarjan's natural output order
 	// (reverse topological) emits callees before callers.
 	for _, comp := range graph.StronglyConnectedComponents(g) {

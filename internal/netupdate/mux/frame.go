@@ -14,12 +14,12 @@
 // and speaks the session protocol directly fails the handshake on its
 // first byte.
 //
-// Payload handling is keyed by msg-type through a codec registry
-// (RegisterCodec): control frames — SETTINGS, SYN, FIN, RST, WINDOW,
-// GOAWAY — decode through their registered codec into a value-typed
-// control body, while DATA payloads bypass decoding entirely and stream
-// straight into the receiving stream's ring buffer, keeping the data
-// path allocation-free.
+// Payload handling is keyed by msg-type: control frames — SETTINGS, SYN,
+// FIN, RST, WINDOW, GOAWAY — are length-checked against a per-type limit
+// and decoded into a value-typed control body by one switch
+// (decodeControl), while DATA payloads bypass decoding entirely and
+// stream straight into the receiving stream's ring buffer, keeping the
+// data path allocation-free.
 //
 // Stream 0 carries connection-level control only. Streams opened by the
 // connection's initiating side (the device/client) use odd ids, counting
@@ -97,7 +97,7 @@ var (
 	// ErrVersionMismatch reports a peer speaking an unknown protocol
 	// version.
 	ErrVersionMismatch = fmt.Errorf("%w: unsupported protocol version", ErrProtocol)
-	// ErrUnknownFrameType reports a msg-type with no registered codec.
+	// ErrUnknownFrameType reports a msg-type this protocol does not define.
 	ErrUnknownFrameType = fmt.Errorf("%w: unknown frame type", ErrProtocol)
 	// ErrFrameTooLarge reports a length field beyond the negotiated (or
 	// absolute) payload bound. The length field is a claim, never an
@@ -186,7 +186,7 @@ var (
 )
 
 // control is the decoded body of a control frame. It is a value type so
-// the codec registry can return one without heap allocation.
+// decodeControl can return one without heap allocation.
 type control struct {
 	settings Settings // FrameSettings
 	credit   uint32   // FrameWindow
@@ -194,92 +194,58 @@ type control struct {
 	msg      string   // FrameGoAway (allocates; GOAWAY is terminal anyway)
 }
 
-// Codec validates and decodes the payload of one control frame type.
-// DATA frames never pass through the registry: their payloads stream
-// directly into the receiving stream's buffer.
-type Codec interface {
-	// MaxLen is the largest payload this frame type accepts; longer
-	// payloads fail with ErrFrameTooLarge before decoding.
-	MaxLen() int
-	// Decode parses the payload. The slice is only valid during the
-	// call; implementations must not retain it.
-	Decode(payload []byte) (control, error)
-}
-
-// codecs is the registry, keyed by msg-type.
-var codecs [256]Codec
-
-// RegisterCodec installs the codec for a frame type. The built-in v2
-// control frames register themselves at init; registering an already
-// claimed type panics, so an extension cannot silently shadow a core
-// frame.
-func RegisterCodec(typ byte, c Codec) {
-	if codecs[typ] != nil {
-		panic(fmt.Sprintf("mux: frame type %#x already registered", typ))
-	}
-	codecs[typ] = c
-}
-
-// codecFor returns the codec registered for typ, or nil.
+// controlMaxLen returns the largest payload control frame type typ
+// accepts, checked before the payload is read, and false when typ is not
+// a control frame. DATA is not: its payloads stream directly into the
+// receiving stream's buffer.
 //
 //ipvet:allocfree
-func codecFor(typ byte) Codec { return codecs[typ] }
-
-func init() {
-	RegisterCodec(FrameSettings, settingsCodec{})
-	RegisterCodec(FrameSyn, emptyCodec{})
-	RegisterCodec(FrameFin, emptyCodec{})
-	RegisterCodec(FrameRst, codeCodec{})
-	RegisterCodec(FrameWindow, windowCodec{})
-	RegisterCodec(FrameGoAway, goAwayCodec{})
+func controlMaxLen(typ byte) (int, bool) {
+	switch typ {
+	case FrameSyn, FrameFin:
+		return 0, true
+	case FrameRst, FrameWindow:
+		return 4, true
+	case FrameSettings, FrameGoAway:
+		return maxControlPayload, true
+	}
+	return 0, false
 }
 
-// emptyCodec handles SYN and FIN, which carry no payload.
-type emptyCodec struct{}
-
-func (emptyCodec) MaxLen() int { return 0 }
-func (emptyCodec) Decode(p []byte) (control, error) {
-	if len(p) != 0 {
-		return control{}, fmt.Errorf("%w: unexpected payload on empty-bodied frame", ErrProtocol)
+// decodeControl validates and decodes the payload of a control frame of
+// type typ. The payload is only valid during the call and is not
+// retained.
+func decodeControl(typ byte, p []byte) (control, error) {
+	switch typ {
+	case FrameSettings:
+		return decodeSettings(p)
+	case FrameSyn, FrameFin:
+		if len(p) != 0 {
+			return control{}, fmt.Errorf("%w: unexpected payload on empty-bodied frame", ErrProtocol)
+		}
+		return control{}, nil
+	case FrameRst:
+		if len(p) != 4 {
+			return control{}, fmt.Errorf("%w: RST payload must be 4 bytes, got %d", ErrProtocol, len(p))
+		}
+		return control{code: binary.BigEndian.Uint32(p)}, nil
+	case FrameWindow:
+		if len(p) != 4 {
+			return control{}, fmt.Errorf("%w: WINDOW payload must be 4 bytes, got %d", ErrProtocol, len(p))
+		}
+		credit := binary.BigEndian.Uint32(p)
+		if credit == 0 {
+			return control{}, fmt.Errorf("%w: zero-credit WINDOW grant", ErrFlowControl)
+		}
+		return control{credit: credit}, nil
+	case FrameGoAway:
+		// A 4-byte code plus an optional message.
+		if len(p) < 4 {
+			return control{}, fmt.Errorf("%w: short GOAWAY payload", ErrProtocol)
+		}
+		return control{code: binary.BigEndian.Uint32(p), msg: string(p[4:])}, nil
 	}
-	return control{}, nil
-}
-
-// codeCodec handles RST: a single 4-byte BE code.
-type codeCodec struct{}
-
-func (codeCodec) MaxLen() int { return 4 }
-func (codeCodec) Decode(p []byte) (control, error) {
-	if len(p) != 4 {
-		return control{}, fmt.Errorf("%w: RST payload must be 4 bytes, got %d", ErrProtocol, len(p))
-	}
-	return control{code: binary.BigEndian.Uint32(p)}, nil
-}
-
-// windowCodec handles WINDOW: a single 4-byte BE credit grant.
-type windowCodec struct{}
-
-func (windowCodec) MaxLen() int { return 4 }
-func (windowCodec) Decode(p []byte) (control, error) {
-	if len(p) != 4 {
-		return control{}, fmt.Errorf("%w: WINDOW payload must be 4 bytes, got %d", ErrProtocol, len(p))
-	}
-	credit := binary.BigEndian.Uint32(p)
-	if credit == 0 {
-		return control{}, fmt.Errorf("%w: zero-credit WINDOW grant", ErrFlowControl)
-	}
-	return control{credit: credit}, nil
-}
-
-// goAwayCodec handles GOAWAY: a 4-byte BE code plus an optional message.
-type goAwayCodec struct{}
-
-func (goAwayCodec) MaxLen() int { return maxControlPayload }
-func (goAwayCodec) Decode(p []byte) (control, error) {
-	if len(p) < 4 {
-		return control{}, fmt.Errorf("%w: short GOAWAY payload", ErrProtocol)
-	}
-	return control{code: binary.BigEndian.Uint32(p), msg: string(p[4:])}, nil
+	return control{}, fmt.Errorf("%w: %#x", ErrUnknownFrameType, typ)
 }
 
 // Settings are one side's advertised receive limits, exchanged in the
@@ -350,13 +316,10 @@ func encodeSettings(s Settings) []byte {
 	return buf
 }
 
-// settingsCodec decodes a SETTINGS payload. Unknown keys are skipped so
-// a future dialect can add settings without breaking v2 peers; absent
-// keys take the defaults.
-type settingsCodec struct{}
-
-func (settingsCodec) MaxLen() int { return maxControlPayload }
-func (settingsCodec) Decode(p []byte) (control, error) {
+// decodeSettings decodes a SETTINGS payload. Unknown keys are skipped so
+// a future dialect can add settings without breaking v2 peers; a payload
+// missing a required limit is rejected.
+func decodeSettings(p []byte) (control, error) {
 	var s Settings
 	for len(p) > 0 {
 		key, n := binary.Uvarint(p)

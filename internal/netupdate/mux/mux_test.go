@@ -742,7 +742,7 @@ func TestSynRefusedOverLimit(t *testing.T) {
 	if _, err := io.ReadFull(cc, body); err != nil {
 		t.Fatalf("refusal body: %v", err)
 	}
-	c, err := (codeCodec{}).Decode(body)
+	c, err := decodeControl(FrameRst, body)
 	if err != nil || c.code != CodeRefused {
 		t.Fatalf("refusal code = %d (err=%v), want CodeRefused", c.code, err)
 	}
@@ -834,21 +834,12 @@ func TestSettingsCodec(t *testing.T) {
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			_, err := (settingsCodec{}).Decode(tc.payload)
+			_, err := decodeControl(FrameSettings, tc.payload)
 			if (err != nil) != tc.wantErr {
 				t.Fatalf("Decode err=%v, wantErr=%v", err, tc.wantErr)
 			}
 		})
 	}
-}
-
-func TestRegisterCodecPanicsOnDuplicate(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Fatal("RegisterCodec on a claimed type did not panic")
-		}
-	}()
-	RegisterCodec(FrameSyn, emptyCodec{})
 }
 
 func TestHeaderRoundTrip(t *testing.T) {
@@ -863,8 +854,8 @@ func TestHeaderRoundTrip(t *testing.T) {
 	}
 }
 
-// FuzzFrameDecode exercises the frame header parser and every control
-// codec against arbitrary bytes: decoding must never panic, and any
+// FuzzFrameDecode exercises the frame header parser and the decode of
+// every control frame type against arbitrary bytes: decoding must never panic, and any
 // accepted header must round-trip.
 func FuzzFrameDecode(f *testing.F) {
 	f.Add([]byte{Magic, Version, FrameData, 0, 0, 0, 0, 1, 0, 0, 0, 5})
@@ -884,15 +875,15 @@ func FuzzFrameDecode(f *testing.F) {
 		if !bytes.Equal(rt[:], data[:HeaderLen]) {
 			t.Fatalf("header round trip: % x != % x", rt[:], data[:HeaderLen])
 		}
-		c := codecFor(h.typ)
-		if c == nil {
+		limit, ok := controlMaxLen(h.typ)
+		if !ok {
 			return
 		}
 		payload := data[HeaderLen:]
-		if len(payload) > c.MaxLen() {
-			payload = payload[:c.MaxLen()]
+		if len(payload) > limit {
+			payload = payload[:limit]
 		}
-		c.Decode(payload) // must not panic
+		decodeControl(h.typ, payload) // must not panic
 	})
 }
 

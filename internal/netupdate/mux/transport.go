@@ -138,7 +138,7 @@ func (t *Transport) readSettings() (Settings, error) {
 	if _, err := io.ReadFull(t.br, payload); err != nil {
 		return Settings{}, fmt.Errorf("mux: handshake read: %w", err)
 	}
-	c, err := codecFor(FrameSettings).Decode(payload)
+	c, err := decodeControl(FrameSettings, payload)
 	if err != nil {
 		return Settings{}, fmt.Errorf("mux: handshake: %w", err)
 	}
@@ -446,22 +446,21 @@ func (t *Transport) handleData(h header) error {
 	return s.deliver(t.br, int(h.length))
 }
 
-// handleControl decodes one control frame through the codec registry and
-// applies it.
+// handleControl decodes one control frame and applies it.
 func (t *Transport) handleControl(h header) error {
-	codec := codecFor(h.typ)
-	if codec == nil {
+	limit, ok := controlMaxLen(h.typ)
+	if !ok {
 		return fmt.Errorf("%w: %#x", ErrUnknownFrameType, h.typ)
 	}
-	if int(h.length) > codec.MaxLen() {
+	if int(h.length) > limit {
 		return fmt.Errorf("%w: %d-byte payload on frame type %#x (limit %d)",
-			ErrFrameTooLarge, h.length, h.typ, codec.MaxLen())
+			ErrFrameTooLarge, h.length, h.typ, limit)
 	}
 	payload := t.ctrl[:h.length]
 	if _, err := io.ReadFull(t.br, payload); err != nil {
 		return err
 	}
-	c, err := codec.Decode(payload)
+	c, err := decodeControl(h.typ, payload)
 	if err != nil {
 		return err
 	}
