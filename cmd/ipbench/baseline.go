@@ -8,6 +8,7 @@ import (
 	"math/rand"
 	"os"
 	"runtime"
+	"runtime/debug"
 	"sort"
 	"strings"
 	"testing"
@@ -135,15 +136,13 @@ func blockyChurn(base []byte, rate float64, seed int64) []byte {
 func measureReingest(doc *baselineDoc, ck *chunk.Chunker, oldImg, newImg []byte, label string) {
 	s := chunk.NewStore()
 	like := s.IngestAll(ck, oldImg)
-	doc.measure("chunk/ingest/repeat/"+label, int64(len(newImg)), func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			s.ReleaseRecipe(s.IngestAll(ck, newImg))
-		}
+	doc.measure("chunk/ingest/repeat/"+label, int64(len(newImg)), func() error {
+		s.ReleaseRecipe(s.IngestAll(ck, newImg))
+		return nil
 	})
-	doc.measure("chunk/ingest/like/"+label, int64(len(newImg)), func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			s.ReleaseRecipe(s.IngestLike(ck, newImg, like))
-		}
+	doc.measure("chunk/ingest/like/"+label, int64(len(newImg)), func() error {
+		s.ReleaseRecipe(s.IngestLike(ck, newImg, like))
+		return nil
 	})
 }
 
@@ -168,35 +167,30 @@ func measureCodec(doc *baselineDoc, size int, seed int64) error {
 	wire := enc.Bytes()
 	vbytes := int64(len(chain[4]))
 	var sink bytes.Buffer
-	doc.measure("codec/encode/compact", vbytes, func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			sink.Reset()
-			if _, err := codec.Encode(&sink, d, codec.FormatCompact); err != nil {
-				b.Fatal(err)
-			}
-		}
+	doc.measure("codec/encode/compact", vbytes, func() error {
+		sink.Reset()
+		_, err := codec.Encode(&sink, d, codec.FormatCompact)
+		return err
 	})
 	r := bytes.NewReader(wire)
 	work := make([]byte, 4096)
-	doc.measure("codec/decode/stream", vbytes, func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			r.Reset(wire)
-			dec, err := codec.NewDecoder(r)
-			if err != nil {
-				b.Fatal(err)
+	doc.measure("codec/decode/stream", vbytes, func() error {
+		r.Reset(wire)
+		dec, err := codec.NewDecoder(r)
+		if err != nil {
+			return err
+		}
+		for {
+			_, payload, err := dec.NextStreaming()
+			if err == io.EOF {
+				return nil
 			}
-			for {
-				_, payload, err := dec.NextStreaming()
-				if err == io.EOF {
-					break
-				}
-				if err != nil {
-					b.Fatal(err)
-				}
-				if payload != nil {
-					if _, err := io.CopyBuffer(io.Discard, payload, work); err != nil {
-						b.Fatal(err)
-					}
+			if err != nil {
+				return err
+			}
+			if payload != nil {
+				if _, err := io.CopyBuffer(io.Discard, payload, work); err != nil {
+					return err
 				}
 			}
 		}
@@ -237,12 +231,9 @@ func measureChunkedInPlace(doc *baselineDoc, size int, seed int64) error {
 	if !bytes.Equal(buf[:d.VersionLen], img) {
 		return fmt.Errorf("bench-baseline: %s: delta does not rebuild the head", name)
 	}
-	doc.measure(name, int64(size), func(b *testing.B) {
-		for n := 0; n < b.N; n++ {
-			if _, _, err := s.InPlaceDeltaTo(i, graph.LocallyMinimum{}); err != nil {
-				b.Fatal(err)
-			}
-		}
+	doc.measure(name, int64(size), func() error {
+		_, _, err := s.InPlaceDeltaTo(i, graph.LocallyMinimum{})
+		return err
 	})
 	return nil
 }
@@ -255,10 +246,18 @@ func sizeLabel(n int) string {
 	return fmt.Sprintf("%dKiB", n>>10)
 }
 
-// measure runs fn under testing.Benchmark and records the result. bytes is
-// the per-iteration payload for MB/s (0 to omit).
-func (doc *baselineDoc) measure(name string, bytes int64, fn func(b *testing.B)) {
-	r := testing.Benchmark(fn)
+// measure times op, one iteration of the row, under testing.Benchmark
+// and records the result. bytes is the per-iteration payload for MB/s (0
+// to omit). A row an allocation rule bounds takes its allocs/op from
+// allocsPerOp instead.
+func (doc *baselineDoc) measure(name string, bytes int64, op func() error) {
+	r := testing.Benchmark(func(b *testing.B) {
+		for i := 0; i < b.N; i++ {
+			if err := op(); err != nil {
+				b.Fatal(err)
+			}
+		}
+	})
 	res := baselineResult{
 		Name:        name,
 		Iters:       r.N,
@@ -266,10 +265,24 @@ func (doc *baselineDoc) measure(name string, bytes int64, fn func(b *testing.B))
 		BytesPerOp:  r.AllocedBytesPerOp(),
 		AllocsPerOp: r.AllocsPerOp(),
 	}
+	if allocsRuled(name) {
+		res.AllocsPerOp = allocsPerOp(op)
+	}
 	if bytes > 0 && r.T > 0 {
 		res.MBPerSec = float64(bytes) * float64(r.N) / r.T.Seconds() / 1e6
 	}
 	doc.Results = append(doc.Results, res)
+}
+
+// allocsPerOp counts op's allocations the way the package allocation
+// gates do: a warmed testing.AllocsPerRun pass over four calls with the
+// collector held off. A collection during a timed run empties the pools the steady-state
+// paths draw on, and the regrow, divided over a small b.N, can read as
+// one more allocation per op than the path makes. An op that fails here
+// has already failed its timed run.
+func allocsPerOp(op func() error) int64 {
+	defer debug.SetGCPercent(debug.SetGCPercent(-1))
+	return int64(testing.AllocsPerRun(4, func() { _ = op() }))
 }
 
 // measureDiff records a diff row. It first builds one delta with diffFn
@@ -293,12 +306,9 @@ func (doc *baselineDoc) measureDiff(name string, ref, version []byte, diffFn fun
 		return fmt.Errorf("bench-baseline: %s: %w", name, err)
 	}
 	addPct := 100 * float64(d.AddedBytes()) / float64(len(version))
-	doc.measure(name, int64(len(version)), func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			if _, err := diffFn(); err != nil {
-				b.Fatal(err)
-			}
-		}
+	doc.measure(name, int64(len(version)), func() error {
+		_, err := diffFn()
+		return err
 	})
 	r := &doc.Results[len(doc.Results)-1]
 	r.DeltaBytes, r.AddPct = size, addPct
@@ -366,31 +376,22 @@ func runBaseline(out io.Writer, outPath string, quick bool, seed int64) error {
 	doc.Environment.InputBytes = size
 	doc.Environment.Seed = seed
 
-	doc.measure("convert/one-shot", vbytes, func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			if _, _, err := inplace.Convert(d, p.Ref); err != nil {
-				b.Fatal(err)
-			}
-		}
+	doc.measure("convert/one-shot", vbytes, func() error {
+		_, _, err := inplace.Convert(d, p.Ref)
+		return err
 	})
 	// The reuse benchmark runs with an observer attached: stage timings and
 	// structural counters land in the emitted document, and the allocs/op
 	// column doubles as proof that observation stays allocation-free.
 	reg := obs.NewRegistry()
 	cv := inplace.NewConverter(inplace.WithObserver(reg))
-	doc.measure("convert/reuse", vbytes, func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			if _, _, err := cv.Convert(d, p.Ref); err != nil {
-				b.Fatal(err)
-			}
-		}
+	doc.measure("convert/reuse", vbytes, func() error {
+		_, _, err := cv.Convert(d, p.Ref)
+		return err
 	})
-	doc.measure("crwi/build", vbytes, func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			if _, _, err := cv.BuildCRWI(d); err != nil {
-				b.Fatal(err)
-			}
-		}
+	doc.measure("crwi/build", vbytes, func() error {
+		_, _, err := cv.BuildCRWI(d)
+		return err
 	})
 	if err := measureCodec(doc, 4*size, seed); err != nil {
 		return err
@@ -424,30 +425,22 @@ func runBaseline(out io.Writer, outPath string, quick bool, seed int64) error {
 		newImg := blockyChurn(oldImg, 0.05, seed+1)
 		label := sizeLabel(csz)
 
-		doc.measure("chunk/split/"+label, int64(csz), func(b *testing.B) {
-			sink := 0
-			for i := 0; i < b.N; i++ {
-				ck.Split(oldImg, func(c []byte) { sink += len(c) })
-			}
-			_ = sink
+		doc.measure("chunk/split/"+label, int64(csz), func() error {
+			ck.Split(oldImg, func([]byte) {})
+			return nil
 		})
-		doc.measure("chunk/ingest/"+label, int64(csz), func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				fresh := chunk.NewStore()
-				fresh.IngestAll(ck, oldImg)
-			}
+		doc.measure("chunk/ingest/"+label, int64(csz), func() error {
+			chunk.NewStore().IngestAll(ck, oldImg)
+			return nil
 		})
 		measureReingest(doc, ck, oldImg, newImg, label)
 
 		cstore := chunk.NewStore(chunk.WithObserver(reg))
 		ro := cstore.IngestAll(ck, oldImg)
 		rn := cstore.IngestAll(ck, newImg)
-		doc.measure("chunk/materialize/"+label, int64(csz), func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				if _, err := chunk.Materialize(nil, ro, cstore); err != nil {
-					b.Fatal(err)
-				}
-			}
+		doc.measure("chunk/materialize/"+label, int64(csz), func() error {
+			_, err := chunk.Materialize(nil, ro, cstore)
+			return err
 		})
 		if err := doc.measureDiff("recipe/diff/"+label, oldImg, newImg, func() (*delta.Delta, error) {
 			return rd.DiffRecipes(ro, rn, cstore)
@@ -485,22 +478,16 @@ func runBaseline(out io.Writer, outPath string, quick bool, seed int64) error {
 			return fmt.Errorf("bench-baseline: chain: %w", err)
 		}
 	}
-	doc.measure(fmt.Sprintf("store/cold/%d", chainDepth), headBytes, func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			if _, err := cold.Version(head); err != nil {
-				b.Fatal(err)
-			}
-		}
+	doc.measure(fmt.Sprintf("store/cold/%d", chainDepth), headBytes, func() error {
+		_, err := cold.Version(head)
+		return err
 	})
 	if _, err := cached.Version(head); err != nil {
 		return fmt.Errorf("bench-baseline: warm cache: %w", err)
 	}
-	doc.measure(fmt.Sprintf("store/cached/%d", chainDepth), headBytes, func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			if _, err := cached.Version(head); err != nil {
-				b.Fatal(err)
-			}
-		}
+	doc.measure(fmt.Sprintf("store/cached/%d", chainDepth), headBytes, func() error {
+		_, err := cached.Version(head)
+		return err
 	})
 
 	// Fold the shared registry in once, at the end: the convert stages and

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"io"
 	"runtime/debug"
+	"slices"
 	"strings"
 )
 
@@ -97,6 +98,13 @@ func (r rule) eval(rows map[string]baselineResult) (got string, ok bool) {
 		}
 		return fmt.Sprintf("%.2f", res.AddPct), res.AddPct <= r.bound
 	}
+}
+
+// allocsRuled reports whether a rule bounds the allocations of row.
+func allocsRuled(row string) bool {
+	return slices.ContainsFunc(baselineRules, func(r rule) bool {
+		return r.kind == maxAllocs && r.row == row
+	})
 }
 
 // raceEnabled reports whether the binary was built with the race

@@ -31,7 +31,7 @@ type stripe struct {
 	shardCRC  []uint32 // len n
 }
 
-// archiveMetrics holds pre-resolved obs handles; all fields are nil-safe.
+// archiveMetrics holds pre-resolved obs handles.
 type archiveMetrics struct {
 	reads         *obs.Counter // Get calls that returned a blob
 	degradedReads *obs.Counter // ... that needed reconstruction
@@ -49,7 +49,12 @@ type archiveMetrics struct {
 	repair obs.Stage
 }
 
+var unobservedArchive archiveMetrics // nil handles, zero stages: calls do nothing
+
 func resolveArchiveMetrics(r *obs.Registry) *archiveMetrics {
+	if r == nil {
+		return &unobservedArchive
+	}
 	return &archiveMetrics{
 		reads:         r.Counter("ipdelta_archive_reads_total"),
 		degradedReads: r.Counter("ipdelta_archive_degraded_reads_total"),
@@ -90,11 +95,7 @@ type Option func(*Archive)
 // WithObserver attaches a metrics registry: read/degraded-read/failure
 // and scrub/repair counters plus encode/read/scrub/repair stage timers.
 func WithObserver(r *obs.Registry) Option {
-	return func(a *Archive) {
-		if r != nil {
-			a.met = resolveArchiveMetrics(r)
-		}
-	}
+	return func(a *Archive) { a.met = resolveArchiveMetrics(r) }
 }
 
 // New builds an archive striping over the given nodes with
@@ -112,6 +113,7 @@ func New(nodes []*Node, dataShards, parityShards int, opts ...Option) (*Archive,
 		coder:   coder,
 		nodes:   append([]*Node(nil), nodes...),
 		stripes: make(map[uint64]*stripe),
+		met:     &unobservedArchive,
 	}
 	for _, o := range opts {
 		o(a)
@@ -160,10 +162,7 @@ func (a *Archive) Stripes() []uint64 {
 // readable and repairable; more than m put failures is an error and the
 // stripe is not recorded.
 func (a *Archive) Put(id uint64, blob []byte) error {
-	var span obs.Span
-	if a.met != nil {
-		span = a.met.encode.Start()
-	}
+	span := a.met.encode.Start()
 	k, n := a.coder.k, a.coder.TotalShards()
 	shardSize := (len(blob) + k - 1) / k
 	// Pad the blob to k equal shards; the true length is stripe metadata.
@@ -193,10 +192,8 @@ func (a *Archive) Put(id uint64, blob []byte) error {
 			}
 		}
 	}
-	if a.met != nil {
-		a.met.shardFaults.Add(int64(failed))
-		span.End()
-	}
+	a.met.shardFaults.Add(int64(failed))
+	span.End()
 	if failed > a.coder.m {
 		return fmt.Errorf("%w: stripe %d: %d of %d shards failed to store: %v",
 			ErrUnrecoverable, id, failed, n, firstErr)
@@ -230,22 +227,17 @@ func (a *Archive) fetchShards(id uint64, st *stripe) ([][]byte, int) {
 // k usable shards suffice; the result is verified against the blob CRC
 // recorded at Put time.
 func (a *Archive) Get(id uint64) ([]byte, error) {
-	var span obs.Span
-	if a.met != nil {
-		span = a.met.read.Start()
-	}
+	span := a.met.read.Start()
 	blob, degraded, err := a.get(id)
-	if a.met != nil {
-		if err != nil {
-			a.met.readFailures.Inc()
-		} else {
-			a.met.reads.Inc()
-			if degraded {
-				a.met.degradedReads.Inc()
-			}
+	if err != nil {
+		a.met.readFailures.Inc()
+	} else {
+		a.met.reads.Inc()
+		if degraded {
+			a.met.degradedReads.Inc()
 		}
-		span.End()
 	}
+	span.End()
 	return blob, err
 }
 
@@ -258,9 +250,7 @@ func (a *Archive) get(id uint64) ([]byte, bool, error) {
 	}
 	k := a.coder.k
 	shards, good := a.fetchShards(id, st)
-	if bad := a.coder.TotalShards() - good; bad > 0 && a.met != nil {
-		a.met.shardFaults.Add(int64(bad))
-	}
+	a.met.shardFaults.Add(int64(a.coder.TotalShards() - good))
 	degraded := false
 	for j := 0; j < k; j++ {
 		if shards[j] == nil {
@@ -325,10 +315,7 @@ func (r *ScrubReport) String() string {
 // every stripe can be read without reconstruction; a dirty one names the
 // shards Repair must rebuild.
 func (a *Archive) Scrub() *ScrubReport {
-	var span obs.Span
-	if a.met != nil {
-		span = a.met.scrub.Start()
-	}
+	span := a.met.scrub.Start()
 	rep := &ScrubReport{PerStripe: make(map[uint64][]ShardState)}
 	n := a.coder.TotalShards()
 	for _, id := range a.Stripes() {
@@ -363,13 +350,11 @@ func (a *Archive) Scrub() *ScrubReport {
 			}
 		}
 	}
-	if a.met != nil {
-		a.met.scrubShards.Add(int64(rep.ShardsChecked))
-		a.met.scrubCorrupt.Add(int64(rep.Corrupt))
-		a.met.scrubMissing.Add(int64(rep.Missing))
-		a.met.shardFaults.Add(int64(rep.Missing + rep.Corrupt))
-		span.End()
-	}
+	a.met.scrubShards.Add(int64(rep.ShardsChecked))
+	a.met.scrubCorrupt.Add(int64(rep.Corrupt))
+	a.met.scrubMissing.Add(int64(rep.Missing))
+	a.met.shardFaults.Add(int64(rep.Missing + rep.Corrupt))
+	span.End()
 	return rep
 }
 
@@ -394,10 +379,7 @@ func (r *RepairReport) String() string {
 // Failed) and can be repaired after the node revives; stripes with fewer
 // than k usable shards are counted Unrecoverable and left untouched.
 func (a *Archive) Repair() *RepairReport {
-	var span obs.Span
-	if a.met != nil {
-		span = a.met.repair.Start()
-	}
+	span := a.met.repair.Start()
 	rep := &RepairReport{}
 	n := a.coder.TotalShards()
 	for _, id := range a.Stripes() {
@@ -438,11 +420,9 @@ func (a *Archive) Repair() *RepairReport {
 			rep.Repaired++
 		}
 	}
-	if a.met != nil {
-		a.met.repaired.Add(int64(rep.Repaired))
-		a.met.repairFails.Add(int64(rep.Failed))
-		span.End()
-	}
+	a.met.repaired.Add(int64(rep.Repaired))
+	a.met.repairFails.Add(int64(rep.Failed))
+	span.End()
 	return rep
 }
 

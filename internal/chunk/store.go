@@ -14,7 +14,7 @@ import (
 // ErrNoSuchChunk reports a chunk address the store cannot resolve.
 var ErrNoSuchChunk = errors.New("chunk: no such chunk")
 
-// storeMetrics holds the pre-resolved handles of an observed Store.
+// storeMetrics holds the pre-resolved handles of a Store.
 type storeMetrics struct {
 	dedupHits  *obs.Counter   // ingests that found the chunk already present
 	dedupMiss  *obs.Counter   // ingests that stored a new chunk
@@ -26,7 +26,12 @@ type storeMetrics struct {
 	sizes      *obs.Histogram // chunk-size distribution at ingest
 }
 
+var unobservedStore storeMetrics // nil handles: calls do nothing
+
 func resolveStoreMetrics(r *obs.Registry) *storeMetrics {
+	if r == nil {
+		return &unobservedStore
+	}
 	return &storeMetrics{
 		dedupHits:  r.Counter("ipdelta_chunk_dedup_hits_total"),
 		dedupMiss:  r.Counter("ipdelta_chunk_dedup_misses_total"),
@@ -107,6 +112,7 @@ func NewStore(opts ...StoreOption) *Store {
 		chunks:   make(map[ID]*entry),
 		maxUnpin: DefaultMaxUnpinned,
 		inflight: make(map[ID]*ingestFlight),
+		met:      &unobservedStore,
 	}
 	s.lru.prev, s.lru.next = &s.lru, &s.lru
 	for _, o := range opts {
@@ -127,25 +133,19 @@ func (s *Store) Ingest(data []byte) Ref {
 // install takes one reference to the chunk ref describes, storing a copy
 // of data (its content) if no copy is resident.
 func (s *Store) install(ref Ref, data []byte) Ref {
-	if s.met != nil {
-		s.met.sizes.Observe(ref.Length)
-	}
+	s.met.sizes.Observe(ref.Length)
 	for {
 		s.mu.Lock()
 		if e, ok := s.chunks[ref.ID]; ok {
 			s.pinLocked(e)
 			s.mu.Unlock()
-			if s.met != nil {
-				s.met.dedupHits.Inc()
-				s.met.savedBytes.Add(ref.Length)
-			}
+			s.met.dedupHits.Inc()
+			s.met.savedBytes.Add(ref.Length)
 			return ref
 		}
 		if f, ok := s.inflight[ref.ID]; ok {
 			s.mu.Unlock()
-			if s.met != nil {
-				s.met.flights.Inc()
-			}
+			s.met.flights.Inc()
 			f.wg.Wait()
 			continue // the winner installed it; retry resolves to the hit path
 		}
@@ -166,11 +166,9 @@ func (s *Store) install(ref Ref, data []byte) Ref {
 		delete(s.inflight, ref.ID)
 		s.mu.Unlock()
 		f.wg.Done()
-		if s.met != nil {
-			s.met.dedupMiss.Inc()
-			s.met.storedByte.Add(ref.Length)
-			s.met.resident.Add(ref.Length)
-		}
+		s.met.dedupMiss.Inc()
+		s.met.storedByte.Add(ref.Length)
+		s.met.resident.Add(ref.Length)
 		return ref
 	}
 }
@@ -213,9 +211,7 @@ func (s *Store) Release(id ID) {
 		}
 	}
 	s.mu.Unlock()
-	if freed > 0 && s.met != nil {
-		s.met.resident.Add(-freed)
-	}
+	s.met.resident.Add(-freed)
 }
 
 // ReleaseRecipe drops one reference per chunk of r.
@@ -234,9 +230,7 @@ func (s *Store) evictLocked() int64 {
 		delete(s.chunks, e.id)
 		s.unpinned -= int64(len(e.data)) //ipvet:ignore locksafe -- xxxLocked helper: every caller holds s.mu
 		freed += int64(len(e.data))
-		if s.met != nil {
-			s.met.evictions.Inc()
-		}
+		s.met.evictions.Inc()
 	}
 	return freed
 }

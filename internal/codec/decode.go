@@ -456,16 +456,15 @@ func (d *Decoder) compactCommand(c *delta.Command) error {
 // the application order carried by the file.
 func Decode(r io.Reader) (*delta.Delta, Format, error) {
 	out, f, wire, err := decode(r)
-	if m := observer.Load(); m != nil {
-		if err != nil {
-			m.decodeErrors.Inc()
-		} else {
-			m.decodes.Inc()
-			m.decodeBytes.Add(wire)
-			m.decodeCommands.Add(int64(len(out.Commands)))
-		}
+	m := observer.Load()
+	if err != nil {
+		m.decodeErrors.Inc()
+		return out, f, err
 	}
-	return out, f, err
+	m.decodes.Inc()
+	m.decodeBytes.Add(wire)
+	m.decodeCommands.Add(int64(len(out.Commands)))
+	return out, f, nil
 }
 
 func decode(r io.Reader) (*delta.Delta, Format, int64, error) {

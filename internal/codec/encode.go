@@ -41,16 +41,15 @@ func Encode(w io.Writer, d *delta.Delta, f Format) (int64, error) {
 	err := e.encode(d, f)
 	n := e.w.n
 	e.w.release()
-	if m := observer.Load(); m != nil {
-		if err != nil {
-			m.encodeErrors.Inc()
-		} else {
-			m.encodes.Inc()
-			m.encodeBytes.Add(n)
-			m.encodeCommands.Add(int64(len(d.Commands)))
-		}
+	m := observer.Load()
+	if err != nil {
+		m.encodeErrors.Inc()
+		return n, err
 	}
-	return n, err
+	m.encodes.Inc()
+	m.encodeBytes.Add(n)
+	m.encodeCommands.Add(int64(len(d.Commands)))
+	return n, nil
 }
 
 // EncodedSize returns the exact encoded size of d in format f without

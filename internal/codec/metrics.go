@@ -24,8 +24,14 @@ type codecMetrics struct {
 
 // observer is the package-wide metric set. Encode and Decode are free
 // functions with no receiver to hang per-instance handles on, so the
-// registry attaches at package level, swapped atomically.
+// registry attaches at package level, swapped atomically. While no
+// registry is attached it holds unobservedCodec, whose nil handles do
+// nothing.
 var observer atomic.Pointer[codecMetrics]
+
+var unobservedCodec codecMetrics
+
+func init() { observer.Store(&unobservedCodec) }
 
 // SetObserver attaches a metrics registry to the package: every Encode and
 // Decode then records call, byte, command, and error counters into it. A
@@ -34,7 +40,7 @@ var observer atomic.Pointer[codecMetrics]
 // loaded first.
 func SetObserver(r *obs.Registry) {
 	if r == nil {
-		observer.Store(nil)
+		observer.Store(&unobservedCodec)
 		return
 	}
 	observer.Store(&codecMetrics{

@@ -500,39 +500,3 @@ func TestApplyInPlaceBufRejectsBadSize(t *testing.T) {
 		t.Fatal("accepted zero buffer size")
 	}
 }
-
-func TestApplyInPlaceObserved(t *testing.T) {
-	d := &Delta{
-		RefLen:     4,
-		VersionLen: 4,
-		Commands:   []Command{NewCopy(0, 0, 2), NewAdd(2, []byte("zz"))},
-	}
-	var seen []Op
-	buf := []byte("abcd")
-	err := d.ApplyInPlaceObserved(buf, func(_ int, c Command) error {
-		seen = append(seen, c.Op)
-		return nil
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(seen) != 2 || seen[0] != OpCopy || seen[1] != OpAdd {
-		t.Fatalf("observed %v", seen)
-	}
-
-	// An observer error aborts mid-apply.
-	stop := errors.New("power cut")
-	buf = []byte("abcd")
-	err = d.ApplyInPlaceObserved(buf, func(i int, _ Command) error {
-		if i == 1 {
-			return stop
-		}
-		return nil
-	})
-	if !errors.Is(err, stop) {
-		t.Fatalf("error = %v, want power cut", err)
-	}
-	if string(buf[2:]) != "cd" {
-		t.Fatal("commands after the failure must not have been applied")
-	}
-}

@@ -39,7 +39,7 @@ func (d *Delta) InPlaceBufLen() int64 {
 // that violates Equation 2 will corrupt the output, exactly as the paper
 // describes; use CheckInPlace or package inplace to obtain a safe ordering.
 func (d *Delta) ApplyInPlace(buf []byte) error {
-	return d.applyInPlace(buf, DefaultCopyBufSize, nil)
+	return d.applyInPlace(buf, DefaultCopyBufSize)
 }
 
 // ApplyInPlaceBuf is ApplyInPlace with an explicit directional copy buffer
@@ -48,22 +48,10 @@ func (d *Delta) ApplyInPlaceBuf(buf []byte, bufSize int) error {
 	if bufSize < 1 {
 		return fmt.Errorf("copy buffer size %d < 1", bufSize)
 	}
-	return d.applyInPlace(buf, bufSize, nil)
+	return d.applyInPlace(buf, bufSize)
 }
 
-// ApplyFunc observes each command as it is applied; used by the device
-// substrate to account I/O and to inject failures.
-type ApplyFunc func(index int, cmd Command) error
-
-// ApplyInPlaceObserved is ApplyInPlace invoking obs before each command.
-// If obs returns an error, application stops and the error is returned;
-// the buffer is left in the partially applied state (as a real power cut
-// would leave a flash part).
-func (d *Delta) ApplyInPlaceObserved(buf []byte, obs ApplyFunc) error {
-	return d.applyInPlace(buf, DefaultCopyBufSize, obs)
-}
-
-func (d *Delta) applyInPlace(buf []byte, bufSize int, obs ApplyFunc) error {
+func (d *Delta) applyInPlace(buf []byte, bufSize int) error {
 	if int64(len(buf)) < d.InPlaceBufLen() {
 		return ErrScratchTooSmall
 	}
@@ -71,11 +59,6 @@ func (d *Delta) applyInPlace(buf []byte, bufSize int, obs ApplyFunc) error {
 	for k, c := range d.Commands {
 		if err := d.validateCommand(c); err != nil {
 			return &ValidationError{Index: k, Cmd: c, Cause: err}
-		}
-		if obs != nil {
-			if err := obs(k, c); err != nil {
-				return err
-			}
 		}
 		switch c.Op {
 		case OpCopy:

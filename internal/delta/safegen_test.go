@@ -100,33 +100,3 @@ func TestQuickApplyInPlaceEquivalence(t *testing.T) {
 		t.Fatal(err)
 	}
 }
-
-// TestQuickObservedApplyMatches checks the observer path doesn't perturb
-// results and observes every command exactly once.
-func TestQuickObservedApplyMatches(t *testing.T) {
-	f := func(seed int64) bool {
-		rng := rand.New(rand.NewSource(seed))
-		refLen := rng.Int63n(2048) + 64
-		ref := make([]byte, refLen)
-		rng.Read(ref)
-		d := genSafeDelta(rng, refLen)
-		want, err := d.Apply(ref)
-		if err != nil {
-			return false
-		}
-		buf := make([]byte, d.InPlaceBufLen())
-		copy(buf, ref)
-		seen := 0
-		err = d.ApplyInPlaceObserved(buf, func(int, Command) error {
-			seen++
-			return nil
-		})
-		if err != nil || seen != len(d.Commands) {
-			return false
-		}
-		return bytes.Equal(buf[:d.VersionLen], want)
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 80}); err != nil {
-		t.Fatal(err)
-	}
-}

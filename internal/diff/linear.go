@@ -8,10 +8,10 @@ import (
 	"ipdelta/internal/obs"
 )
 
-// diffMetrics holds the pre-resolved metric handles of an observed
-// differencer (DESIGN.md §9). Resolved once at construction; per-diff
-// updates are atomic adds and stage spans only, so observing a
-// differencer adds no allocation to a diff.
+// diffMetrics holds the pre-resolved metric handles of a differencer
+// (DESIGN.md §9). Resolved once at construction; per-diff updates are
+// atomic adds and stage spans only, so observing a differencer adds no
+// allocation to a diff.
 type diffMetrics struct {
 	diffs        *obs.Counter
 	refBytes     *obs.Counter
@@ -23,8 +23,13 @@ type diffMetrics struct {
 	emitStage  obs.Stage // version scan + command emission
 }
 
+var unobservedDiff diffMetrics // nil handles, zero stages: calls do nothing
+
 // resolveDiffMetrics binds the diff metric set in r.
 func resolveDiffMetrics(r *obs.Registry) *diffMetrics {
+	if r == nil {
+		return &unobservedDiff
+	}
 	return &diffMetrics{
 		diffs:        r.Counter("ipdelta_diff_total"),
 		refBytes:     r.Counter("ipdelta_diff_ref_bytes_total"),
@@ -55,8 +60,7 @@ func resolveDiffMetrics(r *obs.Registry) *diffMetrics {
 type Linear struct {
 	seedLen   int
 	tableBits uint
-	obs       *obs.Registry
-	met       *diffMetrics // resolved from obs at construction
+	met       *diffMetrics
 }
 
 // LinearOption customizes a Linear differencer.
@@ -92,17 +96,14 @@ func WithTableBits(bits uint) LinearOption {
 // counters. Handles are resolved here, once, keeping the per-diff path
 // allocation-free. A nil registry means unobserved.
 func WithObserver(r *obs.Registry) LinearOption {
-	return func(l *Linear) { l.obs = r }
+	return func(l *Linear) { l.met = resolveDiffMetrics(r) }
 }
 
 // NewLinear returns a linear differencer with the given options applied.
 func NewLinear(opts ...LinearOption) *Linear {
-	l := &Linear{seedLen: 16, tableBits: 18}
+	l := &Linear{seedLen: 16, tableBits: 18, met: &unobservedDiff}
 	for _, o := range opts {
 		o(l)
-	}
-	if l.obs != nil {
-		l.met = resolveDiffMetrics(l.obs)
 	}
 	return l
 }
@@ -352,9 +353,6 @@ func (l *Linear) Diff(ref, version []byte) (*delta.Delta, error) {
 //
 //ipvet:allocfree
 func (l *Linear) record(ref, version []byte, ncmds int) {
-	if l.met == nil {
-		return
-	}
 	l.met.diffs.Inc()
 	l.met.refBytes.Add(int64(len(ref)))
 	l.met.versionBytes.Add(int64(len(version)))
@@ -377,22 +375,15 @@ func (l *Linear) scan(st *linearState, ref, version []byte) {
 
 	stride, bits := l.tableParams(len(ref))
 	st.table.prepare(bits) //ipvet:ignore allocfree -- sizing is amortized: same-shape inputs reuse the table allocation
-	var span obs.Span
-	if l.met != nil {
-		span = l.met.tableStage.Start()
-		if stride > 1 {
-			l.met.strided.Inc()
-		}
+	span := l.met.tableStage.Start()
+	if stride > 1 {
+		l.met.strided.Inc()
 	}
 	buildTable(&st.table, ref, p, stride)
-	if l.met != nil {
-		span.End()
-		span = l.met.emitStage.Start()
-	}
+	span.End()
+	span = l.met.emitStage.Start()
 	scanRange(&st.table, &st.e, ref, version, p)
-	if l.met != nil {
-		span.End()
-	}
+	span.End()
 }
 
 // krBlock is the most fingerprints krFill computes at once: the block

@@ -34,8 +34,7 @@ type RecipeDiffer struct {
 // unmatched run, and the size of the new-run segments scanned against it.
 const DefaultRecipeWindow = 4 << 20
 
-// recipeMetrics holds the pre-resolved handles of an observed
-// RecipeDiffer.
+// recipeMetrics holds the pre-resolved handles of a RecipeDiffer.
 type recipeMetrics struct {
 	diffs      *obs.Counter // DiffRecipes calls
 	chunkCopy  *obs.Counter // bytes covered by whole-chunk copies
@@ -43,7 +42,12 @@ type recipeMetrics struct {
 	runWindows *obs.Counter // old-context windows materialized
 }
 
+var unobservedRecipe recipeMetrics // nil handles: calls do nothing
+
 func resolveRecipeMetrics(r *obs.Registry) *recipeMetrics {
+	if r == nil {
+		return &unobservedRecipe
+	}
 	return &recipeMetrics{
 		diffs:      r.Counter("ipdelta_recipe_diff_total"),
 		chunkCopy:  r.Counter("ipdelta_recipe_diff_chunk_copy_bytes_total"),
@@ -106,7 +110,7 @@ func WithRecipeObserver(r *obs.Registry) RecipeOption {
 
 // NewRecipeDiffer returns a recipe differ with the options applied.
 func NewRecipeDiffer(opts ...RecipeOption) *RecipeDiffer {
-	rd := &RecipeDiffer{seedLen: 16, maxBits: 18, windowCap: DefaultRecipeWindow}
+	rd := &RecipeDiffer{seedLen: 16, maxBits: 18, windowCap: DefaultRecipeWindow, met: &unobservedRecipe}
 	for _, o := range opts {
 		o(rd)
 	}
@@ -140,9 +144,7 @@ func (rd *RecipeDiffer) DiffRecipes(oldR, newR chunk.Recipe, src chunk.Source) (
 		VersionLen: newLen,
 		Commands:   stitch(st),
 	}
-	if rd.met != nil {
-		rd.met.diffs.Inc()
-	}
+	rd.met.diffs.Inc()
 	return d, nil
 }
 
@@ -201,9 +203,7 @@ func (rd *RecipeDiffer) plan(st *recipeState, oldR, newR chunk.Recipe) int64 {
 	flushCopy := func() {
 		if pend.n > 0 {
 			st.steps = append(st.steps, pend)
-			if rd.met != nil {
-				rd.met.chunkCopy.Add(pend.n)
-			}
+			rd.met.chunkCopy.Add(pend.n)
 			pend.n = 0
 		}
 	}
@@ -345,9 +345,7 @@ func (rd *RecipeDiffer) diffRun(st *recipeState, newR chunk.Recipe, a, b int, ol
 		st.table.prepare(tableBitsFor(rd.maxBits, indexed))
 		buildTable(&st.table, st.oldWin, rd.seedLen, stride)
 		haveTable = true
-		if rd.met != nil {
-			rd.met.runWindows.Inc()
-		}
+		rd.met.runWindows.Inc()
 	}
 	// Stream the run's new bytes through bounded segments.
 	st.newSeg = st.newSeg[:0]
@@ -355,9 +353,7 @@ func (rd *RecipeDiffer) diffRun(st *recipeState, newR chunk.Recipe, a, b int, ol
 		if len(st.newSeg) == 0 {
 			return
 		}
-		if rd.met != nil {
-			rd.met.runBytes.Add(int64(len(st.newSeg)))
-		}
+		rd.met.runBytes.Add(int64(len(st.newSeg)))
 		if !haveTable {
 			st.e.literal(st.newSeg)
 		} else {

@@ -197,12 +197,11 @@ func RunChaos(ctx context.Context, cfg ChaosConfig) (*ChaosOutcome, error) {
 			"outcome", deviceOutcome(rep), "attempt", rep.Attempts,
 			"fellback", rep.FellBack, "err", rep.Err)
 	}
-	if r := cfg.Observer; r != nil {
-		r.Counter("ipdelta_fleet_devices_total").Add(int64(out.Devices))
-		r.Counter("ipdelta_fleet_converged_total").Add(int64(out.Converged))
-		r.Counter("ipdelta_fleet_fallbacks_total").Add(int64(out.Fallbacks))
-		r.Counter("ipdelta_fleet_attempts_total").Add(int64(out.TotalAttempts))
-	}
+	r := cfg.Observer // a nil registry resolves nil counters, which ignore Add
+	r.Counter("ipdelta_fleet_devices_total").Add(int64(out.Devices))
+	r.Counter("ipdelta_fleet_converged_total").Add(int64(out.Converged))
+	r.Counter("ipdelta_fleet_fallbacks_total").Add(int64(out.Fallbacks))
+	r.Counter("ipdelta_fleet_attempts_total").Add(int64(out.TotalAttempts))
 	return out, nil
 }
 

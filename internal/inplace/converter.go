@@ -13,10 +13,10 @@ import (
 	"ipdelta/internal/obs"
 )
 
-// converterMetrics holds the pre-resolved metric handles of an observed
-// Converter. Resolution happens once, in init, so the convert hot path
-// performs no registry lookups and no allocations — just atomic adds and
-// two time.Now calls per stage.
+// converterMetrics holds the pre-resolved metric handles of a Converter.
+// Resolution happens once, when the Converter is configured, so the
+// convert hot path performs no registry lookups and no allocations —
+// just atomic adds and, when observed, two time.Now calls per stage.
 type converterMetrics struct {
 	conversions   *obs.Counter
 	errors        *obs.Counter
@@ -40,6 +40,9 @@ type converterMetrics struct {
 // r. The cycle counters carry the policy as a baked-in label, so the
 // operator can compare policies without per-event formatting.
 func resolveConverterMetrics(r *obs.Registry, policy string) *converterMetrics {
+	if r == nil {
+		return &unobservedConverter
+	}
 	label := "{policy=\"" + policy + "\"}"
 	return &converterMetrics{
 		conversions:   r.Counter("ipdelta_convert_total"),
@@ -60,6 +63,8 @@ func resolveConverterMetrics(r *obs.Registry, policy string) *converterMetrics {
 		emitStage:      r.Stage("ipdelta_convert_stage_emit_nanos"),
 	}
 }
+
+var unobservedConverter converterMetrics // nil handles, zero stages: calls do nothing
 
 // Converter performs in-place conversions over one reusable set of working
 // memory: the copy/add partition, the CRWI digraph in CSR form, the
@@ -95,30 +100,40 @@ type Converter struct {
 	out   delta.Delta
 	alt   []delta.Command // the other resolution's layout, for reuse
 	stats Stats
-	met   *converterMetrics // nil when no observer is attached
-	span  obs.Span          // the running stage span when observed
+	met   *converterMetrics
+	span  obs.Span // the running stage span
 }
 
 // NewConverter returns a Converter with the given options applied. The
 // zero value of Converter is also usable and behaves like NewConverter().
 func NewConverter(opts ...Option) *Converter {
 	cv := &Converter{}
-	for _, opt := range opts {
-		opt(&cv.o)
-	}
+	cv.configure(opts)
 	return cv
 }
 
-// init fills in defaults the zero value leaves unset.
-func (cv *Converter) init() {
+// configure applies opts over the defaults and resolves the metric
+// handles, whose cycle counters carry the policy's label. A configured
+// Converter always has a policy.
+func (cv *Converter) configure(opts []Option) {
+	cv.o = Options{}
+	for _, opt := range opts {
+		opt(&cv.o)
+	}
 	if cv.o.policy == nil {
 		cv.o.policy = graph.LocallyMinimum{}
 	}
 	if cv.o.strategy == 0 {
 		cv.o.strategy = StrategySplit
 	}
-	if cv.met == nil && cv.o.obs != nil {
-		cv.met = resolveConverterMetrics(cv.o.obs, cv.o.policy.Name())
+	cv.met = resolveConverterMetrics(cv.o.obs, cv.o.policy.Name())
+}
+
+// init configures the zero value as NewConverter() would and binds the
+// cost function.
+func (cv *Converter) init() {
+	if cv.o.policy == nil {
+		cv.configure(nil)
 	}
 	if cv.costFn == nil {
 		// The cost of deleting a vertex is the compression lost by
@@ -205,24 +220,20 @@ func (cv *Converter) convert(d *delta.Delta, ref RefReader, detach bool) (*delta
 		cmds, err = cv.fill(cmds, ref, detach)
 	}
 	if err != nil {
-		if cv.met != nil {
-			cv.met.errors.Inc()
-		}
+		cv.met.errors.Inc()
 		return nil, nil, err
 	}
-	if cv.met != nil {
-		cv.span.End()
-		m := cv.met
-		m.conversions.Inc()
-		m.edges.Add(int64(cv.stats.Edges))
-		m.cyclesBroken.Add(int64(cv.stats.CyclesBroken))
-		m.cycleVertices.Add(int64(cv.stats.CycleVertices))
-		m.converted.Add(int64(cv.stats.ConvertedCopies))
-		m.convertedB.Add(cv.stats.ConvertedBytes)
-		m.stashed.Add(int64(cv.stats.StashedCopies))
-		m.scratchB.Add(cv.stats.ScratchUsed)
-		m.splitComponents.Add(int64(cv.stats.SplitComponents))
-	}
+	cv.span.End()
+	m := cv.met
+	m.conversions.Inc()
+	m.edges.Add(int64(cv.stats.Edges))
+	m.cyclesBroken.Add(int64(cv.stats.CyclesBroken))
+	m.cycleVertices.Add(int64(cv.stats.CycleVertices))
+	m.converted.Add(int64(cv.stats.ConvertedCopies))
+	m.convertedB.Add(cv.stats.ConvertedBytes)
+	m.stashed.Add(int64(cv.stats.StashedCopies))
+	m.scratchB.Add(cv.stats.ScratchUsed)
+	m.splitComponents.Add(int64(cv.stats.SplitComponents))
 	if detach {
 		out := &delta.Delta{RefLen: d.RefLen, VersionLen: d.VersionLen, Commands: cmds}
 		st := cv.stats
@@ -290,9 +301,7 @@ func (cv *Converter) resolve(d *delta.Delta) ([]delta.Command, error) {
 	}
 
 	// Step 1: partition into copies and adds.
-	if cv.met != nil {
-		cv.span = cv.met.partitionStage.Start()
-	}
+	cv.span = cv.met.partitionStage.Start()
 	cv.partition(d)
 	cv.stats = Stats{
 		Copies: len(cv.copies),
@@ -305,18 +314,14 @@ func (cv *Converter) resolve(d *delta.Delta) ([]delta.Command, error) {
 	// The input's adds go last, sorted by write offset for determinism;
 	// cv.adds is the converter's own copy, so it can be sorted in place.
 	slices.SortFunc(cv.adds, commandsByWriteOffset)
-	if cv.met != nil {
-		cv.span.End()
-		cv.span = cv.met.crwiStage.Start()
-	}
+	cv.span.End()
+	cv.span = cv.met.crwiStage.Start()
 
 	// Step 3: build the CRWI digraph (sweep-line merge, CSR form).
 	g := cv.crwi.build(cv.copies)
 	cv.stats.Edges = g.NumEdges()
-	if cv.met != nil {
-		cv.span.End()
-		cv.span = cv.met.sortStage.Start()
-	}
+	cv.span.End()
+	cv.span = cv.met.sortStage.Start()
 
 	// Step 4: topological sort with cycle breaking.
 	res := cv.topo.Sort(g, cv.costFn, cv.o.policy)
@@ -325,10 +330,8 @@ func (cv *Converter) resolve(d *delta.Delta) ([]delta.Command, error) {
 	cv.stats.CycleVertices = res.CycleVertices
 	cv.stats.RemovedCost = res.RemovedCost
 	split := cv.o.strategy == StrategySplit && cv.sp.resolve(cv, g, res)
-	if cv.met != nil {
-		cv.span.End()
-		cv.span = cv.met.emitStage.Start()
-	}
+	cv.span.End()
+	cv.span = cv.met.emitStage.Start()
 
 	// Step 5: emit the paper's resolution: the surviving copies in
 	// topological order, the removed ones as adds (or stashes).

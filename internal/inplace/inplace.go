@@ -184,13 +184,10 @@ func ConvertAt(d *delta.Delta, ref RefReader, opts ...Option) (*delta.Delta, *St
 // convertPooled configures cv, drawn from the pool, with opts, runs a
 // detached conversion, and returns cv to the pool.
 func (cv *Converter) convertPooled(d *delta.Delta, ref RefReader, opts []Option) (*delta.Delta, *Stats, error) {
-	cv.o = Options{}
-	for _, opt := range opts {
-		opt(&cv.o)
-	}
+	cv.configure(opts)
 	out, st, err := cv.convert(d, ref, true)
 	cv.Reset()
-	cv.o.obs, cv.met = nil, nil // pin no observer; init resolves the next caller's
+	cv.configure(nil) // pin no observer
 	converters.Put(cv)
 	return out, st, err
 }

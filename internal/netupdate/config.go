@@ -63,11 +63,15 @@ func (o ServerClientOption) applyClient(c *config) { o(c) }
 func (o ServerConnOption) applyServer(c *config)   { o(c) }
 func (o ServerConnOption) applyConn(c *config)     { o(c) }
 
-// serverConfig folds opts over the server defaults.
+// serverConfig folds opts over the server defaults. The default differ
+// is built last, to record into the folded observer.
 func serverConfig(opts []ServerOption) config {
-	c := config{algorithm: diff.NewLinear()}
+	var c config
 	for _, o := range opts {
 		o.applyServer(&c)
+	}
+	if c.algorithm == nil {
+		c.algorithm = diff.NewLinear(diff.WithObserver(c.observer))
 	}
 	return c
 }
@@ -102,7 +106,8 @@ func connConfig(opts []ConnOption) config {
 	return c
 }
 
-// WithAlgorithm selects the differencing algorithm (default linear).
+// WithAlgorithm selects the differencing algorithm (default linear,
+// recording into WithObserver's registry).
 func WithAlgorithm(a diff.Algorithm) ServerOption {
 	return serverOpt(func(c *config) { c.algorithm = a })
 }
@@ -123,8 +128,9 @@ func WithMessageTimeout(d time.Duration) ServerClientOption {
 }
 
 // WithObserver attaches a metrics registry. Servers record session
-// outcomes, bytes served, cache size, mux connection/stream gauges, and
-// latency histograms; clients record runs, attempts, retries,
+// outcomes, bytes served, cache size, mux connection/stream gauges,
+// latency histograms and, through the default differ, the diff metrics;
+// clients record runs, attempts, retries,
 // degradations, and bytes received. Handles resolve once at
 // construction; hot paths only bump atomics.
 func WithObserver(r *obs.Registry) ServerClientOption {

@@ -4,9 +4,9 @@ import (
 	"ipdelta/internal/obs"
 )
 
-// serverMetrics holds the pre-resolved handles of an observed Server
-// (DESIGN.md §9). Resolved once in NewServer so the per-session path does
-// no registry lookups.
+// serverMetrics holds the pre-resolved handles of a Server (DESIGN.md
+// §9). Resolved once in NewServer so the per-session path does no
+// registry lookups.
 type serverMetrics struct {
 	sessions        *obs.Counter // sessions admitted (excludes budget rejects)
 	sessionFailures *obs.Counter
@@ -27,10 +27,17 @@ type serverMetrics struct {
 	msgReadStage  obs.Stage // one framed protocol read
 	msgWriteStage obs.Stage // one framed protocol write (incl. flush)
 	buildStage    obs.Stage // one delta build: diff, convert and encode
+
+	buildWaited func(int) // the delta cache's wait hook; nil when unobserved
 }
 
+var unobservedServer serverMetrics // nil handles, zero stages: calls do nothing
+
 func resolveServerMetrics(r *obs.Registry) *serverMetrics {
-	return &serverMetrics{
+	if r == nil {
+		return &unobservedServer
+	}
+	m := &serverMetrics{
 		sessions:        r.Counter("ipdelta_server_sessions_total"),
 		sessionFailures: r.Counter("ipdelta_server_session_failures_total"),
 		upToDate:        r.Counter("ipdelta_server_up_to_date_total"),
@@ -50,9 +57,11 @@ func resolveServerMetrics(r *obs.Registry) *serverMetrics {
 		msgWriteStage:   r.Stage("ipdelta_server_msg_write_nanos"),
 		buildStage:      r.Stage("ipdelta_server_build_nanos"),
 	}
+	m.buildWaited = func(int) { m.buildWaits.Inc() }
+	return m
 }
 
-// clientMetrics holds the pre-resolved handles of an observed Client.
+// clientMetrics holds the pre-resolved handles of a Client.
 type clientMetrics struct {
 	runs          *obs.Counter
 	runFailures   *obs.Counter
@@ -66,7 +75,12 @@ type clientMetrics struct {
 	attemptStage obs.Stage // one session attempt, dial included
 }
 
+var unobservedClient clientMetrics // nil handles, zero stage: calls do nothing
+
 func resolveClientMetrics(r *obs.Registry) *clientMetrics {
+	if r == nil {
+		return &unobservedClient
+	}
 	return &clientMetrics{
 		runs:          r.Counter("ipdelta_client_runs_total"),
 		runFailures:   r.Counter("ipdelta_client_run_failures_total"),

@@ -56,6 +56,12 @@ func TestServerMetricsTrackSessions(t *testing.T) {
 	if got := snap.Counter("ipdelta_server_session_failures_total"); got != 0 {
 		t.Errorf("session_failures = %d on a clean run", got)
 	}
+	// The default differ records into the server's registry: one diff
+	// per delta build.
+	builds := snap.Histograms["ipdelta_server_build_nanos"].Count
+	if got := snap.Counter("ipdelta_diff_total"); builds != 1 || got != builds {
+		t.Errorf("ipdelta_diff_total = %d over %d builds, want 1 each", got, builds)
+	}
 }
 
 // TestServerMetricsCountBudgetRejects drives a client past the failure

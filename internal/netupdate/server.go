@@ -63,16 +63,12 @@ func NewServer(history [][]byte, opts ...ServerOption) (*Server, error) {
 		failBudget: cfg.failureBudget,
 		log:        obs.OrNop(cfg.logger),
 		muxSet:     cfg.mux,
+		met:        resolveServerMetrics(cfg.observer),
 		failures:   make(map[string]int),
-	}
-	var onWait func(int)
-	if cfg.observer != nil {
-		s.met = resolveServerMetrics(cfg.observer)
-		onWait = func(int) { s.met.buildWaits.Inc() }
 	}
 	// A nil cost counts entries: one delta per release, so the budget
 	// never evicts.
-	s.cache = lru.New[int, []byte](int64(len(history)), nil, nil, onWait)
+	s.cache = lru.New[int, []byte](int64(len(history)), nil, nil, s.met.buildWaited)
 	s.crcs = make([]uint32, len(history))
 	for k, v := range history {
 		s.crcs[k] = crc32.ChecksumIEEE(v)
@@ -107,18 +103,15 @@ func (s *Server) Delta(i int) ([]byte, error) {
 		return nil, fmt.Errorf("netupdate: release %d outside a history of %d", i, len(s.history))
 	}
 	enc, o, err := s.cache.Do(i, func() ([]byte, error) {
-		if s.met != nil {
-			s.met.cacheMisses.Inc()
-		}
+		s.met.cacheMisses.Inc()
 		return s.build(i)
 	})
-	if s.met != nil {
-		switch {
-		case o == lru.Hit:
-			s.met.cacheHits.Inc()
-		case o == lru.Miss && err == nil:
-			s.met.cachedDeltas.Set(int64(s.cache.Len()))
-		}
+	switch {
+	case o == lru.Hit:
+		s.met.cacheHits.Inc()
+	case o == lru.Miss && err == nil:
+		// The cache never evicts, so each successful build adds one delta.
+		s.met.cachedDeltas.Add(1)
 	}
 	return enc, err
 }
@@ -137,9 +130,7 @@ var converters = sync.Pool{New: func() any {
 // pooled memory until the encode is done; any other Algorithm returns a
 // delta of its own.
 func (s *Server) build(i int) ([]byte, error) {
-	if s.met != nil {
-		defer s.met.buildStage.Start().End()
-	}
+	defer s.met.buildStage.Start().End()
 	ref := s.history[i]
 	var d *delta.Delta
 	if l, ok := s.algo.(*diff.Linear); ok {
@@ -228,9 +219,7 @@ func (s *Server) note(key string, err error) {
 // addServed accumulates payload transfer accounting.
 func (s *Server) addServed(n int64) {
 	s.served.Add(n)
-	if s.met != nil {
-		s.met.bytesServed.Add(n)
-	}
+	s.met.bytesServed.Add(n)
 }
 
 // HandleConn serves one protocol-v2 connection: one update session per
@@ -253,10 +242,8 @@ func (s *Server) HandleConn(conn net.Conn) error {
 		return err
 	}
 	defer tr.Close()
-	if s.met != nil {
-		s.met.muxConns.Add(1)
-		defer s.met.muxConns.Add(-1)
-	}
+	s.met.muxConns.Add(1)
+	defer s.met.muxConns.Add(-1)
 	var wg sync.WaitGroup
 	defer wg.Wait()
 	for {
@@ -274,10 +261,8 @@ func (s *Server) HandleConn(conn net.Conn) error {
 		go func() {
 			defer wg.Done()
 			defer st.Close()
-			if s.met != nil {
-				s.met.muxStreams.Add(1)
-				defer s.met.muxStreams.Add(-1)
-			}
+			s.met.muxStreams.Add(1)
+			defer s.met.muxStreams.Add(-1)
 			_ = s.handleSession(st) // per-stream errors end that session only
 		}()
 	}
@@ -294,9 +279,7 @@ func (s *Server) handleSession(conn net.Conn) error {
 		key = clientKey(conn.RemoteAddr())
 	}
 	if !s.admit(key) {
-		if s.met != nil {
-			s.met.budgetRejects.Inc()
-		}
+		s.met.budgetRejects.Inc()
 		s.log.Warn("session rejected",
 			"component", "server", "remote", key, "outcome", "budget-reject")
 		// Consume the client's hello first: over an unbuffered transport
@@ -309,20 +292,13 @@ func (s *Server) handleSession(conn net.Conn) error {
 		}
 		return ErrBudgetExhausted
 	}
-	var span obs.Span
-	if s.met != nil {
-		s.met.sessions.Inc()
-		span = s.met.sessionStage.Start()
-	}
+	s.met.sessions.Inc()
+	span := s.met.sessionStage.Start()
 	start := time.Now()
 	err := s.session(conn)
-	if s.met != nil {
-		span.End()
-		if err != nil {
-			s.met.sessionFailures.Inc()
-		}
-	}
+	span.End()
 	if err != nil {
+		s.met.sessionFailures.Inc()
 		s.log.Warn("session failed",
 			"component", "server", "remote", key, "outcome", "error",
 			"duration_ms", time.Since(start).Milliseconds(), "err", err)
@@ -339,9 +315,6 @@ func (s *Server) handleSession(conn net.Conn) error {
 // per-message latency histograms; writeTimed also flushes, so the timing
 // covers the bytes actually reaching the transport.
 func (s *Server) readTimed(r *bufio.Reader, want byte) ([]byte, error) {
-	if s.met == nil {
-		return readMsg(r, want)
-	}
 	sp := s.met.msgReadStage.Start()
 	payload, err := readMsg(r, want)
 	sp.End()
@@ -349,12 +322,6 @@ func (s *Server) readTimed(r *bufio.Reader, want byte) ([]byte, error) {
 }
 
 func (s *Server) writeTimed(w *bufio.Writer, typ byte, payload []byte) error {
-	if s.met == nil {
-		if err := writeMsg(w, typ, payload); err != nil {
-			return err
-		}
-		return w.Flush()
-	}
 	sp := s.met.msgWriteStage.Start()
 	err := writeMsg(w, typ, payload)
 	if err == nil {
@@ -392,25 +359,19 @@ func (s *Server) session(conn net.Conn) error {
 		if err := s.writeTimed(w, msgFull, current); err != nil {
 			return err
 		}
-		if s.met != nil {
-			s.met.fullSessions.Inc()
-		}
+		s.met.fullSessions.Inc()
 		s.addServed(int64(len(current)))
 		return s.confirm(r, w, currentCRC)
 	}
 
 	if !h.Updating && h.ImageCRC == currentCRC && h.ImageLen == int64(len(current)) {
-		if s.met != nil {
-			s.met.upToDate.Inc()
-		}
+		s.met.upToDate.Inc()
 		return s.writeTimed(w, msgUpToDate, nil)
 	}
 
 	idx, ok := s.findVersion(h.ImageCRC, h.ImageLen)
 	if !ok {
-		if s.met != nil {
-			s.met.unknownVersion.Inc()
-		}
+		s.met.unknownVersion.Inc()
 		_ = s.writeTimed(w, msgError, []byte(ErrUnknownVersion.Error()))
 		return ErrUnknownVersion
 	}
@@ -422,9 +383,7 @@ func (s *Server) session(conn net.Conn) error {
 	if err := s.writeTimed(w, msgDelta, enc); err != nil {
 		return err
 	}
-	if s.met != nil {
-		s.met.deltaSessions.Inc()
-	}
+	s.met.deltaSessions.Inc()
 	s.addServed(int64(len(enc)))
 	return s.confirm(r, w, currentCRC)
 }

@@ -49,11 +49,12 @@ type Client struct {
 // defaults).
 func NewClient(opts ...ClientOption) *Client {
 	cfg := clientConfig(opts)
-	cl := &Client{cfg: cfg, log: obs.OrNop(cfg.logger), rng: rand.New(rand.NewPCG(cfg.seed, 1))}
-	if cfg.observer != nil {
-		cl.met = resolveClientMetrics(cfg.observer)
+	return &Client{
+		cfg: cfg,
+		met: resolveClientMetrics(cfg.observer),
+		log: obs.OrNop(cfg.logger),
+		rng: rand.New(rand.NewPCG(cfg.seed, 1)),
 	}
-	return cl
 }
 
 // errClass buckets session errors by the right response.
@@ -101,24 +102,20 @@ func classify(err error) errClass {
 // connection per attempt, until it converges, turns out to be up to date,
 // exhausts the attempt budget, or hits a fatal error.
 func (ru *Client) Run(ctx context.Context, dial DialFunc, dev *device.Device) (RunReport, error) {
-	if ru.met != nil {
-		ru.met.runs.Inc()
-	}
+	ru.met.runs.Inc()
 	rep, err := ru.run(ctx, dial, dev)
-	if ru.met != nil {
-		if err != nil {
-			ru.met.runFailures.Inc()
-		} else {
-			ru.met.bytesReceived.Add(rep.Result.DeltaBytes)
-			if rep.Result.UpToDate {
-				ru.met.upToDate.Inc()
-			}
-			if rep.Result.FullImage {
-				ru.met.fullTransfers.Inc()
-			}
-		}
+	if err != nil {
+		ru.met.runFailures.Inc()
+		return rep, err
 	}
-	return rep, err
+	ru.met.bytesReceived.Add(rep.Result.DeltaBytes)
+	if rep.Result.UpToDate {
+		ru.met.upToDate.Inc()
+	}
+	if rep.Result.FullImage {
+		ru.met.fullTransfers.Inc()
+	}
+	return rep, nil
 }
 
 func (ru *Client) run(ctx context.Context, dial DialFunc, dev *device.Device) (RunReport, error) {
@@ -132,9 +129,7 @@ func (ru *Client) run(ctx context.Context, dial DialFunc, dev *device.Device) (R
 	degrade := func() {
 		full = true
 		rep.FellBack = true
-		if ru.met != nil {
-			ru.met.degradations.Inc()
-		}
+		ru.met.degradations.Inc()
 	}
 	deltaFailures := 0
 	var lastErr error
@@ -143,11 +138,9 @@ func (ru *Client) run(ctx context.Context, dial DialFunc, dev *device.Device) (R
 			return rep, err
 		}
 		rep.Attempts = attempt
-		if ru.met != nil {
-			ru.met.attempts.Inc()
-			if attempt > 1 {
-				ru.met.retries.Inc()
-			}
+		ru.met.attempts.Inc()
+		if attempt > 1 {
+			ru.met.retries.Inc()
 		}
 		res, err := ru.attempt(ctx, dial, dev, full)
 		if err == nil {
@@ -190,11 +183,7 @@ func (ru *Client) run(ctx context.Context, dial DialFunc, dev *device.Device) (R
 
 // attempt runs one session on a fresh connection.
 func (ru *Client) attempt(ctx context.Context, dial DialFunc, dev *device.Device, full bool) (Result, error) {
-	var span obs.Span
-	if ru.met != nil {
-		span = ru.met.attemptStage.Start()
-		defer span.End()
-	}
+	defer ru.met.attemptStage.Start().End()
 	conn, err := dial(ctx)
 	if err != nil {
 		return Result{}, err

@@ -8,9 +8,10 @@
 // (Registry.Counter / Histogram / Stage are get-or-create and take a
 // lock), and every per-event operation after that — Counter.Add,
 // Histogram.Observe, Stage.Start/Span.End — is lock-free, map-free and
-// allocation-free. Components guard instrumentation behind a nil check on
-// their pre-resolved handle struct, so an unobserved hot path pays
-// nothing at all.
+// allocation-free. Components call their handles unconditionally, so
+// there is one instrumentation path. Handles from a nil registry are
+// unobserved and do nothing: nil counters, gauges and histograms ignore
+// updates, and a zero Stage neither reads the clock nor records.
 //
 // Metric naming follows the Prometheus conventions the rest of the
 // ecosystem expects: `ipdelta_<component>_<what>_total` for counters,
@@ -183,10 +184,16 @@ type Stage struct {
 	hist *Histogram
 }
 
-// Start begins timing. The zero Stage is safe: End then does nothing.
+// Start begins timing. An unobserved Stage (no registry) returns the
+// zero Span without reading the clock.
 //
 //ipvet:allocfree
-func (s Stage) Start() Span { return Span{stage: s, t0: time.Now()} }
+func (s Stage) Start() Span {
+	if s.reg == nil {
+		return Span{}
+	}
+	return Span{stage: s, t0: time.Now()}
+}
 
 // Span is an in-flight stage timing.
 type Span struct {
@@ -194,14 +201,18 @@ type Span struct {
 	t0    time.Time
 }
 
-// End records the elapsed time and returns it.
+// End records the elapsed time, forwards it to the registry's sink if
+// one is set, and returns it. The zero Span returns 0 at once.
 //
 //ipvet:allocfree
 func (sp Span) End() time.Duration {
+	if sp.stage.reg == nil {
+		return 0
+	}
 	d := time.Since(sp.t0)
 	sp.stage.hist.Observe(int64(d))
-	if r := sp.stage.reg; r != nil {
-		r.emitSpan(sp.stage.name, sp.t0, d)
+	if f, ok := sp.stage.reg.sink.Load().(sinkFunc); ok && f != nil {
+		f(SpanEvent{Name: sp.stage.name, Start: sp.t0, Duration: d})
 	}
 	return d
 }
@@ -238,15 +249,6 @@ func (r *Registry) SetSink(f func(SpanEvent)) {
 		return
 	}
 	r.sink.Store(sinkFunc(f))
-}
-
-// emitSpan forwards a completed span to the sink, if any.
-//
-//ipvet:allocfree
-func (r *Registry) emitSpan(name string, start time.Time, d time.Duration) {
-	if f, ok := r.sink.Load().(sinkFunc); ok && f != nil {
-		f(SpanEvent{Name: name, Start: start, Duration: d})
-	}
 }
 
 // Counter returns the named counter, creating it on first use. Returns
@@ -297,12 +299,9 @@ func (r *Registry) Histogram(name string, bounds []int64) *Histogram {
 }
 
 // Stage returns a stage timer recording into the named duration
-// histogram (DurationBuckets). The zero Stage (from a nil registry) is
-// safe to Start and End.
+// histogram (DurationBuckets). A nil registry returns an unobserved
+// Stage, which neither reads the clock nor records.
 func (r *Registry) Stage(name string) Stage {
-	if r == nil {
-		return Stage{}
-	}
 	return Stage{reg: r, name: name, hist: r.Histogram(name, DurationBuckets)}
 }
 

@@ -100,6 +100,45 @@ func TestHotPathAllocationFree(t *testing.T) {
 	}
 }
 
+// TestZeroStageSpanIsFree pins the unobserved span: the zero Stage
+// starts a zero Span without reading the clock, so End reports exactly
+// 0 however long the span ran.
+func TestZeroStageSpanIsFree(t *testing.T) {
+	var st Stage
+	sp := st.Start()
+	time.Sleep(time.Millisecond)
+	if d := sp.End(); d != 0 {
+		t.Fatalf("zero Stage span = %v, want 0", d)
+	}
+	var r *Registry
+	if d := r.Stage("s_nanos").Start().End(); d != 0 {
+		t.Fatalf("nil-registry Stage span = %v, want 0", d)
+	}
+}
+
+// TestZeroHandlesAllocationFree is the allocation gate of the handles an
+// unobserved component calls unconditionally: nil counter, gauge and
+// histogram and the zero Stage.
+func TestZeroHandlesAllocationFree(t *testing.T) {
+	var (
+		c  *Counter
+		g  *Gauge
+		h  *Histogram
+		st Stage
+	)
+	allocs := testing.AllocsPerRun(100, func() {
+		c.Add(3)
+		c.Inc()
+		g.Set(7)
+		g.Add(-1)
+		h.Observe(12345)
+		st.Start().End()
+	})
+	if allocs != 0 {
+		t.Fatalf("unobserved metric ops allocate %.1f times per run, want 0", allocs)
+	}
+}
+
 func TestTextRendering(t *testing.T) {
 	r := NewRegistry()
 	r.Counter("a_total").Add(3)

@@ -27,7 +27,6 @@ import (
 	"ipdelta/internal/archive"
 	"ipdelta/internal/codec"
 	"ipdelta/internal/delta"
-	"ipdelta/internal/obs"
 )
 
 // DefaultArchiveSegment is the number of versions one archive stripe
@@ -55,10 +54,7 @@ func (s *Store) Archive(a *archive.Archive, upTo, segSize int) (int, error) {
 		return -1, fmt.Errorf("%w: %d of %d", ErrNoSuchVersion, upTo, n)
 	}
 	segs := (upTo + 1) / segSize
-	var span obs.Span
-	if s.met != nil {
-		span = s.met.archiveBuild.Start()
-	}
+	span := s.met.archiveBuild.Start()
 	for g := 0; g < segs; g++ {
 		blob, err := s.buildSegment(g*segSize, (g+1)*segSize-1)
 		if err != nil {
@@ -67,13 +63,9 @@ func (s *Store) Archive(a *archive.Archive, upTo, segSize int) (int, error) {
 		if err := a.Put(uint64(g), blob); err != nil {
 			return -1, err
 		}
-		if s.met != nil {
-			s.met.archivedSegs.Inc()
-		}
+		s.met.archivedSegs.Inc()
 	}
-	if s.met != nil {
-		span.End()
-	}
+	span.End()
 	return segs*segSize - 1, nil
 }
 

@@ -38,10 +38,18 @@ type cacheKey struct {
 // in-place convert, HTTP serving) only reads them.
 type matCache struct {
 	c *lru.Cache[cacheKey, any]
+	cacheMetrics
+}
 
-	// Pre-resolved metric handles, indexed by kind; all nil-safe.
+// cacheMetrics holds the cache's pre-resolved handles, indexed by kind,
+// and the lru hooks that feed its dedup-wait and eviction counters. The
+// zero value is unobserved: nil handles, and nil hooks the lru never
+// calls.
+type cacheMetrics struct {
 	hits, misses    [numKinds]*obs.Counter
 	inflight, bytes *obs.Gauge
+	onWait          func(cacheKey)
+	onEvict         func(cacheKey, any)
 }
 
 // commandBytes is what one delta command costs the cache, its add data
@@ -63,31 +71,37 @@ func artifactCost(v any) int64 {
 	return 0
 }
 
+// resolveCacheMetrics binds the cache metric set in reg; a nil reg
+// resolves the unobserved zero value.
+func resolveCacheMetrics(reg *obs.Registry) cacheMetrics {
+	if reg == nil {
+		return cacheMetrics{}
+	}
+	dedups := reg.Counter("ipdelta_store_cache_dedup_waits_total")
+	evictions := reg.Counter("ipdelta_store_cache_evictions_total")
+	bytes := reg.Gauge("ipdelta_store_cache_bytes")
+	var m cacheMetrics
+	m.hits[kindVersion] = reg.Counter("ipdelta_store_cache_version_hits_total")
+	m.misses[kindVersion] = reg.Counter("ipdelta_store_cache_version_misses_total")
+	m.hits[kindDelta] = reg.Counter("ipdelta_store_cache_delta_hits_total")
+	m.misses[kindDelta] = reg.Counter("ipdelta_store_cache_delta_misses_total")
+	m.inflight = reg.Gauge("ipdelta_store_cache_inflight")
+	m.bytes = bytes
+	m.onWait = func(cacheKey) { dedups.Inc() }
+	// An artifact over the budget is inserted and evicted at once: it
+	// counts as an eviction and leaves the gauge where it was.
+	m.onEvict = func(_ cacheKey, v any) {
+		evictions.Inc()
+		bytes.Add(-artifactCost(v))
+	}
+	return m
+}
+
 // newMatCache builds a cache holding up to budget > 0 bytes of
 // artifacts. reg may be nil.
 func newMatCache(budget int64, reg *obs.Registry) *matCache {
-	c := &matCache{}
-	var onEvict func(cacheKey, any)
-	var onWait func(cacheKey)
-	if reg != nil {
-		c.hits[kindVersion] = reg.Counter("ipdelta_store_cache_version_hits_total")
-		c.misses[kindVersion] = reg.Counter("ipdelta_store_cache_version_misses_total")
-		c.hits[kindDelta] = reg.Counter("ipdelta_store_cache_delta_hits_total")
-		c.misses[kindDelta] = reg.Counter("ipdelta_store_cache_delta_misses_total")
-		c.inflight = reg.Gauge("ipdelta_store_cache_inflight")
-		c.bytes = reg.Gauge("ipdelta_store_cache_bytes")
-		dedups := reg.Counter("ipdelta_store_cache_dedup_waits_total")
-		evictions := reg.Counter("ipdelta_store_cache_evictions_total")
-		onWait = func(cacheKey) { dedups.Inc() }
-		// An artifact over the budget is inserted and evicted at once:
-		// it counts as an eviction and leaves the gauge where it was.
-		onEvict = func(_ cacheKey, v any) {
-			evictions.Inc()
-			c.bytes.Add(-artifactCost(v))
-		}
-	}
-	c.c = lru.New(budget, artifactCost, onEvict, onWait)
-	return c
+	m := resolveCacheMetrics(reg)
+	return &matCache{c: lru.New(budget, artifactCost, m.onEvict, m.onWait), cacheMetrics: m}
 }
 
 // do returns the cached value for key, or computes it with fn. Concurrent

@@ -49,7 +49,7 @@ type release struct {
 	recipe chunk.Recipe // chunked: the version's chunks in order
 }
 
-// storeMetrics holds the pre-resolved stage handles of an observed Store
+// storeMetrics holds the pre-resolved stage handles of a Store
 // (DESIGN.md §10, §12). The cache resolves its own counters.
 type storeMetrics struct {
 	materialize obs.Stage    // cold chain replays
@@ -60,7 +60,12 @@ type storeMetrics struct {
 	archivedSegs *obs.Counter // segments striped into an archive
 }
 
+var unobservedStore storeMetrics // nil handles, zero stages: calls do nothing
+
 func resolveStoreMetrics(r *obs.Registry) *storeMetrics {
+	if r == nil {
+		return &unobservedStore
+	}
 	return &storeMetrics{
 		materialize:  r.Stage("ipdelta_store_stage_materialize_nanos"),
 		compose:      r.Stage("ipdelta_store_stage_compose_nanos"),
@@ -155,26 +160,16 @@ func New(base []byte, opts ...Option) *Store {
 	if !s.chunked {
 		s.base = append([]byte(nil), base...)
 	}
-	if s.obsReg != nil {
-		s.met = resolveStoreMetrics(s.obsReg)
-	}
+	s.met = resolveStoreMetrics(s.obsReg)
 	if s.cacheBytes > 0 {
 		s.cache = newMatCache(s.cacheBytes, s.obsReg)
 	}
 	if s.chunked {
 		s.ck, _ = chunk.NewChunker(chunk.Params{}) // zero params: statically valid defaults
 		if s.cs == nil {
-			var csOpts []chunk.StoreOption
-			if s.obsReg != nil {
-				csOpts = append(csOpts, chunk.WithObserver(s.obsReg))
-			}
-			s.cs = chunk.NewStore(csOpts...)
+			s.cs = chunk.NewStore(chunk.WithObserver(s.obsReg))
 		}
-		var rdOpts []diff.RecipeOption
-		if s.obsReg != nil {
-			rdOpts = append(rdOpts, diff.WithRecipeObserver(s.obsReg))
-		}
-		s.rd = diff.NewRecipeDiffer(rdOpts...)
+		s.rd = diff.NewRecipeDiffer(diff.WithRecipeObserver(s.obsReg))
 	}
 	s.releases = []release{{crc: crc32.ChecksumIEEE(base), length: int64(len(base))}}
 	if s.chunked {
@@ -260,26 +255,18 @@ func (s *Store) materialize(i int, c *matCache) ([]byte, error) {
 	if s.chunked {
 		// Chunk-addressed materialization: no chain replay at any depth,
 		// and every chunk is verified against its recipe identity.
-		var span obs.Span
-		if s.met != nil {
-			span = s.met.materialize.Start()
-		}
+		span := s.met.materialize.Start()
 		s.mu.RLock()
 		r := s.releases[i].recipe
 		s.mu.RUnlock()
 		img, err := chunk.Materialize(nil, r, s.cs)
-		if s.met != nil {
-			span.End()
-		}
+		span.End()
 		if err != nil {
 			return nil, fmt.Errorf("store version %d: %w", i, err)
 		}
 		return img, nil
 	}
-	var span obs.Span
-	if s.met != nil {
-		span = s.met.materialize.Start()
-	}
+	span := s.met.materialize.Start()
 	start, cur := 0, s.base
 	if c != nil {
 		if k, img, ok := c.nearestVersion(i); ok {
@@ -296,10 +283,8 @@ func (s *Store) materialize(i int, c *matCache) ([]byte, error) {
 		}
 		cur = next
 	}
-	if s.met != nil {
-		s.met.replays.Add(int64(len(chain)))
-		span.End()
-	}
+	s.met.replays.Add(int64(len(chain)))
+	span.End()
 	if len(chain) == 0 && c == nil {
 		// Uncached callers own the result; never hand out the base image
 		// or a cached ancestor itself.
@@ -370,10 +355,7 @@ func (s *Store) DeltaBetween(i, j int) (*delta.Delta, error) {
 // recipe diff rediscovers every chunk i and j still share). The releases
 // snapshot is immutable, so no lock is held across the diff.
 func (s *Store) compose(i, j int) (*delta.Delta, error) {
-	var span obs.Span
-	if s.met != nil {
-		span = s.met.compose.Start()
-	}
+	span := s.met.compose.Start()
 	s.mu.RLock()
 	rels := s.releases[i : j+1]
 	s.mu.RUnlock()
@@ -388,9 +370,7 @@ func (s *Store) compose(i, j int) (*delta.Delta, error) {
 		}
 		d, err = delta.ComposeChain(chain...)
 	}
-	if s.met != nil {
-		span.End()
-	}
+	span.End()
 	return d, err
 }
 
