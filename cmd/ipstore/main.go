@@ -12,20 +12,11 @@
 //	ipstore delta   -store FILE -from N [-to M] -out DELTA [-inplace] [-policy P]
 //	ipstore rollback -store FILE -to N -out DELTA [-policy P]
 //	ipstore serve   -store FILE [-listen ADDR] [-cache MIB] [-chunked] [-v]
-//	ipstore archive -store FILE -dir DIR [-up-to N] [-data K] [-parity M] [-segment S]
-//	ipstore scrub   -dir DIR [-repair] [-verify]
-//	ipstore restore -dir DIR -index N -out IMAGE
 //
 // serve exposes the store over HTTP: GET /info (JSON census), GET
 // /version/{n} (raw image), GET /delta?from=N (compact in-place delta to
 // the newest version), and GET /metrics (request and codec counters,
 // Prometheus-style text or JSON with ?format=json).
-//
-// archive stripes the store's history across K+M erasure-coded node
-// directories (any K suffice to read); scrub verifies shard CRCs, rebuilds
-// bad shards with -repair, and re-checks every archived version with
-// -verify; restore reconstructs one version purely from surviving shards —
-// even with up to M node directories deleted.
 package main
 
 import (
@@ -47,9 +38,11 @@ func main() {
 	}
 }
 
+const usage = "usage: ipstore {init|append|info|extract|delta|rollback|serve} [flags]"
+
 func run(args []string) error {
 	if len(args) == 0 {
-		return errors.New("usage: ipstore {init|append|info|extract|delta|rollback|serve|archive|scrub|restore} [flags]")
+		return errors.New(usage)
 	}
 	switch args[0] {
 	case "init":
@@ -66,14 +59,8 @@ func run(args []string) error {
 		return cmdRollback(args[1:])
 	case "serve":
 		return cmdServe(args[1:])
-	case "archive":
-		return cmdArchive(args[1:])
-	case "scrub":
-		return cmdScrub(args[1:])
-	case "restore":
-		return cmdRestore(args[1:])
 	default:
-		return fmt.Errorf("unknown subcommand %q", args[0])
+		return fmt.Errorf("unknown subcommand %q; %s", args[0], usage)
 	}
 }
 

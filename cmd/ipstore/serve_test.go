@@ -158,7 +158,20 @@ func TestServeHandlerUsage(t *testing.T) {
 	if err := run([]string{"serve"}); err == nil || !strings.Contains(err.Error(), "-store") {
 		t.Fatalf("serve without -store: %v", err)
 	}
-	if err := run([]string{"nonsense"}); err == nil {
-		t.Fatal("unknown subcommand accepted")
+	// Unknown subcommands, the removed archive commands among them, get
+	// the usage error, and the usage lists none of those.
+	noArgs := run(nil)
+	if noArgs == nil {
+		t.Fatal("run without a subcommand succeeded")
+	}
+	usageText := noArgs.Error()
+	for _, cmd := range []string{"nonsense", "archive", "scrub", "restore"} {
+		err := run([]string{cmd})
+		if err == nil || !strings.Contains(err.Error(), "unknown subcommand") || !strings.Contains(err.Error(), usageText) {
+			t.Errorf("run(%q) = %v, want the usage error", cmd, err)
+		}
+		if strings.Contains(usageText, cmd) {
+			t.Errorf("usage lists %q: %s", cmd, usageText)
+		}
 	}
 }

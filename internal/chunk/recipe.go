@@ -56,8 +56,8 @@ func (r Recipe) Total() int64 {
 }
 
 // Source supplies chunk contents by address — the read side of a Store,
-// or anything else that can resolve an ID (a remote peer, an archive
-// tier). Returned slices are shared and must be treated as read-only.
+// or anything else that can resolve an ID, such as a remote peer.
+// Returned slices are shared and must be treated as read-only.
 // A Source must be safe for concurrent use: the recipe differ resolves
 // the chunks of different runs in parallel.
 type Source interface {
@@ -69,7 +69,7 @@ type Source interface {
 // length and CRC, so a corrupt or substituted chunk is caught here
 // rather than surfacing as silently wrong content.
 //
-// It makes two passes (DESIGN.md §14). The first resolves every chunk and
+// It makes two passes (DESIGN.md §13). The first resolves every chunk and
 // checks its length, so dst then grows once, by the byte count actually
 // resolved: a recipe that lies about lengths fails before any allocation
 // it describes. The second checks each chunk's CRC and copies it.

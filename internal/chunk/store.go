@@ -266,7 +266,7 @@ func (s *Store) Contains(id ID) bool {
 //
 // The calling goroutine cuts and installs; GOMAXPROCS−1 hashers compute
 // the chunks' Refs in between, a batch of chunks at a time (DESIGN.md
-// §14). Chunks are installed in input order, so the recipe, the store's
+// §13). Chunks are installed in input order, so the recipe, the store's
 // contents and its counters are those of an Ingest call per chunk. An
 // input of one batch, or GOMAXPROCS=1, is hashed inline.
 func (s *Store) IngestAll(ck *Chunker, data []byte) Recipe {
@@ -278,7 +278,7 @@ func (s *Store) IngestAll(ck *Chunker, data []byte) Recipe {
 // leaves the store and its counters as IngestAll would. But where a
 // resident chunk of like recurs in data at a cut point, a byte compare
 // against the resident copy replaces cutting and hashing it, so the work
-// follows what changed rather than the size of data (DESIGN.md §14,
+// follows what changed rather than the size of data (DESIGN.md §13,
 // "Predicted ingest").
 //
 // like must have been cut by a Chunker with ck's Params, as every recipe

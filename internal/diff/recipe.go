@@ -123,7 +123,7 @@ func NewRecipeDiffer(opts ...RecipeOption) *RecipeDiffer {
 // acceptance property the tests pin — while touching only matched-chunk
 // metadata plus a bounded byte window per unmatched run.
 //
-// It works in three phases (DESIGN.md §14). Plan walks the recipes and
+// It works in three phases (DESIGN.md §13). Plan walks the recipes and
 // lists the merged chunk copies and the unmatched runs between them.
 // Diff hands the runs to min(GOMAXPROCS, runs) workers, each with its
 // own pooled state; one worker runs inline. Stitch concatenates the

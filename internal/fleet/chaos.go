@@ -62,11 +62,6 @@ type ChaosConfig struct {
 	// WorkBufSize is the device working buffer (default
 	// device.DefaultWorkBufSize).
 	WorkBufSize int
-	// ArchiveTier, when non-nil, first routes the release history through
-	// an erasure-coded archive under seeded node-level faults: the
-	// archived images the server distributes are read back through
-	// degraded k-of-n reads after scrub/repair and node kills.
-	ArchiveTier *ArchiveTierConfig
 	// Observer, when non-nil, receives the whole run's metrics: the shared
 	// server's session counters, every device runner's attempt/retry/
 	// degradation counters, and fleet rollup counters
@@ -100,18 +95,12 @@ type ChaosOutcome struct {
 	BytesOnWire   int64
 	Makespan      time.Duration
 	PerDevice     []ChaosDeviceReport
-	// Archive is non-nil when the run included an archive tier leg.
-	Archive *ArchiveTierReport
 }
 
 // String renders the outcome the way the chaos harness prints it.
 func (o *ChaosOutcome) String() string {
-	s := fmt.Sprintf("chaos seed=%d: %d/%d devices converged, %d fallbacks, %d attempts, %d bytes on wire, makespan %v",
+	return fmt.Sprintf("chaos seed=%d: %d/%d devices converged, %d fallbacks, %d attempts, %d bytes on wire, makespan %v",
 		o.Seed, o.Converged, o.Devices, o.Fallbacks, o.TotalAttempts, o.BytesOnWire, o.Makespan)
-	if o.Archive != nil {
-		s += "; " + o.Archive.String()
-	}
-	return s
 }
 
 // deviceSeed derives a per-device fault seed from the run seed.
@@ -135,19 +124,6 @@ func RunChaos(ctx context.Context, cfg ChaosConfig) (*ChaosOutcome, error) {
 	if len(cfg.Devices) == 0 {
 		return nil, fmt.Errorf("fleet: no devices")
 	}
-	var archRep *ArchiveTierReport
-	if cfg.ArchiveTier != nil {
-		served, rep, err := runArchiveTier(cfg)
-		if err != nil {
-			return nil, err
-		}
-		// Every image below — device baselines and server content alike —
-		// now comes from degraded archive reads, not the original history.
-		cfg.Releases = served
-		archRep = rep
-		obs.OrNop(cfg.Logger).Info("archive tier",
-			"component", "fleet", "report", rep.String())
-	}
 	target := cfg.Releases[len(cfg.Releases)-1]
 	targetCRC := crc32.ChecksumIEEE(target)
 	srv, err := netupdate.NewServer(cfg.Releases,
@@ -161,7 +137,7 @@ func RunChaos(ctx context.Context, cfg ChaosConfig) (*ChaosOutcome, error) {
 		workBuf = device.DefaultWorkBufSize
 	}
 
-	out := &ChaosOutcome{Seed: cfg.Seed, Devices: len(cfg.Devices), Archive: archRep}
+	out := &ChaosOutcome{Seed: cfg.Seed, Devices: len(cfg.Devices)}
 	out.PerDevice = make([]ChaosDeviceReport, len(cfg.Devices))
 	start := time.Now()
 	errs := make(chan error, len(cfg.Devices))

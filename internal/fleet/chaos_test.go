@@ -7,7 +7,6 @@ import (
 	"time"
 
 	"ipdelta/internal/corpus"
-	"ipdelta/internal/obs"
 )
 
 // chaosReleases builds a 3-release history of chained versions.
@@ -130,81 +129,6 @@ func TestChaosDeterministicReplay(t *testing.T) {
 	}
 	if first.BytesOnWire != second.BytesOnWire {
 		t.Fatalf("bytes on wire diverged: %d vs %d", first.BytesOnWire, second.BytesOnWire)
-	}
-}
-
-// TestChaosArchiveTier runs the full durable path under node-level faults:
-// the release history is striped across erasure-coded nodes, seeded shard
-// corruption and truncation must be scrubbed and repaired, two nodes then
-// die for good, and the fleet must still converge on images served through
-// degraded k-of-n reads. The seed is printed so a failure replays exactly.
-func TestChaosArchiveTier(t *testing.T) {
-	const seed = 1203
-	cfg := chaosArchiveConfig(t, seed)
-	out, err := RunChaos(context.Background(), cfg)
-	if err != nil {
-		t.Fatalf("replay with seed %d: %v", seed, err)
-	}
-	t.Log(out.String())
-	if out.Converged != out.Devices {
-		t.Fatalf("only %d/%d devices converged (replay with seed %d)", out.Converged, out.Devices, seed)
-	}
-	ar := out.Archive
-	if ar == nil {
-		t.Fatal("no archive tier report")
-	}
-	if ar.Stripes == 0 || ar.UpTo != len(cfg.Releases)-1 {
-		t.Fatalf("history not archived: %s", ar)
-	}
-	if ar.ScrubMissing+ar.ScrubCorrupt == 0 {
-		t.Fatalf("scrub missed every injected fault (replay with seed %d): %s", seed, ar)
-	}
-	if ar.Repaired == 0 {
-		t.Fatalf("repair rebuilt nothing (replay with seed %d): %s", seed, ar)
-	}
-	if len(ar.KilledNodes) != 2 {
-		t.Fatalf("wanted 2 dead nodes, got %v", ar.KilledNodes)
-	}
-	if ar.TierReads == 0 {
-		t.Fatalf("no release was served by the tier: %s", ar)
-	}
-	if ar.DegradedReads == 0 {
-		t.Fatalf("node kills never forced a reconstruction (replay with seed %d): %s", seed, ar)
-	}
-
-	// The same seed must replay to the identical archive leg.
-	again, err := RunChaos(context.Background(), chaosArchiveConfig(t, seed))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(again.Archive, ar) {
-		t.Fatalf("archive leg did not replay:\n  first:  %+v\n  second: %+v", ar, again.Archive)
-	}
-}
-
-// chaosArchiveConfig rebuilds the TestChaosArchiveTier fixture (fresh
-// registry, same seed) for the determinism replay.
-func chaosArchiveConfig(t *testing.T, seed uint64) ChaosConfig {
-	t.Helper()
-	cfg := chaosConfig(t, seed)
-	cfg.Observer = obs.NewRegistry()
-	cfg.ArchiveTier = &ArchiveTierConfig{
-		DataShards:   4,
-		ParityShards: 3,
-		SegmentSize:  1,
-		Corruptions:  4,
-		Truncations:  2,
-		NodeKills:    2,
-	}
-	return cfg
-}
-
-// TestChaosArchiveTierValidation rejects kill budgets beyond parity.
-func TestChaosArchiveTierValidation(t *testing.T) {
-	cfg := chaosConfig(t, 9)
-	cfg.ArchiveTier = &ArchiveTierConfig{DataShards: 4, ParityShards: 1, NodeKills: 2}
-	if _, err := RunChaos(context.Background(), cfg); err == nil {
-		t.Fatal("kill budget beyond parity accepted")
 	}
 }
 

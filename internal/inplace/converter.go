@@ -161,7 +161,8 @@ func (cv *Converter) Convert(d *delta.Delta, ref []byte) (*delta.Delta, *Stats, 
 }
 
 // Reset drops the converter's references to caller memory (the
-// reference and the input's add data held by its command buffers) so a
+// reference, the input's add data held by its command buffers, and the
+// last stage span, which points at an observer's registry) so a
 // converter kept for reuse, in a pool or a long-lived worker, pins
 // nothing but its own scratch. The output of the last Convert is invalid
 // after Reset. Every call fills these buffers from index 0, so clearing
@@ -172,6 +173,7 @@ func (cv *Converter) Reset() {
 	clear(cv.out.Commands)
 	clear(cv.alt)
 	cv.out = delta.Delta{Commands: cv.out.Commands[:0]}
+	cv.span = obs.Span{}
 }
 
 // BuildCRWI partitions d's commands, sorts the copies by write offset and

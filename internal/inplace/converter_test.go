@@ -238,6 +238,25 @@ func TestConvertPooledDetaches(t *testing.T) {
 	}
 }
 
+// TestResetDropsStageSpan checks that Reset clears the last stage span,
+// whose Stage points at the observer's registry, so a pooled converter
+// does not keep an observed caller's registry alive.
+func TestResetDropsStageSpan(t *testing.T) {
+	rng := rand.New(rand.NewSource(5))
+	d := randomDelta(rng, 1200)
+	ref := make([]byte, 1200)
+	rng.Read(ref)
+
+	cv := NewConverter(WithObserver(obs.NewRegistry()))
+	if _, _, err := cv.Convert(d, ref); err != nil {
+		t.Fatalf("Convert: %v", err)
+	}
+	cv.Reset()
+	if cv.span != (obs.Span{}) {
+		t.Fatal("Reset kept the last stage span, which pins the observer's registry")
+	}
+}
+
 // TestConverterConvertAllocs is the steady-state allocation gate for the
 // pooled conversion path: after warm-up, (*Converter).Convert must perform
 // at most 2 allocations per call (it is expected to reach 0; the slack

@@ -273,9 +273,11 @@ func (s *Server) HandleConn(conn net.Conn) error {
 // failure budget around it.
 func (s *Server) handleSession(conn net.Conn) error {
 	// The key formats the remote address, which allocates; only the
-	// failure budget and an enabled logger read it.
+	// failure budget and an enabled logger read it. The start time is
+	// read only for the log lines (Info implies Warn).
+	logged := s.log.Enabled(context.Background(), slog.LevelWarn)
 	var key string
-	if s.failBudget > 0 || s.log.Enabled(context.Background(), slog.LevelWarn) {
+	if s.failBudget > 0 || logged {
 		key = clientKey(conn.RemoteAddr())
 	}
 	if !s.admit(key) {
@@ -294,15 +296,22 @@ func (s *Server) handleSession(conn net.Conn) error {
 	}
 	s.met.sessions.Inc()
 	span := s.met.sessionStage.Start()
-	start := time.Now()
+	var start time.Time
+	if logged {
+		start = time.Now()
+	}
 	err := s.session(conn)
 	span.End()
 	if err != nil {
 		s.met.sessionFailures.Inc()
+	}
+	switch {
+	case !logged:
+	case err != nil:
 		s.log.Warn("session failed",
 			"component", "server", "remote", key, "outcome", "error",
 			"duration_ms", time.Since(start).Milliseconds(), "err", err)
-	} else if s.log.Enabled(context.Background(), slog.LevelInfo) {
+	case s.log.Enabled(context.Background(), slog.LevelInfo):
 		s.log.Info("session done",
 			"component", "server", "remote", key, "outcome", "ok",
 			"duration_ms", time.Since(start).Milliseconds())

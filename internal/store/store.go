@@ -50,14 +50,11 @@ type release struct {
 }
 
 // storeMetrics holds the pre-resolved stage handles of a Store
-// (DESIGN.md §10, §12). The cache resolves its own counters.
+// (DESIGN.md §10). The cache resolves its own counters.
 type storeMetrics struct {
 	materialize obs.Stage    // cold chain replays
 	compose     obs.Stage    // cold delta compositions
 	replays     *obs.Counter // chain links applied by materializations
-
-	archiveBuild obs.Stage    // Store.Archive exports
-	archivedSegs *obs.Counter // segments striped into an archive
 }
 
 var unobservedStore storeMetrics // nil handles, zero stages: calls do nothing
@@ -67,11 +64,9 @@ func resolveStoreMetrics(r *obs.Registry) *storeMetrics {
 		return &unobservedStore
 	}
 	return &storeMetrics{
-		materialize:  r.Stage("ipdelta_store_stage_materialize_nanos"),
-		compose:      r.Stage("ipdelta_store_stage_compose_nanos"),
-		replays:      r.Counter("ipdelta_store_chain_replays_total"),
-		archiveBuild: r.Stage("ipdelta_store_stage_archive_build_nanos"),
-		archivedSegs: r.Counter("ipdelta_store_archive_segments_total"),
+		materialize: r.Stage("ipdelta_store_stage_materialize_nanos"),
+		compose:     r.Stage("ipdelta_store_stage_compose_nanos"),
+		replays:     r.Counter("ipdelta_store_chain_replays_total"),
 	}
 }
 
@@ -108,7 +103,7 @@ type Store struct {
 type Option func(*Store)
 
 // WithAlgorithm selects the differencing algorithm a plain store's
-// AppendVersion and Archive use (default linear). A chunked store diffs
+// AppendVersion uses (default linear). A chunked store diffs
 // recipes and does not use it.
 func WithAlgorithm(a diff.Algorithm) Option {
 	return func(s *Store) { s.algo = a }
